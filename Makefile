@@ -5,7 +5,7 @@
 PY := python
 export PYTHONPATH := src
 
-.PHONY: lint analyze check-analysis test check check-robustness check-obs check-perf check-pipeline check-serve check-slo check-backends baseline
+.PHONY: lint analyze check-analysis test check check-robustness check-obs check-perf check-pipeline check-serve check-slo check-backends baseline bench-e2e
 
 lint: analyze
 
@@ -81,3 +81,8 @@ check-serve:
 check-perf:
 	$(PY) -m pytest -q -m perf_accel
 	$(PY) benchmarks/bench_hotpath.py --against BENCH_perf.json
+
+# End-to-end benchmark self-tests (about a minute): harness, layer
+# accounting, comparison gate and answer checks of benchmarks/e2e.
+bench-e2e:
+	$(PY) -m pytest benchmarks/e2e -q

@@ -31,8 +31,10 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
-#: Cached signature matrices per (batch, n_labels, ignore_label, radius).
-SIGNATURE_MEMO_CAPACITY = 32
+#: Byte budget of the cached signature matrices per (batch, n_labels,
+#: ignore_label, radius); a matrix larger than the whole budget is not
+#: stored.
+SIGNATURE_MEMO_BYTES = 4 << 20
 #: Cached compiled plan lists per (query batch, counts, order config).
 PLAN_MEMO_CAPACITY = 64
 
@@ -57,36 +59,51 @@ class ContentMemo:
     Values are treated as immutable once stored; callers must not mutate
     what they get back (the accel layer stores read-only NumPy arrays and
     frozen dataclasses only).
+
+    ``capacity`` bounds the summed ``weigh(value)`` of the entries; the
+    default weight of 1 makes it an entry count, ``weigh=nbytes`` a byte
+    budget.  A value heavier than the whole capacity is not stored.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(
+        self, capacity: int, weigh: Callable[[Any], int] | None = None
+    ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.stats = MemoStats()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._weigh = weigh or (lambda value: 1)
+        self._weight = 0
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, key: Hashable) -> Any | None:
         """The cached value, or ``None`` (which is never a stored value)."""
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return value
+            return entry[0]
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh an entry, evicting the least recent beyond capacity."""
         if value is None:
             raise ValueError("None cannot be memoized (reserved for misses)")
+        weight = self._weigh(value)
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._weight -= old[1]
+            if weight > self.capacity:
+                return
+            self._entries[key] = (value, weight)
+            self._weight += weight
+            while self._weight > self.capacity:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._weight -= evicted
                 self.stats.evictions += 1
 
     def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
@@ -101,7 +118,13 @@ class ContentMemo:
         """Drop all entries and reset the stats."""
         with self._lock:
             self._entries.clear()
+            self._weight = 0
             self.stats = MemoStats()
+
+    @property
+    def weight(self) -> int:
+        """Summed weight of the stored entries (bytes for a byte budget)."""
+        return self._weight
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -124,7 +147,7 @@ def frozen_array(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-_SIGNATURE_MEMO = ContentMemo(SIGNATURE_MEMO_CAPACITY)
+_SIGNATURE_MEMO = ContentMemo(SIGNATURE_MEMO_BYTES, weigh=lambda arr: arr.nbytes)
 _PLAN_MEMO = ContentMemo(PLAN_MEMO_CAPACITY)
 
 
@@ -132,7 +155,10 @@ def signature_memo() -> ContentMemo:
     """The process-wide signature-count memo table.
 
     Keys: ``(batch content hash, n_labels, ignore_label, radius)`` — see
-    :meth:`repro.core.filtering.IterativeFilter._signatures_at`.
+    :meth:`repro.core.filtering.IterativeFilter._signatures_at`.  Bounded
+    by :data:`SIGNATURE_MEMO_BYTES` of count matrices, so a stream of
+    never-repeated data batches cannot grow the resident set while the
+    hot query-side matrices of a session stay cached.
     """
     return _SIGNATURE_MEMO
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.candidates import CandidateBitmap
 from repro.core.csrgo import CSRGO
-from repro.utils.bitops import pack_bool_rows
+from repro.core.filtering import refine_dominated
 
 #: Saturation cap for pair counts (molecular degree <= 6, so 15 is ample).
 PAIR_COUNT_CAP = 15
@@ -86,8 +86,8 @@ def refine_candidates_edge_aware(
 ) -> None:
     """One edge-aware refinement pass (radius 1), in place on the bitmap.
 
-    Mirrors ``refine_candidates``'s unique-signature grouping so the cost
-    is one data-side comparison per *distinct* query pair-histogram.
+    Groups query nodes by pair-histogram and runs the same
+    candidate-sparse domination kernel as ``refine_candidates``.
     """
     n_edge_labels = (
         int(
@@ -108,10 +108,6 @@ def refine_candidates_edge_aware(
     d_hist = edge_pair_histograms(data, n_labels, n_edge_labels)
     sat_q = np.minimum(q_hist, PAIR_COUNT_CAP).astype(np.uint8)
     sat_d = np.minimum(d_hist, PAIR_COUNT_CAP).astype(np.uint8)
+    # Histograms are wider than one 64-bit key, so group by rows.
     unique_sigs, inverse = np.unique(sat_q, axis=0, return_inverse=True)
-    for sig_idx in range(unique_sigs.shape[0]):
-        sig = unique_sigs[sig_idx]
-        ok = np.all(sat_d >= sig, axis=1)
-        packed = pack_bool_rows(ok[None, :], bitmap.word_bits)[0]
-        rows = np.nonzero(inverse == sig_idx)[0]
-        bitmap.words[rows] &= packed
+    refine_dominated(bitmap, unique_sigs, inverse.reshape(-1), sat_d)

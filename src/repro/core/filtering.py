@@ -11,10 +11,19 @@ Kernel-equivalent layout notes:
 * ``InitializeCandidates`` builds one boolean stripe per *label* and
   assigns it to every query node with that label, rather than looping the
   ``n_q x n_d`` product — same output as Alg. 1's kernel.
-* ``RefineCandidates`` groups query nodes by *unique saturated signature*:
-  all query nodes sharing a signature get the same data-node mask, computed
-  once.  On molecular queries this collapses hundreds of rows into a
-  handful of distinct signatures per iteration.
+* ``RefineCandidates`` groups query nodes by *saturated signature*, with
+  one 1-D ``unique`` over the packed 64-bit keys (injective on saturated
+  rows), and is *candidate-sparse*: it ORs each group's rows into one
+  union row and compares signatures only on the (group, data node) pairs
+  whose bit is still set there — like the paper's kernel, which loads only
+  each query node's current candidates — instead of against every data
+  node.  Failing pairs are scattered into a per-group fail mask and
+  cleared from every row of the group.  Four saturated counts share one
+  ``uint64`` word in guarded 16-bit lanes, so one subtraction tests four
+  labels.  Pairs are materialized in chunks of
+  :data:`REFINE_CHUNK_PAIRS`.  The edge-aware pass
+  (:mod:`repro.core.edge_signatures`) runs the same kernel on its pair
+  histograms.
 """
 
 from __future__ import annotations
@@ -37,10 +46,9 @@ from repro.utils.timing import StageTimer
 if TYPE_CHECKING:
     import numpy as np
 
-#: Signature count matrices above this size are not memoized (the cache is
-#: for the many-small-runs pattern — chunks, sweeps, retries — not for
-#: pinning hundred-MB matrices of one giant batch in memory).
-SIGNATURE_MEMO_MAX_BYTES = 32 << 20
+#: Most (signature group, data node) pairs one chunk of the refine kernel
+#: compares (plus at most one bitmap word); bounds its scratch memory.
+REFINE_CHUNK_PAIRS = 32_768
 
 
 @dataclass
@@ -138,7 +146,7 @@ def refine_candidates(
     data_counts: np.ndarray,
     packing: SignaturePacking,
 ) -> None:
-    """One ``RefineCandidates`` step: AND domination masks into the bitmap.
+    """One ``RefineCandidates`` step: clear the non-dominating candidates.
 
     Parameters
     ----------
@@ -157,25 +165,114 @@ def refine_candidates(
         raise ValueError("query_counts rows != bitmap query nodes")
     if sat_d.shape[0] != bitmap.n_data_nodes:
         raise ValueError("data_counts rows != bitmap data nodes")
-    # Group query nodes by identical saturated signature: one mask per
-    # distinct signature instead of one per query node.
-    unique_sigs, inverse = xp.unique(sat_q, axis=0, return_inverse=True)
-    tracer = get_tracer()
-    with tracer.span(
+    # Group query nodes by saturated signature.  The packed 64-bit key is
+    # injective on saturated rows, so a 1-D unique replaces the much
+    # slower row-wise ``unique(axis=0)``.
+    _, first, inverse = xp.unique(
+        packing.pack(query_counts), return_index=True, return_inverse=True
+    )
+    with get_tracer().span(
         "kernel:refine_candidates",
         category="kernel",
         work_items=bitmap.n_data_nodes,
-        signature_groups=int(unique_sigs.shape[0]),
-    ):
-        for sig_idx in range(unique_sigs.shape[0]):
-            # One work-group batch per distinct saturated signature.
-            with tracer.span(f"wg:sig-{sig_idx}", category="workgroup") as wg:
-                sig = unique_sigs[sig_idx]
-                ok = xp.all(sat_d >= sig, axis=1)
-                packed = pack_bool_rows(ok[None, :], bitmap.word_bits)[0]
-                rows = xp.nonzero(inverse == sig_idx)[0]
-                bitmap.words[rows] &= packed
-                wg.set(query_rows=int(rows.size), survivors=int(ok.sum()))
+        signature_groups=int(first.shape[0]),
+    ) as sp:
+        pairs = refine_dominated(bitmap, sat_q[first], inverse, sat_d)
+        sp.set(pairs=pairs)
+
+
+#: The guard bit of every 16-bit lane of a :func:`signature_lanes` word.
+LANE_GUARDS = 0x0100_0100_0100_0100
+
+
+@kernel(writes=())
+def signature_lanes(sat: np.ndarray) -> np.ndarray:
+    """Saturated ``uint8`` count rows packed four per ``uint64`` word.
+
+    Returns ``uint64[ceil(n_cols / 4), n_rows]``, word-major so that
+    gathering many rows is one contiguous take per word: count ``c`` of
+    row ``i`` sits in bits ``16*(c%4)`` up of word ``c//4``.  With
+    :data:`LANE_GUARDS` OR-ed into the data words, ``data - query`` keeps
+    a lane's guard bit iff that lane's data count is at least the query
+    count — eight bits of headroom stop borrows from crossing lanes — so
+    one subtraction tests four labels.
+    """
+    n_rows, n_cols = sat.shape
+    n_words = -(-n_cols // 4)
+    lanes = xp.zeros((n_rows, 4 * n_words), dtype=xp.uint64)
+    lanes[:, :n_cols] = sat
+    shifts = xp.arange(4, dtype=xp.uint64) * xp.uint64(16)
+    words = (lanes.reshape(n_rows, n_words, 4) << shifts).sum(axis=2, dtype=xp.uint64)
+    return xp.ascontiguousarray(words.T)
+
+
+@kernel(writes=("bitmap",))
+def refine_dominated(
+    bitmap: CandidateBitmap,
+    group_sigs: np.ndarray,
+    inverse: np.ndarray,
+    sat_data: np.ndarray,
+) -> int:
+    """Clear every candidate bit whose data node does not dominate.
+
+    The candidate-sparse domination kernel shared by both refine flavours.
+    Query row ``i`` belongs to signature group ``inverse[i]``; data node
+    ``d`` stays a candidate of row ``i`` iff ``sat_data[d] >=
+    group_sigs[inverse[i]]`` in every column.  Only (group, data node)
+    pairs whose bit is still set in some row of the group are compared —
+    after the first refinement that is well under 1% of the dense
+    ``groups x data nodes`` product — and at most about
+    :data:`REFINE_CHUNK_PAIRS` pairs are materialized at a time.  Bits
+    past ``n_data_nodes`` (word padding) always fail.
+
+    Returns the number of pairs compared.
+    """
+    n_groups = group_sigs.shape[0]
+    n_words = bitmap.words.shape[1]
+    if n_groups == 0 or n_words == 0:
+        return 0
+    word_bits = bitmap.word_bits
+    dtype = bitmap.words.dtype
+    last_node = bitmap.n_data_nodes - 1
+    guards = xp.uint64(LANE_GUARDS)
+    data_lanes = signature_lanes(sat_data) | guards
+    sig_lanes = signature_lanes(group_sigs)
+    # Per-group candidate union: the pairs worth comparing.
+    union = xp.zeros((n_groups, n_words), dtype=dtype)
+    xp.scatter_or(union, inverse, bitmap.words)
+    group_of, word_of = xp.nonzero(union)
+    values = union[group_of, word_of]
+    # Pair offset of each nonzero union word; chunk cuts every
+    # REFINE_CHUNK_PAIRS pairs (a cut never splits a word).
+    counts = xp.popcount(values).astype(xp.int64)
+    ends = xp.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if ends.shape[0] else 0
+    cuts = xp.searchsorted(
+        starts, xp.arange(0, total, REFINE_CHUNK_PAIRS, dtype=xp.int64)
+    ).tolist() + [int(values.shape[0])]
+    fail = xp.zeros(n_groups * n_words, dtype=dtype)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        # The chunk's set bits as (group, data node) pairs.
+        bits = xp.unpack_bits(values[lo:hi], (hi - lo) * word_bits, word_bits)
+        pair_word, bit = xp.divmod_(xp.nonzero(bits)[0], word_bits)
+        pair_word += lo
+        groups = group_of[pair_word]
+        words = word_of[pair_word]
+        nodes = words * word_bits + bit
+        # Lane-wise domination test; failing pairs go to the fail mask.
+        diff = xp.take(data_lanes, xp.minimum(nodes, last_node), axis=1)
+        diff -= xp.take(sig_lanes, groups, axis=1)
+        bad = xp.any((diff & guards) != guards, axis=0)
+        bad |= nodes > last_node
+        xp.scatter_or(
+            fail,
+            groups[bad] * n_words + words[bad],
+            (xp.uint64(1) << bit[bad].astype(xp.uint64)).astype(dtype),
+        )
+    # Clear each group's failed bits from every row of the group.
+    bitmap.words &= (~fail).reshape(n_groups, n_words)[inverse]
+    return total
 
 
 class IterativeFilter:
@@ -327,8 +424,9 @@ class IterativeFilter:
         radius — so a second pipeline
         run over identical batches (iteration sweeps, chunked re-runs,
         resilient retries) recalls the counts instead of re-running the
-        neighborhood BFS.  Oversized matrices bypass the cache
-        (:data:`SIGNATURE_MEMO_MAX_BYTES`); memoized arrays are frozen
+        neighborhood BFS.  The memo holds at most
+        :data:`~repro.accel.memo.SIGNATURE_MEMO_BYTES` of matrices, least
+        recently used first out; returned arrays are frozen
         (non-writeable) — ``refine_candidates`` only reads them.
         """
         q = self._side_signatures_at("query", radius)
@@ -358,8 +456,6 @@ class IterativeFilter:
         if state is None:
             state = SignatureState(batch, self.n_labels, ignore_label=ignore)
             setattr(self, state_attr, state)
-        counts = state.run_to(radius)
-        if counts.nbytes <= SIGNATURE_MEMO_MAX_BYTES:
-            counts = frozen_array(counts)
-            memo.put(key, counts)
+        counts = frozen_array(state.run_to(radius))
+        memo.put(key, counts)
         return counts

@@ -250,32 +250,14 @@ def build_query_plan(
     if n == 0:
         raise ValueError(f"query graph {query_graph} is empty")
 
-    def local_neighbors(local: int) -> np.ndarray:
-        return query.neighbors(start_node + local) - start_node
-
-    if heuristic == "fewest-candidates" and candidate_counts is not None:
-        counts = xp.asarray(candidate_counts[start_node:stop_node], dtype=xp.int64)
-    else:
-        counts = xp.diff(
-            query.row_offsets[start_node : stop_node + 1]
-        ).astype(xp.int64) * -1  # fall back to highest degree first
-    order: list[int] = [int(xp.argmin(counts))]
-    in_order = xp.zeros(n, dtype=xp.bool_)
-    in_order[order[0]] = True
-    adjacent = xp.zeros(n, dtype=xp.bool_)
-    adjacent[local_neighbors(order[0])] = True
-    while len(order) < n:
-        frontier = xp.nonzero(adjacent & ~in_order)[0]
-        if frontier.size == 0:
-            # Disconnected query graph: jump to the best remaining node.
-            frontier = xp.nonzero(~in_order)[0]
-        pick = int(frontier[xp.argmin(counts[frontier])])
-        order.append(pick)
-        in_order[pick] = True
-        adjacent[local_neighbors(pick)] = True
-
     if heuristic == "bfs":
         order = _bfs_order(query, query_graph)
+    else:
+        order = _greedy_order(
+            query,
+            query_graph,
+            candidate_counts if heuristic == "fewest-candidates" else None,
+        )
 
     position = {node: p for p, node in enumerate(order)}
     check_edges: list[tuple[tuple[int, int], ...]] = []
@@ -307,6 +289,44 @@ def build_query_plan(
         check_edges=tuple(check_edges),
         forbidden=tuple(forbidden),
     )
+
+
+def _greedy_order(
+    query: CSRGO, query_graph: int, candidate_counts: np.ndarray | None
+) -> list[int]:
+    """Fewest-candidates greedy order (highest degree first without counts).
+
+    Starts from the best node and repeatedly extends with the best node
+    adjacent to the order so far, jumping to the best remaining node when
+    the query graph is disconnected.
+    """
+    start_node, stop_node = query.graph_node_range(query_graph)
+    n = stop_node - start_node
+
+    def local_neighbors(local: int) -> np.ndarray:
+        return query.neighbors(start_node + local) - start_node
+
+    if candidate_counts is not None:
+        counts = xp.asarray(candidate_counts[start_node:stop_node], dtype=xp.int64)
+    else:
+        counts = xp.diff(
+            query.row_offsets[start_node : stop_node + 1]
+        ).astype(xp.int64) * -1  # fall back to highest degree first
+    order: list[int] = [int(xp.argmin(counts))]
+    in_order = xp.zeros(n, dtype=xp.bool_)
+    in_order[order[0]] = True
+    adjacent = xp.zeros(n, dtype=xp.bool_)
+    adjacent[local_neighbors(order[0])] = True
+    while len(order) < n:
+        frontier = xp.nonzero(adjacent & ~in_order)[0]
+        if frontier.size == 0:
+            # Disconnected query graph: jump to the best remaining node.
+            frontier = xp.nonzero(~in_order)[0]
+        pick = int(frontier[xp.argmin(counts[frontier])])
+        order.append(pick)
+        in_order[pick] = True
+        adjacent[local_neighbors(pick)] = True
+    return order
 
 
 def _bfs_order(query: CSRGO, query_graph: int) -> list[int]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.accel.memo import (
+    SIGNATURE_MEMO_BYTES,
     ContentMemo,
     array_hash,
     frozen_array,
@@ -29,6 +30,25 @@ class TestContentMemo:
         assert memo.get("k") == 42
         assert memo.stats.misses == 1
         assert memo.stats.hits == 1
+
+    def test_weighted_capacity(self):
+        memo = ContentMemo(10, weigh=len)
+        memo.put("a", "xxxx")
+        memo.put("b", "yyyy")
+        memo.get("a")  # "b" is now least recent
+        memo.put("c", "zzzz")  # 12 > 10: evicts "b"
+        assert memo.get("b") is None
+        assert memo.get("a") == "xxxx"
+        assert memo.weight == 8
+        memo.put("a", "x")  # refresh re-weighs
+        assert memo.weight == 5
+        assert memo.stats.evictions == 1
+
+    def test_oversized_value_not_stored(self):
+        memo = ContentMemo(3, weigh=len)
+        memo.put("k", "small")
+        assert memo.get("k") is None
+        assert len(memo) == 0 and memo.weight == 0
 
     def test_lru_eviction_order(self):
         memo = ContentMemo(2)
@@ -149,9 +169,37 @@ class TestSignatureMemoKeying:
         assert signature_memo().stats.hits > 0
 
     def test_size_guard_skips_memoization(self, bench, monkeypatch):
-        import repro.core.filtering as filtering
-
-        monkeypatch.setattr(filtering, "SIGNATURE_MEMO_MAX_BYTES", 0)
+        # Every matrix is larger than a one-byte budget: none is stored.
+        monkeypatch.setattr(signature_memo(), "capacity", 1)
         self._run(bench, refinement_iterations=3)
         assert len(signature_memo()) == 0
         assert signature_memo().stats.hits == 0
+
+    def test_budget_is_bytes(self, bench):
+        assert signature_memo().capacity == SIGNATURE_MEMO_BYTES
+        self._run(bench, refinement_iterations=3)
+        memo = signature_memo()
+        assert 0 < memo.weight <= SIGNATURE_MEMO_BYTES
+        assert len(memo) == 4  # query + data sides, radii 1..2
+
+    def test_budget_evicts_data_side_keeps_hot_query_side(self, bench, monkeypatch):
+        # A session-like stream: one query batch, never-repeated data
+        # batches.  The query-side matrices are hit every run, so LRU
+        # keeps them while the budget pushes old data-side entries out.
+        from repro.core.csrgo import CSRGO
+        from repro.core.filtering import IterativeFilter
+
+        query = CSRGO.from_graphs(bench.queries)
+        batches = [CSRGO.from_graphs(bench.data[i::4]) for i in range(4)]
+        config = SigmoConfig(refinement_iterations=2)
+        IterativeFilter(query, batches[0], config).run()
+        memo = signature_memo()
+        per_run = memo.weight
+        monkeypatch.setattr(memo, "capacity", 2 * per_run)
+        for data in batches[1:]:
+            IterativeFilter(query, data, config).run()
+        assert memo.weight <= memo.capacity
+        assert memo.stats.evictions >= 1
+        hits = memo.stats.hits
+        IterativeFilter(query, batches[-1], config).run()
+        assert memo.stats.hits == hits + 2  # query and data side, radius 1

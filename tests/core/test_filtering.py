@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.core.filtering as filtering
 from repro.core.candidates import CandidateBitmap
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
+from repro.core.edge_signatures import (
+    PAIR_COUNT_CAP,
+    edge_pair_histograms,
+    refine_candidates_edge_aware,
+)
 from repro.core.filtering import (
     IterativeFilter,
     initialize_candidates,
@@ -13,6 +19,25 @@ from repro.core.filtering import (
 )
 from repro.core.signatures import SignaturePacking
 from repro.graph.generators import path_graph, ring_graph
+from repro.utils.bitops import pack_bool_rows
+from repro.xp import use_backend
+from tests.conftest import random_case
+
+
+def dense_refine(words, sat_q, sat_d, word_bits):
+    """The historical dense refine loop, kept as the oracle.
+
+    One full ``sat_d >= sig`` comparison against every data node per
+    distinct query signature, ANDed into that signature's rows.
+    """
+    words = words.copy()
+    unique_sigs, inverse = np.unique(sat_q, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for sig_idx in range(unique_sigs.shape[0]):
+        ok = np.all(sat_d >= unique_sigs[sig_idx], axis=1)
+        packed = pack_bool_rows(ok[None, :], word_bits)[0]
+        words[np.nonzero(inverse == sig_idx)[0]] &= packed
+    return words
 
 
 class TestInitializeCandidates:
@@ -61,6 +86,100 @@ class TestRefineCandidates:
             refine_candidates(bitmap, np.zeros((1, 2)), np.zeros((3, 2)), packing)
         with pytest.raises(ValueError):
             refine_candidates(bitmap, np.zeros((2, 2)), np.zeros((4, 2)), packing)
+
+
+class TestRefineDifferential:
+    """The candidate-sparse kernel against the dense oracle, bit for bit."""
+
+    N_LABELS = 6
+
+    def _case(self, seed, n_q, n_d, word_bits, density):
+        rng = np.random.default_rng(seed)
+        packing = SignaturePacking.from_frequencies(
+            rng.integers(1, 1000, self.N_LABELS).astype(float), min_bits=2
+        )
+        # Few distinct query signatures (so groups hold several rows);
+        # counts up to past every field's capacity exercise saturation.
+        def counts(n_rows, high_frac):
+            out = rng.integers(0, 6, (n_rows, self.N_LABELS))
+            high = rng.random(out.shape) < high_frac
+            out[high] = rng.integers(6, 300, int(high.sum()))
+            return out
+
+        proto = counts(max(n_q // 3, 1), 0.1)
+        q_counts = proto[rng.integers(0, proto.shape[0], n_q)]
+        d_counts = counts(n_d, 0.3)
+        bitmap = CandidateBitmap.from_bool(rng.random((n_q, n_d)) < density, word_bits)
+        if n_q > 2:
+            bitmap.words[0] = ~bitmap.words.dtype.type(0)  # wildcard row
+            bitmap.words[1] = 0  # empty row
+        return bitmap, q_counts, d_counts, packing
+
+    def _check(self, bitmap, q_counts, d_counts, packing):
+        expected = dense_refine(
+            bitmap.words,
+            packing.saturate(q_counts),
+            packing.saturate(d_counts),
+            bitmap.word_bits,
+        )
+        refine_candidates(bitmap, q_counts, d_counts, packing)
+        assert bitmap.words.dtype == expected.dtype
+        np.testing.assert_array_equal(bitmap.words, expected)
+
+    @pytest.mark.parametrize("backend", ["numpy", "instrumented"])
+    @pytest.mark.parametrize("word_bits", [32, 64])
+    @pytest.mark.parametrize("n_d", [64, 150, 1])
+    @pytest.mark.parametrize("density", [0.02, 0.5])
+    def test_bitwise_equal_to_dense_loop(self, backend, word_bits, n_d, density):
+        for seed in range(3):
+            case = self._case(seed, 40, n_d, word_bits, density)
+            with use_backend(backend):
+                self._check(*case)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_chunk_bound_smaller_than_a_group(self, monkeypatch, chunk):
+        monkeypatch.setattr(filtering, "REFINE_CHUNK_PAIRS", chunk)
+        for word_bits in (32, 64):
+            self._check(*self._case(11, 30, 333, word_bits, 0.4))
+
+    def test_padding_bits_cleared(self):
+        # Set bits past n_data_nodes never survive (the dense loop's
+        # packed masks are zero there).
+        bitmap, q_counts, d_counts, packing = self._case(5, 12, 70, 64, 0.3)
+        bitmap.words[:, -1] |= np.uint64(1) << np.uint64(63)
+        self._check(bitmap, q_counts, d_counts, packing)
+
+    def test_empty_inputs(self):
+        packing = SignaturePacking.uniform(self.N_LABELS)
+        for n_q, n_d in ((0, 10), (4, 0), (0, 0)):
+            bitmap = CandidateBitmap(n_q, n_d)
+            self._check(
+                bitmap,
+                np.zeros((n_q, self.N_LABELS), dtype=np.int64),
+                np.zeros((n_d, self.N_LABELS), dtype=np.int64),
+                packing,
+            )
+
+    @pytest.mark.parametrize("backend", ["numpy", "instrumented"])
+    def test_edge_aware_pass_matches_dense_loop(self, rng, backend):
+        for _ in range(10):
+            qg, dg, _ = random_case(rng, max_data_nodes=40, n_edge_labels=3)
+            q = CSRGO.from_graphs([qg])
+            d = CSRGO.from_graphs([dg])
+            n_labels = int(max(q.labels.max(), d.labels.max())) + 1
+            bitmap = initialize_candidates(q, d)
+
+            def sat(g):
+                return np.minimum(
+                    edge_pair_histograms(g, n_labels, 3), PAIR_COUNT_CAP
+                ).astype(np.uint8)
+
+            expected = dense_refine(
+                bitmap.words, sat(q), sat(d), bitmap.word_bits
+            )
+            with use_backend(backend):
+                refine_candidates_edge_aware(bitmap, q, d, n_labels)
+            np.testing.assert_array_equal(bitmap.words, expected)
 
 
 class TestIterativeFilter:

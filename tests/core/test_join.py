@@ -62,6 +62,17 @@ class TestQueryPlan:
         plan = build_query_plan(q, 0, heuristic="bfs")
         assert plan.order.tolist() == [0, 1, 2]
 
+    def test_bfs_skips_greedy_order(self, monkeypatch):
+        import repro.core.join as join
+
+        def greedy(*args):
+            raise AssertionError("bfs must not run the greedy order")
+
+        monkeypatch.setattr(join, "_greedy_order", greedy)
+        q = CSRGO.from_graphs([path_graph([0, 1, 2])])
+        plan = build_query_plan(q, 0, np.array([9, 1, 5]), heuristic="bfs")
+        assert plan.order.tolist() == [0, 1, 2]
+
     def test_empty_query_raises(self):
         q = CSRGO.from_graphs([LabeledGraph([]), path_graph([0])])
         with pytest.raises(ValueError):
