@@ -18,7 +18,7 @@ is the reproduction's hot-path engine room.  It provides:
   choice: a plan-cost heuristic under ``config.join_backend="auto"``,
   with ``"dfs"`` / ``"tabular"`` forcing either backend.
 * :mod:`repro.accel.memo` — content-hash memoization of signature count
-  matrices and compiled :class:`~repro.core.join.QueryPlan` lists, keyed
+  matrices and compiled :class:`~repro.core.join.PlanTable` arrays, keyed
   on every config field that affects them, shared across engine runs.
 """
 

@@ -52,6 +52,8 @@ BACKEND_FUSED = "fused"
 BACKEND_AUTO = "auto"
 #: Valid ``SigmoConfig.join_backend`` values.
 JOIN_BACKENDS = (BACKEND_AUTO, BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED)
+#: Backend names by integer code (the engine's per-pair dispatch array).
+BACKEND_CODES = (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED)
 
 #: The historical static dispatch threshold: minimum first-expansion
 #: elements (depth-0 candidates x depth-1 candidates) before the per-pair
@@ -204,7 +206,7 @@ class PlanCostModel:
         """Vectorized :meth:`estimate_elements` over the columns of ``counts``.
 
         ``counts`` is ``int[n_depths, n_pairs]`` — one column of per-depth
-        candidate sizes per pair sharing the same query plan.  Defers to
+        candidate sizes per pair, all of plan depth ``n_depths``.  Defers to
         the scalar method column-by-column when a subclass overrides it.
         """
         if type(self).estimate_elements is not PlanCostModel.estimate_elements:
@@ -220,8 +222,6 @@ class PlanCostModel:
             return c0
         return c0 + c0 * counts[1].astype(np.int64)
 
-    _BACKEND_CODES = (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED)
-
     def choose_batch(
         self,
         find_first: bool,
@@ -232,8 +232,7 @@ class PlanCostModel:
     ) -> list[str]:
         """Vectorized :meth:`choose` over the columns of ``counts``.
 
-        One call decides every pair that shares a query plan (the engine
-        caches the result per query graph).  ``counts`` is
+        One call decides every pair of one plan depth.  ``counts`` is
         ``int[n_depths, n_pairs]``; the return value is the per-column
         backend name, identical to calling :meth:`choose` per column —
         subclasses that override the scalar decision are detected and
@@ -254,7 +253,7 @@ class PlanCostModel:
                 )
                 for i in range(n_pairs)
             ]
-        if requested in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED):
+        if requested in BACKEND_CODES:
             return [requested] * n_pairs
         if requested != BACKEND_AUTO:
             raise ValueError(
@@ -282,8 +281,7 @@ class PlanCostModel:
         codes = np.where(
             vec_cost < dfs_cost, np.where(vec_is_fused, 2, 1), 0
         )
-        names = self._BACKEND_CODES
-        return [names[c] for c in codes]
+        return [BACKEND_CODES[c] for c in codes.tolist()]
 
     def ordering(self, estimates: Sequence[int]) -> list[int]:
         """Packing order of fused pairs: descending estimated cost.
@@ -293,9 +291,8 @@ class PlanCostModel:
         order.  Results are invariant to this order (asserted in
         ``tests/accel/test_fused.py``) — it shapes blocks, nothing else.
         """
-        return sorted(
-            range(len(estimates)), key=lambda i: (-int(estimates[i]), i)
-        )
+        negated = -np.asarray(estimates, dtype=np.int64)
+        return np.argsort(negated, kind="stable").tolist()
 
     # -- (de)serialization -------------------------------------------------------
 

@@ -49,7 +49,7 @@ its own final depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro import xp
 from repro.analysis.markers import kernel
@@ -58,7 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.accel.local_view import BatchCSRView
-    from repro.core.join import QueryPlan
+    from repro.core.candidates import CandidateIndex
+    from repro.core.join import PlanTable
 
 from repro.accel.tabular import BLOCK_ELEMS
 
@@ -69,13 +70,17 @@ from repro.accel.tabular import BLOCK_ELEMS
 FUSED_BLOCK_ELEMS = BLOCK_ELEMS * 2
 
 
-def _ragged(arrays: Sequence[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, offsets) concatenation of per-slot arrays."""
-    offsets = xp.zeros(len(arrays) + 1, dtype=xp.int64)
-    offsets[1:] = xp.cumsum(xp.asarray([a.size for a in arrays], dtype=xp.int64))
-    if offsets[-1] == 0:
-        return xp.empty(0, dtype=dtype), offsets
-    return xp.concatenate(arrays).astype(dtype, copy=False), offsets
+def _ragged_take(
+    flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gathered, offsets) of the ragged runs ``flat[starts[i]:][:sizes[i]]``."""
+    offsets = xp.zeros(sizes.size + 1, dtype=xp.int64)
+    offsets[1:] = xp.cumsum(sizes)
+    total = int(offsets[-1])
+    if total == 0:
+        return xp.empty(0, dtype=xp.int64), offsets
+    at = xp.arange(total, dtype=xp.int64) + xp.repeat(starts - offsets[:-1], sizes)
+    return flat[at], offsets
 
 
 @dataclass(frozen=True)
@@ -112,91 +117,52 @@ class FusedPlan:
 
 
 def build_fused_plan(
-    slots: Sequence[tuple["QueryPlan", Sequence[np.ndarray]]],
+    query_graphs: np.ndarray,
+    data_graphs: np.ndarray,
+    plans: "PlanTable",
+    index: "CandidateIndex",
 ) -> FusedPlan:
     """Compile fused-dispatched pairs into one :class:`FusedPlan`.
 
-    ``slots[i]`` is the pair packed at slot ``i``: its query plan and its
-    per-depth sorted candidate arrays in **global** data node ids (the
-    whole-batch edge index keys on global ids, so no per-pair local
-    re-slicing happens on this path).  Every candidate list must be
-    non-empty — pairs with an empty depth are skipped before dispatch,
-    exactly as on the per-pair backends.
+    Slot ``i`` is the pair (``query_graphs[i]``, ``data_graphs[i]``).
+    Per depth, the slots' query nodes ``node_offsets[qg] + order[qg, d]``
+    index the candidate index's cuts, and one ragged gather pulls their
+    sorted **global** candidate ids (the whole-batch edge index keys on
+    global ids, so no per-pair local re-slicing happens on this path);
+    the check and banned columns are ragged gathers of the plan table's
+    (query graph, depth) rows.  Every candidate list must be non-empty —
+    pairs with an empty depth are skipped before dispatch, exactly as on
+    the per-pair backends.
     """
-    n_slots = len(slots)
-    empty64 = xp.empty(0, dtype=xp.int64)
-    # The check/banned columns are pure plan metadata — identical for
-    # every slot riding the same QueryPlan.  A molecular batch packs
-    # thousands of slots over a few dozen distinct plans, so compile each
-    # plan's per-depth arrays once and broadcast them to slots with a
-    # ragged repeat/gather instead of per-slot Python appends.
-    plan_index: dict[int, int] = {}
-    plan_objs: list["QueryPlan"] = []
-    plan_ids = xp.empty(n_slots, dtype=xp.int64)
-    for i, (plan, _) in enumerate(slots):
-        idx = plan_index.get(id(plan))
-        if idx is None:
-            idx = len(plan_objs)
-            plan_index[id(plan)] = idx
-            plan_objs.append(plan)
-        plan_ids[i] = idx
-    plan_depths = xp.asarray([p.n_nodes for p in plan_objs], dtype=xp.int64)
-    depth_counts = plan_depths[plan_ids] if n_slots else plan_depths
-    max_depth = int(plan_depths.max()) if n_slots else 0
-
-    def broadcast(per_plan: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Expand per-plan arrays to (flat, offsets) over the slots."""
-        tpl_flat, tpl_off = _ragged(per_plan, xp.int64)
-        counts = tpl_off[plan_ids + 1] - tpl_off[plan_ids]
-        off = xp.zeros(n_slots + 1, dtype=xp.int64)
-        off[1:] = xp.cumsum(counts)
-        total = int(off[-1])
-        if total == 0:
-            return empty64, off
-        rep = xp.repeat(plan_ids, counts)
-        within = xp.arange(total, dtype=xp.int64) - xp.repeat(off[:-1], counts)
-        return tpl_flat[tpl_off[rep] + within], off
-
+    qg = xp.asarray(query_graphs, dtype=xp.int64)
+    graphs = xp.asarray(data_graphs, dtype=xp.int64)
+    depth_counts = plans.n_nodes[qg]
+    max_depth = int(depth_counts.max()) if qg.size else 0
+    first_node = plans.node_offsets[qg]
+    rows = qg * plans.max_nodes
     cand_flat, cand_off = [], []
     ck_depth, ck_label, ck_off = [], [], []
     bn_depth, bn_off = [], []
     for d in range(max_depth):
-        tpl_ck_d, tpl_ck_l, tpl_bn = [], [], []
-        for p in plan_objs:
-            if p.n_nodes <= d:
-                tpl_ck_d.append(empty64)
-                tpl_ck_l.append(empty64)
-                tpl_bn.append(empty64)
-                continue
-            checks = p.check_edges[d]
-            tpl_ck_d.append(xp.asarray([c[0] for c in checks], dtype=xp.int64))
-            tpl_ck_l.append(xp.asarray([c[1] for c in checks], dtype=xp.int64))
-            banned = (p.forbidden or ((),) * p.n_nodes)[d]
-            tpl_bn.append(xp.asarray(banned, dtype=xp.int64))
-        flat, off = broadcast(tpl_ck_d)
+        live = depth_counts > d
+        nodes = xp.where(live, first_node + plans.order[qg, d], 0)
+        starts = index.cuts[nodes, graphs]
+        sizes = xp.where(live, index.cuts[nodes, graphs + 1] - starts, 0)
+        flat, off = _ragged_take(index.positions, starts, sizes)
+        cand_flat.append(flat)
+        cand_off.append(off)
+        # Rows past a slot's plan depth are empty in the table.
+        row = rows + d
+        starts = plans.ck_off[row]
+        sizes = plans.ck_off[row + 1] - starts
+        flat, off = _ragged_take(plans.ck_depth, starts, sizes)
         ck_depth.append(flat)
         ck_off.append(off)
-        flat, _ = broadcast(tpl_ck_l)
-        ck_label.append(flat)
-        flat, off = broadcast(tpl_bn)
+        ck_label.append(_ragged_take(plans.ck_label, starts, sizes)[0])
+        starts = plans.bn_off[row]
+        flat, off = _ragged_take(plans.bn_depth, starts, plans.bn_off[row + 1] - starts)
         bn_depth.append(flat)
         bn_off.append(off)
-        # Candidate lists are genuinely per-slot (bitmap slices): one
-        # size-gather plus one concatenate over the live slots.
-        alive = xp.nonzero(depth_counts > d)[0]
-        live = [slots[i][1][d] for i in alive.tolist()]
-        sizes = xp.zeros(n_slots, dtype=xp.int64)
-        if live:
-            sizes[alive] = xp.asarray([a.size for a in live], dtype=xp.int64)
-        off = xp.zeros(n_slots + 1, dtype=xp.int64)
-        off[1:] = xp.cumsum(sizes)
-        if off[-1] == 0:
-            cand_flat.append(empty64)
-        else:
-            cand_flat.append(
-                xp.concatenate(live).astype(xp.int64, copy=False)
-            )
-        cand_off.append(off)
     return FusedPlan(
         depth_counts=depth_counts,
         cand_flat=tuple(cand_flat),
@@ -340,17 +306,22 @@ def _block_starts(counts: np.ndarray, bound: int = FUSED_BLOCK_ELEMS) -> list[in
     Greedy: rows join the current chunk until its element total would
     exceed the bound; a single row above the bound forms its own chunk
     (it cannot be split — same degenerate case as the per-pair backend's
-    ``max(1, ...)`` rows-per-block floor).
+    ``max(1, ...)`` rows-per-block floor).  One ``searchsorted`` on the
+    running totals finds each chunk's end.
     """
+    n = int(counts.size)
+    before = xp.zeros(n + 1, dtype=xp.int64)  # before[i]: elements of rows < i
+    before[1:] = xp.cumsum(counts)
     starts = [0]
-    running = 0
-    for i, c in enumerate(counts.tolist()):
-        if running and running + c > bound:
-            starts.append(i)
-            running = 0
-        running += c
-    return starts
-
+    while True:
+        base = int(before[starts[-1]])
+        # First row whose inclusion pushes the chunk past the bound.
+        over = int(xp.searchsorted(before[1:], base + bound, side="right"))
+        if int(before[over]) == base:
+            over += 1  # the chunk holds only empty rows so far: row joins
+        if over >= n:
+            return starts
+        starts.append(over)
 
 @kernel(writes=("acc",))
 def fused_join(

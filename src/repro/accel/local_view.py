@@ -1,9 +1,10 @@
 """Sorted-CSR local adjacency views, cached per data batch.
 
-The historical ``_LocalGraphView`` rebuilt a Python dict of every edge of a
-data graph — one dict insert per adjacency slot — on *every* ``run_join``
-call.  This module replaces it with a **sorted-CSR local view** carved out
-of the batch CSR-GO with pure NumPy slices (no per-edge Python loop):
+A per-run view that rebuilt a Python dict of every edge of a data graph —
+one dict insert per adjacency slot — on *every* ``run_join`` call would
+dominate small joins.  This module instead carves a **sorted-CSR local
+view** out of the batch CSR-GO with pure NumPy slices (no per-edge Python
+loop):
 
 * ``row_offsets`` / ``neighbors`` / ``edge_labels`` — the graph's local
   CSR, neighbors sorted within each row (a CSR-GO construction

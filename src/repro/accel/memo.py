@@ -35,8 +35,9 @@ import numpy as np
 #: ignore_label, radius); a matrix larger than the whole budget is not
 #: stored.
 SIGNATURE_MEMO_BYTES = 4 << 20
-#: Cached compiled plan lists per (query batch, counts, order config).
-PLAN_MEMO_CAPACITY = 64
+#: Byte budget of the cached plan-table arrays per (query batch, counts,
+#: order config); a table larger than the whole budget is not stored.
+PLAN_MEMO_BYTES = 4 << 20
 
 
 @dataclass
@@ -148,7 +149,9 @@ def frozen_array(arr: np.ndarray) -> np.ndarray:
 
 
 _SIGNATURE_MEMO = ContentMemo(SIGNATURE_MEMO_BYTES, weigh=lambda arr: arr.nbytes)
-_PLAN_MEMO = ContentMemo(PLAN_MEMO_CAPACITY)
+_PLAN_MEMO = ContentMemo(
+    PLAN_MEMO_BYTES, weigh=lambda arrays: sum(arr.nbytes for arr in arrays)
+)
 
 
 def signature_memo() -> ContentMemo:
@@ -164,11 +167,14 @@ def signature_memo() -> ContentMemo:
 
 
 def plan_memo() -> ContentMemo:
-    """The process-wide compiled-QueryPlan memo table.
+    """The process-wide compiled plan-table memo.
 
     Keys: ``(query batch content hash, candidate-counts hash, heuristic,
     wildcard_edge_label, induced)`` — every input of
-    :func:`repro.core.join.build_query_plan`.
+    :func:`repro.core.join.build_plan_table`.  Values are the
+    :class:`repro.core.join.PlanTable` arrays, bounded by
+    :data:`PLAN_MEMO_BYTES`: a stream of fresh batches (whose counts
+    never repeat) cannot grow the resident set.
     """
     return _PLAN_MEMO
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro import xp
+from repro.analysis.markers import kernel
 from repro.utils.bitops import (
     WORD_BITS,
     bit_positions,
@@ -181,3 +182,96 @@ class CandidateBitmap:
             f"CandidateBitmap({self.n_query_nodes}x{self.n_data_nodes}, "
             f"word_bits={self.word_bits}, set={self.total_candidates()})"
         )
+
+
+#: Transient byte budget of one unpacked row chunk in
+#: :func:`build_candidate_index` (the bool rows plus the unpacked bytes).
+INDEX_CHUNK_BYTES = 4 << 20
+
+
+class CandidateIndex:
+    """Every query node's candidates as sorted global ids, cut per data graph.
+
+    The join's view of a :class:`CandidateBitmap`: ``positions`` holds the
+    set bits of every row, row after row, ascending within a row, and
+    ``cuts[q, g]`` is the offset in ``positions`` where query node ``q``'s
+    candidates inside data graph ``g`` start (``cuts[q, g + 1]`` where they
+    end).  One (query node, data graph) candidate list is then the slice
+    ``positions[cuts[q, g] : cuts[q, g + 1]]``, and its size a difference
+    of two ``cuts`` entries — for any number of (node, graph) pairs at once.
+    """
+
+    __slots__ = ("positions", "cuts")
+
+    def __init__(self, positions: np.ndarray, cuts: np.ndarray) -> None:
+        self.positions = positions
+        self.cuts = cuts
+
+    def sizes(self, query_nodes: np.ndarray, graphs: np.ndarray) -> np.ndarray:
+        """Candidate counts of (query node, data graph) pairs, elementwise."""
+        return self.cuts[query_nodes, graphs + 1] - self.cuts[query_nodes, graphs]
+
+    def lists(self, query_nodes: np.ndarray, graph: int) -> list[np.ndarray]:
+        """Candidate arrays (global ids) of ``query_nodes`` in one data graph."""
+        lo = self.cuts[query_nodes, graph].tolist()
+        hi = self.cuts[query_nodes, graph + 1].tolist()
+        return [self.positions[a:b] for a, b in zip(lo, hi)]
+
+
+
+def build_candidate_index(
+    bitmap: CandidateBitmap, graph_offsets: np.ndarray
+) -> CandidateIndex:
+    """Index ``bitmap``, unpacking it in row chunks of about
+    :data:`INDEX_CHUNK_BYTES`.
+
+    ``graph_offsets`` are the data batch's CSR-GO graph offsets.
+    """
+    graph_offsets = xp.asarray(graph_offsets, dtype=xp.int64)
+    n_rows, n_bits = bitmap.n_query_nodes, bitmap.n_data_nodes
+    row_start = xp.zeros(n_rows + 1, dtype=xp.int64)
+    row_start[1:] = xp.cumsum(bitmap.row_counts())
+    positions = xp.empty(int(row_start[-1]), dtype=xp.int64)
+    cuts = xp.zeros((n_rows, graph_offsets.size), dtype=xp.int64)
+    row_bytes = 2 * bitmap.words.shape[1] * bitmap.word_bits
+    step = max(1, INDEX_CHUNK_BYTES // max(row_bytes, 1))
+    # Without data nodes every row is empty and the zero cuts stand.
+    for lo in range(0, n_rows if n_bits else 0, step):
+        hi = min(n_rows, lo + step)
+        base, stop = int(row_start[lo]), int(row_start[hi])
+        _index_rows(
+            bitmap.words[lo:hi],
+            n_bits,
+            bitmap.word_bits,
+            graph_offsets,
+            base,
+            positions[base:stop],
+            cuts[lo:hi],
+        )
+    return CandidateIndex(positions, cuts)
+
+
+@kernel(writes=("positions", "cuts"))
+def _index_rows(
+    words: np.ndarray,
+    n_bits: int,
+    word_bits: int,
+    graph_offsets: np.ndarray,
+    base: int,
+    positions: np.ndarray,
+    cuts: np.ndarray,
+) -> None:
+    """Set-bit columns and per-graph cut offsets of one bitmap row chunk.
+
+    ``base`` is the chunk's first offset in the whole index.  A row-major
+    ``flatnonzero`` of the unpacked chunk yields ``row * n_bits + column``
+    keys ascending, so one ``searchsorted`` of every (row, graph start)
+    key cuts all rows at every data-graph boundary.
+    """
+    keys = xp.flatnonzero(unpack_bitmap_rows(words, n_bits, word_bits))
+    bounds = (
+        xp.arange(words.shape[0], dtype=xp.int64)[:, None] * n_bits
+        + graph_offsets[None, :]
+    )
+    cuts[:] = base + xp.searchsorted(keys, bounds.ravel()).reshape(cuts.shape)
+    positions[:] = keys % n_bits

@@ -19,11 +19,12 @@ query edge present in the data graph, and edge labels must agree
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro import xp
 from repro.accel.dispatch import (
+    BACKEND_CODES,
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
@@ -35,7 +36,7 @@ from repro.accel.local_view import LocalCSRView, get_batch_view, get_local_view
 from repro.accel.memo import array_hash, plan_memo
 from repro.accel.tabular import tabular_join_pair
 from repro.analysis.markers import kernel
-from repro.core.candidates import CandidateBitmap
+from repro.core.candidates import CandidateBitmap, build_candidate_index
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.mapping import GMCR
@@ -48,6 +49,11 @@ if TYPE_CHECKING:
 #: Join execution modes.
 FIND_ALL = "find-all"
 FIND_FIRST = "find-first"
+
+#: Backend codes of the per-pair dispatch array (see ``BACKEND_CODES``).
+BACKEND_CODE_OF = {name: code for code, name in enumerate(BACKEND_CODES)}
+TABULAR_CODE = BACKEND_CODE_OF[BACKEND_TABULAR]
+FUSED_CODE = BACKEND_CODE_OF[BACKEND_FUSED]
 
 
 @dataclass(frozen=True)
@@ -219,20 +225,134 @@ class JoinResult:
     pair_cost_estimates: np.ndarray | None = None
 
 
-def build_query_plan(
+class PlanTable:
+    """Compiled matching orders of a whole query batch, as arrays.
+
+    The batch form of :class:`QueryPlan`: row ``qg`` of ``order`` is query
+    graph ``qg``'s matching order, and (query graph, depth) row
+    ``k = qg * max_nodes + p`` of the ragged ``ck_*`` / ``bn_*`` columns
+    holds depth ``p``'s back-edge checks and induced non-adjacency
+    depths, in the order :class:`QueryPlan` lists them.  The join reads
+    the arrays directly; ``table[qg]`` builds (once) the
+    :class:`QueryPlan` the scalar DFS, tabular and recording paths use.
+
+    Attributes
+    ----------
+    node_offsets:
+        ``int64[n_graphs + 1]``: first query node of each graph (the
+        query CSR-GO ``graph_offsets``).
+    order:
+        ``int32[n_graphs, max_nodes]``: local query node matched at each
+        depth, padded with -1.
+    ck_off / ck_depth / ck_label:
+        ``int64`` CSR over (query graph, depth) rows: the checks
+        ``(earlier_depth, edge_label)`` (-1 = any bond).
+    bn_off / bn_depth:
+        ``int64`` CSR over the same rows: the forbidden earlier depths
+        (empty unless induced).
+    """
+
+    __slots__ = (
+        "node_offsets",
+        "order",
+        "ck_off",
+        "ck_depth",
+        "ck_label",
+        "bn_off",
+        "bn_depth",
+        "n_nodes",
+        "_plans",
+    )
+
+    def __init__(
+        self,
+        node_offsets: np.ndarray,
+        order: np.ndarray,
+        ck_off: np.ndarray,
+        ck_depth: np.ndarray,
+        ck_label: np.ndarray,
+        bn_off: np.ndarray,
+        bn_depth: np.ndarray,
+    ) -> None:
+        self.node_offsets = node_offsets
+        self.order = order
+        self.ck_off = ck_off
+        self.ck_depth = ck_depth
+        self.ck_label = ck_label
+        self.bn_off = bn_off
+        self.bn_depth = bn_depth
+        #: ``int64[n_graphs]``: query size (plan depth) per graph.
+        self.n_nodes = xp.diff(node_offsets)
+        self._plans: dict[int, QueryPlan] = {}
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The constructor arguments (what the plan memo stores)."""
+        return (
+            self.node_offsets,
+            self.order,
+            self.ck_off,
+            self.ck_depth,
+            self.ck_label,
+            self.bn_off,
+            self.bn_depth,
+        )
+
+    @property
+    def max_nodes(self) -> int:
+        """Largest query size (the padded width of ``order``)."""
+        return int(self.order.shape[1])
+
+    def __len__(self) -> int:
+        return int(self.order.shape[0])
+
+    def __getitem__(self, query_graph: int) -> QueryPlan:
+        qg = int(query_graph)
+        plan = self._plans.get(qg)
+        if plan is None:
+            n = int(self.n_nodes[qg])
+            rows = slice(qg * self.max_nodes, qg * self.max_nodes + n + 1)
+            ck = self.ck_off[rows].tolist()
+            bn = self.bn_off[rows].tolist()
+            checks = list(
+                zip(
+                    self.ck_depth[ck[0] : ck[-1]].tolist(),
+                    self.ck_label[ck[0] : ck[-1]].tolist(),
+                )
+            )
+            banned = self.bn_depth[bn[0] : bn[-1]].tolist()
+            plan = QueryPlan(
+                query_graph=qg,
+                order=self.order[qg, :n].copy(),
+                check_edges=tuple(
+                    tuple(checks[ck[p] - ck[0] : ck[p + 1] - ck[0]])
+                    for p in range(n)
+                ),
+                forbidden=tuple(
+                    tuple(banned[bn[p] - bn[0] : bn[p + 1] - bn[0]])
+                    for p in range(n)
+                ),
+            )
+            self._plans[qg] = plan
+        return plan
+
+
+def build_plan_table(
     query: CSRGO,
-    query_graph: int,
     candidate_counts: np.ndarray | None = None,
     heuristic: str = "fewest-candidates",
     wildcard_edge_label: int | None = None,
     induced: bool = False,
-) -> QueryPlan:
-    """Compile the matching order of one query graph.
+    graphs: tuple[int, int] | None = None,
+) -> PlanTable:
+    """Compile the matching orders of query graphs ``graphs`` (all by default).
 
     ``fewest-candidates`` starts from the query node with the smallest
     candidate set and greedily extends with the connected node having the
     smallest set — prioritizing selective nodes shrinks the search tree.
-    ``bfs`` uses plain breadth-first order from local node 0.
+    ``bfs`` uses plain breadth-first order from local node 0.  The greedy
+    order runs for every graph at once (:func:`_greedy_order`); the
+    checks come from one stable sort of the adjacency slots that point
+    back into the matched prefix.
 
     Parameters
     ----------
@@ -244,88 +364,164 @@ def build_query_plan(
         the sentinel -1 and the join only requires edge *existence*.
     induced:
         Compile non-adjacency checks for induced matching.
+    graphs:
+        Half-open range of query graphs to compile; the table is indexed
+        from 0 at its first graph.
     """
-    start_node, stop_node = query.graph_node_range(query_graph)
-    n = stop_node - start_node
-    if n == 0:
-        raise ValueError(f"query graph {query_graph} is empty")
+    lo, hi = graphs if graphs is not None else (0, query.n_graphs)
+    node_lo, node_hi = int(query.graph_offsets[lo]), int(query.graph_offsets[hi])
+    node_offsets = query.graph_offsets[lo : hi + 1] - node_lo
+    sizes = xp.diff(node_offsets)
+    empty = xp.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValueError(f"query graph {lo + int(empty[0])} is empty")
+    slot_lo, slot_hi = (
+        int(query.row_offsets[node_lo]),
+        int(query.row_offsets[node_hi]),
+    )
+    row_offsets = query.row_offsets[node_lo : node_hi + 1] - slot_lo
+    neighbors = (
+        query.column_indices[slot_lo:slot_hi].astype(xp.int64) - node_lo
+    )
+    n_graphs = hi - lo
+    max_n = int(sizes.max()) if n_graphs else 0
 
     if heuristic == "bfs":
-        order = _bfs_order(query, query_graph)
+        order = xp.full((n_graphs, max_n), -1, dtype=xp.int32)
+        for i in range(n_graphs):
+            order[i, : int(sizes[i])] = _bfs_order(query, lo + i)
     else:
-        order = _greedy_order(
-            query,
-            query_graph,
-            candidate_counts if heuristic == "fewest-candidates" else None,
-        )
+        counts = None
+        if heuristic == "fewest-candidates" and candidate_counts is not None:
+            counts = xp.asarray(candidate_counts[node_lo:node_hi], dtype=xp.int64)
+        order = _greedy_order(node_offsets, row_offsets, neighbors, counts)
 
-    position = {node: p for p, node in enumerate(order)}
-    check_edges: list[tuple[tuple[int, int], ...]] = []
-    forbidden: list[tuple[int, ...]] = []
-    for p, node in enumerate(order):
-        checks = []
-        global_node = start_node + node
-        nbrs = query.neighbors(global_node)
-        elabs = query.neighbor_edge_labels(global_node)
-        adjacent_depths = set()
-        for nbr, elab in zip(nbrs, elabs):
-            p2 = position[int(nbr) - start_node]
-            if p2 < p:
-                adjacent_depths.add(p2)
-                code = int(elab)
-                if wildcard_edge_label is not None and code == wildcard_edge_label:
-                    code = -1  # any-bond sentinel
-                checks.append((p2, code))
-        check_edges.append(tuple(checks))
-        if induced:
-            forbidden.append(
-                tuple(p2 for p2 in range(p) if p2 not in adjacent_depths)
-            )
-        else:
-            forbidden.append(())
-    return QueryPlan(
-        query_graph=query_graph,
-        order=xp.asarray(order, dtype=xp.int32),
-        check_edges=tuple(check_edges),
-        forbidden=tuple(forbidden),
+    # Depth of every query node within its own graph's order.
+    n_total = node_hi - node_lo
+    depths = xp.arange(max_n, dtype=xp.int64)
+    placed = order >= 0
+    depth_of = xp.empty(n_total, dtype=xp.int64)
+    depth_of[(node_offsets[:-1, None] + order)[placed]] = xp.broadcast_to(
+        depths, order.shape
+    )[placed]
+    graph_of = xp.repeat(xp.arange(n_graphs, dtype=xp.int64), sizes)
+
+    # Back-edge checks: adjacency slots from a node to an earlier depth,
+    # grouped by the source's (graph, depth) row.  A stable sort keeps
+    # each row in CSR neighbor order.
+    source = xp.repeat(
+        xp.arange(n_total, dtype=xp.int64), xp.diff(row_offsets)
+    )
+    src_depth = depth_of[source]
+    nbr_depth = depth_of[neighbors]
+    back = xp.flatnonzero(nbr_depth < src_depth)
+    n_rows = n_graphs * max_n
+    row_of = graph_of[source[back]] * max_n + src_depth[back]
+    by_row = xp.argsort(row_of, kind="stable")
+    ck_depth = nbr_depth[back][by_row]
+    ck_label = query.adj_edge_labels[slot_lo:slot_hi][back][by_row].astype(xp.int64)
+    if wildcard_edge_label is not None:
+        ck_label[ck_label == wildcard_edge_label] = -1
+    ck_off = _row_offsets(row_of, n_rows)
+
+    if induced:
+        # Every earlier depth of every row, minus the adjacent ones.
+        row_depth = xp.where(placed, depths[None, :], 0).ravel()
+        row_ids = xp.repeat(xp.arange(n_rows, dtype=xp.int64), row_depth)
+        starts = xp.cumsum(row_depth) - row_depth
+        earlier = xp.arange(row_ids.size, dtype=xp.int64) - xp.repeat(
+            starts, row_depth
+        )
+        adjacent = row_of * max_n + nbr_depth[back]
+        keep = ~xp.isin(row_ids * max_n + earlier, adjacent)
+        bn_depth = earlier[keep]
+        bn_off = _row_offsets(row_ids[keep], n_rows)
+    else:
+        bn_depth = xp.empty(0, dtype=xp.int64)
+        bn_off = xp.zeros(n_rows + 1, dtype=xp.int64)
+    return PlanTable(
+        node_offsets, order, ck_off, ck_depth, ck_label, bn_off, bn_depth
     )
 
 
-def _greedy_order(
-    query: CSRGO, query_graph: int, candidate_counts: np.ndarray | None
-) -> list[int]:
-    """Fewest-candidates greedy order (highest degree first without counts).
+def _row_offsets(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR offsets of a ragged column from each entry's row id."""
+    off = xp.zeros(n_rows + 1, dtype=xp.int64)
+    off[1:] = xp.cumsum(xp.bincount(rows, minlength=n_rows))
+    return off
 
-    Starts from the best node and repeatedly extends with the best node
-    adjacent to the order so far, jumping to the best remaining node when
-    the query graph is disconnected.
+
+def build_query_plan(
+    query: CSRGO,
+    query_graph: int,
+    candidate_counts: np.ndarray | None = None,
+    heuristic: str = "fewest-candidates",
+    wildcard_edge_label: int | None = None,
+    induced: bool = False,
+) -> QueryPlan:
+    """Compile the matching order of one query graph.
+
+    A one-graph :func:`build_plan_table` call (see there for the
+    parameters).
     """
-    start_node, stop_node = query.graph_node_range(query_graph)
-    n = stop_node - start_node
+    if not 0 <= query_graph < query.n_graphs:
+        raise ValueError(f"graph index {query_graph} out of range")
+    table = build_plan_table(
+        query,
+        candidate_counts,
+        heuristic,
+        wildcard_edge_label,
+        induced,
+        graphs=(query_graph, query_graph + 1),
+    )
+    return replace(table[0], query_graph=query_graph)
 
-    def local_neighbors(local: int) -> np.ndarray:
-        return query.neighbors(start_node + local) - start_node
 
-    if candidate_counts is not None:
-        counts = xp.asarray(candidate_counts[start_node:stop_node], dtype=xp.int64)
-    else:
-        counts = xp.diff(
-            query.row_offsets[start_node : stop_node + 1]
-        ).astype(xp.int64) * -1  # fall back to highest degree first
-    order: list[int] = [int(xp.argmin(counts))]
-    in_order = xp.zeros(n, dtype=xp.bool_)
-    in_order[order[0]] = True
-    adjacent = xp.zeros(n, dtype=xp.bool_)
-    adjacent[local_neighbors(order[0])] = True
-    while len(order) < n:
-        frontier = xp.nonzero(adjacent & ~in_order)[0]
-        if frontier.size == 0:
-            # Disconnected query graph: jump to the best remaining node.
-            frontier = xp.nonzero(~in_order)[0]
-        pick = int(frontier[xp.argmin(counts[frontier])])
-        order.append(pick)
-        in_order[pick] = True
-        adjacent[local_neighbors(pick)] = True
+def _greedy_order(
+    node_offsets: np.ndarray,
+    row_offsets: np.ndarray,
+    neighbors: np.ndarray,
+    counts: np.ndarray | None,
+) -> np.ndarray:
+    """Fewest-candidates greedy order of every graph (highest degree first
+    without counts), as ``int32[n_graphs, max_nodes]`` padded with -1.
+
+    Each graph starts from its best node and repeatedly extends with the
+    best node adjacent to its order so far, jumping to the best remaining
+    node when the graph is disconnected.  One masked ``argmin`` per depth
+    places the next node of every graph; ``argmin`` takes the first
+    minimum, so ties go to the lowest local node id.
+    """
+    sizes = xp.diff(node_offsets)
+    n_graphs = int(sizes.size)
+    max_n = int(sizes.max()) if n_graphs else 0
+    if counts is None:
+        counts = -xp.diff(row_offsets)  # fall back to highest degree first
+    local = xp.arange(max_n, dtype=xp.int64)
+    valid = local[None, :] < sizes[:, None]
+    node = xp.where(valid, node_offsets[:-1, None] + local[None, :], 0)
+    unused = xp.iinfo(xp.int64).max
+    cost = xp.where(valid, counts[node], unused)
+    order = xp.full((n_graphs, max_n), -1, dtype=xp.int32)
+    free = valid.copy()
+    adjacent = xp.zeros((n_graphs, max_n), dtype=xp.bool_)
+    for p in range(max_n):
+        live = xp.flatnonzero(sizes > p)
+        frontier = adjacent[live] & free[live]
+        jump = ~frontier.any(axis=1)
+        frontier[jump] = free[live][jump]
+        pick = xp.argmin(xp.where(frontier, cost[live], unused), axis=1)
+        order[live, p] = pick
+        free[live, pick] = False
+        first = node_offsets[live] + pick
+        start = row_offsets[first]
+        degree = row_offsets[first + 1] - start
+        base = xp.cumsum(degree) - degree
+        slots = xp.arange(int(degree.sum()), dtype=xp.int64) + xp.repeat(
+            start - base, degree
+        )
+        owner = xp.repeat(live, degree)
+        adjacent[owner, neighbors[slots] - node_offsets[owner]] = True
     return order
 
 
@@ -356,15 +552,17 @@ def compile_plans(
     query: CSRGO,
     bitmap,
     config: "SigmoConfig",
-) -> list[QueryPlan]:
-    """Compile (or recall) the query plans of a whole batch.
+) -> PlanTable:
+    """Compile (or recall) the :class:`PlanTable` of a whole batch.
 
-    Plan lists are memoized by the active array backend, query-batch
+    Plan tables are memoized by the active array backend, query-batch
     content hash, the candidate counts the ``fewest-candidates`` heuristic
     consumed, and every config field that changes compilation (heuristic,
     wildcard edge label, induced mode) — so chunked runs, iteration sweeps
     and resilient retries over the same queries skip recompilation, while
-    flipping any influencing knob (or switching backends) rebuilds.
+    flipping any influencing knob (or switching backends) rebuilds.  The
+    memo holds the table's arrays only; each call wraps them in a fresh
+    table whose :class:`QueryPlan` objects are built on demand.
     """
     counts = bitmap.row_counts()
     key = (
@@ -376,34 +574,26 @@ def compile_plans(
         config.wildcard_edge_label,
         config.induced,
     )
-    return plan_memo().get_or_build(
-        key,
-        lambda: [
-            build_query_plan(
-                query,
-                qg,
-                counts,
-                config.candidate_order,
-                config.wildcard_edge_label,
-                config.induced,
-            )
-            for qg in range(query.n_graphs)
-        ],
-    )
 
+    def build() -> tuple[np.ndarray, ...]:
+        table = build_plan_table(
+            query,
+            counts,
+            config.candidate_order,
+            config.wildcard_edge_label,
+            config.induced,
+        )
+        arrays = table.arrays()
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
-#: Back-compat alias: the historical per-run dict-building view is now the
-#: cached sorted-CSR view of :mod:`repro.accel.local_view`, which exposes
-#: the same ``start`` / ``width`` / ``edge_label_of`` interface for the
-#: scalar backends (the dict is built lazily, at most once per batch and
-#: graph) plus the vectorized ``lookup_edge_labels`` the tabular backend
-#: uses.
-_LocalGraphView = LocalCSRView
+    return PlanTable(*plan_memo().get_or_build(key, build))
 
 
 @kernel(writes=("stats", "record"))
 def join_pair(
-    view: _LocalGraphView,
+    view: LocalCSRView,
     plan: QueryPlan,
     cand_lists: list[np.ndarray],
     n_graph_nodes: int,
@@ -532,7 +722,7 @@ def run_join(
     config: SigmoConfig | None = None,
     mode: str = FIND_ALL,
     timer: StageTimer | None = None,
-    plans: list[QueryPlan] | None = None,
+    plans: PlanTable | None = None,
     budget: JoinBudget | None = None,
     start_pair: int = 0,
     cost_model: "PlanCostModel | None" = None,
@@ -541,29 +731,43 @@ def run_join(
 
     The engine's single join dispatch point, in three passes:
 
-    1. **Planning** — slice every pair's candidate lists from the bitmap
-       (binary-search views, no copies) and let the plan-cost model
-       (:class:`repro.accel.dispatch.PlanCostModel`) pick each pair's
-       backend under ``config.join_backend``: scalar DFS
-       (:func:`join_pair`), per-pair tabular
-       (:func:`repro.accel.tabular.tabular_join_pair`), or the fused
-       whole-batch table (:mod:`repro.accel.fused`).
+    1. **Planning** — array operations over the whole batch.
+       :func:`compile_plans` yields the :class:`PlanTable` (every query
+       graph's order and checks as padded/ragged arrays), and
+       :func:`~repro.core.candidates.build_candidate_index` unpacks the
+       bitmap once into sorted candidate ids cut at every data-graph
+       boundary.
+       The (pair, depth) query nodes ``node_offsets[qg] + order[qg, p]``
+       then index the cuts for every pair's per-depth candidate counts at
+       once: the empty-depth skip, the cost estimates and the plan-cost
+       model's (:class:`repro.accel.dispatch.PlanCostModel`) backend
+       choice under ``config.join_backend`` — one ``choose_batch`` call
+       per distinct plan depth — between scalar DFS (:func:`join_pair`),
+       per-pair tabular (:func:`repro.accel.tabular.tabular_join_pair`)
+       and the fused whole-batch table (:mod:`repro.accel.fused`).
     2. **Fused waves** — all fused-dispatched pairs of the batch run as
        one frontier table (one wave) against the cached whole-batch edge
        index (:func:`repro.accel.local_view.get_batch_view`), packed in
-       the cost model's ordering.  Under a :class:`JoinBudget`, waves
-       are instead sized lazily by the remaining budget headroom so a
+       the cost model's ordering; :func:`build_fused_plan` gathers the
+       table's candidate and check columns from the slots' (query graph,
+       data graph) index arrays.  Under a :class:`JoinBudget`, waves are
+       instead sized lazily by the remaining budget headroom so a
        truncated run never pays for far-future pairs.
     3. **Replay** — pairs are accounted in GMCR order: DFS/tabular pairs
-       execute in place, fused pairs fold in their precomputed per-slot
-       results, and the budget is checked before *every* pair.  Because
-       the fused per-pair stats equal the sequential backends' stats in
-       Find All, truncation points, resume tokens, ``gmcr.matched`` and
-       recorded embeddings come out bitwise-identical to a pure
-       sequential run, whatever mix of backends dispatch chose.
+       execute in place on candidate lists sliced from the index, fused
+       pairs fold in their precomputed per-slot results, and the budget
+       is checked before *every* pair.  Because the fused per-pair stats
+       equal the sequential backends' stats in Find All, truncation
+       points, resume tokens, ``gmcr.matched`` and recorded embeddings
+       come out bitwise-identical to a pure sequential run, whatever mix
+       of backends dispatch chose.  With no budget, recording or tracer,
+       fused waves fold into the result vectorized and only DFS/tabular
+       pairs are replayed.
 
     Parameters
     ----------
+    plans:
+        Pre-compiled plan table (else :func:`compile_plans`).
     budget:
         Optional work watchdog; when a dimension is exhausted the join
         stops at the next pair boundary with ``truncated=True`` and a
@@ -583,130 +787,89 @@ def run_join(
     timer = timer or StageTimer()
     find_first = mode == FIND_FIRST
     model = cost_model if cost_model is not None else get_cost_model()
+    n_pairs = gmcr.n_pairs
     result = JoinResult(
-        pair_matches=xp.zeros(gmcr.n_pairs, dtype=xp.int64),
-        pair_visits=xp.zeros(gmcr.n_pairs, dtype=xp.int64),
+        pair_matches=xp.zeros(n_pairs, dtype=xp.int64),
+        pair_visits=xp.zeros(n_pairs, dtype=xp.int64),
         backend_pairs={BACKEND_DFS: 0, BACKEND_TABULAR: 0, BACKEND_FUSED: 0},
         backend_visits={BACKEND_DFS: 0, BACKEND_TABULAR: 0, BACKEND_FUSED: 0},
-        pair_cost_estimates=xp.zeros(gmcr.n_pairs, dtype=xp.int64),
+        pair_cost_estimates=xp.zeros(n_pairs, dtype=xp.int64),
     )
     record = result.embeddings if config.record_embeddings else None
     max_record = config.max_embeddings_recorded
 
     tracer = get_tracer()
     with timer.stage("join"), tracer.span(
-        "stage:join", category="stage", mode=mode, pairs=gmcr.n_pairs
+        "stage:join", category="stage", mode=mode, pairs=n_pairs
     ) as stage_sp, tracer.span(
-        "kernel:join", category="kernel", work_items=gmcr.n_pairs
+        "kernel:join", category="kernel", work_items=n_pairs
     ):
         if plans is None:
             plans = compile_plans(query, bitmap, config)
-        # Unpack each query node's candidate row once (sorted global ids)
-        # and cut it at every data-graph boundary in one vectorized
-        # searchsorted; per-pair restriction is then two cached offset
-        # lookups instead of a per-(pair, depth) binary search.
-        from repro.utils.bitops import bit_positions
+        index = build_candidate_index(bitmap, data.graph_offsets)
+        pair_qg = xp.asarray(gmcr.query_graph_indices, dtype=xp.int64)
+        pair_graph = xp.repeat(
+            xp.arange(gmcr.n_data_graphs, dtype=xp.int64),
+            xp.diff(gmcr.data_graph_offsets),
+        )
 
-        graph_cuts = data.graph_offsets
-        row_slices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-        def slices_of(global_q: int) -> tuple[np.ndarray, np.ndarray]:
-            cached = row_slices.get(global_q)
-            if cached is None:
-                positions = bit_positions(bitmap.words[global_q], bitmap.word_bits)
-                cached = (positions, xp.searchsorted(positions, graph_cuts))
-                row_slices[global_q] = cached
-            return cached
-
-        # -- pass 1: plan every pair (candidate slices + backend choice) -------
-        # Candidate arrays are *global*-id views into the bitmap's position
-        # rows; DFS/tabular pairs localize them at execution time, the
-        # fused table consumes them directly (its edge index is global).
-        pair_data: list[tuple[int, str, list[np.ndarray]] | None] = [
-            None
-        ] * gmcr.n_pairs
-        fused_queue: list[int] = []  # fused-dispatched pair indices, GMCR order
-
-        # All pairs of one query graph share a plan, and each plan-order
-        # node's candidate row is already cut at every data-graph
-        # boundary — so backend choice and cost estimate for *all* of a
-        # query graph's pairs collapse into one vectorized
-        # ``choose_batch`` call, cached here per query graph.
-        qg_plan_cache: dict[
-            int,
-            tuple[
-                list[tuple[np.ndarray, np.ndarray]],
-                np.ndarray,
-                np.ndarray,
-                list[str],
-            ],
-        ] = {}
-
-        def qg_info(qg: int):
-            cached = qg_plan_cache.get(qg)
-            if cached is None:
-                plan = plans[qg]
-                q_start, _ = query.graph_node_range(plan.query_graph)
-                rows = [slices_of(q_start + int(lq)) for lq in plan.order]
-                counts = xp.stack([cuts[1:] - cuts[:-1] for _, cuts in rows])
-                nonempty = (counts > 0).all(axis=0)
-                estimates = model.estimate_elements_batch(plan.n_nodes, counts)
-                choices = model.choose_batch(
-                    find_first, plan.n_nodes, counts, config.join_backend
-                )
-                cached = (rows, nonempty, estimates, choices)
-                qg_plan_cache[qg] = cached
-            return cached
-
-        for d in range(gmcr.n_data_graphs):
-            pair_lo = int(gmcr.data_graph_offsets[d])
-            pair_hi = int(gmcr.data_graph_offsets[d + 1])
-            if pair_hi == pair_lo or pair_hi <= start_pair:
-                continue
-            for pair_idx in range(max(pair_lo, start_pair), pair_hi):
-                qg = int(gmcr.query_graph_indices[pair_idx])
-                rows, nonempty, estimates, choices = qg_info(qg)
-                if not nonempty[d]:
-                    continue
-                cand_arrays = [
-                    positions[cuts[d] : cuts[d + 1]] for positions, cuts in rows
-                ]
-                chosen = choices[d]
-                result.pair_cost_estimates[pair_idx] = estimates[d]
-                pair_data[pair_idx] = (qg, chosen, cand_arrays)
-                if chosen == BACKEND_FUSED:
-                    fused_queue.append(pair_idx)
+        # -- pass 1: plan every pair (candidate counts + backend choice) -----
+        # ``codes[p]`` indexes BACKEND_CODES; -1 marks pairs not joined
+        # (before ``start_pair``, or with an empty candidate depth).
+        codes = xp.full(n_pairs, -1, dtype=xp.int8)
+        tail = xp.arange(start_pair, n_pairs, dtype=xp.int64)
+        tail_qg = pair_qg[tail]
+        order = plans.order[tail_qg]
+        placed = order >= 0
+        nodes = xp.where(placed, plans.node_offsets[tail_qg, None] + order, 0)
+        counts = xp.where(
+            placed, index.sizes(nodes, pair_graph[tail, None]), 1
+        )
+        viable = (counts > 0).all(axis=1)
+        depths = plans.n_nodes[tail_qg]
+        for n in xp.unique(depths[viable]).tolist():
+            group = xp.flatnonzero(viable & (depths == n))
+            group_counts = counts[group, :n].T
+            pairs = tail[group]
+            result.pair_cost_estimates[pairs] = model.estimate_elements_batch(
+                n, group_counts
+            )
+            names = model.choose_batch(
+                find_first, n, group_counts, config.join_backend
+            )
+            codes[pairs] = xp.asarray(
+                [BACKEND_CODE_OF[name] for name in names], dtype=xp.int8
+            )
+        del order, placed, nodes, counts  # free before the fused table
+        fused_queue = xp.flatnonzero(codes == FUSED_CODE)  # GMCR order
 
         # -- pass 2: fused waves ------------------------------------------------
         fused_acc: dict[int, tuple[FusedOutcome, int]] = {}
-        batch_view = get_batch_view(data) if fused_queue else None
+        batch_view = get_batch_view(data) if fused_queue.size else None
         fused_pos = 0  # next unexecuted index into fused_queue
         traced = tracer.enabled
         # With no budget to police, no embeddings to record and no spans
         # to attribute, per-pair replay of fused slots is pure bookkeeping
         # — fold the whole wave into the result arrays vectorized instead.
         fast_fold = budget is None and record is None and not traced
-        prefolded = xp.zeros(gmcr.n_pairs, dtype=xp.bool_)
 
         def run_wave(n_wave_pairs: int) -> None:
             """Execute the next ``n_wave_pairs`` fused pairs as one table."""
             nonlocal fused_pos
             wave = fused_queue[fused_pos : fused_pos + n_wave_pairs]
-            fused_pos += len(wave)
-            order = model.ordering(
-                [int(result.pair_cost_estimates[p]) for p in wave]
-            )
-            packed = [wave[i] for i in order]
+            fused_pos += wave.size
+            packing = model.ordering(result.pair_cost_estimates[wave])
+            packed = wave[xp.asarray(packing, dtype=xp.int64)]
             fplan = build_fused_plan(
-                [(plans[pair_data[p][0]], pair_data[p][2]) for p in packed]
+                pair_qg[packed], pair_graph[packed], plans, index
             )
-            acc = FusedOutcome.empty(len(packed))
+            acc = FusedOutcome.empty(packed.size)
             with tracer.span(
                 "kernel:accel:join-fused",
                 category="kernel",
-                pairs=len(packed),
+                pairs=packed.size,
             ) as fused_sp, tracer.span(
-                "wg:fused", category="workgroup", pairs=len(packed)
+                "wg:fused", category="workgroup", pairs=packed.size
             ) as fused_wg:
                 fused_join(
                     batch_view,
@@ -720,33 +883,35 @@ def run_join(
                 fused_wg.set(matches=wave_matches)
                 fused_sp.set(matches=wave_matches)
             result.fused_tables += 1
-            result.fused_pairs_per_table.append(len(packed))
+            result.fused_pairs_per_table.append(packed.size)
             result.fused_early_exit_depths.extend(acc.early_exit_depths)
             if fast_fold:
-                pair_arr = xp.asarray(packed, dtype=xp.int64)
                 wave_visits = int(acc.visits.sum())
-                result.pair_matches[pair_arr] = acc.matches
-                result.pair_visits[pair_arr] = acc.visits
-                result.stats.pairs_joined += len(packed)
+                result.pair_matches[packed] = acc.matches
+                result.pair_visits[packed] = acc.visits
+                result.stats.pairs_joined += packed.size
                 result.stats.candidate_visits += wave_visits
                 result.stats.edge_checks += int(acc.echecks.sum())
                 result.stats.stack_pushes += int(acc.pushes.sum())
-                result.backend_pairs[BACKEND_FUSED] += len(packed)
+                result.backend_pairs[BACKEND_FUSED] += packed.size
                 result.backend_visits[BACKEND_FUSED] += wave_visits
-                gmcr.matched[pair_arr[acc.matches > 0]] = True
+                gmcr.matched[packed[acc.matches > 0]] = True
                 result.total_matches += wave_matches
-                prefolded[pair_arr] = True
             else:
-                for slot, p in enumerate(packed):
+                for slot, p in enumerate(packed.tolist()):
                     fused_acc[p] = (acc, slot)
+
+        # Running estimate totals along the fused queue, for wave sizing.
+        queue_est = xp.cumsum(result.pair_cost_estimates[fused_queue])
 
         def wave_size() -> int:
             """Fused pairs the next lazily-sized wave may take.
 
             Bounded by the remaining visit/push budget headroom (the
-            cost estimates approximate visits), so a run about to
-            truncate fuses only as far as the budget could plausibly
-            reach — never the whole remaining batch.
+            cost estimates approximate visits): pairs join the wave up to
+            and including the first whose running estimate exceeds the
+            headroom, so a run about to truncate fuses only as far as the
+            budget could plausibly reach — never the whole remaining batch.
             """
             headroom: int | None = None
             if budget.max_visits is not None:
@@ -754,37 +919,49 @@ def run_join(
             if budget.max_pushes is not None:
                 left = budget.max_pushes - result.stats.stack_pushes
                 headroom = left if headroom is None else min(headroom, left)
+            remaining = fused_queue.size - fused_pos
             if headroom is None:
-                return len(fused_queue) - fused_pos
-            taken = 0
-            total_est = 0
-            for p in fused_queue[fused_pos:]:
-                taken += 1
-                total_est += int(result.pair_cost_estimates[p])
-                if total_est > headroom:
-                    break
-            return max(taken, 1)
+                return remaining
+            spent = int(queue_est[fused_pos - 1]) if fused_pos else 0
+            over = int(
+                xp.searchsorted(queue_est[fused_pos:], spent + headroom, side="right")
+            )
+            return max(min(over + 1, remaining), 1)
 
-        if fused_queue and budget is None:
-            run_wave(len(fused_queue))
+        if fused_queue.size and budget is None:
+            run_wave(fused_queue.size)
 
         # -- pass 3: replay in GMCR order ----------------------------------------
-        for d in range(gmcr.n_data_graphs):
-            pair_lo = int(gmcr.data_graph_offsets[d])
-            pair_hi = int(gmcr.data_graph_offsets[d + 1])
-            if pair_hi == pair_lo or pair_hi <= start_pair:
-                continue
+        if fast_fold:
+            replay = xp.flatnonzero((codes >= 0) & (codes != FUSED_CODE))
+        else:
+            replay = tail
+        replay_graph = pair_graph[replay]
+        group_starts = xp.flatnonzero(
+            xp.diff(replay_graph, prepend=-1)
+        ).tolist() + [int(replay.size)]
+        replay_graph = replay_graph.tolist()
+        replay_pairs = replay.tolist()
+        replay_qg = pair_qg[replay].tolist()
+        replay_codes = codes[replay].tolist()
+        for lo, hi in zip(group_starts[:-1], group_starts[1:]):
             if result.truncated:
                 break
+            d = replay_graph[lo]
             d_start, d_stop = data.graph_node_range(d)
             n_graph_nodes = d_stop - d_start
             view: LocalCSRView | None = None
             # One work-group per data graph (paper section 4.6).
             with tracer.span(
-                f"wg:data-{d}", category="workgroup", pairs=pair_hi - pair_lo
+                f"wg:data-{d}",
+                category="workgroup",
+                pairs=int(
+                    gmcr.data_graph_offsets[d + 1] - gmcr.data_graph_offsets[d]
+                ),
             ) as wg:
                 group_matches = result.total_matches
-                for pair_idx in range(max(pair_lo, start_pair), pair_hi):
+                for i in range(lo, hi):
+                    pair_idx = replay_pairs[i]
                     if budget is not None:
                         reason = budget.exceeded(result.total_matches, result.stats)
                         if reason is not None:
@@ -792,15 +969,14 @@ def run_join(
                             result.resume_pair = pair_idx
                             result.truncate_reason = reason
                             break
-                    if prefolded[pair_idx]:
+                    code = replay_codes[i]
+                    if code < 0:
                         continue
-                    planned = pair_data[pair_idx]
-                    if planned is None:
-                        continue
-                    qg, chosen, cand_arrays = planned
+                    chosen = BACKEND_CODES[code]
+                    qg = replay_qg[i]
                     plan = plans[qg]
                     result.stats.pairs_joined += 1
-                    if chosen == BACKEND_FUSED:
+                    if code == FUSED_CODE:
                         if pair_idx not in fused_acc:
                             run_wave(wave_size())
                         acc, slot = fused_acc[pair_idx]
@@ -821,8 +997,11 @@ def run_join(
                     else:
                         if view is None:
                             view = get_local_view(data, d)
+                        cand_arrays = index.lists(
+                            plans.node_offsets[qg] + plan.order, d
+                        )
                         visits_before = result.stats.candidate_visits
-                        if chosen == BACKEND_TABULAR:
+                        if code == TABULAR_CODE:
                             span_name = "kernel:accel:join-tabular"
                         else:
                             span_name = "kernel:join-dfs"
@@ -836,7 +1015,7 @@ def run_join(
                         if pair_span is not None:
                             pair_span.__enter__()
                         try:
-                            if chosen == BACKEND_TABULAR:
+                            if code == TABULAR_CODE:
                                 found = tabular_join_pair(
                                     view,
                                     plan,

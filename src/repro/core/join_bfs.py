@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.candidates import CandidateBitmap
+from repro.accel.local_view import LocalCSRView
+from repro.core.candidates import CandidateBitmap, build_candidate_index
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.join import QueryPlan, _LocalGraphView, build_query_plan
+from repro.core.join import QueryPlan, build_plan_table
 from repro.core.mapping import GMCR
-from repro.utils.bitops import bit_positions
 from repro.utils.timing import StageTimer
 
 
@@ -53,7 +53,7 @@ class BfsJoinResult:
 
 
 def bfs_join_pair(
-    view: _LocalGraphView,
+    view: LocalCSRView,
     plan: QueryPlan,
     cand_lists: list[np.ndarray],
 ) -> tuple[int, int]:
@@ -119,41 +119,25 @@ def run_bfs_join(
     result = BfsJoinResult(pair_matches=np.zeros(gmcr.n_pairs, dtype=np.int64))
     with timer.stage("join-bfs"):
         counts = bitmap.row_counts()
-        plans = [
-            build_query_plan(
-                query, qg, counts, config.candidate_order, config.wildcard_edge_label
-            )
-            for qg in range(query.n_graphs)
-        ]
-        row_positions: dict[int, np.ndarray] = {}
+        plans = build_plan_table(
+            query, counts, config.candidate_order, config.wildcard_edge_label
+        )
+        index = build_candidate_index(bitmap, data.graph_offsets)
         for d in range(gmcr.n_data_graphs):
             lo, hi = int(gmcr.data_graph_offsets[d]), int(
                 gmcr.data_graph_offsets[d + 1]
             )
             if lo == hi:
                 continue
-            d_start, d_stop = data.graph_node_range(d)
-            view = _LocalGraphView(data, d)
+            d_start, _ = data.graph_node_range(d)
+            view = LocalCSRView(data, d)
             for pair_idx in range(lo, hi):
                 qg = int(gmcr.query_graph_indices[pair_idx])
                 plan = plans[qg]
-                q_start, _ = query.graph_node_range(qg)
-                cand_lists = []
-                empty = False
-                for local_q in plan.order:
-                    node = q_start + int(local_q)
-                    positions = row_positions.get(node)
-                    if positions is None:
-                        positions = bit_positions(bitmap.words[node], bitmap.word_bits)
-                        row_positions[node] = positions
-                    a = np.searchsorted(positions, d_start)
-                    b = np.searchsorted(positions, d_stop)
-                    if a == b:
-                        empty = True
-                        break
-                    cand_lists.append(positions[a:b] - d_start)
-                if empty:
+                nodes = plans.node_offsets[qg] + plan.order
+                if not index.sizes(nodes, d).all():
                     continue
+                cand_lists = [c - d_start for c in index.lists(nodes, d)]
                 found, peak_rows = bfs_join_pair(view, plan, cand_lists)
                 result.pair_matches[pair_idx] = found
                 result.total_matches += found

@@ -26,7 +26,7 @@ from repro.analysis import contracts
 from repro.core.config import SigmoConfig
 from repro.xp import use_backend
 from repro.core.csrgo import CSRGO
-from repro.core.join import FIND_ALL, JoinBudget
+from repro.core.join import FIND_ALL, JoinBudget, PlanTable
 from repro.core.mapping import GMCR
 from repro.core.results import MatchResult, MemoryReport
 from repro.graph.batch import GraphBatch
@@ -78,8 +78,8 @@ class PipelineRequest:
         Explicit label-vocabulary size; derived from the batches when
         ``None``.
     plans:
-        Pre-compiled query plans to hand the join (else memoized
-        compilation).
+        Pre-compiled :class:`~repro.core.join.PlanTable` of the query
+        batch to hand the join (else memoized compilation).
     cost_model:
         Join dispatch cost-model override
         (:class:`~repro.accel.dispatch.PlanCostModel`); the process-wide
@@ -104,7 +104,7 @@ class PipelineRequest:
     join_budget: JoinBudget | None = None
     join_start_pair: int = 0
     n_labels: int | None = None
-    plans: list | None = None
+    plans: PlanTable | None = None
     cost_model: Any = None
     cache: ArtifactCache | None = None
     reuse_artifacts: bool = False

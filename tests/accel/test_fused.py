@@ -14,11 +14,21 @@ import numpy as np
 import pytest
 
 from repro.accel.dispatch import PlanCostModel, set_cost_model
+from repro.accel.fused import (
+    FUSED_BLOCK_ELEMS,
+    _block_starts,
+    build_fused_plan,
+)
 from repro.accel.local_view import batch_view_cache
 from repro.chem.datasets import build_benchmark
+from repro.core import candidates
+from repro.core.candidates import CandidateBitmap, build_candidate_index
 from repro.core.config import SigmoConfig
+from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
-from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget
+from repro.core.filtering import IterativeFilter
+from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget, compile_plans
+from repro.utils.bitops import bit_positions
 from repro.pipeline.session import MatcherSession
 from tests.accel.test_parity import (
     _embeddings,
@@ -249,3 +259,159 @@ class TestSessionReuse:
             assert r is not None
             assert r.total_matches == expected.total_matches
             assert _embeddings(r) == _embeddings(expected)
+
+
+# -- fused planning from index arrays -----------------------------------------------
+
+
+def _oracle_block_starts(counts, bound=FUSED_BLOCK_ELEMS):
+    """The per-row greedy loop the cumsum/searchsorted version replaced."""
+    starts = [0]
+    running = 0
+    for i, c in enumerate(counts.tolist()):
+        if running and running + c > bound:
+            starts.append(i)
+            running = 0
+        running += c
+    return starts
+
+
+class TestBlockStarts:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(0, 60))
+            counts = rng.integers(0, 3 * FUSED_BLOCK_ELEMS // 4, size=n)
+            counts[rng.random(n) < 0.3] = 0
+            assert _block_starts(counts) == _oracle_block_starts(counts)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [],
+            [0],
+            [0, 0, 0],
+            [FUSED_BLOCK_ELEMS + 5],
+            [0, 0, FUSED_BLOCK_ELEMS + 5, 0, 3],
+            [1, FUSED_BLOCK_ELEMS * 3, 0, 0, 2, FUSED_BLOCK_ELEMS + 1],
+            [FUSED_BLOCK_ELEMS // 2, FUSED_BLOCK_ELEMS // 2, 1, 0],
+            [FUSED_BLOCK_ELEMS, 0, FUSED_BLOCK_ELEMS, 1],
+            [FUSED_BLOCK_ELEMS - 1, 1, 0, 1, FUSED_BLOCK_ELEMS - 1, 0],
+        ],
+    )
+    def test_edge_cases(self, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        assert _block_starts(counts) == _oracle_block_starts(counts)
+
+    def test_small_bounds(self):
+        rng = np.random.default_rng(3)
+        for bound in (1, 2, 5):
+            counts = rng.integers(0, 4, size=40)
+            assert _block_starts(counts, bound) == _oracle_block_starts(
+                counts, bound
+            )
+
+
+class TestCandidateIndex:
+    @pytest.mark.parametrize("chunk_bytes", [1, 300, 1 << 20])
+    def test_slices_equal_bit_positions(self, chunk_bytes, monkeypatch):
+        monkeypatch.setattr(candidates, "INDEX_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(chunk_bytes)
+        rows = rng.random((23, 150)) < 0.2
+        rows[4] = False
+        bitmap = CandidateBitmap.from_bool(rows)
+        offsets = np.array([0, 10, 10, 64, 65, 128, 150])
+        index = build_candidate_index(bitmap, offsets)
+        for q in range(rows.shape[0]):
+            full = bit_positions(bitmap.words[q])
+            for g in range(offsets.size - 1):
+                inside = full[(full >= offsets[g]) & (full < offsets[g + 1])]
+                got = index.positions[index.cuts[q, g] : index.cuts[q, g + 1]]
+                assert np.array_equal(got, inside)
+                assert index.sizes(np.array([q]), np.array([g]))[0] == inside.size
+        assert index.positions.dtype == np.int64
+
+    def test_no_data_nodes(self):
+        bitmap = CandidateBitmap(3, 0)
+        index = build_candidate_index(bitmap, np.array([0]))
+        assert index.positions.size == 0
+        assert index.cuts.shape == (3, 1)
+
+
+def _oracle_fused_plan(slots):
+    """Per-slot lists of the fused table's columns, from the scalar plans."""
+    columns = {k: [] for k in ("cand", "ck_depth", "ck_label", "bn_depth")}
+    for plan, cand_lists in slots:
+        for name, per_depth in (
+            ("cand", [a.tolist() for a in cand_lists]),
+            ("ck_depth", [[c[0] for c in cs] for cs in plan.check_edges]),
+            ("ck_label", [[c[1] for c in cs] for cs in plan.check_edges]),
+            ("bn_depth", [list(b) for b in plan.forbidden]),
+        ):
+            columns[name].append(per_depth)
+    return columns
+
+
+def _unpack(flat, off, n_slots):
+    return [flat[off[i] : off[i + 1]].tolist() for i in range(n_slots)]
+
+
+class TestFusedPlanParity:
+    @pytest.mark.parametrize("induced", [False, True])
+    def test_columns_equal_per_slot_build(self, induced, monkeypatch):
+        monkeypatch.setattr(candidates, "INDEX_CHUNK_BYTES", 4096)
+        ds = build_benchmark(scale=1.0, n_queries=30, n_data_graphs=25, seed=6)
+        config = SigmoConfig(refinement_iterations=3, induced=induced)
+        query = CSRGO.from_graphs(ds.queries)
+        data = CSRGO.from_graphs(ds.data)
+        bitmap = IterativeFilter(query, data, config).run().bitmap
+        plans = compile_plans(query, bitmap, config)
+        index = build_candidate_index(bitmap, data.graph_offsets)
+        rng = np.random.default_rng(0)
+        qg = rng.integers(0, query.n_graphs, size=200)
+        dg = rng.integers(0, data.n_graphs, size=200)
+        fplan = build_fused_plan(qg, dg, plans, index)
+        slots = []
+        for q, d in zip(qg.tolist(), dg.tolist()):
+            plan = plans[q]
+            q_start, _ = query.graph_node_range(q)
+            d_start, d_stop = data.graph_node_range(d)
+            cands = []
+            for local in plan.order.tolist():
+                full = bit_positions(bitmap.words[q_start + local])
+                cands.append(full[(full >= d_start) & (full < d_stop)])
+            slots.append((plan, cands))
+        expected = _oracle_fused_plan(slots)
+        n = len(slots)
+        assert fplan.depth_counts.tolist() == [p.n_nodes for p, _ in slots]
+        assert fplan.max_depth == max(p.n_nodes for p, _ in slots)
+        for depth in range(fplan.max_depth):
+            got = {
+                "cand": _unpack(fplan.cand_flat[depth], fplan.cand_off[depth], n),
+                "ck_depth": _unpack(fplan.ck_depth[depth], fplan.ck_off[depth], n),
+                "ck_label": _unpack(fplan.ck_label[depth], fplan.ck_off[depth], n),
+                "bn_depth": _unpack(fplan.bn_depth[depth], fplan.bn_off[depth], n),
+            }
+            for name, per_slot in expected.items():
+                want = [
+                    cols[depth] if depth < len(cols) else []
+                    for cols in per_slot
+                ]
+                assert got[name] == want, f"{name} at depth {depth}"
+            for arr in (fplan.cand_flat[depth], fplan.ck_label[depth]):
+                assert arr.dtype == np.int64
+
+    def test_empty_slot_set(self):
+        ds = build_benchmark(scale=1.0, n_queries=4, n_data_graphs=5, seed=1)
+        query = CSRGO.from_graphs(ds.queries)
+        data = CSRGO.from_graphs(ds.data)
+        config = SigmoConfig()
+        bitmap = IterativeFilter(query, data, config).run().bitmap
+        fplan = build_fused_plan(
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            compile_plans(query, bitmap, config),
+            build_candidate_index(bitmap, data.graph_offsets),
+        )
+        assert fplan.n_slots == 0 and fplan.max_depth == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.accel.memo import (
+    PLAN_MEMO_BYTES,
     SIGNATURE_MEMO_BYTES,
     ContentMemo,
     array_hash,
@@ -129,6 +130,36 @@ class TestPlanMemoKeying:
         misses = plan_memo().stats.misses
         self._run(bench, refinement_iterations=6)
         assert plan_memo().stats.misses > misses
+
+
+class TestPlanMemoBudget:
+    def _run(self, bench, **config_fields):
+        SigmoEngine(bench.queries, bench.data, SigmoConfig(**config_fields)).run()
+
+    def test_budget_is_bytes_of_table_arrays(self, bench):
+        assert plan_memo().capacity == PLAN_MEMO_BYTES
+        self._run(bench)
+        memo = plan_memo()
+        assert len(memo) == 1
+        (arrays, weight), = memo._entries.values()
+        assert weight == memo.weight == sum(arr.nbytes for arr in arrays)
+        assert all(isinstance(arr, np.ndarray) for arr in arrays)
+
+    def test_eviction_under_budget(self, bench, monkeypatch):
+        # Fresh candidate counts each run (different refinement depths)
+        # miss the memo; a two-table budget keeps the two newest only.
+        self._run(bench, refinement_iterations=1)
+        memo = plan_memo()
+        per_table = memo.weight
+        monkeypatch.setattr(memo, "capacity", 2 * per_table)
+        for iterations in (2, 3, 4):
+            self._run(bench, refinement_iterations=iterations)
+            assert memo.weight <= memo.capacity
+        assert len(memo) == 2
+        assert memo.stats.evictions == 2
+        hits = memo.stats.hits
+        self._run(bench, refinement_iterations=4)
+        assert memo.stats.hits == hits + 1
 
 
 class TestSignatureMemoKeying:

@@ -11,11 +11,19 @@ from repro.core.join import (
     FIND_ALL,
     FIND_FIRST,
     JoinBudget,
+    QueryPlan,
+    build_plan_table,
     build_query_plan,
+    compile_plans,
     run_join,
 )
 from repro.core.mapping import build_gmcr
-from repro.graph.generators import path_graph, ring_graph, star_graph
+from repro.graph.generators import (
+    path_graph,
+    random_connected_graph,
+    ring_graph,
+    star_graph,
+)
 from repro.graph.labeled_graph import LabeledGraph
 
 
@@ -252,3 +260,216 @@ class TestJoinBudget:
         res, _ = run_pipeline(*self.WORKLOAD, start_pair=1)
         assert res.total_matches == full.total_matches - full.pair_matches[0]
         assert (res.pair_matches[0] == 0) and not res.truncated
+
+
+# -- differential plan compiler ---------------------------------------------------
+#
+# The scalar per-graph compiler the batched one replaced, kept as the
+# oracle: the batched table must reproduce its order (first-minimum
+# tie-break, disconnected-graph jump), its check edges in CSR neighbour
+# order and its induced forbidden depths, graph for graph.
+
+
+def _oracle_greedy_order(query, query_graph, candidate_counts):
+    start_node, stop_node = query.graph_node_range(query_graph)
+    n = stop_node - start_node
+
+    def local_neighbors(local):
+        return query.neighbors(start_node + local) - start_node
+
+    if candidate_counts is not None:
+        counts = np.asarray(candidate_counts[start_node:stop_node], dtype=np.int64)
+    else:
+        counts = np.diff(
+            query.row_offsets[start_node : stop_node + 1]
+        ).astype(np.int64) * -1
+    order = [int(np.argmin(counts))]
+    in_order = np.zeros(n, dtype=bool)
+    in_order[order[0]] = True
+    adjacent = np.zeros(n, dtype=bool)
+    adjacent[local_neighbors(order[0])] = True
+    while len(order) < n:
+        frontier = np.nonzero(adjacent & ~in_order)[0]
+        if frontier.size == 0:
+            frontier = np.nonzero(~in_order)[0]
+        pick = int(frontier[np.argmin(counts[frontier])])
+        order.append(pick)
+        in_order[pick] = True
+        adjacent[local_neighbors(pick)] = True
+    return order
+
+
+def _oracle_bfs_order(query, query_graph):
+    from collections import deque
+
+    start_node, stop_node = query.graph_node_range(query_graph)
+    n = stop_node - start_node
+    seen = np.zeros(n, dtype=bool)
+    order = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in query.neighbors(start_node + v) - start_node:
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(int(u))
+    return order
+
+
+def _oracle_plan(query, qg, counts, heuristic, wildcard_edge_label, induced):
+    start_node, _ = query.graph_node_range(qg)
+    if heuristic == "bfs":
+        order = _oracle_bfs_order(query, qg)
+    else:
+        order = _oracle_greedy_order(
+            query, qg, counts if heuristic == "fewest-candidates" else None
+        )
+    position = {node: p for p, node in enumerate(order)}
+    check_edges, forbidden = [], []
+    for p, node in enumerate(order):
+        checks = []
+        adjacent_depths = set()
+        nbrs = query.neighbors(start_node + node)
+        elabs = query.neighbor_edge_labels(start_node + node)
+        for nbr, elab in zip(nbrs, elabs):
+            p2 = position[int(nbr) - start_node]
+            if p2 < p:
+                adjacent_depths.add(p2)
+                code = int(elab)
+                if wildcard_edge_label is not None and code == wildcard_edge_label:
+                    code = -1
+                checks.append((p2, code))
+        check_edges.append(tuple(checks))
+        forbidden.append(
+            tuple(p2 for p2 in range(p) if p2 not in adjacent_depths)
+            if induced
+            else ()
+        )
+    return order, tuple(check_edges), tuple(forbidden)
+
+
+def assert_plans_match_oracle(query, counts, heuristic, wildcard=None, induced=False):
+    table = build_plan_table(query, counts, heuristic, wildcard, induced)
+    assert len(table) == query.n_graphs
+    for qg in range(query.n_graphs):
+        order, checks, forbidden = _oracle_plan(
+            query, qg, counts, heuristic, wildcard, induced
+        )
+        for plan in (
+            table[qg],
+            build_query_plan(query, qg, counts, heuristic, wildcard, induced),
+        ):
+            assert isinstance(plan, QueryPlan)
+            assert plan.query_graph == qg
+            assert plan.order.dtype == np.int32
+            assert plan.order.tolist() == order, f"order of query graph {qg}"
+            assert plan.check_edges == checks, f"checks of query graph {qg}"
+            assert plan.forbidden == forbidden, f"forbidden of query graph {qg}"
+        padded = table.order[qg, len(order) :]
+        assert (padded == -1).all()
+
+
+def _random_query(rng, n_labels=3, n_edge_labels=3):
+    """A random labeled graph of 1-3 components (single nodes included)."""
+    labels, edges, edge_labels = [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        n = int(rng.integers(1, 9))
+        part = random_connected_graph(
+            n, int(rng.integers(0, 4)), n_labels, rng, n_edge_labels=n_edge_labels
+        )
+        base = len(labels)
+        labels.extend(part.labels.tolist())
+        edges.extend((int(u) + base, int(v) + base) for u, v in part.edges)
+        edge_labels.extend(part.edge_labels.tolist())
+    return LabeledGraph(labels, edges, edge_labels)
+
+
+HEURISTICS = ["fewest-candidates", "bfs"]
+
+
+@pytest.mark.perf_accel
+class TestPlanCompilerParity:
+    @pytest.fixture(scope="class")
+    def library(self):
+        from repro.chem.datasets import build_benchmark
+
+        ds = build_benchmark(scale=1.0, n_queries=618, n_data_graphs=200, seed=0)
+        query = CSRGO.from_graphs(ds.queries)
+        data = CSRGO.from_graphs(ds.data[:30])
+        config = SigmoConfig(refinement_iterations=2)
+        counts = IterativeFilter(query, data, config).run().bitmap.row_counts()
+        return query, counts
+
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_reference_library(self, library, heuristic):
+        query, counts = library
+        assert query.n_graphs == 618
+        assert_plans_match_oracle(query, counts, heuristic)
+
+    def test_reference_library_degree_fallback(self, library):
+        query, _ = library
+        assert_plans_match_oracle(query, None, "fewest-candidates")
+
+    def test_reference_library_induced_wildcard(self, library):
+        query, counts = library
+        assert_plans_match_oracle(
+            query, counts, "fewest-candidates", wildcard=1, induced=True
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_random_graphs(self, seed, heuristic):
+        rng = np.random.default_rng(seed)
+        query = CSRGO.from_graphs([_random_query(rng) for _ in range(25)])
+        # Few distinct values: ties are everywhere.
+        counts = rng.integers(0, 3, size=query.n_nodes)
+        for wildcard, induced in [(None, False), (2, False), (None, True), (0, True)]:
+            assert_plans_match_oracle(query, counts, heuristic, wildcard, induced)
+        assert_plans_match_oracle(query, None, heuristic)
+
+    def test_all_counts_tied(self):
+        rng = np.random.default_rng(11)
+        query = CSRGO.from_graphs([_random_query(rng) for _ in range(20)])
+        assert_plans_match_oracle(
+            query, np.full(query.n_nodes, 7), "fewest-candidates"
+        )
+
+    def test_single_node_and_disconnected(self):
+        query = CSRGO.from_graphs(
+            [
+                LabeledGraph([4]),
+                LabeledGraph([0, 1, 2], [(0, 1)], [1]),  # isolated node 2
+                LabeledGraph([0, 0, 0, 0], [(0, 1), (2, 3)], [1, 2]),
+            ]
+        )
+        counts = np.array([5, 3, 1, 9, 2, 2, 1, 1])
+        for heuristic in HEURISTICS:
+            assert_plans_match_oracle(query, counts, heuristic, induced=True)
+
+    def test_compile_plans_matches_table(self, library):
+        query, counts = library
+
+        class _Bitmap:
+            def row_counts(self):
+                return counts
+
+        config = SigmoConfig(candidate_order="fewest-candidates", induced=True)
+        first = compile_plans(query, _Bitmap(), config)
+        again = compile_plans(query, _Bitmap(), config)
+        fresh = build_plan_table(query, counts, induced=True)
+        for table in (first, again):
+            for a, b in zip(table.arrays(), fresh.arrays()):
+                assert np.array_equal(a, b)
+        # Each call wraps the memoized arrays in its own table.
+        assert again is not first and again.order is first.order
+        assert not first.order.flags.writeable
+
+    def test_empty_query_in_batch_raises(self):
+        q = CSRGO.from_graphs([path_graph([0]), LabeledGraph([])])
+        with pytest.raises(ValueError, match="query graph 1 is empty"):
+            build_plan_table(q)
