@@ -5,8 +5,9 @@ worker crashes, rank failures, and stragglers routine.  This experiment
 measures what the resilient runtime (:mod:`repro.runtime`) pays to absorb
 them:
 
-* the chunked driver under injected OOMs — identical matches, bounded
-  retries, measured recompute overhead;
+* the serial chunk driver (:func:`repro.runtime.run_resilient`) under
+  injected OOMs — matches identical to one whole-batch engine run,
+  bounded retries, measured recompute overhead;
 * the simulated cluster under rank failures and stragglers — matches are
   conserved (failed blocks re-execute on survivors) while makespan and
   per-rank runtime CV degrade measurably (the Fig. 13/14 metrics under
@@ -24,8 +25,8 @@ from benchmarks.experiments.shared import (
     reference_dataset,
 )
 from repro.cluster.mpi_sim import SimulatedCluster
-from repro.core.chunked import run_chunked
 from repro.core.config import SigmoConfig
+from repro.core.engine import SigmoEngine
 from repro.runtime import FaultPlan, run_resilient
 
 N_GPUS = int(os.environ.get("SIGMO_BENCH_FAULT_GPUS", "16"))
@@ -37,11 +38,11 @@ OOM_RATE = 0.6
 
 
 def _resilient_rows():
-    """Chunked driver, clean vs OOM-faulted: equality and overhead."""
+    """Serial chunk driver, clean vs OOM-faulted: equality and overhead."""
     ds = reference_dataset()
     queries = ds.queries[:N_QUERIES]
     data = ds.data[:N_DATA_GRAPHS]
-    baseline = run_chunked(queries, data, CHUNK_SIZE)
+    expected = sorted(SigmoEngine(queries, data).run().matched_pairs())
     clean = run_resilient(queries, data, chunk_size=CHUNK_SIZE)
     faulted = run_resilient(
         queries,
@@ -65,8 +66,8 @@ def _resilient_rows():
     ]
     data_out = {
         "matches_equal": (
-            sorted(faulted.matched_pairs) == sorted(baseline.matched_pairs)
-            and sorted(clean.matched_pairs) == sorted(baseline.matched_pairs)
+            sorted(faulted.matched_pairs) == expected
+            and sorted(clean.matched_pairs) == expected
         ),
         "retries": faulted.report.n_retries,
         "compute_overhead": overhead,

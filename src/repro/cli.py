@@ -282,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_match(args) -> int:
     """Handle ``repro match``: batched matching with optional chunking."""
     from repro.core.config import SigmoConfig
-    from repro.core.chunked import run_chunked
     from repro.core.engine import SigmoEngine
     from repro.io import read_smi
+    from repro.runtime import run_resilient
 
     data_mols = read_smi(args.data)
     data_names = [m.name or f"mol-{i}" for i, m in enumerate(data_mols)]
@@ -310,7 +310,7 @@ def cmd_match(args) -> int:
 
     start = time.perf_counter()
     if args.chunk_size:
-        chunked = run_chunked(
+        chunked = run_resilient(
             query_graphs, data_graphs, args.chunk_size, mode=args.mode, config=config
         )
         total = chunked.total_matches
@@ -708,16 +708,11 @@ def cmd_resilient_run(args) -> int:
 def _resilient_smoke(args) -> int:
     """Seeded fault-injection check: faulted runs must equal fault-free."""
     from repro.chem.datasets import build_benchmark
-    from repro.core.chunked import run_chunked
-    from repro.runtime import (
-        COMPLETE,
-        FaultPlan,
-        run_parallel_resilient,
-        run_resilient,
-    )
+    from repro.cluster.parallel import run_parallel
+    from repro.runtime import COMPLETE, FaultPlan, run_resilient
 
     ds = build_benchmark(n_queries=5, n_data_graphs=24, seed=0)
-    baseline = run_chunked(ds.queries, ds.data, chunk_size=6)
+    baseline = run_resilient(ds.queries, ds.data, chunk_size=6)
     expected = sorted(baseline.matched_pairs)
     plan = FaultPlan(
         seed=args.fault_seed,
@@ -740,7 +735,7 @@ def _resilient_smoke(args) -> int:
         f"{serial.report.summary()}"
     )
 
-    pooled = run_parallel_resilient(
+    pooled = run_parallel(
         ds.queries, ds.data, n_workers=2, chunk_size=6,
         fault_plan=plan, max_attempts=6,
     )

@@ -14,6 +14,10 @@ simulates the same execution structure:
   Figs. 13 and 14 (makespan = slowest rank, throughput = total matches /
   makespan, per-rank runtime variability).
 
+The practical counterpart on one host is the fault-tolerant process-pool
+driver :func:`~repro.cluster.parallel.run_parallel` (shared-memory
+transport, retry/backoff, OOM halving, broken-pool recovery).
+
 The mpi4py-style interface (``rank``, ``size``, gather semantics) is kept
 so the harness reads like the MPI driver it replaces.
 """

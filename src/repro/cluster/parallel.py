@@ -1,111 +1,146 @@
-"""Host-parallel chunked execution across CPU workers.
+"""Host-parallel, fault-tolerant execution across CPU workers.
 
 The simulated cluster (:mod:`repro.cluster.mpi_sim`) models the paper's
 multi-GPU runs; this module is the *practical* counterpart: run SIGMo's
-independent data chunks on multiple host processes, mpi4py-style SPMD
-without MPI.  It composes the chunked driver (:mod:`repro.core.chunked`)
-with a process pool; results are bitwise identical to a serial run
-(asserted in tests), since chunks share nothing.
+independent data slices on multiple host processes, mpi4py-style SPMD
+without MPI.  Each worker gets one contiguous slice (static partitioning,
+like the paper's per-GPU blocks, section 5.4) and runs the serial chunk
+loop :func:`repro.runtime.resilient.run_resilient` on it, so results are
+bitwise identical to a serial run (asserted in tests).
 
-Two transports move the batches into workers:
+Transport: both batches are converted to CSR-GO once in the parent and
+exported via :mod:`repro.cluster.shm`; each worker maps the arrays a
+single time (cached for its lifetime) and carves its slice out with
+``slice_graphs`` — payloads shrink to a name + layout tuple regardless of
+batch size.  When the platform cannot allocate shared memory the driver
+falls back to pickling each slice's CSR-GO into its payload.
 
-* **shared memory** (default): both batches are converted to CSR-GO once
-  in the parent and exported via :mod:`repro.cluster.shm`; each worker
-  maps the arrays a single time (cached for its lifetime) and carves its
-  chunks out with ``slice_graphs`` — payloads shrink to a name + layout
-  tuple regardless of batch size.
-* **pickle** (fallback / ``use_shared_memory=False``): the historical
-  path, serializing graph lists into every worker.  Results are bitwise
-  identical either way.
+Fault tolerance:
+
+* **retry with exponential backoff** — a slice whose worker crashed or
+  OOMed is re-dispatched deterministically (same slice, incremented
+  attempt counter) after the :class:`~repro.pipeline.policies.RetryPolicy`
+  delay, with seeded jitter;
+* **memory degradation** — an OOMed slice retries with half its
+  within-worker chunk size (chunking never changes results);
+* **hard-crash recovery** — a worker process that dies outright
+  (``FaultPlan(crash_hard=True)``, or a real segfault) breaks the whole
+  ``ProcessPoolExecutor``; the driver rebuilds the pool and re-dispatches
+  every unfinished slice;
+* **bounded failure** — a slice still failing after ``max_attempts`` is
+  dropped from the aggregate and the run returns ``status="partial"``
+  with its range in ``failed_slices`` instead of raising.
 """
 
 from __future__ import annotations
 
 import os
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from repro.core.chunked import run_chunked, run_chunked_csrgo
+from repro.cluster.shm import SharedCSRGO, ShmHandle, attached_csrgo, detach_all
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.join import FIND_ALL, JoinStats
+from repro.core.join import FIND_ALL
 from repro.core.results import MatchRecord
+from repro.device.memory import DeviceOutOfMemory
 from repro.graph.labeled_graph import LabeledGraph
-from repro.pipeline.aggregate import ResultAccumulator
-from repro.pipeline.policies import partition_slices
+from repro.pipeline.aggregate import COMPLETE, PARTIAL, AggregateResult, ResultAccumulator
+from repro.pipeline.policies import RetryPolicy, partition_slices
+from repro.runtime import telemetry
+from repro.runtime.faults import FaultPlan, WorkerCrash
+from repro.runtime.resilient import ResilientResult, run_resilient
+from repro.runtime.telemetry import Attempt, RunReport
 
 
-def _worker(payload):
-    """Process-pool entry: run one chunk range serially (pickle transport)."""
-    queries, data, start, chunk_size, mode, config = payload
-    result = run_chunked(queries, data, chunk_size, mode=mode, config=config)
-    # globalize indices relative to the worker's slice start
-    result.matched_pairs = [(d + start, q) for d, q in result.matched_pairs]
-    result.embeddings = [
-        MatchRecord(rec.data_graph + start, rec.query_graph, rec.mapping)
-        for rec in result.embeddings
-    ]
-    return result
+@dataclass(frozen=True)
+class _Job:
+    """One slice attempt as shipped to a worker.
+
+    ``query``/``data`` are shared-memory handles, or — on the pickle
+    fallback — the query batch and the slice's own CSR-GO.
+    """
+
+    query: ShmHandle | CSRGO
+    data: ShmHandle | CSRGO
+    start: int
+    stop: int
+    chunk_size: int
+    mode: str
+    config: SigmoConfig | None
+    fault_plan: FaultPlan | None
+    index: int
+    attempt: int
+    inline: bool
 
 
-def _shm_worker(payload):
-    """Process-pool entry: map shared batches, run one graph range.
+def _slice_worker(job: _Job) -> ResilientResult:
+    """Pool entry: inject scheduled faults, map the batches, run one slice.
 
     The attach is cached per process (:func:`repro.cluster.shm.attached_csrgo`),
-    so a worker that receives several ranges maps each block exactly once.
+    so a worker that receives several slices maps each block exactly once.
     """
-    from repro.cluster.shm import attached_csrgo
-
-    query_handle, data_handle, start, stop, chunk_size, mode, config = payload
-    query = attached_csrgo(query_handle)
-    data = attached_csrgo(data_handle)
-    result = run_chunked_csrgo(
-        query,
-        data,
-        chunk_size,
-        mode=mode,
-        config=config,
-        start_graph=start,
-        stop_graph=stop,
+    plan = job.fault_plan
+    if plan is not None:
+        if plan.injects_crash(job.index, job.attempt):
+            if plan.crash_hard and not job.inline:
+                os._exit(13)  # simulate the process dying outright
+            raise WorkerCrash(job.index, job.attempt)
+        plan.check_oom(job.index, job.attempt)
+    if isinstance(job.data, CSRGO):
+        query, data = job.query, job.data
+    else:
+        query = attached_csrgo(job.query)
+        data = attached_csrgo(job.data).slice_graphs(job.start, job.stop)
+    result = run_resilient(
+        query, data, job.chunk_size, mode=job.mode, config=job.config
     )
-    # globalize indices relative to the worker's slice start
-    result.matched_pairs = [(d + start, q) for d, q in result.matched_pairs]
+    # globalize indices relative to the slice start
+    result.matched_pairs = [(d + job.start, q) for d, q in result.matched_pairs]
     result.embeddings = [
-        MatchRecord(rec.data_graph + start, rec.query_graph, rec.mapping)
+        MatchRecord(rec.data_graph + job.start, rec.query_graph, rec.mapping)
         for rec in result.embeddings
     ]
-    # MatchResult objects hold bitmaps/GMCRs of shm-sliced chunks (all
-    # copies, but potentially large); don't ship them back per worker.
-    result.chunk_results = []
     return result
 
 
 @dataclass
-class ParallelResult:
-    """Aggregated outcome of a parallel chunked run.
+class _Slice:
+    """Dispatch state of one contiguous data slice."""
+
+    index: int
+    start: int
+    stop: int
+    chunk_size: int
+    attempt: int = 0
+    result: ResilientResult | None = None
+    failed: bool = False
+
+    @property
+    def unit(self) -> str:
+        return f"slice-{self.index}[{self.start}:{self.stop}]"
+
+
+@dataclass
+class ParallelResult(AggregateResult):
+    """Aggregated outcome of a parallel run.
 
     ``n_chunks`` and ``timings`` are summed across workers, so
     ``timings`` is total engine compute (CPU seconds), not wall time.
     ``transport`` records how batches reached the workers
-    (``"shared-memory"`` or ``"pickle"``).
+    (``"shared-memory"`` or ``"pickle"``); ``failed_slices`` lists the
+    ``[start, stop)`` ranges dropped after exhausting their attempts
+    (``status="partial"``); ``report`` logs every slice attempt.
     """
 
-    total_matches: int = 0
     n_workers: int = 0
-    n_chunks: int = 0
-    matched_pairs: list[tuple[int, int]] = field(default_factory=list)
-    embeddings: list[MatchRecord] = field(default_factory=list)
-    peak_memory_bytes: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
-    stage_counts: dict[str, int] = field(default_factory=dict)
-    join_stats: JoinStats = field(default_factory=JoinStats)
-    transport: str = "pickle"
-
-    @property
-    def total_seconds(self) -> float:
-        """Summed per-phase engine time across all workers."""
-        return sum(self.timings.values())
+    transport: str = "shared-memory"
+    failed_slices: list[tuple[int, int]] = field(default_factory=list)
+    report: RunReport = field(default_factory=RunReport)
 
 
 def run_parallel(
@@ -115,98 +150,160 @@ def run_parallel(
     chunk_size: int = 256,
     mode: str = FIND_ALL,
     config: SigmoConfig | None = None,
-    use_shared_memory: bool = True,
+    fault_plan: FaultPlan | None = None,
+    max_attempts: int = 4,
+    backoff_base: float = 0.0,
+    backoff_factor: float = 2.0,
+    backoff_jitter: float = 0.25,
+    backoff_seed: int = 0,
 ) -> ParallelResult:
     """Run the pipeline over ``data`` with a pool of worker processes.
 
-    Each worker receives a contiguous slice (static partitioning, like the
-    paper's per-GPU blocks) and chunks it further to bound memory.
+    A fault-free (or fully recovered) run aggregates to exactly the
+    serial :func:`~repro.runtime.resilient.run_resilient` result.
 
     Parameters
     ----------
     n_workers:
-        Process count; defaults to ``os.cpu_count()`` capped at the number
-        of slices.
+        Process count; defaults to ``os.cpu_count()`` (at most 8) capped
+        at the number of data graphs.  One slice runs in-process.
     chunk_size:
         Within-worker chunk size (memory bound per process).
-    use_shared_memory:
-        Ship batches via :mod:`multiprocessing.shared_memory` (mapped once
-        per worker) instead of pickling graph lists per payload.  Falls
-        back to pickling automatically when the platform cannot allocate
-        shared memory.
+    fault_plan:
+        Deterministic fault injection keyed by ``(slice index, attempt)``.
+    max_attempts:
+        Per-slice attempt bound; an exhausted slice is dropped and the
+        run returns ``status="partial"`` with its range listed in
+        ``failed_slices``.
+    backoff_base / backoff_factor:
+        Retry delay ``backoff_base * backoff_factor ** attempt`` seconds
+        (0 disables sleeping; the schedule is still recorded in the
+        telemetry).
+    backoff_jitter / backoff_seed:
+        Seeded per-slice jitter fraction spread over the delay so slices
+        that failed together don't retry in lockstep; a pure function of
+        ``(backoff_seed, slice index, attempt)``, so the schedule stays
+        reproducible.
     """
     if not data:
         raise ValueError("at least one data graph is required")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    retry = RetryPolicy(
+        max_attempts=max_attempts,
+        backoff_base=backoff_base,
+        backoff_factor=backoff_factor,
+        jitter=backoff_jitter,
+        seed=backoff_seed,
+    )
     n_workers = n_workers or min(os.cpu_count() or 1, 8)
     n_workers = max(1, min(n_workers, len(data)))
-    ranges = partition_slices(len(data), n_workers)
-    if use_shared_memory:
+    slices = [
+        _Slice(index=i, start=start, stop=stop, chunk_size=chunk_size)
+        for i, (start, stop) in enumerate(partition_slices(len(data), n_workers))
+    ]
+    inline = len(slices) == 1
+    query = CSRGO.from_graphs(queries)
+    batch = CSRGO.from_graphs(data)
+    out = ParallelResult(n_workers=len(slices))
+
+    def settle(sl: _Slice, outcome_of, started: float) -> bool:
+        """Record one attempt once its outcome is in; True if the pool broke."""
+        broken = False
         try:
-            return _run_parallel_shm(
-                queries, data, ranges, n_workers, chunk_size, mode, config
+            sl.result = outcome_of()
+            outcome, detail = telemetry.OK, ""
+        except WorkerCrash as exc:
+            outcome, detail = telemetry.CRASH, str(exc)
+        except DeviceOutOfMemory as exc:
+            outcome, detail = telemetry.OOM, str(exc)
+        except BrokenProcessPool:
+            # One worker died hard; every in-flight slice is collateral
+            # (the crashed slice is indistinguishable from its victims).
+            outcome, detail, broken = telemetry.CRASH, "process pool broken", True
+        out.report.record(
+            Attempt(
+                unit=sl.unit,
+                attempt=sl.attempt,
+                outcome=outcome,
+                chunk_size=sl.chunk_size,
+                seconds=time.perf_counter() - started,
+                backoff_seconds=(
+                    0.0 if outcome == telemetry.OK
+                    else retry.delay(sl.attempt, unit=sl.index)
+                ),
+                detail=detail,
             )
-        except OSError as exc:  # pragma: no cover - platform without shm
+        )
+        if outcome != telemetry.OK:
+            if outcome == telemetry.OOM:
+                sl.chunk_size = max(1, sl.chunk_size // 2)
+            sl.attempt += 1
+            sl.failed = retry.exhausted(sl.attempt)
+        return broken
+
+    with ExitStack() as shared:
+        try:
+            handles = (
+                shared.enter_context(SharedCSRGO(query)).handle,
+                shared.enter_context(SharedCSRGO(batch)).handle,
+            )
+        except OSError as exc:  # platform without shared memory
             warnings.warn(
                 f"shared-memory transport unavailable ({exc}); "
                 "falling back to pickle",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    payloads = [
-        (queries, data[start:stop], start, chunk_size, mode, config)
-        for start, stop in ranges
-    ]
-    out = ParallelResult(n_workers=len(payloads), transport="pickle")
-    if len(payloads) == 1:
-        results = [_worker(payloads[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_worker, payloads))
-    _aggregate(out, results)
-    return out
+            handles = None
+            out.transport = "pickle"
 
+        def job(sl: _Slice) -> _Job:
+            refs = handles or (query, batch.slice_graphs(sl.start, sl.stop))
+            return _Job(
+                *refs, sl.start, sl.stop, sl.chunk_size, mode, config,
+                fault_plan, sl.index, sl.attempt, inline,
+            )
 
-def _run_parallel_shm(
-    queries, data, ranges, n_workers, chunk_size, mode, config
-) -> ParallelResult:
-    """Shared-memory transport: export once, map per worker, slice per chunk."""
-    from repro.cluster.shm import SharedCSRGO, attached_csrgo
+        pending = list(slices)
+        executor: ProcessPoolExecutor | None = None
+        try:
+            while pending:
+                max_delay = max(
+                    retry.delay(sl.attempt, unit=sl.index) for sl in pending
+                )
+                if max_delay > 0:
+                    time.sleep(max_delay)
+                if inline:
+                    sl = pending[0]
+                    settle(sl, lambda: _slice_worker(job(sl)), time.perf_counter())
+                else:
+                    if executor is None:
+                        executor = ProcessPoolExecutor(max_workers=n_workers)
+                    started = time.perf_counter()
+                    futures = [
+                        (sl, executor.submit(_slice_worker, job(sl))) for sl in pending
+                    ]
+                    broken = [settle(sl, f.result, started) for sl, f in futures]
+                    if any(broken):
+                        executor.shutdown(wait=False)
+                        executor = None
+                pending = [sl for sl in slices if sl.result is None and not sl.failed]
+        finally:
+            if executor is not None:
+                executor.shutdown()
+            if inline:
+                # In-process run: release the parent-cached mapping before
+                # the shared block is unlinked.
+                detach_all()
 
-    query_csrgo = CSRGO.from_graphs(queries)
-    data_csrgo = CSRGO.from_graphs(data)
-    out = ParallelResult(n_workers=len(ranges), transport="shared-memory")
-    with SharedCSRGO(query_csrgo) as shared_q, SharedCSRGO(data_csrgo) as shared_d:
-        payloads = [
-            (shared_q.handle, shared_d.handle, start, stop, chunk_size, mode, config)
-            for start, stop in ranges
-        ]
-        if len(payloads) == 1:
-            results = [_shm_worker(payloads[0])]
-            # In-process run: release the parent-cached mapping before
-            # the context manager unlinks the block.
-            from repro.cluster.shm import detach_all
-
-            detach_all()
-        else:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(_shm_worker, payloads))
-    _aggregate(out, results)
-    return out
-
-
-def _aggregate(out: ParallelResult, results) -> None:
-    """Fold per-worker ChunkedResults into one ParallelResult."""
     acc = ResultAccumulator()
-    for chunk_result in results:
-        acc.add_aggregate(chunk_result)
-    out.total_matches = acc.total_matches
-    out.n_chunks = acc.n_chunks
-    out.matched_pairs = acc.matched_pairs
-    out.embeddings = acc.embeddings
-    out.peak_memory_bytes = acc.peak_memory_bytes
-    out.timings = acc.timings
-    out.stage_counts = acc.stage_counts
-    out.join_stats = acc.join_stats
+    for sl in slices:
+        if sl.result is None:
+            out.failed_slices.append((sl.start, sl.stop))
+        else:
+            acc.add_aggregate(sl.result)
+    acc.fill(out)
     out.matched_pairs.sort()
+    out.status = PARTIAL if out.failed_slices else COMPLETE
+    return out

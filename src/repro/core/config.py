@@ -67,7 +67,7 @@ class SigmoConfig:
     array_backend:
         Registered ``repro.xp`` array backend the pipeline executes on
         (``"numpy"`` default; ``"instrumented"`` wraps numpy in per-op
-        counters; ``"cupy"``/``"torch"`` when their adapters registered).
+        counters; any backend added with ``repro.xp.register_backend``).
         Backend identity is threaded into every content-hash-keyed cache
         so artifacts from different backends never collide.
     join_backend:

@@ -10,13 +10,19 @@ Public surface:
 * :mod:`~repro.pipeline.artifacts` — explicit, checkpointable stage
   artifacts plus the per-engine/per-session cache.
 * :mod:`~repro.pipeline.policies` — chunking/partitioning/retry/memory
-  policies the thin adapters compose.
+  policies the two drivers compose.
+* :mod:`~repro.pipeline.aggregate` — the shared aggregate-result fields
+  and the one fold that fills them.
 * :class:`~repro.pipeline.session.MatcherSession` — prepared-query
   serving layer (compile queries once, stream data batches).
 """
 
 from repro.core.join import JoinResult as JoinOutput
-from repro.pipeline.aggregate import ResultAccumulator, merge_join_stats
+from repro.pipeline.aggregate import (
+    AggregateResult,
+    ResultAccumulator,
+    merge_join_stats,
+)
 from repro.pipeline.artifacts import (
     ArtifactCache,
     CSRGOPair,
@@ -31,12 +37,12 @@ from repro.pipeline.executor import (
     execute,
 )
 from repro.pipeline.policies import (
+    BudgetInfeasible,
     ChunkingPolicy,
-    ExecutionPolicy,
     MemoryBudgetPolicy,
     RetryPolicy,
-    TruncationPolicy,
     WorkUnit,
+    chunk_size_for_budget,
     partition_slices,
 )
 from repro.pipeline.session import MatcherSession
@@ -48,10 +54,11 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
+    "AggregateResult",
     "ArtifactCache",
+    "BudgetInfeasible",
     "CSRGOPair",
     "ChunkingPolicy",
-    "ExecutionPolicy",
     "JoinOutput",
     "MatcherSession",
     "MemoryBudgetPolicy",
@@ -63,8 +70,8 @@ __all__ = [
     "RetryPolicy",
     "StageArtifact",
     "StageSpec",
-    "TruncationPolicy",
     "WorkUnit",
+    "chunk_size_for_budget",
     "default_executor",
     "derive_n_labels",
     "execute",

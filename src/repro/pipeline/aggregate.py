@@ -1,11 +1,13 @@
-"""Result aggregation shared by every multi-run driver.
+"""Result aggregation shared by the two multi-chunk drivers.
 
-The six historical drivers each re-implemented the same fold: sum match
-counts, globalize per-chunk graph indices, merge timers, track peak
-memory.  :class:`ResultAccumulator` is that fold written once; the
-chunked/parallel/resilient adapters feed it either whole
-:class:`~repro.core.results.MatchResult` objects (with an index offset)
-or already-aggregated partial results from workers.
+Both drivers — the serial chunk loop
+(:func:`repro.runtime.resilient.run_resilient`) and the pool driver
+(:func:`repro.cluster.parallel.run_parallel`) — report the same nine
+aggregate fields, declared once on :class:`AggregateResult`.
+:class:`ResultAccumulator` is the one fold that fills them: it sums
+match counts, merges timers and join counters, tracks peak memory, and
+concatenates globally indexed matches, fed either per-chunk resilient
+payloads or already-aggregated partial results from workers.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.join import JoinStats
-from repro.core.results import MatchRecord, MatchResult
+from repro.core.results import MatchRecord
 from repro.utils.timing import StageTimer
+
+#: Run statuses.
+COMPLETE = "complete"
+PARTIAL = "partial"
 
 
 def merge_join_stats(into: JoinStats, other: JoinStats | dict | None) -> JoinStats:
@@ -41,13 +47,39 @@ def join_stats_dict(stats: JoinStats) -> dict[str, int]:
 
 
 @dataclass
+class AggregateResult:
+    """The fields every multi-chunk run reports.
+
+    ``matched_pairs`` / ``embeddings`` carry *global* data-graph indices;
+    ``timings`` / ``stage_counts`` / ``join_stats`` are summed over every
+    executed chunk, so ``timings`` is total engine compute, not wall time.
+    ``peak_memory_bytes`` is the largest per-chunk footprint — the bound
+    chunking buys.
+    """
+
+    status: str = COMPLETE
+    total_matches: int = 0
+    n_chunks: int = 0
+    peak_memory_bytes: int = 0
+    matched_pairs: list[tuple[int, int]] = field(default_factory=list)
+    embeddings: list[MatchRecord] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)
+    stage_counts: dict[str, int] = field(default_factory=dict)
+    join_stats: JoinStats = field(default_factory=JoinStats)
+
+    @property
+    def total_seconds(self) -> float:
+        """Summed per-stage engine seconds across every executed chunk."""
+        return sum(self.timings.values())
+
+
+@dataclass
 class ResultAccumulator:
     """Folds per-chunk/per-worker results into one aggregate.
 
-    ``matched_pairs`` and ``embeddings`` carry *global* data-graph
-    indices; :meth:`add_run` applies the chunk's offset while folding.
-    ``peak_memory_bytes`` is a max (the bound chunking buys), everything
-    else a sum.
+    ``peak_memory_bytes`` is a max, everything else a sum or a
+    concatenation in fold order; :meth:`fill` copies the result onto an
+    :class:`AggregateResult`.
     """
 
     total_matches: int = 0
@@ -55,28 +87,8 @@ class ResultAccumulator:
     peak_memory_bytes: int = 0
     matched_pairs: list[tuple[int, int]] = field(default_factory=list)
     embeddings: list[MatchRecord] = field(default_factory=list)
-    chunk_results: list[MatchResult] = field(default_factory=list)
     join_stats: JoinStats = field(default_factory=JoinStats)
     _timer: StageTimer = field(default_factory=StageTimer)
-
-    def add_run(
-        self, result: MatchResult, offset: int = 0, keep_result: bool = True
-    ) -> None:
-        """Fold one engine/pipeline run whose chunk starts at ``offset``."""
-        self.n_chunks += 1
-        self.total_matches += result.total_matches
-        self.peak_memory_bytes = max(self.peak_memory_bytes, result.memory.total)
-        self.matched_pairs.extend(
-            (d + offset, q) for d, q in result.matched_pairs()
-        )
-        self.embeddings.extend(
-            MatchRecord(rec.data_graph + offset, rec.query_graph, rec.mapping)
-            for rec in result.embeddings
-        )
-        self._timer.merge(result.timings, counts=result.stage_counts)
-        merge_join_stats(self.join_stats, result.join_result.stats)
-        if keep_result:
-            self.chunk_results.append(result)
 
     def add_payload(self, payload) -> None:
         """Fold one resilient ``ChunkPayload`` (indices already global)."""
@@ -88,15 +100,13 @@ class ResultAccumulator:
         self.matched_pairs.extend(payload.matched_pairs)
         self.embeddings.extend(payload.embeddings)
         self._timer.merge(payload.timings, counts=payload.stage_counts)
-        merge_join_stats(self.join_stats, getattr(payload, "join_stats", None))
+        merge_join_stats(self.join_stats, payload.join_stats)
 
     def add_aggregate(self, other) -> None:
         """Fold an already-aggregated partial result (a worker's output).
 
-        ``other`` needs the chunked-result shape: ``total_matches``,
-        ``n_chunks``, ``peak_memory_bytes``, global ``matched_pairs`` /
-        ``embeddings``, ``timings``, ``stage_counts``, and (optionally)
-        ``join_stats``.
+        ``other`` is an :class:`AggregateResult` (or has its shape) with
+        global ``matched_pairs`` / ``embeddings``.
         """
         self.total_matches += other.total_matches
         self.n_chunks += other.n_chunks
@@ -106,7 +116,7 @@ class ResultAccumulator:
         self.matched_pairs.extend(other.matched_pairs)
         self.embeddings.extend(other.embeddings)
         self._timer.merge(other.timings, counts=other.stage_counts)
-        merge_join_stats(self.join_stats, getattr(other, "join_stats", None))
+        merge_join_stats(self.join_stats, other.join_stats)
 
     @property
     def timings(self) -> dict[str, float]:
@@ -117,3 +127,15 @@ class ResultAccumulator:
     def stage_counts(self) -> dict[str, int]:
         """Summed per-stage invocation counts."""
         return dict(self._timer.counts)
+
+    def fill(self, out: AggregateResult) -> AggregateResult:
+        """Copy the folded fields onto ``out`` (returned); ``status`` is left as is."""
+        out.total_matches = self.total_matches
+        out.n_chunks = self.n_chunks
+        out.peak_memory_bytes = self.peak_memory_bytes
+        out.matched_pairs = self.matched_pairs
+        out.embeddings = self.embeddings
+        out.timings = self.timings
+        out.stage_counts = self.stage_counts
+        out.join_stats = self.join_stats
+        return out

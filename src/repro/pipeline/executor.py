@@ -2,7 +2,7 @@
 
 ``PipelineExecutor.execute`` takes one :class:`PipelineRequest` and drives
 the stage graph of :mod:`repro.pipeline.stages`, attaching in exactly one
-place everything the six historical drivers each re-implemented:
+place everything the historical per-driver loops each re-implemented:
 
 * the obs span hierarchy (``run`` → ``stage:*`` → ``kernel:*`` → ``wg:*``),
 * the :class:`~repro.utils.timing.StageTimer` totals and counts,

@@ -1,19 +1,20 @@
 """Composable execution policies around the pipeline executor.
 
 A *policy* decides how a workload is cut up, placed, retried, or bounded —
-never how a stage computes.  The historical drivers hard-coded one policy
-combination each; here every knob is an object the thin adapters compose:
+never how a stage computes.  The two drivers
+(:func:`repro.runtime.resilient.run_resilient` and
+:func:`repro.cluster.parallel.run_parallel`) compose them:
 
-* :class:`ChunkingPolicy` — split the data batch into memory-bounded
-  chunks (``run_chunked``'s loop).
-* :func:`partition_slices` — the static per-worker block partitioning
-  shared by both process-pool drivers (identical blocks ⇒ bitwise-equal
-  aggregation regardless of worker count).
-* :class:`RetryPolicy` — attempt bounds + exponential backoff
-  (``run_parallel_resilient``'s schedule).
-* :class:`MemoryBudgetPolicy` — derive chunk sizes from a device pool
-  and degrade on infeasibility (``run_resilient``'s sizing).
-* :class:`TruncationPolicy` — join-budget watchdog configuration.
+* :class:`ChunkingPolicy` — split a data range into memory-bounded
+  chunks; the only chunk planner.
+* :func:`partition_slices` — the static per-worker block partitioning of
+  the pool driver (identical blocks ⇒ bitwise-equal aggregation
+  regardless of worker count).
+* :class:`RetryPolicy` — attempt bounds + exponential backoff with seeded
+  jitter (the pool driver's retry schedule).
+* :class:`MemoryBudgetPolicy` — derive chunk sizes from a device budget
+  (:func:`chunk_size_for_budget`) and degrade on infeasibility
+  (``run_resilient``'s sizing).
 """
 
 from __future__ import annotations
@@ -22,16 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.join import JoinBudget
-
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One contiguous data-graph range ``[start, stop)`` with retry state."""
+    """One contiguous data-graph range ``[start, stop)``."""
 
     start: int
     stop: int
-    attempt: int = 0
 
     @property
     def size(self) -> int:
@@ -39,18 +37,11 @@ class WorkUnit:
         return self.stop - self.start
 
 
-class ExecutionPolicy:
-    """Marker base class: a named knob composed around the executor."""
-
-    name = "policy"
-
-
 @dataclass(frozen=True)
-class ChunkingPolicy(ExecutionPolicy):
+class ChunkingPolicy:
     """Fixed-size chunking of a data range (the memory-wall workaround)."""
 
     chunk_size: int
-    name = "chunking"
 
     def __post_init__(self) -> None:
         if self.chunk_size < 1:
@@ -65,7 +56,7 @@ class ChunkingPolicy(ExecutionPolicy):
 
 
 def partition_slices(n_items: int, n_workers: int) -> list[tuple[int, int]]:
-    """Static per-worker block partitioning, shared by both pool drivers.
+    """Static per-worker block partitioning of the pool driver.
 
     Blocks are ``ceil(n_items / n_workers)`` wide, so the cut points —
     and therefore the aggregation order — are a pure function of the
@@ -82,7 +73,7 @@ def partition_slices(n_items: int, n_workers: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class RetryPolicy(ExecutionPolicy):
+class RetryPolicy:
     """Attempt bound plus exponential backoff with seeded jitter.
 
     ``jitter`` spreads each unit's retry delay uniformly over
@@ -98,7 +89,6 @@ class RetryPolicy(ExecutionPolicy):
     backoff_factor: float = 2.0
     jitter: float = 0.0
     seed: int = 0
-    name = "retry"
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -125,8 +115,60 @@ class RetryPolicy(ExecutionPolicy):
         return attempt >= self.max_attempts
 
 
+class BudgetInfeasible(ValueError):
+    """No chunk size can satisfy the memory budget.
+
+    Raised by :func:`chunk_size_for_budget` when even a single data graph's
+    candidate-bitmap share exceeds the budget — chunking cannot help, the
+    run needs a bigger device (or :class:`MemoryBudgetPolicy`'s
+    degradation to single-graph chunks, which catches this error).
+    """
+
+    def __init__(self, message: str, required_bytes: int, budget_bytes: int) -> None:
+        super().__init__(message)
+        self.required_bytes = required_bytes
+        self.budget_bytes = budget_bytes
+
+
+def chunk_size_for_budget(
+    n_query_nodes: int,
+    mean_nodes_per_data_graph: float,
+    budget_bytes: int,
+    word_bits: int = 64,
+    bitmap_share: float = 0.8,
+) -> int:
+    """Chunk size whose candidate bitmap fits a memory budget.
+
+    Solves ``n_query_nodes * chunk_size * mean_nodes / 8 <= budget *
+    bitmap_share`` (the bitmap is ~80 % of the footprint, section 5.1.3).
+
+    Raises
+    ------
+    BudgetInfeasible
+        When even a single graph's bitmap share exceeds the budget; a
+        chunk size of 1 would still OOM, so returning it silently would
+        only defer the failure to the device.
+    """
+    if budget_bytes <= 0:
+        raise ValueError("budget_bytes must be > 0")
+    if n_query_nodes <= 0 or mean_nodes_per_data_graph <= 0:
+        raise ValueError("node counts must be > 0")
+    bytes_per_graph = n_query_nodes * mean_nodes_per_data_graph / 8
+    usable = budget_bytes * bitmap_share
+    size = int(usable // max(bytes_per_graph, 1e-9))
+    if size < 1:
+        raise BudgetInfeasible(
+            f"a single data graph needs ~{bytes_per_graph:.0f} bitmap bytes "
+            f"but only {usable:.0f} of {budget_bytes} are usable "
+            f"(bitmap_share={bitmap_share})",
+            required_bytes=int(bytes_per_graph),
+            budget_bytes=int(budget_bytes),
+        )
+    return size
+
+
 @dataclass(frozen=True)
-class MemoryBudgetPolicy(ExecutionPolicy):
+class MemoryBudgetPolicy:
     """Chunk sizing under a device-memory budget, degrading to 1.
 
     ``auto_chunk_size`` mirrors the resilient driver's behavior: solve the
@@ -136,7 +178,6 @@ class MemoryBudgetPolicy(ExecutionPolicy):
     """
 
     capacity_bytes: int | None = None
-    name = "memory-budget"
 
     def auto_chunk_size(
         self,
@@ -146,10 +187,6 @@ class MemoryBudgetPolicy(ExecutionPolicy):
         word_bits: int = 64,
     ) -> tuple[int, str | None]:
         """Chunk size for the budget plus a degradation note (or ``None``)."""
-        # Imported here: chunked.py is itself a pipeline adapter, so a
-        # module-level import would be circular.
-        from repro.core.chunked import BudgetInfeasible, chunk_size_for_budget
-
         if self.capacity_bytes is None:
             return n_data, None
         try:
@@ -162,16 +199,3 @@ class MemoryBudgetPolicy(ExecutionPolicy):
             return size, None
         except BudgetInfeasible as exc:
             return 1, str(exc)
-
-
-@dataclass(frozen=True)
-class TruncationPolicy(ExecutionPolicy):
-    """Join-watchdog configuration (budget + what to do when it fires)."""
-
-    join_budget: JoinBudget | None = None
-    on_truncate: str = "resume"
-    name = "truncation"
-
-    def __post_init__(self) -> None:
-        if self.on_truncate not in ("resume", "token"):
-            raise ValueError("on_truncate must be 'resume' or 'token'")

@@ -155,9 +155,10 @@ class MatcherSession:
         the artifact cache, and only the join runs.
 
         ``reuse=False`` disables artifact *recall* for this call (storing
-        still happens).  The chunked/parallel adapters use it so their
-        per-chunk stage counts stay exactly what the historical drivers
-        reported, even on pathological batches with duplicate chunks.
+        still happens).  The chunk loop
+        (:func:`~repro.runtime.resilient.run_resilient`) recalls only on
+        resumed segments, so its per-chunk stage counts equal a fresh
+        engine's.
 
         Thread/task safe: concurrent calls are serialized on the
         session's internal lock (see the class docstring).

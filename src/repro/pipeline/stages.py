@@ -7,9 +7,9 @@ executor stays a generic loop: it resolves dependencies, opens the group
 spans, consults the artifact cache, and stores what the runners produce.
 
 The graph is deliberately a straight line (the paper's Fig. 2 dataflow);
-what varies between the historical six drivers is *policy* —  chunking,
-retries, process placement — which lives in :mod:`repro.pipeline.policies`
-around the executor, never inside the stages.
+what varies between the run drivers is *policy* — chunking, retries,
+process placement — which lives in :mod:`repro.pipeline.policies` around
+the executor, never inside the stages.
 """
 
 from __future__ import annotations

@@ -3,22 +3,22 @@
 The paper's headline deployment — 256 GPUs sweeping all of ZINC with MPI
 (Figs. 13-14) — lives in a regime where memory exhaustion, embedding
 explosions, worker crashes, and rank failures are routine.  The engine
-and drivers under :mod:`repro.core` / :mod:`repro.cluster` are exact but
-*brittle*: one fault loses the whole run.  This package wraps them in a
-resilient runtime:
+under :mod:`repro.core` is exact but *brittle*: one fault loses the whole
+run.  This package wraps it in a resilient runtime:
 
-* :mod:`~repro.runtime.resilient` — chunked execution with graceful
-  memory degradation (OOM → smaller chunks, bounded retries), the join
-  watchdog (truncate + resume token), and checkpoint/resume;
-* :mod:`~repro.runtime.parallel` — the fault-tolerant pool driver
-  (crash/OOM retry with exponential backoff, broken-pool recovery,
-  bitwise-equal to serial);
+* :mod:`~repro.runtime.resilient` — the serial chunk loop, with
+  graceful memory degradation (OOM → smaller chunks, bounded retries),
+  the join watchdog (truncate + resume token), and checkpoint/resume;
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed chunk
   persistence;
 * :mod:`~repro.runtime.faults` — seeded deterministic fault injection
   (OOMs, worker crashes, rank failures, stragglers, poison queries);
 * :mod:`~repro.runtime.telemetry` — per-attempt observability.
 
+The fault-tolerant pool driver (crash/OOM retry with exponential
+backoff, broken-pool recovery, bitwise-equal to serial) is
+:func:`repro.cluster.parallel.run_parallel`, which runs
+:func:`~repro.runtime.resilient.run_resilient` per worker slice.
 Rank-failure re-execution for the simulated MPI cluster lives with the
 cluster itself (:meth:`repro.cluster.mpi_sim.SimulatedCluster.run`
 accepts a :class:`~repro.runtime.faults.FaultPlan`).
@@ -26,6 +26,7 @@ accepts a :class:`~repro.runtime.faults.FaultPlan`).
 
 from repro.core.join import JoinBudget
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory
+from repro.pipeline.aggregate import COMPLETE, PARTIAL
 from repro.runtime.checkpoint import CheckpointMismatch, CheckpointStore, ChunkPayload
 from repro.runtime.faults import (
     NO_FAULTS,
@@ -34,10 +35,7 @@ from repro.runtime.faults import (
     RankFailure,
     WorkerCrash,
 )
-from repro.runtime.parallel import ParallelResilientResult, run_parallel_resilient
 from repro.runtime.resilient import (
-    COMPLETE,
-    PARTIAL,
     ChunkRecord,
     ResilientResult,
     ResumeToken,
@@ -60,7 +58,6 @@ __all__ = [
     "JoinBudget",
     "NO_FAULTS",
     "PARTIAL",
-    "ParallelResilientResult",
     "PoisonQuery",
     "RankFailure",
     "ResilientResult",
@@ -68,7 +65,6 @@ __all__ = [
     "RunReport",
     "WorkerCrash",
     "combine_results",
-    "run_parallel_resilient",
     "run_resilient",
     "workload_fingerprint",
 ]

@@ -1,7 +1,14 @@
-"""Resilient chunked execution: finish with partial results, never crash.
+"""Chunked execution that finishes with partial results, never crashes.
 
-This is the fault-tolerant counterpart of :func:`repro.core.chunked.
-run_chunked`.  Four recovery mechanisms compose:
+:func:`run_resilient` is the one serial chunk loop (the out-of-core
+decomposition of paper Fig. 12; the pool driver
+:func:`repro.cluster.parallel.run_parallel` runs it per worker slice).
+Queries and data arrive as graph lists or CSR-GO batches; the query side
+is compiled once into a :class:`~repro.pipeline.session.MatcherSession`
+and every chunk is cut from one converted data batch with
+:meth:`~repro.core.csrgo.CSRGO.slice_graphs`.  Chunk ranges come from
+:class:`~repro.pipeline.policies.ChunkingPolicy`.  Four recovery
+mechanisms compose:
 
 1. **Graceful memory degradation** — every chunk's predicted footprint
    (:func:`repro.device.memory.sigmo_footprint_bytes`) is leased from a
@@ -34,15 +41,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import SigmoConfig
-from repro.core.engine import SigmoEngine
-from repro.core.join import FIND_ALL, JoinBudget, JoinStats
+from repro.core.csrgo import CSRGO
+from repro.core.join import FIND_ALL, JoinBudget
 from repro.core.results import MatchRecord
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory, sigmo_footprint_bytes
 from repro.graph.labeled_graph import LabeledGraph
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
 from repro.obs.trace import get_tracer
-from repro.pipeline.aggregate import ResultAccumulator, join_stats_dict
-from repro.pipeline.policies import MemoryBudgetPolicy
+from repro.pipeline.aggregate import (
+    PARTIAL,
+    AggregateResult,
+    ResultAccumulator,
+    join_stats_dict,
+)
+from repro.pipeline.policies import ChunkingPolicy, MemoryBudgetPolicy
+from repro.pipeline.session import MatcherSession
 from repro.runtime import telemetry
 from repro.runtime.checkpoint import (
     STATUS_OK,
@@ -53,9 +66,8 @@ from repro.runtime.checkpoint import (
 from repro.runtime.faults import FaultPlan
 from repro.runtime.telemetry import Attempt, RunReport
 
-#: Run statuses.
-COMPLETE = "complete"
-PARTIAL = "partial"
+#: Graph lists or an already-converted batch: either side of a run.
+Graphs = list[LabeledGraph] | CSRGO
 
 #: Chunk-record statuses (superset of the checkpoint statuses).
 CHUNK_OK = STATUS_OK
@@ -110,33 +122,18 @@ class ChunkRecord:
 
 
 @dataclass
-class ResilientResult:
+class ResilientResult(AggregateResult):
     """Aggregated outcome of a resilient run.
 
     ``matched_pairs`` / ``embeddings`` use global data-graph indices and
-    are ordered by data graph exactly like a serial
-    :func:`~repro.core.chunked.run_chunked` run — degradation and
-    recovery never reorder results.
+    are ordered by data graph exactly like an uninterrupted chunk-by-chunk
+    run — degradation and recovery never reorder results.
     """
 
-    status: str = COMPLETE
-    total_matches: int = 0
-    n_chunks: int = 0
     chunks_from_checkpoint: int = 0
-    peak_memory_bytes: int = 0
-    matched_pairs: list[tuple[int, int]] = field(default_factory=list)
-    embeddings: list[MatchRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    stage_counts: dict[str, int] = field(default_factory=dict)
-    join_stats: JoinStats = field(default_factory=JoinStats)
     chunk_records: list[ChunkRecord] = field(default_factory=list)
     report: RunReport = field(default_factory=RunReport)
     resume_token: ResumeToken | None = None
-
-    @property
-    def total_seconds(self) -> float:
-        """Summed engine wall-clock across all executed segments."""
-        return sum(self.timings.values())
 
 
 def combine_results(*results: ResilientResult) -> ResilientResult:
@@ -161,14 +158,7 @@ def combine_results(*results: ResilientResult) -> ResilientResult:
             for rec in result.chunk_records
             if rec.status == CHUNK_OK
         )
-    out.total_matches = acc.total_matches
-    out.n_chunks = acc.n_chunks
-    out.peak_memory_bytes = acc.peak_memory_bytes
-    out.matched_pairs = acc.matched_pairs
-    out.embeddings = acc.embeddings
-    out.timings = acc.timings
-    out.stage_counts = acc.stage_counts
-    out.join_stats = acc.join_stats
+    acc.fill(out)
     out.chunk_records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
     out.matched_pairs.sort()
     out.embeddings.sort(key=lambda rec: (rec.data_graph, rec.query_graph))
@@ -184,18 +174,26 @@ def combine_results(*results: ResilientResult) -> ResilientResult:
     return out
 
 
+def _content_fingerprint(side: Graphs) -> str:
+    if isinstance(side, CSRGO):
+        return side.content_hash()
+    return graphs_fingerprint(side)
+
+
 def workload_fingerprint(
-    queries: list[LabeledGraph],
-    data: list[LabeledGraph],
-    mode: str,
-    config: SigmoConfig | None,
+    queries: Graphs, data: Graphs, mode: str, config: SigmoConfig | None
 ) -> str:
-    """Fingerprint binding a checkpoint to its exact workload."""
+    """Fingerprint binding a checkpoint to its exact workload.
+
+    Graph lists hash with :func:`~repro.io.serialization.graphs_fingerprint`
+    (stable across releases, so existing checkpoints stay loadable);
+    CSR-GO batches with their :meth:`~repro.core.csrgo.CSRGO.content_hash`.
+    """
     config = config or SigmoConfig()
     text = "|".join(
         (
-            graphs_fingerprint(queries),
-            graphs_fingerprint(data),
+            _content_fingerprint(queries),
+            _content_fingerprint(data),
             mode,
             repr(config),
         )
@@ -203,16 +201,19 @@ def workload_fingerprint(
     return sha256_bytes(text.encode("utf-8"))
 
 
+def _sizes(side: Graphs) -> tuple[int, int]:
+    """(nodes, adjacency slots) of a graph list or CSR-GO batch."""
+    if isinstance(side, CSRGO):
+        return side.n_nodes, side.n_adjacency
+    return sum(g.n_nodes for g in side), 2 * sum(g.n_edges for g in side)
+
+
 def predict_chunk_footprint(
-    queries: list[LabeledGraph],
-    chunk: list[LabeledGraph],
-    word_bits: int = 64,
+    queries: Graphs, chunk: Graphs, word_bits: int = 64
 ) -> dict[str, int]:
     """Predicted device allocations of one chunk's engine run."""
-    n_query_nodes = sum(g.n_nodes for g in queries)
-    n_query_adj = 2 * sum(g.n_edges for g in queries)
-    n_data_nodes = sum(g.n_nodes for g in chunk)
-    n_data_adj = 2 * sum(g.n_edges for g in chunk)
+    n_query_nodes, n_query_adj = _sizes(queries)
+    n_data_nodes, n_data_adj = _sizes(chunk)
     return sigmo_footprint_bytes(
         n_query_nodes, n_data_nodes, n_data_adj, n_query_adj, word_bits
     )
@@ -232,8 +233,8 @@ class _Task:
 
 
 def run_resilient(
-    queries: list[LabeledGraph],
-    data: list[LabeledGraph],
+    queries: Graphs,
+    data: Graphs,
     chunk_size: int | None = 256,
     mode: str = FIND_ALL,
     config: SigmoConfig | None = None,
@@ -248,13 +249,21 @@ def run_resilient(
 ) -> ResilientResult:
     """Run the pipeline over ``data`` with fault-tolerant chunking.
 
+    Results are exactly those of one whole-batch run; only peak memory
+    differs.  Data-graph indices in ``matched_pairs`` and ``embeddings``
+    are global (indices into ``data``).
+
     Parameters
     ----------
+    queries / data:
+        Graph lists or :class:`~repro.core.csrgo.CSRGO` batches.  The
+        query side is compiled once for the whole run; the data side is
+        converted once and each chunk is a ``slice_graphs`` copy.
     chunk_size:
         Data graphs per chunk; ``None`` derives it from the memory budget
         (falling back to single-graph chunks when even that is infeasible
-        — the :class:`~repro.core.chunked.BudgetInfeasible` degradation
-        path).
+        — the :class:`~repro.pipeline.policies.BudgetInfeasible`
+        degradation path).
     memory / memory_budget_bytes:
         Device memory pool (or a plain byte budget) every chunk must fit;
         omitted means unbounded.
@@ -281,7 +290,8 @@ def run_resilient(
         truncated chunk resumes from its persisted pair token, so the
         returned result is the complete run.
     """
-    if not data:
+    n_data = data.n_graphs if isinstance(data, CSRGO) else len(data)
+    if not n_data:
         raise ValueError("at least one data graph is required")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be >= 1 (or None to auto-size)")
@@ -299,10 +309,6 @@ def run_resilient(
             capacity_bytes=memory_budget_bytes, reserve_fraction=0.0
         )
 
-    result = ResilientResult()
-    if chunk_size is None:
-        chunk_size = _auto_chunk_size(queries, data, pool, config, result.report)
-
     store = checkpoint
     if store is not None and not isinstance(store, CheckpointStore):
         store = CheckpointStore(
@@ -310,7 +316,16 @@ def run_resilient(
         )
     cached = store.load() if store is not None else {}
 
-    tasks = _plan_tasks(len(data), chunk_size, cached, resume_token)
+    # Two artifacts (refine + map) are exactly one chunk's worth: a resumed
+    # segment recalls its own chunk's, and nothing older stays alive.
+    session = MatcherSession(queries, config=config, max_cached_artifacts=2)
+    if not isinstance(data, CSRGO):
+        data = CSRGO.from_graphs(data)
+
+    result = ResilientResult()
+    if chunk_size is None:
+        chunk_size = _auto_chunk_size(session.query, data, pool, config, result.report)
+    tasks = _plan_tasks(n_data, chunk_size, cached, resume_token)
     payloads: dict[tuple[int, int, int], ChunkPayload] = {}
 
     # Cached complete chunks contribute directly.
@@ -346,7 +361,7 @@ def run_resilient(
         task = queue.popleft()
         outcome = _run_task(
             task,
-            queries,
+            session,
             data,
             mode,
             config,
@@ -369,14 +384,7 @@ def run_resilient(
     acc = ResultAccumulator()
     for key in sorted(payloads):
         acc.add_payload(payloads[key])
-    result.total_matches = acc.total_matches
-    result.matched_pairs = acc.matched_pairs
-    result.embeddings = acc.embeddings
-    result.timings = acc.timings
-    result.stage_counts = acc.stage_counts
-    result.join_stats = acc.join_stats
-    result.peak_memory_bytes = acc.peak_memory_bytes
-    result.n_chunks = acc.n_chunks
+    acc.fill(result)
     if pool is not None:
         result.peak_memory_bytes = max(result.peak_memory_bytes, pool.peak)
     bad = [
@@ -391,20 +399,20 @@ def run_resilient(
 
 
 def _auto_chunk_size(
-    queries: list[LabeledGraph],
-    data: list[LabeledGraph],
+    query: CSRGO,
+    data: CSRGO,
     pool: DeviceMemoryPool | None,
     config: SigmoConfig,
     report: RunReport,
 ) -> int:
     """Derive the chunk size from the pool budget (degrading to 1)."""
     if pool is None:
-        return len(data)
+        return data.n_graphs
     policy = MemoryBudgetPolicy(capacity_bytes=pool.capacity)
     size, degradation = policy.auto_chunk_size(
-        sum(g.n_nodes for g in queries),
-        sum(g.n_nodes for g in data) / len(data),
-        len(data),
+        query.n_nodes,
+        data.n_nodes / data.n_graphs,
+        data.n_graphs,
         word_bits=config.word_bits,
     )
     if degradation is not None:
@@ -459,23 +467,21 @@ def _plan_tasks(
         for key, payload in cached.items()
         if payload.status == STATUS_TRUNCATED
     }
+    policy = ChunkingPolicy(chunk_size)
     position = span_start
     boundaries = [key for key in done if key[1] > span_start] + [(n_data, n_data)]
     for start, stop in boundaries:
-        start = max(start, span_start)
-        while position < start:
-            chunk_stop = min(position + chunk_size, start)
-            key = (position, chunk_stop)
-            prior = truncated.get(key)
+        # Chunk the gap before this completed range (empty when covered).
+        for unit in policy.units(position, max(start, span_start)):
+            prior = truncated.get((unit.start, unit.stop))
             tasks.append(
                 _Task(
-                    start=position,
-                    stop=chunk_stop,
+                    start=unit.start,
+                    stop=unit.stop,
                     next_pair=prior.next_pair if prior else 0,
                     prior=prior,
                 )
             )
-            position = chunk_stop
         position = max(position, stop)
     tasks.sort(key=lambda t: t.start)
     return tasks
@@ -483,8 +489,8 @@ def _plan_tasks(
 
 def _run_task(
     task: _Task,
-    queries: list[LabeledGraph],
-    data: list[LabeledGraph],
+    session: MatcherSession,
+    data: CSRGO,
     mode: str,
     config: SigmoConfig,
     pool: DeviceMemoryPool | None,
@@ -499,9 +505,9 @@ def _run_task(
 ) -> str:
     """Execute one range with retries; returns ``"done"`` or ``"token-stop"``."""
     unit = f"chunk[{task.start}:{task.stop}]"
-    chunk = data[task.start : task.stop]
+    chunk = data.slice_graphs(task.start, task.stop)
     span = task.stop - task.start
-    footprint = predict_chunk_footprint(queries, chunk, config.word_bits)
+    footprint = predict_chunk_footprint(session.query, chunk, config.word_bits)
 
     # A single graph that cannot ever fit is infeasible, not retryable.
     if pool is not None and span == 1 and sum(footprint.values()) > pool.capacity:
@@ -541,11 +547,11 @@ def _run_task(
             if pool is not None:
                 with pool.lease(footprint, tag=unit):
                     payload, n_segments = _run_segments(
-                        task, queries, chunk, mode, config, join_budget, on_truncate
+                        task, session, chunk, mode, join_budget, on_truncate
                     )
             else:
                 payload, n_segments = _run_segments(
-                    task, queries, chunk, mode, config, join_budget, on_truncate
+                    task, session, chunk, mode, join_budget, on_truncate
                 )
     except DeviceOutOfMemory as exc:
         chunk_sp.set(outcome=telemetry.OOM)
@@ -666,10 +672,9 @@ def _run_task(
 
 def _run_segments(
     task: _Task,
-    queries: list[LabeledGraph],
-    chunk: list[LabeledGraph],
+    session: MatcherSession,
+    chunk: CSRGO,
     mode: str,
-    config: SigmoConfig,
     join_budget: JoinBudget | None,
     on_truncate: str,
 ) -> tuple[ChunkPayload, int]:
@@ -677,16 +682,21 @@ def _run_segments(
 
     Returns the accumulated payload for the pairs processed in *this*
     call (the caller merges any prior checkpointed progress) plus the
-    number of budgeted segments it took.
+    number of budgeted segments it took.  Only resumed segments recall
+    the chunk's filter/GMCR artifacts (``SigmoEngine.run``'s rule), so
+    stage counts match a fresh engine per chunk.
     """
     payload = ChunkPayload(start=task.start, stop=task.stop)
-    engine = SigmoEngine(queries, chunk, config)
     next_pair = task.next_pair
     n_segments = 0
     while True:
         n_segments += 1
-        run = engine.run(
-            mode=mode, join_budget=join_budget, join_start_pair=next_pair
+        run = session.match(
+            chunk,
+            mode=mode,
+            join_budget=join_budget,
+            join_start_pair=next_pair,
+            reuse=next_pair > 0,
         )
         payload.total_matches += run.total_matches
         payload.matched_pairs.extend(

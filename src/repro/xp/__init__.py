@@ -13,8 +13,8 @@ Two backends register at import time:
 * ``instrumented`` — numpy wrapped in per-op call/byte counters with
   dtype strictness and the dense scipy-free signature kernel.
 
-CuPy/torch adapters register themselves only when their libraries are
-importable (see :mod:`repro.xp.adapters`).
+Further backends register with :func:`register_backend`; the recipe is
+in ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ __all__ = [
 
 register_backend(NumpyBackend())
 register_backend(InstrumentedBackend())
-
-from repro.xp import adapters as _adapters  # noqa: E402  (needs registry)
-
-_adapters.register_optional()
 
 
 def __getattr__(name: str):

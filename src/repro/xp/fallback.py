@@ -1,89 +1,14 @@
-"""Generic shim implementations built from portable backend ops.
+"""Dense scipy-free signature kernel, the non-numpy shim fallback.
 
-Every function takes the backend instance (``be``) first and composes
-only :data:`repro.xp.contract.ARRAY_API_FUNCTIONS` operations (plus
-basic indexing), so any backend that provides the array-API subset gets
-working shims for free.  They are exact — bit-for-bit equal to the
-specialized NumPy implementations — just slower, which is the right
-trade for a portability fallback (real device backends override the hot
-ones with native calls: ``cupy.packbits``, atomic OR, cuSPARSE).
+The ``signature_kernel`` shim of :mod:`repro.xp.contract` is the one
+shim without a portable array-API spelling on the numpy backend (it uses
+scipy-sparse products).  :class:`DenseSignatureKernel` composes only
+array-API operations, so any backend without a sparse library — the
+``instrumented`` backend today, and the numpy backend when scipy is
+missing — gets an exact, memory-capped implementation.
 """
 
 from __future__ import annotations
-
-_UNSIGNED_BY_BITS = {8: "uint8", 16: "uint16", 32: "uint32", 64: "uint64"}
-
-
-def word_dtype_of(be, word_bits: int):
-    """The backend's unsigned dtype for a bitmap word width."""
-    try:
-        return be.dtype(getattr(be, _UNSIGNED_BY_BITS[word_bits]))
-    except KeyError:
-        raise ValueError(
-            f"word_bits must be one of {sorted(_UNSIGNED_BY_BITS)}, "
-            f"got {word_bits}"
-        ) from None
-
-
-def pack_bits_generic(be, padded, word_bits: int):
-    """LSB-first word packing of ``bool[n_rows, n_words * word_bits]``.
-
-    Weight-and-sum replacement for the NumPy ``packbits`` + ``view``
-    trick: bit ``j`` of a word contributes ``2**j``, summed per word in
-    ``uint64`` (exact for every supported width).
-    """
-    n_rows = padded.shape[0]
-    grouped = be.astype(
-        padded.reshape(n_rows, -1, word_bits), be.uint64
-    )
-    weights = be.uint64(1) << be.arange(word_bits, dtype=be.uint64)
-    words = (grouped * weights).sum(axis=-1, dtype=be.uint64)
-    return be.astype(words, word_dtype_of(be, word_bits))
-
-
-def unpack_bits_generic(be, words, n_bits: int, word_bits: int):
-    """Inverse of :func:`pack_bits_generic` (trailing padding dropped)."""
-    words = be.astype(be.asarray(words), be.uint64)
-    shifts = be.arange(word_bits, dtype=be.uint64)
-    bits = (words[..., None] >> shifts) & be.uint64(1)
-    flat = bits.reshape(*words.shape[:-1], -1)
-    return be.astype(flat[..., :n_bits], be.bool_)
-
-
-def view_u8_generic(be, arr):
-    """Little-endian byte expansion of an unsigned integer array."""
-    arr = be.asarray(arr)
-    itemsize = arr.dtype.itemsize
-    wide = be.astype(arr, be.uint64)
-    shifts = be.uint64(8) * be.arange(itemsize, dtype=be.uint64)
-    bytes_ = (wide[..., None] >> shifts) & be.uint64(0xFF)
-    return be.astype(bytes_.reshape(*arr.shape[:-1], -1), be.uint8)
-
-
-def scatter_or_generic(be, target, idx, values) -> None:
-    """In-place grouped OR — the portable stand-in for an atomic OR.
-
-    Scalar loop over the (few) colliding slots; device backends replace
-    this with their native atomic OR scatter.
-    """
-    del be  # uniform shim signature
-    for i, v in zip(idx.tolist(), values.tolist()):
-        target[i] |= v
-
-
-def divmod_generic(be, a, b):
-    """Simultaneous floor quotient and remainder."""
-    return be.floor_divide(a, b), be.remainder(a, b)
-
-
-def popcount_generic(be, arr):
-    """Per-element population count via shift-and-mask accumulation."""
-    arr = be.asarray(arr)
-    nbits = arr.dtype.itemsize * 8
-    wide = be.astype(arr, be.uint64)
-    shifts = be.arange(nbits, dtype=be.uint64)
-    bits = (wide[..., None] >> shifts) & be.uint64(1)
-    return be.astype(bits.sum(axis=-1, dtype=be.uint64), arr.dtype)
 
 
 #: Largest ``n_nodes**2`` the dense signature fallback will allocate

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import parallel
 from repro.cluster.parallel import run_parallel
 from repro.cluster.shm import (
     CSRGO_FIELDS,
@@ -11,10 +12,10 @@ from repro.cluster.shm import (
     attached_csrgo,
     detach_all,
 )
-from repro.core.chunked import run_chunked, run_chunked_csrgo
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
+from repro.runtime import run_resilient
 
 pytestmark = pytest.mark.perf_accel
 
@@ -82,8 +83,8 @@ class TestRoundtrip:
 class TestChunkedCSRGO:
     def test_matches_list_based_chunking(self, bench):
         config = SigmoConfig(record_embeddings=True)
-        by_list = run_chunked(bench.queries, bench.data, 7, config=config)
-        by_csrgo = run_chunked_csrgo(
+        by_list = run_resilient(bench.queries, bench.data, 7, config=config)
+        by_csrgo = run_resilient(
             CSRGO.from_graphs(bench.queries),
             CSRGO.from_graphs(bench.data),
             7,
@@ -101,36 +102,47 @@ class TestChunkedCSRGO:
     def test_graph_range_slice(self, bench):
         query = CSRGO.from_graphs(bench.queries)
         data = CSRGO.from_graphs(bench.data)
-        whole = run_chunked_csrgo(query, data, 7)
-        part = run_chunked_csrgo(query, data, 7, start_graph=10, stop_graph=30)
+        whole = run_resilient(query, data, 7)
+        part = run_resilient(query, data.slice_graphs(10, 30), 7)
         subset = [
             (d - 10, q) for d, q in whole.matched_pairs if 10 <= d < 30
         ]
         assert sorted(part.matched_pairs) == sorted(subset)
 
     def test_invalid_range_rejected(self, bench):
-        query = CSRGO.from_graphs(bench.queries)
         data = CSRGO.from_graphs(bench.data[:5])
         with pytest.raises(ValueError, match="graph range"):
-            run_chunked_csrgo(query, data, 2, start_graph=3, stop_graph=9)
+            data.slice_graphs(3, 9)
+
+
+def _no_shared_memory(csrgo):
+    raise OSError("shared memory disabled for this test")
+
+
+def pickled(monkeypatch, *args, **kwargs):
+    """``run_parallel`` forced onto its pickle fallback."""
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "SharedCSRGO", _no_shared_memory)
+        with pytest.warns(RuntimeWarning, match="falling back to pickle"):
+            return run_parallel(*args, **kwargs)
 
 
 class TestParallelSharedMemory:
-    def test_bitwise_equal_to_pickle_transport(self, bench):
+    def test_bitwise_equal_to_pickle_transport(self, bench, monkeypatch):
         config = SigmoConfig(record_embeddings=True)
-        pick = run_parallel(
-            bench.queries, bench.data, n_workers=3, chunk_size=9,
-            config=config, use_shared_memory=False,
+        pick = pickled(
+            monkeypatch, bench.queries, bench.data, n_workers=3, chunk_size=9,
+            config=config,
         )
         shm = run_parallel(
-            bench.queries, bench.data, n_workers=3, chunk_size=9,
-            config=config, use_shared_memory=True,
+            bench.queries, bench.data, n_workers=3, chunk_size=9, config=config,
         )
         assert pick.transport == "pickle"
         assert shm.transport == "shared-memory"
         assert shm.total_matches == pick.total_matches
         assert shm.n_chunks == pick.n_chunks
         assert shm.matched_pairs == pick.matched_pairs
+        assert shm.stage_counts == pick.stage_counts
         embs = lambda r: sorted(
             (e.data_graph, e.query_graph, tuple(e.mapping.tolist()))
             for e in r.embeddings
@@ -138,25 +150,19 @@ class TestParallelSharedMemory:
         assert embs(shm) == embs(pick)
 
     def test_single_worker_in_process_path(self, bench):
-        serial = run_parallel(
-            bench.queries, bench.data, n_workers=1, chunk_size=9,
-            use_shared_memory=False,
-        )
-        shm = run_parallel(
-            bench.queries, bench.data, n_workers=1, chunk_size=9,
-            use_shared_memory=True,
-        )
+        serial = run_resilient(bench.queries, bench.data, 9)
+        shm = run_parallel(bench.queries, bench.data, n_workers=1, chunk_size=9)
         assert shm.transport == "shared-memory"
         assert shm.total_matches == serial.total_matches
 
-    def test_find_first_mode(self, bench):
-        pick = run_parallel(
-            bench.queries, bench.data, n_workers=2, chunk_size=9,
-            mode="find-first", use_shared_memory=False,
+    def test_find_first_mode(self, bench, monkeypatch):
+        pick = pickled(
+            monkeypatch, bench.queries, bench.data, n_workers=2, chunk_size=9,
+            mode="find-first",
         )
         shm = run_parallel(
             bench.queries, bench.data, n_workers=2, chunk_size=9,
-            mode="find-first", use_shared_memory=True,
+            mode="find-first",
         )
         assert shm.total_matches == pick.total_matches
         assert shm.matched_pairs == pick.matched_pairs

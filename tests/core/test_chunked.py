@@ -1,16 +1,11 @@
-"""Unit tests for chunked (out-of-core) execution."""
+"""Unit tests for chunked (out-of-core) execution via ``run_resilient``."""
 
-import numpy as np
 import pytest
 
-from repro.core.chunked import (
-    BudgetInfeasible,
-    ChunkedResult,
-    chunk_size_for_budget,
-    run_chunked,
-)
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
+from repro.pipeline.policies import BudgetInfeasible, chunk_size_for_budget
+from repro.runtime import run_resilient
 
 
 @pytest.fixture(scope="module")
@@ -23,45 +18,45 @@ class TestEquivalence:
         queries, data = workload
         full = SigmoEngine(queries, data).run()
         for chunk_size in (1, 7, 30, 100):
-            chunked = run_chunked(queries, data, chunk_size)
+            chunked = run_resilient(queries, data, chunk_size)
             assert chunked.total_matches == full.total_matches, chunk_size
 
     def test_matched_pairs_globalized(self, workload):
         queries, data = workload
         full = SigmoEngine(queries, data).run(mode="find-first")
-        chunked = run_chunked(queries, data, 7, mode="find-first")
+        chunked = run_resilient(queries, data, 7, mode="find-first")
         assert sorted(chunked.matched_pairs) == sorted(full.matched_pairs())
 
     def test_embeddings_globalized(self, workload):
         queries, data = workload
         cfg = SigmoConfig(record_embeddings=True)
         full = SigmoEngine(queries, data, cfg).run()
-        chunked = run_chunked(queries, data, 11, config=cfg)
+        chunked = run_resilient(queries, data, 11, config=cfg)
         assert {(r.data_graph, r.query_graph, tuple(r.mapping)) for r in full.embeddings} == {
             (r.data_graph, r.query_graph, tuple(r.mapping)) for r in chunked.embeddings
         }
 
     def test_chunk_count(self, workload):
         queries, data = workload
-        assert run_chunked(queries, data, 7).n_chunks == -(-len(data) // 7)
+        assert run_resilient(queries, data, 7).n_chunks == -(-len(data) // 7)
 
 
 class TestMemoryBound:
     def test_peak_memory_below_full_run(self, workload):
         queries, data = workload
         full = SigmoEngine(queries, data).run()
-        chunked = run_chunked(queries, data, 5)
+        chunked = run_resilient(queries, data, 5)
         assert chunked.peak_memory_bytes < full.memory.total
 
     def test_smaller_chunks_smaller_peak(self, workload):
         queries, data = workload
-        small = run_chunked(queries, data, 3)
-        large = run_chunked(queries, data, 15)
+        small = run_resilient(queries, data, 3)
+        large = run_resilient(queries, data, 15)
         assert small.peak_memory_bytes <= large.peak_memory_bytes
 
     def test_timings_accumulate(self, workload):
         queries, data = workload
-        chunked = run_chunked(queries, data, 10)
+        chunked = run_resilient(queries, data, 10)
         assert chunked.total_seconds > 0
         assert "join" in chunked.timings
 
@@ -70,12 +65,12 @@ class TestValidation:
     def test_bad_chunk_size(self, workload):
         queries, data = workload
         with pytest.raises(ValueError):
-            run_chunked(queries, data, 0)
+            run_resilient(queries, data, 0)
 
     def test_empty_data(self, workload):
         queries, _ = workload
         with pytest.raises(ValueError):
-            run_chunked(queries, [], 5)
+            run_resilient(queries, [], 5)
 
 
 class TestBudgetHelper:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from repro.core.chunked import run_chunked
 from repro.core.config import SigmoConfig
 from repro.core.engine import find_all
+from repro.runtime import run_resilient
 from tests.conftest import random_case
 
 
@@ -43,7 +43,7 @@ class TestChunkedCombinations:
         queries = [c[0] for c in cases[:2]]
         data = [c[1] for c in cases]
         full = find_all(queries, data, cfg).total_matches
-        chunked = run_chunked(queries, data, 2, config=cfg).total_matches
+        chunked = run_resilient(queries, data, 2, config=cfg).total_matches
         assert full == chunked
 
     def test_wildcards_with_edge_signatures_and_chunking(self):
@@ -59,4 +59,4 @@ class TestChunkedCombinations:
         cfg_full = wildcard_config(edge_signatures=True)
         base = find_all([pattern], mols, cfg_plain).total_matches
         assert find_all([pattern], mols, cfg_full).total_matches == base
-        assert run_chunked([pattern], mols, 1, config=cfg_full).total_matches == base
+        assert run_resilient([pattern], mols, 1, config=cfg_full).total_matches == base

@@ -5,7 +5,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.chunked import run_chunked
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
@@ -15,6 +14,7 @@ from repro.core.join_bfs import run_bfs_join
 from repro.core.mapping import build_gmcr
 from repro.graph.canonical import canonical_form, relabel
 from repro.graph.generators import random_connected_graph, random_subgraph_pattern
+from repro.runtime import run_resilient
 
 SETTINGS = dict(
     max_examples=20,
@@ -43,7 +43,7 @@ class TestChunkingProperties:
     def test_chunking_invariant(self, workload, chunk_size):
         queries, data = workload
         full = SigmoEngine(queries, data).run()
-        chunked = run_chunked(queries, data, chunk_size)
+        chunked = run_resilient(queries, data, chunk_size)
         assert chunked.total_matches == full.total_matches
 
 

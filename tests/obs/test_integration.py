@@ -3,7 +3,7 @@
 Covers the PR's acceptance criteria: a traced ``find_all`` run produces a
 four-level span hierarchy (run -> stage -> kernel -> work-group), tracing
 never changes match results, the no-op tracer is cheap, per-stage counts
-aggregate correctly through chunked/resilient/checkpointed execution, the
+aggregate correctly through chunked/resumed/checkpointed execution, the
 runtime report speaks the metrics schema, and ``repro profile`` round-trips
 through its JSON/trace/baseline flags.
 """
@@ -16,9 +16,9 @@ import pytest
 
 from repro.chem.datasets import build_benchmark
 from repro.cli import main as cli_main
-from repro.core.chunked import run_chunked
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
+from repro.core.join import JoinBudget
 from repro.obs.export import (
     load_metrics,
     stable_json,
@@ -134,28 +134,49 @@ class TestStageCounts:
 
     def test_chunked_run_sums_counts_across_chunks(self, dataset):
         whole = run_once(dataset)
-        chunked = run_chunked(
-            dataset.queries,
-            dataset.data,
-            chunk_size=10,
-            config=SigmoConfig(refinement_iterations=ITERATIONS),
+        config = SigmoConfig(refinement_iterations=ITERATIONS)
+        chunked = run_resilient(
+            dataset.queries, dataset.data, chunk_size=10, config=config
         )
         assert chunked.n_chunks == 3
         assert chunked.total_matches == whole.total_matches
         assert chunked.stage_counts["join"] == chunked.n_chunks
+        per_chunk = [
+            SigmoEngine(dataset.queries, dataset.data[lo : lo + 10], config).run()
+            for lo in range(0, N_DATA, 10)
+        ]
         for stage, n in chunked.stage_counts.items():
-            assert n == sum(
-                r.stage_counts.get(stage, 0) for r in chunked.chunk_results
-            )
+            assert n == sum(r.stage_counts.get(stage, 0) for r in per_chunk)
 
     def test_resilient_run_matches_chunked_counts(self, dataset):
+        # Resumed segments recall their chunk's filter/GMCR artifacts, as
+        # SigmoEngine.run does for join_start_pair > 0: the counts equal a
+        # fresh engine per chunk driven through the same resume chain.
         config = SigmoConfig(refinement_iterations=ITERATIONS)
-        chunked = run_chunked(dataset.queries, dataset.data, 10, config=config)
+        budget = JoinBudget(max_matches=20)
+        expected: dict[str, int] = {}
+        segments = 0
+        for lo in range(0, N_DATA, 10):
+            engine = SigmoEngine(dataset.queries, dataset.data[lo : lo + 10], config)
+            start = 0
+            while True:
+                run = engine.run(join_budget=budget, join_start_pair=start)
+                segments += 1
+                for stage, n in run.stage_counts.items():
+                    expected[stage] = expected.get(stage, 0) + n
+                if not run.truncated:
+                    break
+                start = run.resume_pair
         resilient = run_resilient(
-            dataset.queries, dataset.data, chunk_size=10, config=config
+            dataset.queries,
+            dataset.data,
+            chunk_size=10,
+            config=config,
+            join_budget=budget,
         )
-        assert resilient.total_matches == chunked.total_matches
-        assert resilient.stage_counts == chunked.stage_counts
+        assert segments > resilient.n_chunks  # the budget really truncated
+        assert sum(r.segments for r in resilient.chunk_records) == segments
+        assert resilient.stage_counts == expected
 
     def test_checkpoint_roundtrip_preserves_counts(self, dataset, tmp_path):
         config = SigmoConfig(refinement_iterations=ITERATIONS)

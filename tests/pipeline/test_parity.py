@@ -1,25 +1,24 @@
-"""Cross-driver parity: one seeded workload, seven entry points, one answer.
+"""Cross-driver parity: one seeded workload, every entry point, one answer.
 
-The multi-layer refactor's acceptance criterion: every legacy driver —
-``SigmoEngine.run``, ``run_chunked``, ``run_chunked_csrgo``,
-``run_resilient``, ``run_parallel``, ``run_parallel_resilient`` — is now a
-thin adapter over the one :class:`~repro.pipeline.PipelineExecutor`, and
-all of them (plus the executor invoked directly) must produce identical
-match sets, embeddings, summed :class:`~repro.core.join.JoinStats`, and —
-for drivers sharing a partition — identical ``stage_counts``.
+Every run entry point — ``SigmoEngine.run``, the serial chunk loop
+``run_resilient`` (over graph lists or CSR-GO batches) and the pool
+driver ``run_parallel`` — is a thin adapter over the one
+:class:`~repro.pipeline.PipelineExecutor`, and all of them (plus the
+executor invoked directly) must produce identical match sets,
+embeddings, summed :class:`~repro.core.join.JoinStats`, and — for
+drivers sharing a partition — identical ``stage_counts``.
 """
 
 import pytest
 
 from repro.chem.datasets import build_benchmark
 from repro.cluster.parallel import run_parallel
-from repro.core.chunked import run_chunked, run_chunked_csrgo
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import JoinStats
 from repro.pipeline import PipelineRequest, default_executor
-from repro.runtime.parallel import run_parallel_resilient
+from repro.runtime import FaultPlan
 from repro.runtime.resilient import run_resilient
 
 pytestmark = pytest.mark.pipeline
@@ -79,14 +78,9 @@ class TestDriverParity:
         )
 
     def test_run_chunked(self, dataset, config, reference):
-        result = run_chunked(dataset.queries, dataset.data, CHUNK, config=config)
+        # The serial chunk loop called positionally, as a plain chunked run.
+        result = run_resilient(dataset.queries, dataset.data, CHUNK, config=config)
         assert result.n_chunks == 3
-        self.check(result, reference)
-
-    def test_run_chunked_csrgo(self, dataset, config, reference):
-        query = CSRGO.from_graphs(dataset.queries)
-        data = CSRGO.from_graphs(dataset.data)
-        result = run_chunked_csrgo(query, data, CHUNK, config=config)
         self.check(result, reference)
 
     def test_run_resilient(self, dataset, config, reference):
@@ -94,6 +88,12 @@ class TestDriverParity:
             dataset.queries, dataset.data, chunk_size=CHUNK, config=config
         )
         assert result.status == "complete"
+        self.check(result, reference)
+
+    def test_run_resilient_csrgo(self, dataset, config, reference):
+        query = CSRGO.from_graphs(dataset.queries)
+        data = CSRGO.from_graphs(dataset.data)
+        result = run_resilient(query, data, CHUNK, config=config)
         self.check(result, reference)
 
     def test_run_parallel(self, dataset, config, reference):
@@ -107,14 +107,18 @@ class TestDriverParity:
         self.check(result, reference)
 
     def test_run_parallel_resilient(self, dataset, config, reference):
-        result = run_parallel_resilient(
+        # The pool driver's fault-tolerant path: a soft crash on slice 0 is
+        # retried and the run still reproduces the whole-batch reference.
+        result = run_parallel(
             dataset.queries,
             dataset.data,
             n_workers=2,
             chunk_size=CHUNK,
             config=config,
+            fault_plan=FaultPlan(crash_at=((0, 0),)),
         )
         assert result.status == "complete"
+        assert result.failed_slices == []
         self.check(result, reference)
 
     def test_executor_direct(self, dataset, config, reference):
@@ -137,19 +141,26 @@ class TestSharedPartition:
     """Drivers cutting the data identically must agree on everything."""
 
     def test_chunked_vs_resilient(self, dataset, config):
-        chunked = run_chunked(dataset.queries, dataset.data, CHUNK, config=config)
-        resilient = run_resilient(
+        # Graph-list and CSR-GO inputs to the serial chunk loop cut the
+        # data identically.
+        lists = run_resilient(
             dataset.queries, dataset.data, chunk_size=CHUNK, config=config
         )
-        assert resilient.matched_pairs == chunked.matched_pairs
-        assert resilient.embeddings == chunked.embeddings
-        assert resilient.stage_counts == chunked.stage_counts
-        assert stats_tuple(resilient.join_stats) == stats_tuple(
-            chunked.join_stats
+        batches = run_resilient(
+            CSRGO.from_graphs(dataset.queries),
+            CSRGO.from_graphs(dataset.data),
+            CHUNK,
+            config=config,
         )
+        assert batches.matched_pairs == lists.matched_pairs
+        assert batches.embeddings == lists.embeddings
+        assert batches.stage_counts == lists.stage_counts
+        assert stats_tuple(batches.join_stats) == stats_tuple(lists.join_stats)
 
     def test_single_worker_pool_vs_chunked(self, dataset, config):
-        chunked = run_chunked(dataset.queries, dataset.data, CHUNK, config=config)
+        serial = run_resilient(
+            dataset.queries, dataset.data, chunk_size=CHUNK, config=config
+        )
         pooled = run_parallel(
             dataset.queries,
             dataset.data,
@@ -157,9 +168,10 @@ class TestSharedPartition:
             chunk_size=CHUNK,
             config=config,
         )
-        assert pooled.matched_pairs == sorted(chunked.matched_pairs)
-        assert pooled.stage_counts == chunked.stage_counts
-        assert stats_tuple(pooled.join_stats) == stats_tuple(chunked.join_stats)
+        assert pooled.matched_pairs == sorted(serial.matched_pairs)
+        assert pooled.embeddings == serial.embeddings
+        assert pooled.stage_counts == serial.stage_counts
+        assert stats_tuple(pooled.join_stats) == stats_tuple(serial.join_stats)
 
     def test_pool_vs_resilient_pool(self, dataset, config):
         plain = run_parallel(
@@ -169,23 +181,27 @@ class TestSharedPartition:
             chunk_size=CHUNK,
             config=config,
         )
-        resilient = run_parallel_resilient(
+        # A retried soft crash re-runs the same slice, so the partition and
+        # therefore every counter are unchanged.
+        recovered = run_parallel(
             dataset.queries,
             dataset.data,
             n_workers=2,
             chunk_size=CHUNK,
             config=config,
+            fault_plan=FaultPlan(crash_at=((0, 0),)),
         )
-        assert resilient.matched_pairs == plain.matched_pairs
-        assert resilient.stage_counts == plain.stage_counts
-        assert stats_tuple(resilient.join_stats) == stats_tuple(plain.join_stats)
+        assert recovered.status == plain.status == "complete"
+        assert recovered.matched_pairs == plain.matched_pairs
+        assert recovered.stage_counts == plain.stage_counts
+        assert stats_tuple(recovered.join_stats) == stats_tuple(plain.join_stats)
 
 
 class TestFindFirstParity:
     def test_modes_agree_across_drivers(self, dataset, config, reference):
         engine = SigmoEngine(dataset.queries, dataset.data, config)
         first = engine.run(mode="find-first")
-        chunked = run_chunked(
+        chunked = run_resilient(
             dataset.queries, dataset.data, CHUNK, mode="find-first", config=config
         )
         assert chunked.total_matches == first.total_matches

@@ -14,7 +14,6 @@ from repro.pipeline import (
     PIPELINE_STAGES,
     RetryPolicy,
     StageArtifact,
-    TruncationPolicy,
     derive_n_labels,
     filter_fingerprint,
     partition_slices,
@@ -198,8 +197,3 @@ class TestPolicies:
         tiny = MemoryBudgetPolicy(capacity_bytes=1)
         size, note = tiny.auto_chunk_size(10_000, 10_000.0, 100)
         assert size == 1 and note  # degraded to single-graph chunks
-
-    def test_truncation_policy_validates_mode(self):
-        assert TruncationPolicy().on_truncate == "resume"
-        with pytest.raises(ValueError, match="on_truncate"):
-            TruncationPolicy(on_truncate="abort")

@@ -1,11 +1,31 @@
 """Integration tests for the fault-tolerant pool driver."""
 
+import os
+
 import pytest
 
+from repro.cluster import parallel
+from repro.cluster.parallel import run_parallel
+from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
-from repro.runtime import COMPLETE, PARTIAL, FaultPlan, run_parallel_resilient
+from repro.runtime import COMPLETE, PARTIAL, FaultPlan, run_resilient
 
 pytestmark = pytest.mark.robustness
+
+_REAL_WORKER = parallel._slice_worker
+
+
+def _recording_worker(job):
+    """The real slice worker, also writing its summed engine seconds to disk.
+
+    Module-level so the pool can pickle it by reference; the directory
+    comes through the environment, which forked workers inherit.
+    """
+    result = _REAL_WORKER(job)
+    path = os.path.join(os.environ["SIGMO_SLICE_SECONDS_DIR"], f"slice-{job.index}")
+    with open(path, "w") as fh:
+        fh.write(repr(result.total_seconds))
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -27,44 +47,77 @@ def assert_equals_serial(result, serial):
 class TestFaultFree:
     def test_matches_serial(self, workload, serial):
         queries, data = workload
-        result = run_parallel_resilient(queries, data, n_workers=3, chunk_size=5)
+        result = run_parallel(queries, data, n_workers=3, chunk_size=5)
         assert result.status == COMPLETE
         assert result.report.n_retries == 0
         assert_equals_serial(result, serial)
 
     def test_timings_and_chunks_aggregate(self, workload):
         queries, data = workload
-        result = run_parallel_resilient(queries, data, n_workers=3, chunk_size=5)
+        result = run_parallel(queries, data, n_workers=3, chunk_size=5)
         assert result.n_chunks == 6  # 3 slices of 8 graphs, chunked by 5
         assert "join" in result.timings and result.total_seconds > 0
+
+    def test_attempt_seconds_cover_the_slice_run(
+        self, workload, tmp_path, monkeypatch
+    ):
+        # Each attempt is timed once its own result has arrived, so it
+        # spans at least the engine time the worker spent on the slice.
+        monkeypatch.setenv("SIGMO_SLICE_SECONDS_DIR", str(tmp_path))
+        monkeypatch.setattr(parallel, "_slice_worker", _recording_worker)
+        queries, data = workload
+        result = run_parallel(queries, data, n_workers=3, chunk_size=5)
+        ok = [a for a in result.report.attempts if a.outcome == "ok"]
+        assert len(ok) == 3
+        for attempt in ok:
+            name = attempt.unit.split("[")[0]
+            assert attempt.seconds >= float((tmp_path / name).read_text())
 
     def test_validation(self, workload):
         queries, data = workload
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, [])
+            run_parallel(queries, [])
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, data, chunk_size=0)
+            run_parallel(queries, data, chunk_size=0)
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, data, max_attempts=0)
+            run_parallel(queries, data, max_attempts=0)
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, data, backoff_factor=0.5)
+            run_parallel(queries, data, backoff_factor=0.5)
 
 
 class TestRecovery:
     def test_soft_crashes_and_ooms_recovered(self, workload, serial):
         queries, data = workload
         plan = FaultPlan(seed=1, crash_rate=0.6, oom_rate=0.3, fault_attempts=2)
-        result = run_parallel_resilient(
+        result = run_parallel(
             queries, data, n_workers=3, chunk_size=5, fault_plan=plan, max_attempts=6
         )
         assert result.status == COMPLETE
         assert result.report.n_retries > 0
         assert_equals_serial(result, serial)
 
+    def test_soft_crash_and_oom_over_shared_memory(self, workload):
+        queries, data = workload
+        config = SigmoConfig(record_embeddings=True)
+        reference = run_resilient(queries, data, chunk_size=5, config=config)
+        plan = FaultPlan(crash_at=((0, 0),), oom_at=((1, 0),))
+        result = run_parallel(
+            queries, data, n_workers=3, chunk_size=5, config=config,
+            fault_plan=plan, max_attempts=3,
+        )
+        assert result.transport == "shared-memory"
+        assert result.status == COMPLETE
+        outcomes = [(a.unit.split("[")[0], a.outcome) for a in result.report.attempts]
+        assert ("slice-0", "crash") in outcomes and ("slice-1", "oom") in outcomes
+        assert result.total_matches == reference.total_matches
+        assert result.matched_pairs == sorted(reference.matched_pairs)
+        assert result.embeddings == reference.embeddings
+        assert result.join_stats == reference.join_stats
+
     def test_oom_halves_chunk_size(self, workload, serial):
         queries, data = workload
         plan = FaultPlan(oom_at=((0, 0), (0, 1)))
-        result = run_parallel_resilient(
+        result = run_parallel(
             queries, data, n_workers=3, chunk_size=8, fault_plan=plan, max_attempts=6
         )
         assert result.status == COMPLETE
@@ -77,7 +130,7 @@ class TestRecovery:
     def test_hard_crash_breaks_and_rebuilds_pool(self, workload, serial):
         queries, data = workload
         plan = FaultPlan(crash_at=((1, 0),), crash_hard=True)
-        result = run_parallel_resilient(
+        result = run_parallel(
             queries, data, n_workers=3, chunk_size=5, fault_plan=plan, max_attempts=6
         )
         assert result.status == COMPLETE
@@ -88,7 +141,7 @@ class TestRecovery:
         queries, data = workload
         plan = FaultPlan(crash_at=((0, 0),), crash_hard=True)
         # single slice runs inline; a hard crash downgrades to a raise
-        result = run_parallel_resilient(
+        result = run_parallel(
             queries, data, n_workers=1, chunk_size=50, fault_plan=plan, max_attempts=3
         )
         assert result.status == COMPLETE
@@ -98,7 +151,7 @@ class TestRecovery:
     def test_exhausted_slice_goes_partial(self, workload):
         queries, data = workload
         plan = FaultPlan(crash_at=tuple((0, a) for a in range(10)))
-        result = run_parallel_resilient(
+        result = run_parallel(
             queries, data, n_workers=3, chunk_size=5, fault_plan=plan, max_attempts=3
         )
         assert result.status == PARTIAL
@@ -109,7 +162,7 @@ class TestRecovery:
     def test_backoff_schedule_recorded(self, workload):
         queries, data = workload
         plan = FaultPlan(crash_at=((0, 0), (0, 1)))
-        result = run_parallel_resilient(
+        result = run_parallel(
             queries,
             data,
             n_workers=3,
@@ -136,7 +189,7 @@ class TestBackoffJitter:
         plan = FaultPlan(crash_at=((0, 0), (0, 1)))
 
         def run_once():
-            result = run_parallel_resilient(
+            result = run_parallel(
                 queries,
                 data,
                 n_workers=3,

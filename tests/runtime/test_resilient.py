@@ -4,12 +4,16 @@ The invariant under every fault scenario: total matches and sorted
 matched pairs are bitwise-equal to a fault-free serial run.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.chunked import run_chunked
 from repro.core.config import SigmoConfig
+from repro.core.csrgo import CSRGO
+from repro.core.engine import SigmoEngine
 from repro.core.join import JoinBudget
 from repro.device.memory import DeviceMemoryPool
+from repro.io.serialization import graphs_fingerprint, sha256_bytes
 from repro.runtime import (
     COMPLETE,
     PARTIAL,
@@ -29,10 +33,17 @@ def workload(small_dataset):
     return small_dataset.queries[:6], small_dataset.data[:30]
 
 
+def whole_batch(queries, data):
+    """One fault-free whole-batch engine run: the oracle for every scenario."""
+    run = SigmoEngine(queries, data).run()
+    return SimpleNamespace(
+        total_matches=run.total_matches, matched_pairs=run.matched_pairs()
+    )
+
+
 @pytest.fixture(scope="module")
 def serial(workload):
-    queries, data = workload
-    return run_chunked(queries, data, 8)
+    return whole_batch(*workload)
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +55,7 @@ def rich_workload(small_dataset):
 
 @pytest.fixture(scope="module")
 def rich_serial(rich_workload):
-    queries, data = rich_workload
-    return run_chunked(queries, data, 8)
+    return whole_batch(*rich_workload)
 
 
 def assert_equals_serial(result, serial):
@@ -257,6 +267,31 @@ class TestCheckpointResume:
             queries, data, "find-all", SigmoConfig(refinement_iterations=2)
         )
         assert len({a, b, c, d}) == 4
+
+    def test_graph_list_fingerprint_is_unchanged(self, workload):
+        # Existing checkpoints were bound with this exact formula.
+        queries, data = workload
+        text = "|".join(
+            (
+                graphs_fingerprint(queries),
+                graphs_fingerprint(data),
+                "find-all",
+                repr(SigmoConfig()),
+            )
+        )
+        assert workload_fingerprint(queries, data, "find-all", None) == sha256_bytes(
+            text.encode("utf-8")
+        )
+
+    def test_csrgo_inputs_checkpoint_and_resume(self, workload, serial, tmp_path):
+        queries, data = workload
+        query, batch = CSRGO.from_graphs(queries), CSRGO.from_graphs(data)
+        ckpt = tmp_path / "csrgo"
+        first = run_resilient(query, batch, chunk_size=8, checkpoint=ckpt)
+        assert_equals_serial(first, serial)
+        resumed = run_resilient(query, batch, chunk_size=8, checkpoint=ckpt)
+        assert resumed.chunks_from_checkpoint == first.n_chunks == 4
+        assert resumed.matched_pairs == serial.matched_pairs
 
     def test_faulted_checkpointed_run_still_exact(self, workload, serial, tmp_path):
         queries, data = workload

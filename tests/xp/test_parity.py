@@ -3,12 +3,12 @@
 One seeded filter -> refine -> join run per registered-and-available
 backend, compared field-by-field against the numpy reference: match
 counts, matched pairs, embedding *order*, ``JoinStats`` work counters,
-and truncation/resume tokens under a ``JoinBudget``.  Optional device
-backends (cupy/torch) join the matrix automatically when their import
-succeeds; in the reference environment the matrix is numpy vs.
-instrumented — which simultaneously proves the kernels dispatch through
-the registry (the instrumented counters see the traffic) and that the
-dense scipy-free signature kernel is an exact stand-in.
+and truncation/resume tokens under a ``JoinBudget``.  Any further
+registered backend joins the matrix automatically; the built-in matrix
+is numpy vs. instrumented — which simultaneously proves the kernels
+dispatch through the registry (the instrumented counters see the
+traffic) and that the dense scipy-free signature kernel is an exact
+stand-in.
 """
 
 import pytest
@@ -21,8 +21,7 @@ from repro.xp import backend_names, get_backend
 
 pytestmark = pytest.mark.xp
 
-#: Backends exercised by the parity matrix: every registered backend
-#: (cupy/torch register only when importable).
+#: Backends exercised by the parity matrix: every registered backend.
 PARITY_BACKENDS = [name for name in backend_names() if name != "numpy"]
 
 

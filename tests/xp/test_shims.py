@@ -1,12 +1,11 @@
-"""Shim contract: numpy-native shims, generic fallbacks, overflow guards.
+"""Shim contract: numpy-native shims, reference oracles, overflow guards.
 
 Every backend implements the :data:`repro.xp.contract.SHIM_FUNCTIONS`
 surface; the numpy backend uses native fast paths (``np.packbits``,
-``np.bitwise_or.at``, scipy-sparse signature BFS) while device adapters
-inherit the generic fallbacks of :mod:`repro.xp.fallback`.  These tests
-pin the two implementations bitwise-equal, so the parity suite's
-numpy-vs-instrumented comparison transfers to any adapter built on the
-fallbacks.
+``np.bitwise_or.at``, scipy-sparse signature BFS).  These tests pin each
+native shim bitwise-equal to a portable oracle written only in
+array-API operations (plus basic indexing) — the reference a new
+backend's shims must also reproduce.
 """
 
 import numpy as np
@@ -16,21 +15,65 @@ from repro.graph.batch import GraphBatch
 from repro.graph.generators import random_connected_graph
 from repro.core.csrgo import CSRGO
 from repro.xp import MAX_FLAT_STRIDE, NumpyBackend, get_backend
-from repro.xp.fallback import (
-    DENSE_SIGNATURE_CELL_CAP,
-    DenseSignatureKernel,
-    divmod_generic,
-    pack_bits_generic,
-    popcount_generic,
-    scatter_or_generic,
-    unpack_bits_generic,
-    view_u8_generic,
-)
+from repro.xp.fallback import DENSE_SIGNATURE_CELL_CAP, DenseSignatureKernel
 from repro.xp.numpy_backend import ScipySignatureKernel
 
 pytestmark = pytest.mark.xp
 
 BE = NumpyBackend()
+
+_UNSIGNED_BY_BITS = {8: "uint8", 16: "uint16", 32: "uint32", 64: "uint64"}
+
+
+# -- portable oracles: array-API operations on the backend ``be`` only -------
+
+
+def pack_bits_generic(be, padded, word_bits: int):
+    """LSB-first word packing: bit ``j`` of a word contributes ``2**j``."""
+    n_rows = padded.shape[0]
+    grouped = be.astype(padded.reshape(n_rows, -1, word_bits), be.uint64)
+    weights = be.uint64(1) << be.arange(word_bits, dtype=be.uint64)
+    words = (grouped * weights).sum(axis=-1, dtype=be.uint64)
+    return be.astype(words, be.dtype(getattr(be, _UNSIGNED_BY_BITS[word_bits])))
+
+
+def unpack_bits_generic(be, words, n_bits: int, word_bits: int):
+    """Inverse of :func:`pack_bits_generic` (trailing padding dropped)."""
+    words = be.astype(be.asarray(words), be.uint64)
+    shifts = be.arange(word_bits, dtype=be.uint64)
+    bits = (words[..., None] >> shifts) & be.uint64(1)
+    flat = bits.reshape(*words.shape[:-1], -1)
+    return be.astype(flat[..., :n_bits], be.bool_)
+
+
+def view_u8_generic(be, arr):
+    """Little-endian byte expansion of an unsigned integer array."""
+    arr = be.asarray(arr)
+    wide = be.astype(arr, be.uint64)
+    shifts = be.uint64(8) * be.arange(arr.dtype.itemsize, dtype=be.uint64)
+    bytes_ = (wide[..., None] >> shifts) & be.uint64(0xFF)
+    return be.astype(bytes_.reshape(*arr.shape[:-1], -1), be.uint8)
+
+
+def scatter_or_generic(be, target, idx, values) -> None:
+    """In-place grouped OR, one scalar update at a time."""
+    del be  # uniform shim signature
+    for i, v in zip(idx.tolist(), values.tolist()):
+        target[i] |= v
+
+
+def divmod_generic(be, a, b):
+    """Simultaneous floor quotient and remainder."""
+    return be.floor_divide(a, b), be.remainder(a, b)
+
+
+def popcount_generic(be, arr):
+    """Per-element population count via shift-and-mask accumulation."""
+    arr = be.asarray(arr)
+    wide = be.astype(arr, be.uint64)
+    shifts = be.arange(arr.dtype.itemsize * 8, dtype=be.uint64)
+    bits = (wide[..., None] >> shifts) & be.uint64(1)
+    return be.astype(bits.sum(axis=-1, dtype=be.uint64), arr.dtype)
 
 
 @pytest.fixture
