@@ -3,9 +3,9 @@
 
 Measures the join-stage wall clock of the scalar stack-DFS reference
 backend against the accelerated dispatch (``join_backend="auto"``, whose
-calibrated cost model routes many-small-pair batches to the fused
-whole-batch table and enumeration-heavy pairs to the per-pair tabular
-backend) on seeded suites, and writes/checks the committed
+size rule routes pairs of at most ``FUSED_MAX_ELEMENTS`` estimated
+elements to the fused whole-batch table and bigger, enumeration-heavy
+pairs to the per-pair tabular backend) on seeded suites, and writes/checks the committed
 ``BENCH_perf.json``.  Every suite also times a forced-fused arm
 (``join_backend="fused"``) so the batch backend's raw cost is visible
 next to the dispatched mix.
@@ -20,9 +20,9 @@ every suite is gated at :data:`MIN_SPEEDUP` x):
 * ``find-all-molecular`` — the paper-shaped molecular workload
   (selective labels, 6 refinement iterations): thousands of small
   pairs per batch, the fused table's home regime.
-* ``find-first`` — Find First on the hot workload; the fused table's
-  batched early-exit retires matched pairs mid-wave, so auto beats the
-  abandon-early DFS here too.
+* ``find-first`` — Find First on the hot workload; auto sends the same
+  big pairs to the per-pair tabular backend, whose block-bounded pass
+  still beats the abandon-early DFS.
 
 Usage:
     python benchmarks/bench_hotpath.py                    # print results
@@ -116,7 +116,7 @@ def _join_seconds(engine: SigmoEngine, mode: str, repeats: int) -> tuple[float, 
 
 #: Benchmark arms: (row label, forced/auto ``join_backend``).  The fused
 #: arm times the whole-batch table on every pair regardless of what the
-#: cost model would pick — the raw batch-backend cost next to the
+#: size rule would pick — the raw batch-backend cost next to the
 #: dispatched mix.
 ARMS = (
     ("reference", "dfs"),
@@ -191,6 +191,8 @@ def check_against(payload: dict, baseline_path: Path) -> list[str]:
     * Every gated suite must still clear ``min_speedup``.
     * No suite's speedup may fall below the committed speedup by more
       than :data:`SPEEDUP_TOLERANCE` (relative).
+    * The auto arm's per-backend pair split must equal the committed one
+      (dispatch is deterministic, so any change is a behaviour change).
     """
     baseline = json.loads(baseline_path.read_text())
     if baseline.get("schema") != SCHEMA:
@@ -211,6 +213,12 @@ def check_against(payload: dict, baseline_path: Path) -> list[str]:
             failures.append(
                 f"{name}: speedup {row['speedup']:.2f}x below the "
                 f"{min_speedup:.1f}x gate"
+            )
+        split = row["backend_pairs_accelerated"]
+        if split != base["backend_pairs_accelerated"]:
+            failures.append(
+                f"{name}: auto dispatch split {split} != baseline "
+                f"{base['backend_pairs_accelerated']}"
             )
         floor = base["speedup"] * (1.0 - SPEEDUP_TOLERANCE)
         if row["speedup"] < floor:

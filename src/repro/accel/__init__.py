@@ -14,9 +14,14 @@ is the reproduction's hot-path engine room.  It provides:
   stack-DFS reference backend in Find All — including
   :class:`~repro.core.join.JoinStats` counters, embedding order and
   budget truncation.
+* :mod:`repro.accel.fused` — the whole-batch fused frontier table: every
+  fused-dispatched pair of a batch extends through one table with a
+  leading pair column, so per-pair call overhead is paid once per batch.
 * :mod:`repro.accel.dispatch` — the per-(data graph, query graph) backend
-  choice: a plan-cost heuristic under ``config.join_backend="auto"``,
-  with ``"dfs"`` / ``"tabular"`` forcing either backend.
+  choice: under ``config.join_backend="auto"`` one size rule (DFS for
+  single-node queries, fused up to ``FUSED_MAX_ELEMENTS`` estimated
+  elements, tabular above), with ``"dfs"`` / ``"tabular"`` / ``"fused"``
+  forcing a backend for every pair.
 * :mod:`repro.accel.memo` — content-hash memoization of signature count
   matrices and compiled :class:`~repro.core.join.PlanTable` arrays, keyed
   on every config field that affects them, shared across engine runs.
@@ -25,9 +30,11 @@ is the reproduction's hot-path engine room.  It provides:
 from repro.accel.dispatch import (
     BACKEND_AUTO,
     BACKEND_DFS,
+    BACKEND_FUSED,
     BACKEND_TABULAR,
+    FUSED_MAX_ELEMENTS,
     JOIN_BACKENDS,
-    select_backend,
+    choose_backends,
 )
 from repro.accel.local_view import LocalCSRView, get_local_view, local_view_cache
 from repro.accel.memo import (
@@ -41,15 +48,17 @@ from repro.accel.tabular import tabular_join_pair
 __all__ = [
     "BACKEND_AUTO",
     "BACKEND_DFS",
+    "BACKEND_FUSED",
     "BACKEND_TABULAR",
+    "FUSED_MAX_ELEMENTS",
     "JOIN_BACKENDS",
     "LocalCSRView",
     "MemoStats",
+    "choose_backends",
     "clear_accel_caches",
     "get_local_view",
     "local_view_cache",
     "plan_memo",
-    "select_backend",
     "signature_memo",
     "tabular_join_pair",
 ]

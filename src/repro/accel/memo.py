@@ -22,12 +22,10 @@ cached payloads are built outside the lock.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -187,89 +185,3 @@ def clear_accel_caches() -> None:
     _PLAN_MEMO.clear()
     local_view_cache().clear()
     batch_view_cache().clear()
-
-
-# -- cost-model persistence and calibration ---------------------------------------
-
-#: On-disk schema tag of persisted cost models (bump on layout changes).
-COST_MODEL_SCHEMA = "repro.join_cost/1"
-
-
-@dataclass(frozen=True)
-class JoinObservation:
-    """One calibration sample: what one backend did to one pair group.
-
-    ``repro calibrate`` records one observation per (mode, backend, run):
-    ``n_pairs`` pairs joined in ``seconds`` wall-clock, with
-    ``est_elements`` the summed pre-dispatch estimates
-    (:meth:`repro.accel.dispatch.PlanCostModel.estimate_elements`) of
-    those pairs.  The fit below regresses seconds on (n_pairs,
-    est_elements), which is exactly the linear form the dispatch model
-    predicts with — so fitted coefficients plug straight back in.
-    """
-
-    mode: str
-    backend: str
-    n_pairs: int
-    est_elements: int
-    seconds: float
-
-
-def fit_cost_model(observations: Iterable[JoinObservation], source: str = "calibrated"):
-    """Least-squares fit of per-(mode, backend) cost coefficients.
-
-    Solves ``seconds ≈ pair_overhead * n_pairs + element_cost *
-    est_elements`` per group via ``np.linalg.lstsq``, clamping
-    coefficients at a small positive floor (a degenerate sweep must
-    never produce a negative marginal cost, which would invert every
-    dispatch decision).  Groups with no observations keep the default
-    coefficients, so a partial sweep still yields a total model.
-
-    Returns a :class:`repro.accel.dispatch.PlanCostModel`.
-    """
-    from repro.accel.dispatch import BackendCost, PlanCostModel
-
-    floor = 1e-12
-    grouped: dict[tuple[str, str], list[JoinObservation]] = {}
-    for obs in observations:
-        grouped.setdefault((obs.mode, obs.backend), []).append(obs)
-
-    base = PlanCostModel()
-    coefficients = {
-        mode: dict(table) for mode, table in base.coefficients.items()
-    }
-    for (mode, backend), group in sorted(grouped.items()):
-        if mode not in coefficients or backend not in coefficients[mode]:
-            raise ValueError(f"unknown calibration group ({mode!r}, {backend!r})")
-        design = np.array(
-            [[obs.n_pairs, obs.est_elements] for obs in group], dtype=np.float64
-        )
-        target = np.array([obs.seconds for obs in group], dtype=np.float64)
-        coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        coefficients[mode][backend] = BackendCost(
-            pair_overhead=float(max(coef[0], floor)),
-            element_cost=float(max(coef[1], floor)),
-        )
-    return PlanCostModel(coefficients=coefficients, source=source)
-
-
-def save_cost_model(model, path: str | Path) -> Path:
-    """Persist a cost model as deterministic JSON (sorted keys, LF)."""
-    path = Path(path)
-    payload = {"schema": COST_MODEL_SCHEMA, **model.to_payload()}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_cost_model(path: str | Path):
-    """Load a cost model persisted by :func:`save_cost_model`."""
-    from repro.accel.dispatch import PlanCostModel
-
-    payload: Mapping = json.loads(Path(path).read_text())
-    schema = payload.get("schema")
-    if schema != COST_MODEL_SCHEMA:
-        raise ValueError(
-            f"unsupported cost-model schema {schema!r} "
-            f"(expected {COST_MODEL_SCHEMA!r})"
-        )
-    return PlanCostModel.from_payload(payload)

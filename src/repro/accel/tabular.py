@@ -37,10 +37,9 @@ order too, including under ``max_embeddings_recorded`` truncation.
 In Find First the backends agree on results (the first surviving row in
 frontier order *is* the DFS-first match) but not on counters: the DFS
 abandons the search at the first embedding while a vectorized pass pays
-for the whole block.  The calibrated cost model
-(:mod:`repro.accel.dispatch`) prices that in with per-mode coefficients
-— block-bounded Find First still amortizes well enough that big pairs
-dispatch here rather than to the scalar backend.
+for the whole block.  Block-bounded Find First still amortizes well
+enough that the dispatch rule (:mod:`repro.accel.dispatch`) sends big
+pairs here in both modes rather than to the scalar backend.
 """
 
 from __future__ import annotations

@@ -190,26 +190,6 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
                    help="relative growth allowed for wall-clock gauges")
 
 
-def _add_calibrate(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "calibrate",
-        help="fit the join dispatch cost model from a seeded backend sweep",
-    )
-    p.add_argument("--seed", type=int, default=0,
-                   help="workload seed (same seed ⇒ same sweep workloads)")
-    p.add_argument("--points", type=int, default=4,
-                   help="workload sizes swept (each point grows the batch)")
-    p.add_argument("--repeats", type=int, default=2,
-                   help="timing repeats per point; best-of is recorded")
-    p.add_argument("--out", metavar="FILE",
-                   help="persist the model as repro.join_cost/1 JSON "
-                        "(round-trip verified)")
-    p.add_argument("--load", metavar="FILE",
-                   help="load a persisted model instead of sweeping")
-    p.add_argument("--install", action="store_true",
-                   help="install the model process-wide via set_cost_model")
-
-
 def _add_serve_sim(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "serve-sim",
@@ -273,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analyze(sub)
     _add_resilient_run(sub)
     _add_profile(sub)
-    _add_calibrate(sub)
     _add_serve_sim(sub)
     _add_trace_request(sub)
     return parser
@@ -809,126 +788,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _run_calibration_sweep(seed: int, points: int, repeats: int):
-    """Forced-backend timing sweep -> fitted :class:`PlanCostModel`.
-
-    One observation per (workload point, mode, backend): the join stage's
-    best-of-``repeats`` wall clock, regressed on the pair count and the
-    summed pre-dispatch element estimates the planner recorded.
-    """
-    from time import perf_counter
-
-    from repro.accel.dispatch import (
-        BACKEND_DFS,
-        BACKEND_FUSED,
-        BACKEND_TABULAR,
-        MODE_FIND_ALL,
-        MODE_FIND_FIRST,
-    )
-    from repro.accel.memo import JoinObservation, fit_cost_model
-    from repro.chem.datasets import build_benchmark
-    from repro.core.config import SigmoConfig
-    from repro.core.engine import SigmoEngine
-
-    observations = []
-    for point in range(max(1, points)):
-        n_queries = 8 * (point + 1)
-        n_data_graphs = 24 * (point + 1)
-        ds = build_benchmark(
-            scale=1.0,
-            n_queries=n_queries,
-            n_data_graphs=n_data_graphs,
-            seed=seed,
-        )
-        for mode in (MODE_FIND_ALL, MODE_FIND_FIRST):
-            for backend in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED):
-                engine = SigmoEngine(
-                    ds.queries, ds.data, SigmoConfig(join_backend=backend)
-                )
-                best = None
-                result = None
-                for _ in range(max(1, repeats)):
-                    t0 = perf_counter()
-                    result = engine.run(mode=mode)
-                    elapsed = result.timings.get("join", perf_counter() - t0)
-                    best = elapsed if best is None else min(best, elapsed)
-                jr = result.join_result
-                observations.append(
-                    JoinObservation(
-                        mode=mode,
-                        backend=backend,
-                        n_pairs=jr.stats.pairs_joined,
-                        est_elements=int(jr.pair_cost_estimates.sum()),
-                        seconds=float(best),
-                    )
-                )
-        print(
-            f"point {point + 1}/{points}: {n_queries} queries x "
-            f"{n_data_graphs} molecules, "
-            f"{observations[-1].n_pairs} pairs per run"
-        )
-    return fit_cost_model(observations, source=f"calibrated-seed{seed}")
-
-
-def _print_cost_model(model) -> None:
-    """Render the per-(mode, backend) coefficient table."""
-    print(f"cost model (source: {model.source}):")
-    print(f"  {'mode':<12} {'backend':<9} {'pair_overhead':>14} {'element_cost':>13}")
-    for mode in sorted(model.coefficients):
-        for backend in sorted(model.coefficients[mode]):
-            cost = model.coefficients[mode][backend]
-            print(
-                f"  {mode:<12} {backend:<9} {cost.pair_overhead:>14.3e} "
-                f"{cost.element_cost:>13.3e}"
-            )
-
-
-def _print_decision_shift(model) -> None:
-    """Compare fitted dispatch decisions against the old static threshold."""
-    from repro.accel.dispatch import TABULAR_MIN_ELEMENTS
-
-    samples = [(1, 8), (2, 16), (4, 12), (1, 47), (1, 48), (8, 48), (16, 128), (32, 256)]
-    print()
-    print(
-        "dispatch decisions vs the static threshold "
-        f"(first expansion >= {TABULAR_MIN_ELEMENTS} elements):"
-    )
-    print(f"  {'c0 x c1':>9} {'static':>8} {'fitted':>8} {'fitted+fused':>13}")
-    agree = 0
-    for c0, c1 in samples:
-        static = "tabular" if c0 * c1 >= TABULAR_MIN_ELEMENTS else "dfs"
-        fitted = model.choose(False, 3, [c0, c1], fused_available=False)
-        fused = model.choose(False, 3, [c0, c1])
-        agree += static == fitted
-        print(f"  {f'{c0}x{c1}':>9} {static:>8} {fitted:>8} {fused:>13}")
-    print(f"  static/fitted agreement: {agree}/{len(samples)}")
-
-
-def cmd_calibrate(args) -> int:
-    """Handle ``repro calibrate``: fit, inspect, persist the dispatch model."""
-    from repro.accel.dispatch import set_cost_model
-    from repro.accel.memo import load_cost_model, save_cost_model
-
-    if args.load:
-        model = load_cost_model(args.load)
-        print(f"loaded {args.load}")
-    else:
-        model = _run_calibration_sweep(args.seed, args.points, args.repeats)
-    _print_cost_model(model)
-    _print_decision_shift(model)
-    if args.out:
-        path = save_cost_model(model, args.out)
-        again = load_cost_model(path)
-        if again.to_payload() != model.to_payload():
-            print("error: persisted model failed round-trip", file=sys.stderr)
-            return 2
-        print(f"wrote {path} (round-trip verified)")
-    if args.install:
-        set_cost_model(model)
-        print("installed as the process-wide dispatch model")
-    return 0
-
-
 def _write_bundles(dump_dir: str, named_bundles: list) -> None:
     """Write ``(name, bundle)`` pairs into ``dump_dir`` as JSON files."""
     from pathlib import Path
@@ -1136,7 +995,6 @@ def main(argv: list[str] | None = None) -> int:
         "resilient-run": cmd_resilient_run,
         "profile": cmd_profile,
         "serve-sim": cmd_serve_sim,
-        "calibrate": cmd_calibrate,
         "trace-request": cmd_trace_request,
     }
     return handlers[args.command](args)

@@ -72,7 +72,9 @@ class SigmoConfig:
         so artifacts from different backends never collide.
     join_backend:
         Join backend selection: ``"auto"`` picks per (data, query) pair
-        via the calibrated plan-cost model (:mod:`repro.accel.dispatch`);
+        by one size rule (:func:`repro.accel.dispatch.choose_backends`:
+        DFS for single-node queries, the fused table up to
+        ``FUSED_MAX_ELEMENTS`` estimated elements, tabular above);
         ``"dfs"`` forces the scalar stack-DFS reference backend,
         ``"tabular"`` forces the per-pair vectorized tabular frontier
         backend, ``"fused"`` forces the whole-batch fused frontier table

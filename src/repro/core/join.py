@@ -28,8 +28,11 @@ from repro.accel.dispatch import (
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
-    PlanCostModel,
-    get_cost_model,
+    FUSED_CODE,
+    TABULAR_CODE,
+    choose_backends,
+    estimate_elements,
+    packing_order,
 )
 from repro.accel.fused import FusedOutcome, build_fused_plan, fused_join, slot_rows
 from repro.accel.local_view import LocalCSRView, get_batch_view, get_local_view
@@ -49,11 +52,6 @@ if TYPE_CHECKING:
 #: Join execution modes.
 FIND_ALL = "find-all"
 FIND_FIRST = "find-first"
-
-#: Backend codes of the per-pair dispatch array (see ``BACKEND_CODES``).
-BACKEND_CODE_OF = {name: code for code, name in enumerate(BACKEND_CODES)}
-TABULAR_CODE = BACKEND_CODE_OF[BACKEND_TABULAR]
-FUSED_CODE = BACKEND_CODE_OF[BACKEND_FUSED]
 
 
 @dataclass(frozen=True)
@@ -204,9 +202,10 @@ class JoinResult:
         Find First only: frontier depths at which the fused batched
         early-exit retired a matched pair's remaining rows.
     pair_cost_estimates:
-        Parallel to ``gmcr.query_graph_indices``: the plan-cost model's
-        pre-dispatch work estimate per pair (``repro calibrate``
-        regresses wall-clock on these).
+        Parallel to ``gmcr.query_graph_indices``: the pre-dispatch work
+        estimate per pair (:func:`repro.accel.dispatch.estimate_elements`)
+        that the dispatch rule compares, fused packing orders by and
+        budgeted fused waves are sized with.
     """
 
     total_matches: int = 0
@@ -725,7 +724,6 @@ def run_join(
     plans: PlanTable | None = None,
     budget: JoinBudget | None = None,
     start_pair: int = 0,
-    cost_model: "PlanCostModel | None" = None,
 ) -> JoinResult:
     """Stage 6 of the pipeline: join every viable pair.
 
@@ -739,16 +737,16 @@ def run_join(
        boundary.
        The (pair, depth) query nodes ``node_offsets[qg] + order[qg, p]``
        then index the cuts for every pair's per-depth candidate counts at
-       once: the empty-depth skip, the cost estimates and the plan-cost
-       model's (:class:`repro.accel.dispatch.PlanCostModel`) backend
-       choice under ``config.join_backend`` — one ``choose_batch`` call
-       per distinct plan depth — between scalar DFS (:func:`join_pair`),
+       once: the empty-depth skip, the work estimates and the size rule's
+       backend choice under ``config.join_backend``
+       (:func:`repro.accel.dispatch.choose_backends`, one call per
+       distinct plan depth) between scalar DFS (:func:`join_pair`),
        per-pair tabular (:func:`repro.accel.tabular.tabular_join_pair`)
        and the fused whole-batch table (:mod:`repro.accel.fused`).
     2. **Fused waves** — all fused-dispatched pairs of the batch run as
        one frontier table (one wave) against the cached whole-batch edge
        index (:func:`repro.accel.local_view.get_batch_view`), packed in
-       the cost model's ordering; :func:`build_fused_plan` gathers the
+       descending estimate order; :func:`build_fused_plan` gathers the
        table's candidate and check columns from the slots' (query graph,
        data graph) index arrays.  Under a :class:`JoinBudget`, waves are
        instead sized lazily by the remaining budget headroom so a
@@ -775,9 +773,6 @@ def run_join(
     start_pair:
         First GMCR pair index to process (resume token from a previous
         truncated run); pairs before it are skipped untouched.
-    cost_model:
-        Dispatch cost model override; the process-wide model
-        (:func:`repro.accel.dispatch.get_cost_model`) by default.
     """
     if mode not in (FIND_ALL, FIND_FIRST):
         raise ValueError(f"mode must be '{FIND_ALL}' or '{FIND_FIRST}'")
@@ -786,7 +781,6 @@ def run_join(
     config = config or SigmoConfig()
     timer = timer or StageTimer()
     find_first = mode == FIND_FIRST
-    model = cost_model if cost_model is not None else get_cost_model()
     n_pairs = gmcr.n_pairs
     result = JoinResult(
         pair_matches=xp.zeros(n_pairs, dtype=xp.int64),
@@ -831,15 +825,8 @@ def run_join(
             group = xp.flatnonzero(viable & (depths == n))
             group_counts = counts[group, :n].T
             pairs = tail[group]
-            result.pair_cost_estimates[pairs] = model.estimate_elements_batch(
-                n, group_counts
-            )
-            names = model.choose_batch(
-                find_first, n, group_counts, config.join_backend
-            )
-            codes[pairs] = xp.asarray(
-                [BACKEND_CODE_OF[name] for name in names], dtype=xp.int8
-            )
+            result.pair_cost_estimates[pairs] = estimate_elements(n, group_counts)
+            codes[pairs] = choose_backends(n, group_counts, config.join_backend)
         del order, placed, nodes, counts  # free before the fused table
         fused_queue = xp.flatnonzero(codes == FUSED_CODE)  # GMCR order
 
@@ -858,8 +845,7 @@ def run_join(
             nonlocal fused_pos
             wave = fused_queue[fused_pos : fused_pos + n_wave_pairs]
             fused_pos += wave.size
-            packing = model.ordering(result.pair_cost_estimates[wave])
-            packed = wave[xp.asarray(packing, dtype=xp.int64)]
+            packed = wave[packing_order(result.pair_cost_estimates[wave])]
             fplan = build_fused_plan(
                 pair_qg[packed], pair_graph[packed], plans, index
             )

@@ -80,10 +80,6 @@ class PipelineRequest:
     plans:
         Pre-compiled :class:`~repro.core.join.PlanTable` of the query
         batch to hand the join (else memoized compilation).
-    cost_model:
-        Join dispatch cost-model override
-        (:class:`~repro.accel.dispatch.PlanCostModel`); the process-wide
-        calibrated model by default.
     cache:
         Artifact cache to store the query-side artifacts in (``None``
         disables storing).
@@ -105,7 +101,6 @@ class PipelineRequest:
     join_start_pair: int = 0
     n_labels: int | None = None
     plans: PlanTable | None = None
-    cost_model: Any = None
     cache: ArtifactCache | None = None
     reuse_artifacts: bool = False
     validated: bool = False

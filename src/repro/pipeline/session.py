@@ -80,16 +80,10 @@ class MatcherSession:
         executor: PipelineExecutor | None = None,
         max_cached_batches: int = 8,
         max_cached_artifacts: int = 16,
-        cost_model: Any = None,
     ) -> None:
         if max_cached_batches < 1:
             raise ValueError("max_cached_batches must be >= 1")
         self.config = config or SigmoConfig()
-        #: Join dispatch cost model pinned for the session's lifetime
-        #: (``None`` follows the process-wide calibrated model) — warm
-        #: serving sessions keep one consistent dispatch policy even if
-        #: a recalibration lands mid-flight.
-        self.cost_model = cost_model
         self._executor = executor or default_executor()
         self._query = self._to_csrgo(queries, "query")
         # Warm the content hash now: every artifact fingerprint and memo
@@ -172,7 +166,6 @@ class MatcherSession:
                 mode=mode,
                 join_budget=join_budget,
                 join_start_pair=join_start_pair,
-                cost_model=self.cost_model,
                 cache=self._artifacts,
                 reuse_artifacts=reuse,
                 validated=False,

@@ -152,7 +152,6 @@ def _run_join(state: PipelineState):
         plans=request.plans,
         budget=request.join_budget,
         start_pair=request.join_start_pair,
-        cost_model=request.cost_model,
     )
 
 

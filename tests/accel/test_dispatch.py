@@ -1,148 +1,177 @@
-"""Backend selection: the calibrated plan-cost model and the config override."""
+"""Backend selection: the size rule and the config override."""
 
+import numpy as np
 import pytest
 
+from repro.accel import dispatch
 from repro.accel.dispatch import (
     BACKEND_AUTO,
+    BACKEND_CODES,
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
+    FUSED_MAX_ELEMENTS,
     JOIN_BACKENDS,
-    MODE_FIND_ALL,
-    MODE_FIND_FIRST,
-    TABULAR_MIN_ELEMENTS,
-    BackendCost,
-    PlanCostModel,
-    get_cost_model,
-    select_backend,
-    set_cost_model,
+    choose_backends,
+    estimate_elements,
+    packing_order,
 )
 from repro.core.config import SigmoConfig
 
 pytestmark = pytest.mark.perf_accel
 
+#: The committed default coefficients of the fitted per-mode linear cost
+#: model the size rule replaced: backend -> (pair_overhead, element_cost)
+#: in seconds.  Kept as the reference the rule must reproduce.
+REFERENCE_COEFFICIENTS = {
+    "find-all": {
+        BACKEND_DFS: (2.1e-6, 1.45e-7),
+        BACKEND_TABULAR: (7.6e-6, 3.2e-8),
+        BACKEND_FUSED: (1.5e-6, 3.54e-8),
+    },
+    "find-first": {
+        BACKEND_DFS: (2.1e-6, 6.0e-8),
+        BACKEND_TABULAR: (7.6e-6, 3.0e-8),
+        BACKEND_FUSED: (1.5e-6, 3.34e-8),
+    },
+}
 
-def _flat_model(**costs):
-    """A model whose Find All / Find First tables are identical.
+#: Oracle sweep: every estimated element count in ``[0, ORACLE_MAX]``.
+ORACLE_MAX = 2_000_000
+ORACLE_CHUNK = 250_000
 
-    ``costs`` maps backend name -> (pair_overhead, element_cost).
+
+def reference_codes(mode, n_depths, elements):
+    """The replaced model's three-way cost comparison, per element count.
+
+    Single-node queries stay on DFS; otherwise the cheaper of fused and
+    tabular (ties go fused) wins if strictly cheaper than DFS.
     """
-    table = {
-        backend: BackendCost(*costs[backend])
-        for backend in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED)
+    if n_depths < 2:
+        return np.zeros(elements.size, dtype=np.int8)
+    table = REFERENCE_COEFFICIENTS[mode]
+    elements = elements.astype(np.float64)
+    cost = {
+        backend: overhead + slope * elements
+        for backend, (overhead, slope) in table.items()
     }
-    return PlanCostModel(
-        coefficients={MODE_FIND_ALL: dict(table), MODE_FIND_FIRST: dict(table)},
-        source="test",
+    vec_is_fused = cost[BACKEND_FUSED] <= cost[BACKEND_TABULAR]
+    vec_cost = np.where(vec_is_fused, cost[BACKEND_FUSED], cost[BACKEND_TABULAR])
+    codes = np.where(
+        vec_cost < cost[BACKEND_DFS],
+        np.where(
+            vec_is_fused,
+            BACKEND_CODES.index(BACKEND_FUSED),
+            BACKEND_CODES.index(BACKEND_TABULAR),
+        ),
+        BACKEND_CODES.index(BACKEND_DFS),
     )
+    return codes.astype(np.int8)
+
+
+def counts_for(n_depths, elements, seed=0):
+    """Per-depth candidate counts whose estimate is exactly ``elements``.
+
+    ``c0 = 1, c1 = E - 1`` (``c0 = 0`` for ``E = 0``; ``c0 = E`` for
+    single-depth plans); deeper depths get random sizes, which the
+    estimate must ignore.
+    """
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 10_000, size=(n_depths, elements.size))
+    if n_depths < 2:
+        counts[0] = elements
+    else:
+        counts[0] = np.minimum(elements, 1)
+        counts[1] = np.maximum(elements - 1, 0)
+    return counts
+
+
+def _one(n_depths, counts, requested=BACKEND_AUTO):
+    """The backend name chosen for one pair with per-depth ``counts``."""
+    column = np.asarray(counts, dtype=np.int64).reshape(-1, 1)
+    return BACKEND_CODES[int(choose_backends(n_depths, column, requested)[0])]
 
 
 class TestCostModel:
+    """The size rule, checked against the fitted cost model it replaced."""
+
     def test_estimate_is_root_plus_first_expansion(self):
-        assert PlanCostModel.estimate_elements(1, [7]) == 7
+        assert estimate_elements(1, np.array([[7]])).tolist() == [7]
         # Deeper candidate lists never enter the estimate: pruning makes
         # them unknowable pre-join.
-        assert PlanCostModel.estimate_elements(3, [4, 5, 10_000]) == 4 + 4 * 5
+        counts = np.array([[4, 2], [5, 3], [10_000, 1]])
+        assert estimate_elements(3, counts).tolist() == [4 + 4 * 5, 2 + 2 * 3]
+        assert estimate_elements(3, counts).dtype == np.int64
 
-    def test_crossover_follows_coefficients(self):
-        # dfs: 10 + 1*E, fused: 55 + 0.1*E  ->  crossover at E = 50.
-        model = _flat_model(dfs=(10.0, 1.0), tabular=(100.0, 1.0), fused=(55.0, 0.1))
-        assert model.choose(False, 2, [5, 9]) == BACKEND_DFS  # E=50: tie -> dfs
-        assert model.choose(False, 2, [5, 10]) == BACKEND_FUSED  # E=55
+    @pytest.mark.parametrize("mode", ["find-all", "find-first"])
+    @pytest.mark.parametrize("n_depths", [1, 2, 3, 4, 5, 6])
+    def test_rule_reproduces_fitted_model(self, mode, n_depths):
+        for lo in range(0, ORACLE_MAX + 1, ORACLE_CHUNK):
+            elements = np.arange(
+                lo, min(lo + ORACLE_CHUNK, ORACLE_MAX + 1), dtype=np.int64
+            )
+            counts = counts_for(n_depths, elements, seed=lo)
+            assert np.array_equal(
+                estimate_elements(n_depths, counts), elements
+            )
+            got = choose_backends(n_depths, counts)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, reference_codes(mode, n_depths, elements))
 
-    def test_single_node_query_stays_on_dfs(self):
-        # Nothing to vectorize at depth 1 — even a model that makes DFS
-        # look infinitely expensive cannot move the pair off it.
-        model = _flat_model(dfs=(1e9, 1e9), tabular=(0.0, 0.0), fused=(0.0, 0.0))
-        assert model.choose(False, 1, [10_000]) == BACKEND_DFS
-
-    def test_fused_unavailable_falls_back_to_tabular(self):
-        model = _flat_model(dfs=(1e9, 1e9), tabular=(0.0, 0.0), fused=(0.0, 0.0))
-        assert model.choose(False, 3, [100, 100]) == BACKEND_FUSED
-        assert (
-            model.choose(False, 3, [100, 100], fused_available=False)
-            == BACKEND_TABULAR
-        )
-
-    def test_default_crossover_matches_static_threshold(self):
-        # The committed Find All coefficients reproduce the historical
-        # static dfs/tabular threshold: with sizes [1, N] the estimate is
-        # 1 + N, and the crossover lands right at TABULAR_MIN_ELEMENTS.
-        below = select_backend(
-            False, 2, [1, TABULAR_MIN_ELEMENTS - 1], fused_available=False
-        )
-        at = select_backend(
-            False, 2, [1, TABULAR_MIN_ELEMENTS], fused_available=False
-        )
-        assert below == BACKEND_DFS
-        assert at == BACKEND_TABULAR
+    def test_crossover_follows_coefficients(self, monkeypatch):
+        # The rule's one coefficient is read at call time, so moving it
+        # moves the fused/tabular crossover with it.
+        monkeypatch.setattr(dispatch, "FUSED_MAX_ELEMENTS", 50)
+        assert _one(2, [5, 9]) == BACKEND_FUSED  # E=50
+        assert _one(2, [1, 50]) == BACKEND_TABULAR  # E=51
 
     def test_find_first_is_a_cost_decision(self):
-        # The old heuristic pinned Find First to DFS; the calibrated
-        # model routes moderate pairs to the fused table and
-        # enumeration-heavy pairs to the per-pair tabular pass.
-        assert select_backend(True, 5, [10, 20]) == BACKEND_FUSED
-        assert select_backend(True, 5, [1000, 1000]) == BACKEND_TABULAR
+        # Find First is decided by the same estimate as Find All:
+        # moderate pairs ride the fused table, enumeration-heavy pairs
+        # go to the per-pair tabular pass.
+        assert _one(5, [10, 20, 1, 1, 1]) == BACKEND_FUSED
+        assert _one(5, [1000, 1000, 1, 1, 1]) == BACKEND_TABULAR
 
     def test_fused_tabular_crossover(self):
-        # The fused table owns the many-small-pairs regime; above the
-        # fused/tabular crossover (~1800 estimated elements) the
-        # per-pair tabular pass is cheaper in both modes.
-        for find_first in (False, True):
-            assert select_backend(find_first, 3, [10, 50]) == BACKEND_FUSED
-            assert select_backend(find_first, 3, [60, 60]) == BACKEND_TABULAR
+        assert FUSED_MAX_ELEMENTS == 1794
+        for n_depths in range(2, 7):
+            tail = [1] * (n_depths - 2)
+            assert _one(n_depths, [1, 1793] + tail) == BACKEND_FUSED
+            assert _one(n_depths, [1, 1794] + tail) == BACKEND_TABULAR
+            assert _one(n_depths, [2, 896] + tail) == BACKEND_FUSED  # 1794
+            assert _one(n_depths, [5, 358] + tail) == BACKEND_TABULAR  # 1795
+
+    def test_single_node_query_stays_on_dfs(self):
+        # Nothing to vectorize at depth 1, however big the candidate list.
+        assert _one(1, [10_000_000]) == BACKEND_DFS
+        assert _one(1, [1]) == BACKEND_DFS
 
     def test_ordering_descending_and_stable(self):
-        model = get_cost_model()
-        assert model.ordering([5, 9, 5, 12]) == [3, 1, 0, 2]
-        assert model.ordering([]) == []
-
-    def test_payload_round_trip(self):
-        model = get_cost_model()
-        again = PlanCostModel.from_payload(model.to_payload())
-        assert again.source == model.source
-        for mode in (MODE_FIND_ALL, MODE_FIND_FIRST):
-            for backend in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED):
-                assert again.coefficients[mode][backend] == (
-                    model.coefficients[mode][backend]
-                )
-
-    def test_payload_missing_backend_rejected(self):
-        payload = get_cost_model().to_payload()
-        del payload["coefficients"][MODE_FIND_ALL][BACKEND_FUSED]
-        with pytest.raises(ValueError, match="missing backend"):
-            PlanCostModel.from_payload(payload)
-        with pytest.raises(ValueError, match="missing mode"):
-            PlanCostModel.from_payload({"coefficients": {}})
-
-    def test_set_cost_model_installs_and_resets(self):
-        pinned = _flat_model(
-            dfs=(0.0, 0.0), tabular=(1e9, 1e9), fused=(1e9, 1e9)
-        )
-        try:
-            assert set_cost_model(pinned) is pinned
-            assert get_cost_model() is pinned
-            assert select_backend(False, 4, [9999, 9999]) == BACKEND_DFS
-        finally:
-            set_cost_model(None)
-        assert get_cost_model().source == "default"
+        assert packing_order(np.array([5, 9, 5, 12])).tolist() == [3, 1, 0, 2]
+        assert packing_order(np.array([], dtype=np.int64)).tolist() == []
 
 
 class TestOverride:
     def test_forced_backends_win_over_model(self):
-        # Forcing beats every model rule, including the depth-1 guard.
-        assert select_backend(True, 1, [1], BACKEND_TABULAR) == BACKEND_TABULAR
-        assert select_backend(True, 1, [1], BACKEND_FUSED) == BACKEND_FUSED
-        assert select_backend(False, 9, [9999, 9999], BACKEND_DFS) == BACKEND_DFS
+        # Forcing beats every rule, including the depth-1 guard.
+        assert _one(1, [1], BACKEND_TABULAR) == BACKEND_TABULAR
+        assert _one(1, [1], BACKEND_FUSED) == BACKEND_FUSED
+        assert _one(9, [9999] * 9, BACKEND_DFS) == BACKEND_DFS
+        assert _one(2, [1, 1], BACKEND_TABULAR) == BACKEND_TABULAR
+        assert _one(2, [9999, 9999], BACKEND_FUSED) == BACKEND_FUSED
+        counts = counts_for(3, np.arange(0, 4000, 7, dtype=np.int64))
+        for code, backend in enumerate(BACKEND_CODES):
+            assert (choose_backends(3, counts, backend) == code).all()
 
     def test_auto_is_default(self):
-        assert select_backend(False, 2, [100, 100]) == select_backend(
-            False, 2, [100, 100], BACKEND_AUTO
+        counts = counts_for(3, np.arange(0, 4000, 7, dtype=np.int64))
+        assert np.array_equal(
+            choose_backends(3, counts), choose_backends(3, counts, BACKEND_AUTO)
         )
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="join_backend"):
-            select_backend(False, 2, [10, 10], "gpu")
+            choose_backends(2, np.array([[10], [10]]), "gpu")
 
 
 class TestConfigKnob:

@@ -13,7 +13,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.accel.dispatch import PlanCostModel, set_cost_model
 from repro.accel.fused import (
     FUSED_BLOCK_ELEMS,
     _block_starts,
@@ -27,14 +26,15 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.filtering import IterativeFilter
+from repro.core import join
 from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget, compile_plans
 from repro.utils.bitops import bit_positions
 from repro.pipeline.session import MatcherSession
 from tests.accel.test_parity import (
     _embeddings,
-    _mix_forcing_model,
     _run,
     assert_find_all_parity,
+    force_mix,
 )
 
 pytestmark = pytest.mark.perf_accel
@@ -42,11 +42,9 @@ pytestmark = pytest.mark.perf_accel
 SEEDS = [0, 1, 2, 3]
 
 
-class _AscendingOrderModel(PlanCostModel):
-    """Default costs, but the fused table packs cheapest pairs first."""
-
-    def ordering(self, estimates):
-        return sorted(range(len(estimates)), key=lambda i: (int(estimates[i]), i))
+def _ascending_order(estimates):
+    """Packing order that puts the cheapest pairs first (stable)."""
+    return np.argsort(np.asarray(estimates, dtype=np.int64), kind="stable")
 
 
 class TestFusedFindAllParity:
@@ -180,32 +178,35 @@ class TestFusedBudgets:
 
 class TestPackingInvariance:
     @pytest.mark.parametrize("mode", [FIND_ALL, FIND_FIRST])
-    def test_table_order_never_changes_results(self, mode):
+    def test_table_order_never_changes_results(self, mode, monkeypatch):
         ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=2)
         baseline = _run(ds.queries, ds.data, "fused", mode=mode)
-        set_cost_model(_AscendingOrderModel())
-        try:
-            reordered = _run(ds.queries, ds.data, "fused", mode=mode)
-        finally:
-            set_cost_model(None)
+        packed = []
+
+        def ascending(estimates):
+            packed.append(len(estimates))
+            return _ascending_order(estimates)
+
+        monkeypatch.setattr(join, "packing_order", ascending)
+        reordered = _run(ds.queries, ds.data, "fused", mode=mode)
+        assert packed == reordered.join_result.fused_pairs_per_table
         assert _embeddings(baseline) == _embeddings(reordered)
         if mode == FIND_ALL:
             assert_find_all_parity(baseline, reordered)
 
-    def test_mixed_dispatch_keeps_gmcr_emission_order(self):
-        # Under a mix-forcing model the replay pass interleaves fused and
-        # DFS pairs back into GMCR order, so embeddings come out exactly
-        # as the all-DFS reference emits them.
+    def test_mixed_dispatch_keeps_gmcr_emission_order(self, monkeypatch):
+        # With a lowered fused cap the replay pass interleaves fused and
+        # tabular pairs back into GMCR order — under either packing — so
+        # embeddings come out exactly as the all-DFS reference emits them.
         ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=4)
         ra = _run(ds.queries, ds.data, "dfs")
-        set_cost_model(_mix_forcing_model())
-        try:
-            rc = _run(ds.queries, ds.data, "auto")
-        finally:
-            set_cost_model(None)
-        assert rc.join_result.backend_pairs["dfs"] > 0
+        force_mix(monkeypatch)
+        rc = _run(ds.queries, ds.data, "auto")
+        assert rc.join_result.backend_pairs["tabular"] > 0
         assert rc.join_result.backend_pairs["fused"] > 0
         assert_find_all_parity(ra, rc)
+        monkeypatch.setattr(join, "packing_order", _ascending_order)
+        assert_find_all_parity(ra, _run(ds.queries, ds.data, "auto"))
 
 
 class TestSessionReuse:
@@ -217,24 +218,6 @@ class TestSessionReuse:
         r2 = session.match(bench.data)
         assert cache.stats.misses == 1  # warm path: no rebuild
         assert r1.total_matches == r2.total_matches
-
-    def test_session_pins_cost_model(self, bench):
-        # A session-pinned model keeps its dispatch policy even if the
-        # process-wide model changes mid-flight.
-        dfs_only = _mix_forcing_model().with_source("pin-test")
-        coeffs = {
-            mode: dict(table) for mode, table in dfs_only.coefficients.items()
-        }
-        from repro.accel.dispatch import BackendCost
-
-        for mode in coeffs:
-            coeffs[mode]["dfs"] = BackendCost(0.0, 0.0)
-            coeffs[mode]["fused"] = BackendCost(1.0, 1.0)
-        pinned = PlanCostModel(coefficients=coeffs, source="dfs-only")
-        session = MatcherSession(bench.queries, cost_model=pinned)
-        result = session.match(bench.data)
-        assert result.join_result.backend_pairs["fused"] == 0
-        assert result.join_result.backend_pairs["dfs"] > 0
 
     def test_concurrent_matches_equal_sequential(self, bench):
         config = SigmoConfig(record_embeddings=True)

@@ -154,28 +154,17 @@ class TestBudgetTruncationParity:
             assert total == full.total_matches, backend
 
 
-def _mix_forcing_model():
-    """A cost model that splits the seeded workload between dfs and fused.
+#: Fused size cap that splits the seeded test workloads roughly in half
+#: (their pair estimates have a median near 10 elements), so ``auto``
+#: sends the small pairs to the fused table and the rest to tabular.
+MIX_FUSED_MAX_ELEMENTS = 10
 
-    DFS is pure slope, fused pure overhead, so small pairs go scalar and
-    large pairs ride the fused table — guaranteeing a genuine mix.
-    """
-    from repro.accel.dispatch import (
-        MODE_FIND_ALL,
-        MODE_FIND_FIRST,
-        BackendCost,
-        PlanCostModel,
-    )
 
-    table = {
-        "dfs": BackendCost(pair_overhead=0.0, element_cost=1e-6),
-        "tabular": BackendCost(pair_overhead=1.0, element_cost=1.0),
-        "fused": BackendCost(pair_overhead=50e-6, element_cost=0.0),
-    }
-    return PlanCostModel(
-        coefficients={MODE_FIND_ALL: dict(table), MODE_FIND_FIRST: dict(table)},
-        source="test-mix",
-    )
+def force_mix(monkeypatch):
+    """Lower the dispatch size rule's fused cap to :data:`MIX_FUSED_MAX_ELEMENTS`."""
+    from repro.accel import dispatch
+
+    monkeypatch.setattr(dispatch, "FUSED_MAX_ELEMENTS", MIX_FUSED_MAX_ELEMENTS)
 
 
 class TestMixedDispatch:
@@ -187,20 +176,43 @@ class TestMixedDispatch:
         ra = _run(ds.queries, ds.data, "dfs")
         assert_find_all_parity(ra, rc)
 
-    def test_auto_mixes_backends_without_changing_results(self):
-        from repro.accel.dispatch import set_cost_model
-
+    def test_auto_mixes_backends_without_changing_results(self, monkeypatch):
         ds = build_benchmark(scale=1.0, n_queries=24, n_data_graphs=60, seed=7)
-        set_cost_model(_mix_forcing_model())
-        try:
-            rc = _run(ds.queries, ds.data, "auto")
-        finally:
-            set_cost_model(None)
+        force_mix(monkeypatch)
+        rc = _run(ds.queries, ds.data, "auto")
         split = rc.join_result.backend_pairs
-        # The forced crossover exercises both backends under auto.
-        assert split["dfs"] > 0 and split["fused"] > 0
+        # The lowered cap exercises both vectorized backends under auto.
+        assert split["tabular"] > 0 and split["fused"] > 0
         ra = _run(ds.queries, ds.data, "dfs")
         assert_find_all_parity(ra, rc)
+
+    @pytest.mark.parametrize(
+        "budget", [JoinBudget(max_visits=500), JoinBudget(max_pushes=200)]
+    )
+    def test_mixed_budget_truncates_and_resumes_like_dfs(
+        self, monkeypatch, budget
+    ):
+        ds = build_benchmark(scale=1.0, n_queries=24, n_data_graphs=60, seed=7)
+        full = _run(ds.queries, ds.data, "dfs")
+        ref = _run(ds.queries, ds.data, "dfs", budget=budget)
+        force_mix(monkeypatch)
+        engine = SigmoEngine(
+            ds.queries, ds.data, SigmoConfig(record_embeddings=True)
+        )
+        part = engine.run(join_budget=budget)
+        jp = part.join_result
+        assert jp.truncated and ref.join_result.truncated
+        assert jp.resume_pair == ref.join_result.resume_pair
+        assert jp.truncate_reason == ref.join_result.truncate_reason
+        assert_find_all_parity(ref, part)
+        rest = engine.run(join_start_pair=part.resume_pair)
+        split = {
+            b: jp.backend_pairs[b] + rest.join_result.backend_pairs[b]
+            for b in ("tabular", "fused")
+        }
+        assert split["tabular"] > 0 and split["fused"] > 0
+        assert part.total_matches + rest.total_matches == full.total_matches
+        assert _embeddings(part) + _embeddings(rest) == _embeddings(full)
 
     def test_backend_accounting_sums(self):
         ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=0)

@@ -135,46 +135,6 @@ class TestResilientRun:
         assert "resilient smoke ok" in capsys.readouterr().out
 
 
-@pytest.mark.perf_accel
-class TestCalibrate:
-    def test_sweep_prints_model_and_decisions(self, tmp_path, capsys):
-        out_json = tmp_path / "model.json"
-        assert main(
-            ["calibrate", "--points", "1", "--repeats", "1",
-             "--out", str(out_json)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "cost model (source: calibrated-seed0)" in out
-        assert "dispatch decisions vs the static threshold" in out
-        assert "static/fitted agreement:" in out
-        assert "round-trip verified" in out
-        payload = json.loads(out_json.read_text())
-        assert payload["schema"] == "repro.join_cost/1"
-
-    def test_load_and_install_round_trips(self, tmp_path, capsys):
-        from repro.accel.dispatch import get_cost_model, set_cost_model
-
-        out_json = tmp_path / "model.json"
-        again = tmp_path / "again.json"
-        assert main(
-            ["calibrate", "--points", "1", "--repeats", "1",
-             "--out", str(out_json)]
-        ) == 0
-        capsys.readouterr()
-        try:
-            assert main(
-                ["calibrate", "--load", str(out_json), "--out", str(again),
-                 "--install"]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "installed as the process-wide dispatch model" in out
-            assert get_cost_model().source == "calibrated-seed0"
-        finally:
-            set_cost_model(None)
-        # Persisting is deterministic: load -> save reproduces the bytes.
-        assert again.read_text() == out_json.read_text()
-
-
 @pytest.mark.slo
 class TestServeSimObservability:
     def test_dashboard_and_bundle_dump(self, tmp_path, capsys):
