@@ -8,10 +8,10 @@ here:
   It keeps the BFS frontier of every node of the whole batch at once and
   advances all nodes by one ring per step, exactly like the paper's
   signature-refinement kernels cache the frontier between refinement
-  iterations (section 4.4).  The ring expansion itself is delegated to the
-  active backend's ``signature_kernel`` shim (scipy-sparse products on the
-  numpy backend, dense matmuls on scipy-free backends); nothing loops per
-  node in Python.
+  iterations (section 4.4).  The frontier and visited sets are masked
+  64-bit bitsets over each graph's local node ids, advanced with
+  ``xp.scatter_or`` and counted with ``xp.popcount``; nothing loops per
+  node in Python, and no sparse-matrix library is involved.
 
 * :class:`SignaturePacking` — the masked-bitset encoding (section 4.2): a
   64-bit word is partitioned into per-label bit fields, wider fields for
@@ -207,6 +207,27 @@ class SignaturePacking:
         return xp.all(d >= q, axis=-1)
 
 
+#: Largest ``uint64`` word count of any one signature-BFS array.  A
+#: batch's largest arrays are its label masks (``n_nodes x n_labels x W``
+#: words, ``W`` words per node covering the largest graph) and the
+#: neighbor gather of a step (``W`` words per adjacency slot); a batch
+#: needing more raises :class:`SignatureCapacityError` at construction,
+#: so no step allocates more.  2^24 words is 128 MB per array.
+SIGNATURE_WORD_CAP = 1 << 24
+
+
+class SignatureCapacityError(MemoryError):
+    """A batch's bitset signature BFS would exceed :data:`SIGNATURE_WORD_CAP`."""
+
+
+def _check_word_cap(what: str, need: int) -> None:
+    if need > SIGNATURE_WORD_CAP:
+        raise SignatureCapacityError(
+            f"signature BFS {what}: {need} uint64 words is over "
+            f"SIGNATURE_WORD_CAP = {SIGNATURE_WORD_CAP}; split the batch"
+        )
+
+
 class SignatureState:
     """Incremental batched signature computation over a CSR-GO batch.
 
@@ -215,8 +236,18 @@ class SignatureState:
     nodes with label ``l`` at distance ``1..k`` of ``v`` — the radius-``k``
     signature of Alg. 1.  The frontier is cached between steps, so step
     ``k`` only touches the ring ``R_k`` of newly discovered nodes, as in
-    the paper's kernel implementation (section 4.4).  The BFS state and
-    ring expansion live in the active backend's ``signature_kernel`` shim.
+    the paper's kernel implementation (section 4.4).
+
+    The BFS state is two ``uint64`` bitsets per node, ``visited`` and
+    ``frontier``, over the node's own graph's local ids: ``W = ceil(max
+    graph nodes / 64)`` words per node, stored word-major (``[W, n]``).
+    A step ORs the frontier rows of every node's neighbors into the
+    node's row (``xp.scatter_or``; the graphs are undirected, so ``u`` is
+    at distance ``k + 1`` of ``v`` iff it is at distance ``k`` of some
+    neighbor of ``v`` and not closer), masks out ``visited``, and counts
+    the ring with ``xp.popcount``, per label against the label masks of
+    the node's graph.  Only :mod:`repro.xp` contract ops run, so every
+    backend executes this same code.
 
     Parameters
     ----------
@@ -229,6 +260,12 @@ class SignatureState:
         used for wildcard query atoms (a wildcard neighbor can map to any
         element, so it must not constrain the neighborhood histogram).
         Nodes with this label may exceed ``n_labels``.
+
+    Raises
+    ------
+    SignatureCapacityError
+        The label masks or the neighbor gather would exceed
+        :data:`SIGNATURE_WORD_CAP` words.
     """
 
     def __init__(
@@ -236,27 +273,61 @@ class SignatureState:
     ) -> None:
         if n_labels < 1:
             raise ValueError("n_labels must be >= 1")
+        labels = xp.asarray(graph.labels, dtype=xp.int64)
         counted = (
-            graph.labels
+            xp.ones(labels.size, dtype=xp.bool_)
             if ignore_label is None
-            else graph.labels[graph.labels != ignore_label]
+            else labels != ignore_label
         )
-        if counted.size and counted.max() >= n_labels:
+        bad = labels[counted]
+        bad = bad[(bad < 0) | (bad >= n_labels)]
+        if bad.size:
             raise ValueError(
-                f"graph contains label {int(counted.max())} >= n_labels {n_labels}"
+                f"graph contains label {int(bad[0])} outside [0, {n_labels})"
             )
         self.graph = graph
         self.n_labels = n_labels
         self.ignore_label = ignore_label
         n = graph.n_nodes
-        mask = (
-            xp.ones(n, dtype=xp.bool_)
-            if ignore_label is None
-            else (graph.labels != ignore_label)
+        sizes = xp.diff(graph.graph_offsets)
+        largest = int(sizes.max()) if sizes.size else 0
+        words = max(1, (largest + 63) // 64)
+        # Per-graph label masks are expanded to one copy per node.
+        _check_word_cap("label masks", words * max(n, sizes.size) * n_labels)
+        _check_word_cap("neighbor gather", words * graph.column_indices.size)
+
+        owner = xp.repeat(xp.arange(sizes.size, dtype=xp.int64), sizes)
+        local = xp.arange(n, dtype=xp.int64) - graph.graph_offsets[owner]
+        word, bit = xp.divmod_(local, 64)
+        flat = word * n + xp.arange(n, dtype=xp.int64)  # (word, node) cell
+        bits = xp.uint64(1) << xp.astype(bit, xp.uint64)
+        src = xp.repeat(xp.arange(n, dtype=xp.int64), xp.diff(graph.row_offsets))
+        dst = xp.asarray(graph.column_indices, dtype=xp.int64)
+        if xp.any(owner[src] != owner[dst]):
+            raise ValueError("an edge joins two graphs of the batch")
+        # (word, node) cells of every adjacency slot's source and target,
+        # so a step is one gather and one scatter over all words at once.
+        word_base = xp.arange(words, dtype=xp.int64)[:, None] * n
+        self._slot_src = (word_base + src).reshape(-1)
+        self._slot_dst = (word_base + dst).reshape(-1)
+
+        visited = xp.zeros((words, n), dtype=xp.uint64)
+        visited.reshape(-1)[flat] = bits
+        self._visited = visited
+        self._frontier = visited.copy()
+        self._frontier_count = n
+        # label_masks[g, l]: bit i set iff local node i of graph g has
+        # label l and is counted (not the ignored wildcard); expanded to
+        # one copy per node, [W, n, n_labels], so a step gathers nothing.
+        graph_masks = xp.zeros((words, sizes.size, n_labels), dtype=xp.uint64)
+        rows = xp.flatnonzero(counted)
+        xp.scatter_or(
+            graph_masks.reshape(-1),
+            (word[rows] * sizes.size + owner[rows]) * n_labels + labels[rows],
+            bits[rows],
         )
-        self._impl = xp.signature_kernel(
-            graph.row_offsets, graph.column_indices, n, graph.labels, mask, n_labels
-        )
+        self._label_masks = graph_masks[:, owner, :]
+
         self.counts = xp.zeros((n, n_labels), dtype=xp.int64)
         self.radius = 0
         #: nodes discovered at the latest step (|R_k| per node); useful for
@@ -266,21 +337,31 @@ class SignatureState:
     @property
     def converged(self) -> bool:
         """True once no node discovered anything at the last step."""
-        return self.radius > 0 and self._impl.frontier_count == 0
+        return self.radius > 0 and self._frontier_count == 0
 
     @kernel(writes=("self",))
     def step(self) -> np.ndarray:
         """Advance every node's view by one ring; return the new counts.
 
-        The backend kernel computes ``R_{k+1}(v) = N(R_k(v)) \\ visited(v)``
-        for all ``v`` at once and hands back the ring sizes plus the ring's
-        label histogram delta, which accumulates into :attr:`counts`.
+        Computes ``R_{k+1}(v) = N(R_k(v)) \\ visited(v)`` for all ``v`` at
+        once, then adds the ring's per-label sizes to :attr:`counts`.
         """
-        ring_sizes, delta = self._impl.step()
+        expanded = xp.zeros(self._frontier.shape, dtype=xp.uint64)
+        xp.scatter_or(
+            expanded.reshape(-1),
+            self._slot_src,
+            self._frontier.reshape(-1)[self._slot_dst],
+        )
+        ring = expanded & ~self._visited
+        self._visited |= ring
+        self._frontier = ring
+        ring_sizes = xp.sum(xp.popcount(ring), axis=0, dtype=xp.int64)
+        self._frontier_count = int(ring_sizes.sum())
         self.radius += 1
         self.last_ring_sizes = ring_sizes
-        if delta is not None:
-            self.counts += delta
+        if self._frontier_count:
+            hits = xp.popcount(ring[:, :, None] & self._label_masks)
+            self.counts += xp.sum(hits, axis=0, dtype=xp.int64)
         return self.counts
 
     def run_to(self, radius: int) -> np.ndarray:
@@ -297,7 +378,7 @@ class SignatureState:
 
     def reachable_counts(self) -> np.ndarray:
         """Nodes within the current radius of each node (excluding self)."""
-        return self._impl.reachable_counts()
+        return xp.sum(xp.popcount(self._visited), axis=0, dtype=xp.int64) - 1
 
 
 def reference_signatures(graph: CSRGO, radius: int, n_labels: int) -> np.ndarray:

@@ -11,7 +11,7 @@ Two backends register at import time:
 
 * ``numpy`` (default) — bitwise-identical to the historical kernels.
 * ``instrumented`` — numpy wrapped in per-op call/byte counters with
-  dtype strictness and the dense scipy-free signature kernel.
+  dtype strictness.
 
 Further backends register with :func:`register_backend`; the recipe is
 in ``docs/backends.md``.

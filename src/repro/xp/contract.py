@@ -14,9 +14,7 @@ Three tiers:
 * :data:`SHIM_FUNCTIONS` — the explicit shims covering the historically
   unportable call sites (``docs/backend_surface.md`` before the
   migration): bit packing/unpacking, byte reinterpretation, scatter-OR,
-  ``divmod``, popcount, the overflow-guarded flat-key stride, and the
-  batched signature-BFS kernel that replaced the scipy-sparse path in
-  ``SignatureState.step``.
+  ``divmod``, popcount and the overflow-guarded flat-key stride.
 * :data:`DTYPE_ATTRS` — dtype objects exposed as plain attributes
   (usable both as ``dtype=xp.int64`` and as scalar constructors).
 """
@@ -76,9 +74,6 @@ SHIM_FUNCTIONS = frozenset(
         "popcount",
         # int64 flat-key stride with a 2^63 overflow guard
         "checked_flat_stride",
-        # batched neighborhood-signature BFS state (was the scipy-sparse
-        # matrix products in SignatureState.step)
-        "signature_kernel",
     }
 )
 

@@ -1,12 +1,11 @@
 """The ``instrumented`` backend: the numpy backend wrapped in counters.
 
-Every contract call is tallied (call count + bytes produced), allocation
-ops must pass an explicit ``dtype``, and the signature kernel uses the
-dense scipy-free fallback — so running the parity suite on this backend
-simultaneously proves the registry is actually consulted (no host-side
-NumPy leaks: leaked ``np.*`` calls don't show up in the counters), that
-kernels never rely on NumPy's default dtypes (which differ across
-device libraries), and that the scipy-sparse path is replaceable.
+Every contract call is tallied (call count + bytes produced) and
+allocation ops must pass an explicit ``dtype`` — so running the parity
+suite on this backend simultaneously proves the registry is actually
+consulted (no host-side NumPy leaks: leaked ``np.*`` calls don't show up
+in the counters) and that kernels never rely on NumPy's default dtypes
+(which differ across device libraries).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.xp.contract import DTYPE_ATTRS
-from repro.xp.fallback import DenseSignatureKernel
 from repro.xp.numpy_backend import NumpyBackend
 
 #: Allocation ops whose default dtype differs between array libraries;
@@ -107,14 +105,3 @@ class InstrumentedBackend:
         wrapper.__name__ = attr
         object.__setattr__(self, attr, wrapper)  # cache for next lookup
         return wrapper
-
-    def signature_kernel(
-        self, row_offsets, column_indices, n_nodes, labels, mask, n_labels
-    ):
-        """Dense scipy-free signature BFS, driven through this backend so
-        its matmuls and reductions land in the counters."""
-        kernel = DenseSignatureKernel(
-            self, row_offsets, column_indices, n_nodes, labels, mask, n_labels
-        )
-        self._tally("signature_kernel", None)
-        return kernel

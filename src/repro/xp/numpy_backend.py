@@ -5,8 +5,6 @@ Unknown attributes fall through to :mod:`numpy` (and are cached on the
 instance), so the backend automatically satisfies the whole
 :data:`repro.xp.contract.ARRAY_API_FUNCTIONS` surface; only the
 :data:`repro.xp.contract.SHIM_FUNCTIONS` need explicit definitions.
-The signature kernel keeps the scipy-sparse matrix products when scipy
-is importable and drops to the dense fallback otherwise.
 """
 
 from __future__ import annotations
@@ -14,76 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.xp.contract import MAX_FLAT_STRIDE
-from repro.xp.fallback import DenseSignatureKernel
-
-
-class ScipySignatureKernel:
-    """Sparse signature-BFS state, lifted verbatim from the historical
-    ``SignatureState`` internals so the numpy backend stays bit-exact.
-    """
-
-    def __init__(
-        self, row_offsets, column_indices, n_nodes, labels, mask, n_labels
-    ) -> None:
-        from scipy import sparse
-
-        n = int(n_nodes)
-        adjacency = sparse.csr_matrix(
-            (
-                np.ones(np.asarray(column_indices).size, dtype=bool),
-                np.asarray(column_indices),
-                np.asarray(row_offsets),
-            ),
-            shape=(n, n),
-        )
-        self._adjacency = adjacency.astype(np.int32)
-        labels = np.asarray(labels)
-        mask = np.asarray(mask)
-        rows = np.flatnonzero(mask)
-        onehot_cols = labels[rows].astype(np.int64)
-        self._label_onehot = sparse.csr_matrix(
-            (
-                np.ones(rows.size, dtype=np.int64),
-                (rows, onehot_cols),
-            ),
-            shape=(n, n_labels),
-        )
-        self._visited = sparse.identity(n, dtype=bool, format="csr")
-        self._frontier = sparse.identity(n, dtype=bool, format="csr")
-
-    @property
-    def frontier_count(self) -> int:
-        """Nodes discovered at the latest ring, summed over the batch."""
-        return int(self._frontier.nnz)
-
-    def step(self):
-        """One BFS ring for every node: (ring sizes, label-count delta)."""
-        expanded = (self._frontier.astype(np.int32) @ self._adjacency).tocsr()
-        expanded.data = np.ones_like(expanded.data)
-        overlap = self._visited.astype(np.int32).multiply(expanded).tocsr()
-        new_ring = (expanded - overlap).tocsr()
-        new_ring.eliminate_zeros()
-        new_ring = new_ring.astype(bool)
-        self._visited = self._visited.maximum(new_ring).tocsr()
-        self._frontier = new_ring
-        ring_sizes = np.asarray(new_ring.sum(axis=1), dtype=np.int64).ravel()
-        if not new_ring.nnz:
-            return ring_sizes, None
-        delta = (new_ring.astype(np.int64) @ self._label_onehot).toarray()
-        return ring_sizes, delta
-
-    def reachable_counts(self):
-        """Nodes within the current radius of each node (excluding self)."""
-        totals = np.asarray(self._visited.sum(axis=1), dtype=np.int64)
-        return totals.ravel() - 1
-
-
-def _have_scipy() -> bool:
-    try:
-        import scipy.sparse  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 class NumpyBackend:
@@ -147,15 +75,3 @@ class NumpyBackend:
                 f"{MAX_FLAT_STRIDE}"
             )
         return np.int64(width)
-
-    def signature_kernel(
-        self, row_offsets, column_indices, n_nodes, labels, mask, n_labels
-    ):
-        """Batched neighborhood-signature BFS state."""
-        if _have_scipy():
-            return ScipySignatureKernel(
-                row_offsets, column_indices, n_nodes, labels, mask, n_labels
-            )
-        return DenseSignatureKernel(
-            self, row_offsets, column_indices, n_nodes, labels, mask, n_labels
-        )

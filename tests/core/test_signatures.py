@@ -142,6 +142,18 @@ class TestSignatureState:
         with pytest.raises(ValueError):
             SignatureState(c, 2)
 
+    def test_negative_label_rejected(self):
+        c = CSRGO([0, 2], [0, 1, 2], [1, 0], [0, -1])
+        with pytest.raises(ValueError, match="outside"):
+            SignatureState(c, 2)
+
+    def test_edge_across_graphs_rejected(self):
+        # Bitsets are over each graph's local ids; a raw CSR-GO whose edge
+        # joins two graphs has no meaning there.
+        c = CSRGO([0, 1, 2], [0, 1, 2], [1, 0], [0, 1])
+        with pytest.raises(ValueError, match="joins two graphs"):
+            SignatureState(c, 2)
+
     def test_reachable_counts(self):
         c = CSRGO.from_graphs([path_graph([0, 0, 0])])
         state = SignatureState(c, 1)

@@ -7,17 +7,18 @@ and truncation/resume tokens under a ``JoinBudget``.  Any further
 registered backend joins the matrix automatically; the built-in matrix
 is numpy vs. instrumented — which simultaneously proves the kernels
 dispatch through the registry (the instrumented counters see the
-traffic) and that the dense scipy-free signature kernel is an exact
-stand-in.
+traffic, the signature BFS's ``popcount``/``scatter_or`` included).
 """
 
 import pytest
 
 from repro.chem.datasets import build_benchmark
 from repro.core.config import SigmoConfig
+from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import FIND_FIRST, JoinBudget
-from repro.xp import backend_names, get_backend
+from repro.core.signatures import SignatureState
+from repro.xp import backend_names, get_backend, use_backend
 
 pytestmark = pytest.mark.xp
 
@@ -98,11 +99,24 @@ class TestInstrumentedBackendObservations:
         run_pipeline(fresh, "instrumented")
         counts = be.op_counts()
         assert be.total_calls() > 0, "no kernel call dispatched via repro.xp"
-        # The signature stage must run on the backend's kernel, not scipy.
-        assert "signature_kernel" in counts
+        # The signature BFS runs on the backend's bitset ops.
+        for op in ("popcount", "scatter_or"):
+            assert counts.get(op, (0, 0))[0] > 0, f"xp.{op} never dispatched"
         # Core array traffic of the filter/join path.
         for op in ("zeros", "nonzero", "cumsum", "searchsorted"):
             assert counts.get(op, (0, 0))[0] > 0, f"xp.{op} never dispatched"
+
+    def test_signature_step_dispatches_bitset_ops(self, dataset):
+        batch = CSRGO.from_graphs(dataset.data)
+        be = get_backend("instrumented")
+        with use_backend("instrumented"):
+            state = SignatureState(batch, int(batch.labels.max()) + 1)
+            be.reset()
+            state.step()
+        counts = be.op_counts()
+        # One neighbor OR per bitset word, ring sizes and label counts.
+        assert counts["scatter_or"][0] >= 1
+        assert counts["popcount"][0] >= 2
 
     def test_numpy_run_stays_out_of_the_counters(self, dataset):
         be = get_backend("instrumented")

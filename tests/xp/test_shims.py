@@ -2,7 +2,7 @@
 
 Every backend implements the :data:`repro.xp.contract.SHIM_FUNCTIONS`
 surface; the numpy backend uses native fast paths (``np.packbits``,
-``np.bitwise_or.at``, scipy-sparse signature BFS).  These tests pin each
+``np.bitwise_or.at``, ``np.bitwise_count``).  These tests pin each
 native shim bitwise-equal to a portable oracle written only in
 array-API operations (plus basic indexing) — the reference a new
 backend's shims must also reproduce.
@@ -11,12 +11,7 @@ backend's shims must also reproduce.
 import numpy as np
 import pytest
 
-from repro.graph.batch import GraphBatch
-from repro.graph.generators import random_connected_graph
-from repro.core.csrgo import CSRGO
 from repro.xp import MAX_FLAT_STRIDE, NumpyBackend, get_backend
-from repro.xp.fallback import DENSE_SIGNATURE_CELL_CAP, DenseSignatureKernel
-from repro.xp.numpy_backend import ScipySignatureKernel
 
 pytestmark = pytest.mark.xp
 
@@ -160,74 +155,3 @@ class TestFlatStrideOverflowGuard:
     def test_stride_result_is_int64(self):
         stride = BE.checked_flat_stride(1000)
         assert np.asarray(stride).dtype == np.int64
-
-
-def _random_csrgo(rng, n_nodes=40, n_labels=4):
-    graphs = [
-        random_connected_graph(n_nodes // 2, 4, n_labels, rng),
-        random_connected_graph(n_nodes - n_nodes // 2, 3, n_labels, rng),
-    ]
-    return CSRGO.from_batch(GraphBatch(graphs))
-
-
-class TestSignatureKernelParity:
-    def test_dense_matches_scipy_step_by_step(self, rng):
-        data = _random_csrgo(rng)
-        n_labels = int(data.labels.max()) + 1
-        mask = np.ones(data.n_nodes, dtype=bool)
-        args = (
-            data.row_offsets,
-            data.column_indices,
-            data.n_nodes,
-            data.labels,
-            mask,
-            n_labels,
-        )
-        sparse_k = ScipySignatureKernel(*args)
-        dense_k = DenseSignatureKernel(BE, *args)
-        for _ in range(5):
-            s_sizes, s_delta = sparse_k.step()
-            d_sizes, d_delta = dense_k.step()
-            np.testing.assert_array_equal(s_sizes, d_sizes)
-            if s_delta is None or d_delta is None:
-                assert not s_sizes.any() and not d_sizes.any()
-            else:
-                np.testing.assert_array_equal(s_delta, d_delta)
-            assert sparse_k.frontier_count == dense_k.frontier_count
-        np.testing.assert_array_equal(
-            sparse_k.reachable_counts(), dense_k.reachable_counts()
-        )
-
-    def test_masked_labels_ignored_identically(self, rng):
-        data = _random_csrgo(rng, n_nodes=24)
-        n_labels = int(data.labels.max()) + 1
-        mask = np.asarray(data.labels) != 0  # pretend label 0 is wildcard
-        args = (
-            data.row_offsets,
-            data.column_indices,
-            data.n_nodes,
-            data.labels,
-            mask,
-            n_labels,
-        )
-        sparse_k = ScipySignatureKernel(*args)
-        dense_k = DenseSignatureKernel(BE, *args)
-        for _ in range(3):
-            s_sizes, s_delta = sparse_k.step()
-            d_sizes, d_delta = dense_k.step()
-            np.testing.assert_array_equal(s_sizes, d_sizes)
-            if s_delta is not None and d_delta is not None:
-                np.testing.assert_array_equal(s_delta, d_delta)
-
-    def test_dense_kernel_caps_memory(self):
-        n = int(DENSE_SIGNATURE_CELL_CAP**0.5) + 1
-        with pytest.raises(MemoryError, match="dense signature"):
-            DenseSignatureKernel(
-                BE,
-                np.zeros(n + 1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                n,
-                np.zeros(n, dtype=np.int64),
-                np.ones(n, dtype=bool),
-                2,
-            )
