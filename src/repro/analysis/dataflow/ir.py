@@ -545,7 +545,7 @@ class _Lowerer:
         )
         body = tuple(self.stmt(stmt) for stmt in node.body)
         # Closures can be declared at any control-flow depth (e.g. inside
-        # a ``with timer.stage(...)`` block); register them all.
+        # a ``with tracer.span(...)`` block); register them all.
         for lowered in walk_stmts(body):
             if isinstance(lowered, SDef):
                 lowered.func.qualname = f"{qualname}.{lowered.name}"

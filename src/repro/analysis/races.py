@@ -41,8 +41,8 @@ from repro.core.filtering import (
     initialize_candidates,
     refine_candidates,
 )
-from repro.core.mapping import build_gmcr
 from repro.device.simt import ShadowMemory
+from repro.pipeline.session import MatcherSession
 
 
 def trace_refine_races(
@@ -87,6 +87,12 @@ def trace_refine_races(
     return shadow
 
 
+def _pipeline_artifacts(query: CSRGO, data: CSRGO, config: SigmoConfig):
+    """The refined candidate bitmap and GMCR of one pipeline run."""
+    run = MatcherSession(query, config).match(data)
+    return run.filter_result.bitmap, run.gmcr
+
+
 def trace_join_races(
     query: CSRGO,
     data: CSRGO,
@@ -102,10 +108,7 @@ def trace_join_races(
     """
     config = config or SigmoConfig(refinement_iterations=2)
     shadow = shadow or ShadowMemory()
-    filt = IterativeFilter(query, data, config)
-    filter_result = filt.run()
-    bitmap = filter_result.bitmap
-    gmcr = build_gmcr(bitmap, query, data)
+    bitmap, gmcr = _pipeline_artifacts(query, data, config)
     n_words = bitmap.words.shape[1]
     word_bits = bitmap.word_bits
 
@@ -160,10 +163,7 @@ def trace_tabular_join_races(
     """
     config = config or SigmoConfig(refinement_iterations=2)
     shadow = shadow or ShadowMemory()
-    filt = IterativeFilter(query, data, config)
-    filter_result = filt.run()
-    bitmap = filter_result.bitmap
-    gmcr = build_gmcr(bitmap, query, data)
+    bitmap, gmcr = _pipeline_artifacts(query, data, config)
     n_words = bitmap.words.shape[1]
     word_bits = bitmap.word_bits
 

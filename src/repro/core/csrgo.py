@@ -296,20 +296,6 @@ class CSRGO:
                     edge_labels.append(int(self.adj_edge_labels[slot]))
         return LabeledGraph(labels, edges, edge_labels)
 
-    def to_scipy_adjacency(self):
-        """Boolean ``scipy.sparse.csr_matrix`` adjacency of the whole batch.
-
-        Block-diagonal by construction (edges never cross graph boundaries);
-        this is the operand of the batched signature propagation.
-        """
-        from scipy.sparse import csr_matrix
-
-        n = self.n_nodes
-        data = np.ones(self.column_indices.size, dtype=bool)
-        return csr_matrix(
-            (data, self.column_indices, self.row_offsets), shape=(n, n)
-        )
-
     def nbytes(self) -> int:
         """Host-side memory footprint of the stored arrays in bytes."""
         return (

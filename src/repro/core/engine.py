@@ -5,10 +5,10 @@
     queries, molecules ── CSR-GO ─▶ init candidates ─▶ (signatures ─▶
     refine) x s ─▶ GMCR mapping ─▶ stack-DFS join ─▶ matches
 
-Since the staged-pipeline refactor the engine is a thin adapter: ``run``
-builds a :class:`~repro.pipeline.executor.PipelineRequest` and hands it to
-the shared :class:`~repro.pipeline.executor.PipelineExecutor`, which owns
-the stage graph, the obs spans, the timers, and the contract checks.  The
+The engine is a thin adapter: ``run`` builds a
+:class:`~repro.pipeline.stages.PipelineRequest` and hands it to
+:func:`repro.pipeline.stages.execute`, which runs the stages in order and
+owns the obs spans, the stage timings, and the contract checks.  The
 engine contributes what only it has: batches converted once at
 construction, a per-engine artifact cache (so truncated runs resumed via
 ``join_start_pair`` recall their ``FilterResult``/``GMCR`` instead of
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.analysis import contracts
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget
@@ -33,11 +32,7 @@ from repro.core.results import MatchResult
 from repro.graph.batch import GraphBatch
 from repro.graph.labeled_graph import LabeledGraph
 from repro.pipeline.artifacts import ArtifactCache, derive_n_labels
-from repro.pipeline.executor import (
-    PipelineRequest,
-    default_executor,
-    signature_bytes,
-)
+from repro.pipeline.stages import PipelineRequest, as_csrgo, execute
 
 
 class SigmoEngine:
@@ -68,16 +63,14 @@ class SigmoEngine:
         config: SigmoConfig | None = None,
     ) -> None:
         self.config = config or SigmoConfig()
-        query_batch = queries if isinstance(queries, GraphBatch) else GraphBatch(queries)
-        data_batch = data if isinstance(data, GraphBatch) else GraphBatch(data)
-        if query_batch.n_graphs == 0:
-            raise ValueError("at least one query graph is required")
-        if data_batch.n_graphs == 0:
-            raise ValueError("at least one data graph is required")
-        self.query_batch = query_batch
-        self.data_batch = data_batch
+        self.query_batch = (
+            queries if isinstance(queries, GraphBatch) else GraphBatch(queries)
+        )
+        self.data_batch = data if isinstance(data, GraphBatch) else GraphBatch(data)
         # Stage 1: convert to CSR-GO.
-        self._finish_init(CSRGO.from_batch(query_batch), CSRGO.from_batch(data_batch))
+        self._finish_init(
+            as_csrgo(self.query_batch, "query"), as_csrgo(self.data_batch, "data")
+        )
 
     @classmethod
     def from_csrgo(
@@ -95,22 +88,15 @@ class SigmoEngine:
         """
         engine = cls.__new__(cls)
         engine.config = config or SigmoConfig()
-        if query.n_graphs == 0:
-            raise ValueError("at least one query graph is required")
-        if data.n_graphs == 0:
-            raise ValueError("at least one data graph is required")
         engine.query_batch = None
         engine.data_batch = None
-        engine._finish_init(query, data)
+        engine._finish_init(as_csrgo(query, "query"), as_csrgo(data, "data"))
         return engine
 
     def _finish_init(self, query: CSRGO, data: CSRGO) -> None:
-        """Shared tail of both constructors: contracts + label-space size."""
+        """Shared tail of both constructors: label-space size + cache."""
         self.query = query
         self.data = data
-        if contracts.enabled():
-            contracts.check_csrgo(self.query, "query batch")
-            contracts.check_csrgo(self.data, "data batch")
         self.n_labels = derive_n_labels(query, data, self.config.wildcard_label)
         # Per-engine stage-artifact cache: every run stores its
         # FilterResult/GMCR here, and resumed truncated runs recall them.
@@ -157,15 +143,13 @@ class SigmoEngine:
             mode=mode,
             join_budget=join_budget,
             join_start_pair=join_start_pair,
-            n_labels=self.n_labels,
             cache=self._artifacts,
             # Plain runs recompute (storing as they go); only explicit
             # resumes reuse, so repeated `.run()` calls keep their
             # historical stage counts and traces.
             reuse_artifacts=join_start_pair > 0,
-            validated=True,
         )
-        return default_executor().execute(request)
+        return execute(request)
 
     def run_iteration_sweep(
         self,
@@ -205,13 +189,6 @@ class SigmoEngine:
         return MatcherSession.from_csrgo(
             self.query, config=config or self.config, cache=self._artifacts
         )
-
-    # -- internals -----------------------------------------------------------------
-
-    @staticmethod
-    def _signature_bytes(filter_result) -> int:
-        """Bytes of the signature matrices (kept for back-compat; see executor)."""
-        return signature_bytes(filter_result)
 
 
 def find_all(

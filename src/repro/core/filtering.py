@@ -41,7 +41,6 @@ from repro.core.csrgo import CSRGO
 from repro.core.signatures import SignaturePacking, SignatureState
 from repro.obs.trace import get_tracer
 from repro.utils.bitops import pack_bool_rows
-from repro.utils.timing import StageTimer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -313,67 +312,48 @@ class IterativeFilter:
         self._data_state: SignatureState | None = None
         self._last_signatures: tuple[np.ndarray, np.ndarray] | None = None
 
-    def run(self, timer: StageTimer | None = None) -> FilterResult:
+    def run(self) -> FilterResult:
         """Execute ``refinement_iterations`` filter iterations.
 
         Returns the final bitmap plus per-iteration statistics.  Signature
         states are created lazily at iteration 2 (iteration 1 is label-only
         and needs no BFS), and their frontiers are cached across iterations.
 
-        The phase split (:meth:`initialize` / :meth:`refine`) exists for
-        the pipeline executor, which owns the ``stage:filter`` span and
-        runs the two halves as separate cacheable stages; calling ``run``
-        directly produces the identical span/timer/result shape.
+        The stage-level entry point for direct kernel use (benchmarks,
+        analyses): :meth:`initialize` then :meth:`refine` under one
+        ``stage:filter`` span.  Pipeline runs call the two halves from
+        :func:`repro.pipeline.stages.execute`, which also records the
+        stage timings.
         """
-        timer = timer or StageTimer()
         with get_tracer().span(
             "stage:filter",
             category="stage",
             iterations=self.config.refinement_iterations,
         ) as stage_sp:
-            result = self.initialize(timer)
-            self.refine(result, timer)
+            result = self.refine(self.initialize())
             stage_sp.set(candidates=result.total_candidates)
         return result
 
-    def initialize(self, timer: StageTimer | None = None) -> FilterResult:
-        """Stage 2: seed the candidate bitmap (plus the edge-aware pass).
+    def initialize(self) -> FilterResult:
+        """Stage 2: seed the candidate bitmap.
 
         Returns a :class:`FilterResult` shell holding the initialized
         bitmap; :meth:`refine` completes it in place.  Opens no stage
-        span — the caller (``run`` or the executor) owns that.
+        span — the caller owns that.
         """
-        timer = timer or StageTimer()
-        tracer = get_tracer()
-        with timer.stage("initialize_candidates"):
-            bitmap = initialize_candidates(
-                self.query,
-                self.data,
-                self.config.word_bits,
-                self.config.wildcard_label,
-            )
-        result = FilterResult(bitmap=bitmap, packing=self.packing)
-        if self.config.edge_signatures:
-            from repro.core.edge_signatures import refine_candidates_edge_aware
-
-            with timer.stage("filter"):
-                with tracer.span("kernel:refine_edge_aware", category="kernel"):
-                    refine_candidates_edge_aware(
-                        bitmap,
-                        self.query,
-                        self.data,
-                        self.n_labels,
-                        wildcard_label=self.config.wildcard_label,
-                        wildcard_edge_label=self.config.wildcard_edge_label,
-                    )
+        bitmap = initialize_candidates(
+            self.query,
+            self.data,
+            self.config.word_bits,
+            self.config.wildcard_label,
+        )
         if contracts.enabled():
             contracts.check_bitmap(bitmap, name="initialize_candidates")
-        return result
+        return FilterResult(bitmap=bitmap, packing=self.packing)
 
-    def refine(
-        self, result: FilterResult, timer: StageTimer | None = None
-    ) -> FilterResult:
-        """Stages 3-4: run the refinement iterations over an initialized bitmap.
+    def refine(self, result: FilterResult) -> FilterResult:
+        """Stages 3-4: the edge-aware pass (when enabled), then the
+        refinement iterations over an initialized bitmap.
 
         Mutates ``result`` in place (bitmap bits cleared monotonically,
         per-iteration stats appended, final signature matrices attached)
@@ -381,17 +361,27 @@ class IterativeFilter:
         """
         import time
 
-        timer = timer or StageTimer()
         bitmap = result.bitmap
+        if self.config.edge_signatures:
+            from repro.core.edge_signatures import refine_candidates_edge_aware
+
+            with get_tracer().span("kernel:refine_edge_aware", category="kernel"):
+                refine_candidates_edge_aware(
+                    bitmap,
+                    self.query,
+                    self.data,
+                    self.n_labels,
+                    wildcard_label=self.config.wildcard_label,
+                    wildcard_edge_label=self.config.wildcard_edge_label,
+                )
         checking = contracts.enabled()
         for iteration in range(1, self.config.refinement_iterations + 1):
             start = time.perf_counter()
             radius = iteration - 1
             prev_words = bitmap.words.copy() if checking else None
-            with timer.stage("filter"):
-                if radius > 0:
-                    q_counts, d_counts = self._signatures_at(radius)
-                    refine_candidates(bitmap, q_counts, d_counts, self.packing)
+            if radius > 0:
+                q_counts, d_counts = self._signatures_at(radius)
+                refine_candidates(bitmap, q_counts, d_counts, self.packing)
             elapsed = time.perf_counter() - start
             per_node = bitmap.row_counts()
             if checking:

@@ -44,7 +44,6 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.mapping import GMCR
 from repro.obs.trace import get_tracer
-from repro.utils.timing import StageTimer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -720,8 +719,6 @@ def run_join(
     gmcr: GMCR,
     config: SigmoConfig | None = None,
     mode: str = FIND_ALL,
-    timer: StageTimer | None = None,
-    plans: PlanTable | None = None,
     budget: JoinBudget | None = None,
     start_pair: int = 0,
 ) -> JoinResult:
@@ -764,8 +761,6 @@ def run_join(
 
     Parameters
     ----------
-    plans:
-        Pre-compiled plan table (else :func:`compile_plans`).
     budget:
         Optional work watchdog; when a dimension is exhausted the join
         stops at the next pair boundary with ``truncated=True`` and a
@@ -779,7 +774,6 @@ def run_join(
     if start_pair < 0 or start_pair > gmcr.n_pairs:
         raise ValueError(f"start_pair must be in [0, {gmcr.n_pairs}]")
     config = config or SigmoConfig()
-    timer = timer or StageTimer()
     find_first = mode == FIND_FIRST
     n_pairs = gmcr.n_pairs
     result = JoinResult(
@@ -793,13 +787,12 @@ def run_join(
     max_record = config.max_embeddings_recorded
 
     tracer = get_tracer()
-    with timer.stage("join"), tracer.span(
+    with tracer.span(
         "stage:join", category="stage", mode=mode, pairs=n_pairs
     ) as stage_sp, tracer.span(
         "kernel:join", category="kernel", work_items=n_pairs
     ):
-        if plans is None:
-            plans = compile_plans(query, bitmap, config)
+        plans = compile_plans(query, bitmap, config)
         index = build_candidate_index(bitmap, data.graph_offsets)
         pair_qg = xp.asarray(gmcr.query_graph_indices, dtype=xp.int64)
         pair_graph = xp.repeat(

@@ -26,7 +26,6 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.join import QueryPlan, build_plan_table
 from repro.core.mapping import GMCR
-from repro.utils.timing import StageTimer
 
 
 @dataclass
@@ -107,7 +106,6 @@ def run_bfs_join(
     bitmap: CandidateBitmap,
     gmcr: GMCR,
     config: SigmoConfig | None = None,
-    timer: StageTimer | None = None,
 ) -> BfsJoinResult:
     """Drive the BFS join over every GMCR pair (Find All only).
 
@@ -115,38 +113,36 @@ def run_bfs_join(
     directly comparable.
     """
     config = config or SigmoConfig()
-    timer = timer or StageTimer()
     result = BfsJoinResult(pair_matches=np.zeros(gmcr.n_pairs, dtype=np.int64))
-    with timer.stage("join-bfs"):
-        counts = bitmap.row_counts()
-        plans = build_plan_table(
-            query, counts, config.candidate_order, config.wildcard_edge_label
+    counts = bitmap.row_counts()
+    plans = build_plan_table(
+        query, counts, config.candidate_order, config.wildcard_edge_label
+    )
+    index = build_candidate_index(bitmap, data.graph_offsets)
+    for d in range(gmcr.n_data_graphs):
+        lo, hi = int(gmcr.data_graph_offsets[d]), int(
+            gmcr.data_graph_offsets[d + 1]
         )
-        index = build_candidate_index(bitmap, data.graph_offsets)
-        for d in range(gmcr.n_data_graphs):
-            lo, hi = int(gmcr.data_graph_offsets[d]), int(
-                gmcr.data_graph_offsets[d + 1]
-            )
-            if lo == hi:
+        if lo == hi:
+            continue
+        d_start, _ = data.graph_node_range(d)
+        view = LocalCSRView(data, d)
+        for pair_idx in range(lo, hi):
+            qg = int(gmcr.query_graph_indices[pair_idx])
+            plan = plans[qg]
+            nodes = plans.node_offsets[qg] + plan.order
+            if not index.sizes(nodes, d).all():
                 continue
-            d_start, _ = data.graph_node_range(d)
-            view = LocalCSRView(data, d)
-            for pair_idx in range(lo, hi):
-                qg = int(gmcr.query_graph_indices[pair_idx])
-                plan = plans[qg]
-                nodes = plans.node_offsets[qg] + plan.order
-                if not index.sizes(nodes, d).all():
-                    continue
-                cand_lists = [c - d_start for c in index.lists(nodes, d)]
-                found, peak_rows = bfs_join_pair(view, plan, cand_lists)
-                result.pair_matches[pair_idx] = found
-                result.total_matches += found
-                if found:
-                    gmcr.matched[pair_idx] = True
-                result.peak_partial_matches = max(
-                    result.peak_partial_matches, peak_rows
-                )
-                result.peak_partial_bytes = max(
-                    result.peak_partial_bytes, peak_rows * plan.n_nodes * 8
-                )
+            cand_lists = [c - d_start for c in index.lists(nodes, d)]
+            found, peak_rows = bfs_join_pair(view, plan, cand_lists)
+            result.pair_matches[pair_idx] = found
+            result.total_matches += found
+            if found:
+                gmcr.matched[pair_idx] = True
+            result.peak_partial_matches = max(
+                result.peak_partial_matches, peak_rows
+            )
+            result.peak_partial_bytes = max(
+                result.peak_partial_bytes, peak_rows * plan.n_nodes * 8
+            )
     return result

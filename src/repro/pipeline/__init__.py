@@ -1,12 +1,11 @@
-"""Staged pipeline core: one executor, composable policies, sessions.
+"""Pipeline core: one straight-line pipeline, composable policies, sessions.
 
 Public surface:
 
-* :class:`~repro.pipeline.executor.PipelineExecutor` /
-  :class:`~repro.pipeline.executor.PipelineRequest` — the single driver
-  every run entry point routes through.
-* :mod:`~repro.pipeline.stages` — the typed stage graph
-  (convert → init-candidates → refine → map → join).
+* :func:`~repro.pipeline.stages.execute` /
+  :class:`~repro.pipeline.stages.PipelineRequest` — the one pipeline
+  (convert → init-candidates → refine ×s → map → join) every run entry
+  point routes through.
 * :mod:`~repro.pipeline.artifacts` — explicit, checkpointable stage
   artifacts plus the per-engine/per-session cache.
 * :mod:`~repro.pipeline.policies` — chunking/partitioning/retry/memory
@@ -18,23 +17,12 @@ Public surface:
 """
 
 from repro.core.join import JoinResult as JoinOutput
-from repro.pipeline.aggregate import (
-    AggregateResult,
-    ResultAccumulator,
-    merge_join_stats,
-)
+from repro.pipeline.aggregate import AggregateResult, ResultAccumulator
 from repro.pipeline.artifacts import (
     ArtifactCache,
-    CSRGOPair,
     StageArtifact,
     derive_n_labels,
     filter_fingerprint,
-)
-from repro.pipeline.executor import (
-    PipelineExecutor,
-    PipelineRequest,
-    default_executor,
-    execute,
 )
 from repro.pipeline.policies import (
     BudgetInfeasible,
@@ -46,37 +34,24 @@ from repro.pipeline.policies import (
     partition_slices,
 )
 from repro.pipeline.session import MatcherSession
-from repro.pipeline.stages import (
-    PIPELINE_STAGES,
-    PipelineState,
-    StageSpec,
-    validate_stage_graph,
-)
+from repro.pipeline.stages import PipelineRequest, execute
 
 __all__ = [
     "AggregateResult",
     "ArtifactCache",
     "BudgetInfeasible",
-    "CSRGOPair",
     "ChunkingPolicy",
     "JoinOutput",
     "MatcherSession",
     "MemoryBudgetPolicy",
-    "PIPELINE_STAGES",
-    "PipelineExecutor",
     "PipelineRequest",
-    "PipelineState",
     "ResultAccumulator",
     "RetryPolicy",
     "StageArtifact",
-    "StageSpec",
     "WorkUnit",
     "chunk_size_for_budget",
-    "default_executor",
     "derive_n_labels",
     "execute",
     "filter_fingerprint",
-    "merge_join_stats",
     "partition_slices",
-    "validate_stage_graph",
 ]

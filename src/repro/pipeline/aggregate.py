@@ -5,34 +5,38 @@ Both drivers — the serial chunk loop
 (:func:`repro.cluster.parallel.run_parallel`) — report the same nine
 aggregate fields, declared once on :class:`AggregateResult`.
 :class:`ResultAccumulator` is the one fold that fills them: it sums
-match counts, merges timers and join counters, tracks peak memory, and
-concatenates globally indexed matches, fed either per-chunk resilient
-payloads or already-aggregated partial results from workers.
+match counts, sums stage seconds, stage counts and join counters with
+:func:`sum_into`, tracks peak memory, and concatenates globally indexed
+matches, fed either per-chunk resilient payloads or already-aggregated
+partial results from workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.core.join import JoinStats
 from repro.core.results import MatchRecord
-from repro.utils.timing import StageTimer
 
 #: Run statuses.
 COMPLETE = "complete"
 PARTIAL = "partial"
 
 
-def merge_join_stats(into: JoinStats, other: JoinStats | dict | None) -> JoinStats:
-    """Accumulate one join's work counters into ``into`` (returned)."""
-    if other is None:
-        return into
-    if isinstance(other, dict):
-        other = JoinStats(**{k: int(v) for k, v in other.items()})
-    into.pairs_joined += other.pairs_joined
-    into.stack_pushes += other.stack_pushes
-    into.candidate_visits += other.candidate_visits
-    into.edge_checks += other.edge_checks
+def sum_into(into: dict, other: Mapping) -> dict:
+    """Add ``other``'s values into ``into`` key by key (returned).
+
+    The one fold for per-stage seconds, stage counts and join counters
+    alike; keys missing from ``into`` start at zero.
+
+    Examples
+    --------
+    >>> sum_into({"filter": 2, "join": 1}, {"join": 1, "mapping": 1})
+    {'filter': 2, 'join': 2, 'mapping': 1}
+    """
+    for key, value in other.items():
+        into[key] = into.get(key, 0) + value
     return into
 
 
@@ -87,20 +91,14 @@ class ResultAccumulator:
     peak_memory_bytes: int = 0
     matched_pairs: list[tuple[int, int]] = field(default_factory=list)
     embeddings: list[MatchRecord] = field(default_factory=list)
-    join_stats: JoinStats = field(default_factory=JoinStats)
-    _timer: StageTimer = field(default_factory=StageTimer)
+    timings: dict[str, float] = field(default_factory=dict)
+    stage_counts: dict[str, int] = field(default_factory=dict)
+    join_stats: dict[str, int] = field(default_factory=dict)
 
     def add_payload(self, payload) -> None:
         """Fold one resilient ``ChunkPayload`` (indices already global)."""
         self.n_chunks += 1
-        self.total_matches += payload.total_matches
-        self.peak_memory_bytes = max(
-            self.peak_memory_bytes, payload.peak_memory_bytes
-        )
-        self.matched_pairs.extend(payload.matched_pairs)
-        self.embeddings.extend(payload.embeddings)
-        self._timer.merge(payload.timings, counts=payload.stage_counts)
-        merge_join_stats(self.join_stats, payload.join_stats)
+        self._add(payload, payload.join_stats)
 
     def add_aggregate(self, other) -> None:
         """Fold an already-aggregated partial result (a worker's output).
@@ -108,25 +106,17 @@ class ResultAccumulator:
         ``other`` is an :class:`AggregateResult` (or has its shape) with
         global ``matched_pairs`` / ``embeddings``.
         """
-        self.total_matches += other.total_matches
         self.n_chunks += other.n_chunks
-        self.peak_memory_bytes = max(
-            self.peak_memory_bytes, other.peak_memory_bytes
-        )
-        self.matched_pairs.extend(other.matched_pairs)
-        self.embeddings.extend(other.embeddings)
-        self._timer.merge(other.timings, counts=other.stage_counts)
-        merge_join_stats(self.join_stats, other.join_stats)
+        self._add(other, join_stats_dict(other.join_stats))
 
-    @property
-    def timings(self) -> dict[str, float]:
-        """Summed per-stage seconds across everything folded so far."""
-        return dict(self._timer.totals)
-
-    @property
-    def stage_counts(self) -> dict[str, int]:
-        """Summed per-stage invocation counts."""
-        return dict(self._timer.counts)
+    def _add(self, part, join_stats: Mapping[str, int]) -> None:
+        self.total_matches += part.total_matches
+        self.peak_memory_bytes = max(self.peak_memory_bytes, part.peak_memory_bytes)
+        self.matched_pairs.extend(part.matched_pairs)
+        self.embeddings.extend(part.embeddings)
+        sum_into(self.timings, part.timings)
+        sum_into(self.stage_counts, part.stage_counts)
+        sum_into(self.join_stats, join_stats)
 
     def fill(self, out: AggregateResult) -> AggregateResult:
         """Copy the folded fields onto ``out`` (returned); ``status`` is left as is."""
@@ -137,5 +127,5 @@ class ResultAccumulator:
         out.embeddings = self.embeddings
         out.timings = self.timings
         out.stage_counts = self.stage_counts
-        out.join_stats = self.join_stats
+        out.join_stats = JoinStats(**self.join_stats)
         return out

@@ -1,18 +1,18 @@
 """Stage artifacts and the per-engine/per-session artifact cache.
 
-Every pipeline stage produces one explicit artifact (the CSR-GO pair, the
-``FilterResult``, the ``GMCR``, the ``JoinResult``).  Query/data-side
-artifacts are *checkpointable*: they are deterministic functions of the
-batch contents plus the filter-affecting config fields, so a cache keyed
-on that fingerprint can hand a resumed (or repeated) run its
-``FilterResult``/``GMCR`` back instead of re-running stages 2-5.
+The filter and map stages each produce one explicit artifact (the
+``FilterResult`` and the ``GMCR``).  Both are *checkpointable*: they are
+deterministic functions of the batch contents plus the filter-affecting
+config fields, so a cache keyed on that fingerprint can hand a resumed
+(or repeated) run its ``FilterResult``/``GMCR`` back instead of re-running
+stages 2-5.
 
 The cache is deliberately small and local — one per :class:`~repro.core.
 engine.SigmoEngine` / :class:`~repro.pipeline.session.MatcherSession` —
 unlike the global content memos of :mod:`repro.accel.memo` which
 deduplicate work *across* engines.  Cached values are treated as
-immutable; the executor hands out defensive copies of the mutable parts
-(the GMCR ``matched`` flags).
+immutable; :func:`~repro.pipeline.stages.execute` hands out defensive
+copies of the mutable parts (the GMCR ``matched`` flags).
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ from typing import Any
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 
-#: Stage names of the five-stage graph, in execution order.
-STAGE_CONVERT = "convert"
-STAGE_INIT = "init-candidates"
+#: Names of the two cached stages: the refined filter and the GMCR map.
 STAGE_REFINE = "refine"
 STAGE_MAP = "map"
-STAGE_JOIN = "join"
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class StageArtifact:
     Attributes
     ----------
     stage:
-        Producing stage name (one of the ``STAGE_*`` constants).
+        Producing stage name (``STAGE_REFINE`` or ``STAGE_MAP``).
     fingerprint:
         Hashable key binding the artifact to its exact inputs (batch
         content hashes, label-vocabulary size, filter-affecting config).
@@ -115,20 +112,6 @@ class ArtifactCache:
     def clear(self) -> None:
         """Drop every entry (stats are kept)."""
         self._entries.clear()
-
-
-@dataclass(frozen=True)
-class CSRGOPair:
-    """Stage-1 artifact: the converted batches plus the label-space size."""
-
-    query: CSRGO
-    data: CSRGO
-    n_labels: int
-
-    @property
-    def fingerprint(self) -> tuple:
-        """Content identity of the pair."""
-        return (self.query.content_hash(), self.data.content_hash(), self.n_labels)
 
 
 def derive_n_labels(query: CSRGO, data: CSRGO, wildcard_label: int | None) -> int:

@@ -1,4 +1,4 @@
-"""Composable execution policies around the pipeline executor.
+"""Composable execution policies around the one pipeline call.
 
 A *policy* decides how a workload is cut up, placed, retried, or bounded —
 never how a stage computes.  The two drivers

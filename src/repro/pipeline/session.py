@@ -31,11 +31,7 @@ from repro.core.join import FIND_ALL, JoinBudget
 from repro.core.results import MatchResult
 from repro.graph.batch import GraphBatch
 from repro.pipeline.artifacts import ArtifactCache
-from repro.pipeline.executor import (
-    PipelineExecutor,
-    PipelineRequest,
-    default_executor,
-)
+from repro.pipeline.stages import PipelineRequest, as_csrgo, execute
 
 
 class MatcherSession:
@@ -62,8 +58,6 @@ class MatcherSession:
     config:
         Session-default configuration; ``match`` accepts per-call
         overrides.
-    executor:
-        Pipeline executor to run on (the shared default when ``None``).
     max_cached_batches:
         Data batches whose conversion is kept alive (keyed by object
         identity, so passing the same list again skips ``GraphBatch`` /
@@ -77,15 +71,13 @@ class MatcherSession:
         self,
         queries: Iterable | GraphBatch | CSRGO,
         config: SigmoConfig | None = None,
-        executor: PipelineExecutor | None = None,
         max_cached_batches: int = 8,
         max_cached_artifacts: int = 16,
     ) -> None:
         if max_cached_batches < 1:
             raise ValueError("max_cached_batches must be >= 1")
         self.config = config or SigmoConfig()
-        self._executor = executor or default_executor()
-        self._query = self._to_csrgo(queries, "query")
+        self._query = as_csrgo(queries, "query")
         # Warm the content hash now: every artifact fingerprint and memo
         # key derives from it, and it is cached on the CSRGO instance.
         self._query.content_hash()
@@ -95,7 +87,7 @@ class MatcherSession:
         self._data_cache: OrderedDict[int, tuple[Any, CSRGO]] = OrderedDict()
         self.batches_matched = 0
         # Serializes match() calls: the artifact/data caches and the
-        # executor's recalled artifacts are not safe under interleaving
+        # recalled artifacts are not safe under interleaving
         # (see the class docstring's concurrency contract).
         self._lock = threading.RLock()
 
@@ -104,7 +96,6 @@ class MatcherSession:
         cls,
         query: CSRGO,
         config: SigmoConfig | None = None,
-        executor: PipelineExecutor | None = None,
         cache: ArtifactCache | None = None,
     ) -> "MatcherSession":
         """Wrap an existing query CSR-GO (and optionally share a cache).
@@ -113,7 +104,7 @@ class MatcherSession:
         cache to the session, so engine runs and session matches over the
         same batches share recalled artifacts.
         """
-        session = cls(query, config=config, executor=executor)
+        session = cls(query, config=config)
         if cache is not None:
             session._artifacts = cache
         return session
@@ -168,24 +159,12 @@ class MatcherSession:
                 join_start_pair=join_start_pair,
                 cache=self._artifacts,
                 reuse_artifacts=reuse,
-                validated=False,
             )
-            result = self._executor.execute(request)
+            result = execute(request)
             self.batches_matched += 1
             return result
 
     # -- internals ---------------------------------------------------------------
-
-    @staticmethod
-    def _to_csrgo(side, what: str) -> CSRGO:
-        if isinstance(side, CSRGO):
-            if side.n_graphs == 0:
-                raise ValueError(f"at least one {what} graph is required")
-            return side
-        batch = side if isinstance(side, GraphBatch) else GraphBatch(side)
-        if batch.n_graphs == 0:
-            raise ValueError(f"at least one {what} graph is required")
-        return CSRGO.from_batch(batch)
 
     def _convert_data(self, data) -> CSRGO:
         """Convert a data batch, memoized by object identity.
@@ -201,7 +180,7 @@ class MatcherSession:
         if entry is not None and entry[0] is data:
             self._data_cache.move_to_end(key)
             return entry[1]
-        csrgo = self._to_csrgo(data, "data")
+        csrgo = as_csrgo(data, "data")
         csrgo.content_hash()
         self._data_cache[key] = (data, csrgo)
         while len(self._data_cache) > self._max_cached_batches:

@@ -1,228 +1,266 @@
-"""The typed stage graph: convert → init-candidates → refine → map → join.
+"""The pipeline: convert → init-candidates → refine ×s → map → join.
 
-Each stage is a :class:`StageSpec` — a name, its dependencies, the group
-(stage span) it renders under, whether its artifact is cacheable, and a
-runner.  The runners operate on a mutable :class:`PipelineState` so the
-executor stays a generic loop: it resolves dependencies, opens the group
-spans, consults the artifact cache, and stores what the runners produce.
+The paper's Fig. 2 dataflow is a fixed line, and :func:`execute` runs it
+as one: every run driver (engine, session, chunk loop, process pool,
+serving layer) builds a :class:`PipelineRequest` and calls it.  It is the
+one place that
 
-The graph is deliberately a straight line (the paper's Fig. 2 dataflow);
-what varies between the run drivers is *policy* — chunking, retries,
-process placement — which lives in :mod:`repro.pipeline.policies` around
-the executor, never inside the stages.
+* opens the ``run`` → ``stage:filter`` / ``stage:mapping`` spans (the
+  join opens ``stage:join`` itself, and kernels their ``kernel:*`` spans),
+* runs the ``REPRO_CHECK=1`` contract checks between stages,
+* recalls and stores the query-side ``refine``/``map`` artifacts in the
+  request's :class:`~repro.pipeline.artifacts.ArtifactCache` — a recalled
+  stage runs nothing, so its spans and timings are simply absent,
+* writes ``MatchResult.timings`` / ``stage_counts``, in the order
+  ``initialize_candidates``, ``filter``, ``mapping``, ``join``.
+
+What varies between the drivers is *policy* — chunking, retries, process
+placement — which lives in :mod:`repro.pipeline.policies` around this
+function, never inside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+import time
+from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis import contracts
+from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.filtering import IterativeFilter
-from repro.core.join import run_join
-from repro.core.mapping import build_gmcr
+from repro.core.filtering import FilterResult, IterativeFilter
+from repro.core.join import FIND_ALL, JoinBudget, run_join
+from repro.core.mapping import GMCR, build_gmcr
+from repro.core.results import MatchResult, MemoryReport
+from repro.graph.batch import GraphBatch
 from repro.obs.trace import get_tracer
 from repro.pipeline.artifacts import (
-    STAGE_CONVERT,
-    STAGE_INIT,
-    STAGE_JOIN,
     STAGE_MAP,
     STAGE_REFINE,
-    CSRGOPair,
+    ArtifactCache,
+    StageArtifact,
     derive_n_labels,
+    filter_fingerprint,
 )
-from repro.utils.timing import StageTimer
+from repro.xp import use_backend
+
+
+def as_csrgo(side: Any, what: str) -> CSRGO:
+    """Accept a CSR-GO batch, a GraphBatch, or an iterable of graphs.
+
+    Raises ``ValueError`` when the side holds no graph.
+    """
+    if not isinstance(side, (CSRGO, GraphBatch)):
+        side = GraphBatch(side)
+    if side.n_graphs == 0:
+        raise ValueError(f"at least one {what} graph is required")
+    return side if isinstance(side, CSRGO) else CSRGO.from_batch(side)
 
 
 @dataclass
-class PipelineState:
-    """Mutable per-execution scratchpad shared by the stage runners.
-
-    ``request`` is the immutable input; everything else is filled in as
-    stages run.  ``artifacts`` maps stage name → produced value;
-    ``from_cache`` records which stages were satisfied from the artifact
-    cache (the executor skips their spans and timers — that is the whole
-    point of caching them).
-    """
-
-    request: Any  # PipelineRequest (kept untyped to avoid a module cycle)
-    timer: StageTimer
-    query: CSRGO | None = None
-    data: CSRGO | None = None
-    n_labels: int = 0
-    filter: IterativeFilter | None = None
-    artifacts: dict[str, Any] = field(default_factory=dict)
-    from_cache: set[str] = field(default_factory=set)
-
-    @property
-    def config(self):
-        """The resolved run config (always set on the request)."""
-        return self.request.config
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """Static description of one pipeline stage.
+class PipelineRequest:
+    """One pipeline execution: inputs, mode, resume token, cache policy.
 
     Attributes
     ----------
-    name:
-        Stage name (``convert`` ... ``join``).
-    requires:
-        Names of stages whose artifacts must exist before this one runs.
-    runner:
-        ``runner(state) -> artifact``; stores nothing itself.
-    group:
-        Stage-span group this stage renders under (``"filter"`` /
-        ``"mapping"``), or ``None`` for stages that manage their own spans
-        (convert runs before the root span; join opens ``stage:join``
-        itself, exactly as the pre-pipeline engine did).
-    query_side:
-        Whether the artifact depends only on batch contents + filter
-        config (and is therefore reusable across repeated/resumed runs).
-    cacheable:
-        Whether the executor may satisfy this stage from the artifact
-        cache.  Only the *last* stage of a group is cacheable: recalling
-        ``refine`` implies ``init-candidates`` never needs to exist.
+    query / data:
+        Either side as a :class:`~repro.core.csrgo.CSRGO`, a
+        :class:`~repro.graph.batch.GraphBatch`, or an iterable of
+        :class:`~repro.graph.labeled_graph.LabeledGraph` (converted by
+        the convert step).
+    config:
+        Run configuration (``None`` resolves to the default).
+    mode / join_budget / join_start_pair:
+        Join policy, exactly as on ``SigmoEngine.run``.
+    cache:
+        Artifact cache to store the query-side artifacts in (``None``
+        disables storing).
+    reuse_artifacts:
+        Whether :func:`execute` may *recall* ``refine``/``map`` artifacts
+        from ``cache`` instead of recomputing (resumed truncated runs,
+        warm sessions).  Storing happens regardless, so a plain run
+        leaves the artifacts behind for a later resume.
     """
 
-    name: str
-    requires: tuple[str, ...]
-    runner: Callable[[PipelineState], Any]
-    group: str | None = None
-    query_side: bool = False
-    cacheable: bool = False
+    query: Any
+    data: Any
+    config: SigmoConfig | None = None
+    mode: str = FIND_ALL
+    join_budget: JoinBudget | None = None
+    join_start_pair: int = 0
+    cache: ArtifactCache | None = None
+    reuse_artifacts: bool = False
+
+    def __post_init__(self) -> None:
+        if self.config is None:
+            self.config = SigmoConfig()
 
 
-def _run_convert(state: PipelineState) -> CSRGOPair:
-    """Stage 1: CSR-GO conversion, validation, and the label-space size."""
-    request = state.request
-    query, data = request.resolve_batches()
-    if query.n_graphs == 0:
-        raise ValueError("at least one query graph is required")
-    if data.n_graphs == 0:
-        raise ValueError("at least one data graph is required")
-    if not request.validated and contracts.enabled():
-        contracts.check_csrgo(query, "query batch")
-        contracts.check_csrgo(data, "data batch")
-    n_labels = request.n_labels
-    if n_labels is None:
-        n_labels = derive_n_labels(query, data, request.config.wildcard_label)
-    state.query = query
-    state.data = data
-    state.n_labels = n_labels
-    return CSRGOPair(query=query, data=data, n_labels=n_labels)
+def execute(request: PipelineRequest) -> MatchResult:
+    """Run the pipeline for ``request`` and return the match result.
 
-
-def _run_init_candidates(state: PipelineState):
-    """Stage 2: seed the candidate bitmap (filter phase, first half)."""
-    state.filter = IterativeFilter(
-        state.query, state.data, state.config, state.n_labels
-    )
-    return state.filter.initialize(state.timer)
-
-
-def _run_refine(state: PipelineState):
-    """Stages 3-4: iterative signature refinement (filter phase, second half)."""
-    return state.filter.refine(state.artifacts[STAGE_INIT], state.timer)
-
-
-def _run_map(state: PipelineState):
-    """Stage 5: GMCR mapping over the refined bitmap."""
-    filter_result = state.artifacts[STAGE_REFINE]
-    with state.timer.stage("mapping"):
-        with get_tracer().span(
-            "kernel:gmcr", category="kernel", work_items=state.data.n_graphs
-        ):
-            return build_gmcr(filter_result.bitmap, state.query, state.data)
-
-
-def _run_join(state: PipelineState):
-    """Stage 6: the join (owns its own ``stage:join`` span and timer)."""
-    request = state.request
-    return run_join(
-        state.query,
-        state.data,
-        state.artifacts[STAGE_REFINE].bitmap,
-        state.artifacts[STAGE_MAP],
-        request.config,
-        mode=request.mode,
-        timer=state.timer,
-        plans=request.plans,
-        budget=request.join_budget,
-        start_pair=request.join_start_pair,
-    )
-
-
-#: The five-stage graph, in execution order (paper Fig. 2 with the filter
-#: phase split at its natural seam).
-PIPELINE_STAGES: tuple[StageSpec, ...] = (
-    StageSpec(name=STAGE_CONVERT, requires=(), runner=_run_convert),
-    StageSpec(
-        name=STAGE_INIT,
-        requires=(STAGE_CONVERT,),
-        runner=_run_init_candidates,
-        group="filter",
-        query_side=True,
-    ),
-    StageSpec(
-        name=STAGE_REFINE,
-        requires=(STAGE_INIT,),
-        runner=_run_refine,
-        group="filter",
-        query_side=True,
-        cacheable=True,
-    ),
-    StageSpec(
-        name=STAGE_MAP,
-        requires=(STAGE_REFINE,),
-        runner=_run_map,
-        group="mapping",
-        query_side=True,
-        cacheable=True,
-    ),
-    StageSpec(name=STAGE_JOIN, requires=(STAGE_MAP,), runner=_run_join),
-)
-
-
-def validate_stage_graph(stages: tuple[StageSpec, ...] = PIPELINE_STAGES) -> None:
-    """Check the graph is a well-formed forward DAG with contiguous groups.
-
-    Raises ``ValueError`` on duplicate names, dependencies on unknown or
-    later stages, a cacheable stage that is not the tail of its group, or
-    a group split by an ungrouped stage (group spans must be one
-    contiguous ``with`` block).
+    The whole run executes under the request's configured array backend
+    (``config.array_backend``): every ``repro.xp`` call in the kernels
+    resolves to it for the duration of this call.
     """
-    seen: set[str] = set()
-    for spec in stages:
-        if spec.name in seen:
-            raise ValueError(f"duplicate stage name {spec.name!r}")
-        for dep in spec.requires:
-            if dep not in seen:
-                raise ValueError(
-                    f"stage {spec.name!r} requires {dep!r} which does not "
-                    "run before it"
-                )
-        seen.add(spec.name)
-    groups_closed: set[str] = set()
-    open_group: str | None = None
-    for spec in stages:
-        if spec.group != open_group:
-            if open_group is not None:
-                groups_closed.add(open_group)
-            if spec.group in groups_closed:
-                raise ValueError(
-                    f"group {spec.group!r} is split by an intervening stage"
-                )
-            open_group = spec.group
-    for i, spec in enumerate(stages):
-        if spec.cacheable:
-            if spec.group is None:
-                continue
-            is_tail = i + 1 == len(stages) or stages[i + 1].group != spec.group
-            if not is_tail:
-                raise ValueError(
-                    f"cacheable stage {spec.name!r} must be the tail of "
-                    f"group {spec.group!r}"
-                )
+    config = request.config
+    with use_backend(config.array_backend):
+        # Convert runs before the root span: engines convert at
+        # construction time, outside their run spans.
+        query = as_csrgo(request.query, "query")
+        data = as_csrgo(request.data, "data")
+        checking = contracts.enabled()
+        if checking:
+            contracts.check_csrgo(query, "query batch")
+            contracts.check_csrgo(data, "data batch")
+        n_labels = derive_n_labels(query, data, config.wildcard_label)
+        fingerprint = filter_fingerprint(query, data, n_labels, config)
+        timings: dict[str, float] = {}
+        counts: dict[str, int] = {}
+        tracer = get_tracer()
+        with tracer.span(
+            "run",
+            category="engine",
+            mode=request.mode,
+            n_queries=query.n_graphs,
+            n_data_graphs=data.n_graphs,
+        ) as root:
+            filter_result = _recall(request, STAGE_REFINE, fingerprint)
+            if filter_result is None:
+                with tracer.span(
+                    "stage:filter",
+                    category="stage",
+                    iterations=config.refinement_iterations,
+                ) as stage_sp:
+                    filter_result = _run_filter(
+                        query, data, config, n_labels, timings, counts
+                    )
+                    stage_sp.set(candidates=filter_result.total_candidates)
+                _store(request, STAGE_REFINE, fingerprint, filter_result)
+            if checking:
+                contracts.check_filter_result(filter_result)
+
+            gmcr = _recall(request, STAGE_MAP, fingerprint)
+            if gmcr is None:
+                with tracer.span("stage:mapping", category="stage") as stage_sp:
+                    start = time.perf_counter()
+                    with tracer.span(
+                        "kernel:gmcr", category="kernel", work_items=data.n_graphs
+                    ):
+                        gmcr = build_gmcr(filter_result.bitmap, query, data)
+                    _clock(timings, counts, "mapping", start)
+                    stage_sp.set(pairs=gmcr.n_pairs)
+                _store(request, STAGE_MAP, fingerprint, gmcr)
+            if checking:
+                contracts.check_gmcr(gmcr, query.n_graphs)
+
+            start = time.perf_counter()
+            join_result = run_join(
+                query,
+                data,
+                filter_result.bitmap,
+                gmcr,
+                config,
+                mode=request.mode,
+                budget=request.join_budget,
+                start_pair=request.join_start_pair,
+            )
+            _clock(timings, counts, "join", start)
+            root.set(matches=join_result.total_matches)
+        memory = MemoryReport(
+            candidate_bitmap=filter_result.bitmap.nbytes(),
+            data_graphs=data.nbytes(),
+            query_graphs=query.nbytes(),
+            signatures=_signature_bytes(filter_result),
+            gmcr=gmcr.nbytes(),
+        )
+        return MatchResult(
+            mode=request.mode,
+            total_matches=join_result.total_matches,
+            filter_result=filter_result,
+            gmcr=gmcr,
+            join_result=join_result,
+            timings=timings,
+            stage_counts=counts,
+            memory=memory,
+        )
+
+
+def _run_filter(
+    query: CSRGO,
+    data: CSRGO,
+    config: SigmoConfig,
+    n_labels: int,
+    timings: dict[str, float],
+    counts: dict[str, int],
+) -> FilterResult:
+    """Init + refine; the filter (and its signature states) dies on return."""
+    filt = IterativeFilter(query, data, config, n_labels)
+    start = time.perf_counter()
+    result = filt.initialize()
+    _clock(timings, counts, "initialize_candidates", start)
+    start = time.perf_counter()
+    filt.refine(result)
+    # One count per refine iteration, plus the edge-aware pass.
+    _clock(
+        timings,
+        counts,
+        "filter",
+        start,
+        len(result.iterations) + int(config.edge_signatures),
+    )
+    return result
+
+
+def _clock(
+    timings: dict[str, float],
+    counts: dict[str, int],
+    stage: str,
+    start: float,
+    count: int = 1,
+) -> None:
+    """Record one stage's wall-clock seconds since ``start`` and its count."""
+    timings[stage] = time.perf_counter() - start
+    counts[stage] = count
+
+
+def _recall(request: PipelineRequest, stage: str, fingerprint: tuple) -> Any:
+    """The cached artifact of ``stage`` when the request may reuse it."""
+    if request.cache is None or not request.reuse_artifacts:
+        return None
+    hit = request.cache.get(stage, fingerprint)
+    if hit is None:
+        return None
+    return _fresh_flags(hit.value) if stage == STAGE_MAP else hit.value
+
+
+def _store(request: PipelineRequest, stage: str, fingerprint: tuple, value) -> None:
+    """Cache a query-side artifact (when the request has a cache)."""
+    if request.cache is None:
+        return
+    if stage == STAGE_MAP:
+        value = _fresh_flags(value)
+    request.cache.put(
+        StageArtifact(stage=stage, fingerprint=fingerprint, value=value)
+    )
+
+
+def _fresh_flags(gmcr: GMCR) -> GMCR:
+    """The GMCR with its own copy of the ``matched`` flags.
+
+    The flags are the one part of a query-side artifact the join mutates.
+    Stored copies stay pristine (all ``False``), and each recalled GMCR
+    gets a fresh array, so a resumed run's Find First flags cover exactly
+    the pairs *it* joined.
+    """
+    return GMCR(gmcr.data_graph_offsets, gmcr.query_graph_indices, gmcr.matched.copy())
+
+
+def _signature_bytes(filter_result: FilterResult) -> int:
+    """Bytes of the signature matrices, or the packed-uint64 equivalent."""
+    total = 0
+    for counts in (filter_result.query_signatures, filter_result.data_signatures):
+        if counts is not None:
+            # Device-side signatures are one packed uint64 per node.
+            total += counts.shape[0] * 8
+    return total

@@ -14,9 +14,11 @@ mechanisms compose:
    (:func:`repro.device.memory.sigmo_footprint_bytes`) is leased from a
    :class:`~repro.device.memory.DeviceMemoryPool` before any work runs;
    a :class:`~repro.device.memory.DeviceOutOfMemory` (predicted or
-   injected) splits the chunk in half and retries, bounded by
-   ``max_attempts``.  Chunking never changes results (data graphs are
-   independent), so a degraded run is bitwise-identical to a clean one.
+   injected), or a :class:`~repro.core.signatures.SignatureCapacityError`
+   from a chunk whose signature BFS is over the word cap, splits the
+   chunk in half and retries, bounded by ``max_attempts``.  Chunking
+   never changes results (data graphs are independent), so a degraded
+   run is bitwise-identical to a clean one.
 2. **Join watchdog** — an optional
    :class:`~repro.core.join.JoinBudget` stops an exploding Find All at a
    pair boundary; the chunk is tagged ``truncated`` and carries a
@@ -44,6 +46,7 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.join import FIND_ALL, JoinBudget
 from repro.core.results import MatchRecord
+from repro.core.signatures import SignatureCapacityError
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory, sigmo_footprint_bytes
 from repro.graph.labeled_graph import LabeledGraph
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
@@ -53,6 +56,7 @@ from repro.pipeline.aggregate import (
     AggregateResult,
     ResultAccumulator,
     join_stats_dict,
+    sum_into,
 )
 from repro.pipeline.policies import ChunkingPolicy, MemoryBudgetPolicy
 from repro.pipeline.session import MatcherSession
@@ -553,7 +557,7 @@ def _run_task(
                 payload, n_segments = _run_segments(
                     task, session, chunk, mode, join_budget, on_truncate
                 )
-    except DeviceOutOfMemory as exc:
+    except (DeviceOutOfMemory, SignatureCapacityError) as exc:
         chunk_sp.set(outcome=telemetry.OOM)
         elapsed = time.perf_counter() - started
         result.report.record(
@@ -706,12 +710,9 @@ def _run_segments(
             MatchRecord(rec.data_graph + task.start, rec.query_graph, rec.mapping)
             for rec in run.embeddings
         )
-        for name, seconds in run.timings.items():
-            payload.timings[name] = payload.timings.get(name, 0.0) + seconds
-        for name, n in run.stage_counts.items():
-            payload.stage_counts[name] = payload.stage_counts.get(name, 0) + n
-        for name, n in join_stats_dict(run.join_result.stats).items():
-            payload.join_stats[name] = payload.join_stats.get(name, 0) + n
+        sum_into(payload.timings, run.timings)
+        sum_into(payload.stage_counts, run.stage_counts)
+        sum_into(payload.join_stats, join_stats_dict(run.join_result.stats))
         payload.peak_memory_bytes = max(
             payload.peak_memory_bytes, run.memory.total
         )
@@ -728,7 +729,7 @@ def _run_segments(
 
 def _merge_payloads(prior: ChunkPayload, fresh: ChunkPayload) -> ChunkPayload:
     """Merge checkpointed partial progress with its resumed remainder."""
-    merged = ChunkPayload(
+    return ChunkPayload(
         start=prior.start,
         stop=prior.stop,
         status=fresh.status,
@@ -736,15 +737,8 @@ def _merge_payloads(prior: ChunkPayload, fresh: ChunkPayload) -> ChunkPayload:
         total_matches=prior.total_matches + fresh.total_matches,
         matched_pairs=list(prior.matched_pairs) + list(fresh.matched_pairs),
         embeddings=list(prior.embeddings) + list(fresh.embeddings),
-        timings=dict(prior.timings),
-        stage_counts=dict(prior.stage_counts),
-        join_stats=dict(prior.join_stats),
+        timings=sum_into(dict(prior.timings), fresh.timings),
+        stage_counts=sum_into(dict(prior.stage_counts), fresh.stage_counts),
+        join_stats=sum_into(dict(prior.join_stats), fresh.join_stats),
         peak_memory_bytes=max(prior.peak_memory_bytes, fresh.peak_memory_bytes),
     )
-    for name, seconds in fresh.timings.items():
-        merged.timings[name] = merged.timings.get(name, 0.0) + seconds
-    for name, n in fresh.stage_counts.items():
-        merged.stage_counts[name] = merged.stage_counts.get(name, 0) + n
-    for name, n in fresh.join_stats.items():
-        merged.join_stats[name] = merged.join_stats.get(name, 0) + n
-    return merged

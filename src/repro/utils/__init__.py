@@ -1,4 +1,4 @@
-"""Shared low-level utilities: bit manipulation, validation, timing."""
+"""Shared low-level utilities: bit manipulation and validation."""
 
 from repro.utils.bitops import (
     WORD_BITS,
@@ -7,7 +7,6 @@ from repro.utils.bitops import (
     popcount,
     unpack_bitmap_rows,
 )
-from repro.utils.timing import StageTimer
 from repro.utils.validation import (
     check_array_1d,
     check_nonnegative_int,
@@ -20,7 +19,6 @@ __all__ = [
     "pack_bool_rows",
     "popcount",
     "unpack_bitmap_rows",
-    "StageTimer",
     "check_array_1d",
     "check_nonnegative_int",
     "check_positive_int",

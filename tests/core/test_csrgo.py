@@ -115,12 +115,5 @@ class TestExtraction:
         c = CSRGO.from_graphs([orig])
         assert c.extract_graph(0) == orig
 
-    def test_scipy_adjacency_block_diagonal(self, csrgo):
-        a = csrgo.to_scipy_adjacency()
-        assert a.shape == (6, 6)
-        dense = a.toarray()
-        assert not dense[0:2, 2:].any()  # no cross-graph edges
-        assert (dense == dense.T).all()
-
     def test_nbytes_positive(self, csrgo):
         assert csrgo.nbytes() > 0

@@ -27,6 +27,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import METRICS_SCHEMA, collecting
 from repro.obs.trace import NULL_TRACER, get_tracer, tracing
+from repro.pipeline import MatcherSession
 from repro.runtime.resilient import run_resilient
 
 pytestmark = pytest.mark.obs
@@ -131,6 +132,41 @@ class TestStageCounts:
         assert result.stage_counts["join"] == 1
         detail = result.stage_timings()
         assert detail["filter"]["count"] == result.stage_counts["filter"]
+
+    def test_edge_aware_pass_counts_under_filter(self, dataset):
+        config = SigmoConfig(refinement_iterations=ITERATIONS, edge_signatures=True)
+        with tracing() as t:
+            result = run_once(dataset, config)
+        assert list(result.stage_counts) == [
+            "initialize_candidates", "filter", "mapping", "join",
+        ]
+        assert result.stage_counts["filter"] == ITERATIONS + 1
+        assert result.stage_counts["initialize_candidates"] == 1
+        by_id = {s.span_id: s for s in t.spans}
+        (edge_aware,) = t.find("kernel:refine_edge_aware")
+        assert by_id[edge_aware.parent_id].name == "stage:filter"
+
+    def test_warm_session_match_clocks_only_the_join(self, dataset):
+        session = MatcherSession(
+            dataset.queries, SigmoConfig(refinement_iterations=ITERATIONS)
+        )
+        cold = session.match(dataset.data)
+        warm = session.match(dataset.data)
+        assert set(cold.stage_counts) == {
+            "initialize_candidates", "filter", "mapping", "join",
+        }
+        assert set(warm.timings) == {"join"}
+        assert warm.stage_counts == {"join": 1}
+        assert warm.total_matches == cold.total_matches
+
+    def test_resumed_engine_run_clocks_only_the_join(self, dataset):
+        config = SigmoConfig(refinement_iterations=ITERATIONS)
+        engine = SigmoEngine(dataset.queries, dataset.data, config)
+        first = engine.run(join_budget=JoinBudget(max_matches=20))
+        assert first.truncated
+        resumed = engine.run(join_start_pair=first.resume_pair)
+        assert set(resumed.timings) == {"join"}
+        assert resumed.stage_counts == {"join": 1}
 
     def test_chunked_run_sums_counts_across_chunks(self, dataset):
         whole = run_once(dataset)

@@ -2,9 +2,9 @@
 
 Every run entry point — ``SigmoEngine.run``, the serial chunk loop
 ``run_resilient`` (over graph lists or CSR-GO batches) and the pool
-driver ``run_parallel`` — is a thin adapter over the one
-:class:`~repro.pipeline.PipelineExecutor`, and all of them (plus the
-executor invoked directly) must produce identical match sets,
+driver ``run_parallel`` — is a thin adapter over the one pipeline,
+:func:`~repro.pipeline.execute`, and all of them (plus ``execute``
+invoked directly) must produce identical match sets,
 embeddings, summed :class:`~repro.core.join.JoinStats`, and — for
 drivers sharing a partition — identical ``stage_counts``.
 """
@@ -17,7 +17,7 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import JoinStats
-from repro.pipeline import PipelineRequest, default_executor
+from repro.pipeline import PipelineRequest, execute
 from repro.runtime import FaultPlan
 from repro.runtime.resilient import run_resilient
 
@@ -125,7 +125,7 @@ class TestDriverParity:
         request = PipelineRequest(
             query=dataset.queries, data=dataset.data, config=config
         )
-        result = default_executor().execute(request)
+        result = execute(request)
         assert result.total_matches == reference.total_matches
         assert result.matched_pairs() == reference.matched_pairs()
         assert embedding_set(result.embeddings) == embedding_set(

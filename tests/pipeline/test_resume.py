@@ -2,7 +2,7 @@
 
 The historical bug this pins down: resuming a budget-truncated Find All
 via ``join_start_pair`` on the same engine re-ran conversion, filtering,
-and GMCR construction from scratch.  The pipeline executor now recalls
+and GMCR construction from scratch.  The pipeline now recalls
 the ``FilterResult``/``GMCR`` artifacts on resume — results stay bitwise
 equal to the uninterrupted run while the refine kernels never re-trace.
 """

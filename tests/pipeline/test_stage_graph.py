@@ -1,4 +1,4 @@
-"""Unit tests of the stage graph, artifact cache, and execution policies."""
+"""Unit tests of the artifact cache, its fingerprint, and execution policies."""
 
 import dataclasses
 
@@ -11,63 +11,14 @@ from repro.pipeline import (
     ArtifactCache,
     ChunkingPolicy,
     MemoryBudgetPolicy,
-    PIPELINE_STAGES,
     RetryPolicy,
     StageArtifact,
     derive_n_labels,
     filter_fingerprint,
     partition_slices,
-    validate_stage_graph,
 )
-from repro.pipeline.stages import StageSpec
 
 pytestmark = pytest.mark.pipeline
-
-
-def _noop(state):  # placeholder runner for synthetic graphs
-    return None
-
-
-def spec(name, requires=(), group=None, cacheable=False):
-    return StageSpec(
-        name=name, requires=tuple(requires), runner=_noop, group=group,
-        cacheable=cacheable,
-    )
-
-
-class TestStageGraph:
-    def test_builtin_graph_is_valid(self):
-        validate_stage_graph(PIPELINE_STAGES)
-        assert [s.name for s in PIPELINE_STAGES] == [
-            "convert", "init-candidates", "refine", "map", "join",
-        ]
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="duplicate stage name"):
-            validate_stage_graph((spec("a"), spec("a")))
-
-    def test_dependency_must_run_earlier(self):
-        with pytest.raises(ValueError, match="does not\\s+run before"):
-            validate_stage_graph((spec("a", requires=("b",)), spec("b")))
-        with pytest.raises(ValueError, match="does not\\s+run before"):
-            validate_stage_graph((spec("a", requires=("missing",)),))
-
-    def test_group_must_be_contiguous(self):
-        stages = (
-            spec("a", group="g"),
-            spec("b"),
-            spec("c", group="g"),
-        )
-        with pytest.raises(ValueError, match="split by an intervening stage"):
-            validate_stage_graph(stages)
-
-    def test_cacheable_stage_must_close_its_group(self):
-        stages = (
-            spec("a", group="g", cacheable=True),
-            spec("b", group="g"),
-        )
-        with pytest.raises(ValueError, match="must be the tail"):
-            validate_stage_graph(stages)
 
 
 class TestArtifactCache:

@@ -6,14 +6,18 @@ matched pairs are bitwise-equal to a fault-free serial run.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.accel.memo import clear_accel_caches
+from repro.core import signatures
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import JoinBudget
 from repro.device.memory import DeviceMemoryPool
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
+from repro.pipeline import derive_n_labels
 from repro.runtime import (
     COMPLETE,
     PARTIAL,
@@ -23,6 +27,7 @@ from repro.runtime import (
     run_resilient,
     workload_fingerprint,
 )
+from repro.runtime import telemetry
 from repro.runtime.resilient import predict_chunk_footprint
 
 pytestmark = pytest.mark.robustness
@@ -123,6 +128,35 @@ class TestOOMDegradation:
         assert result.status == COMPLETE
         assert result.n_chunks > 1
         assert_equals_serial(result, serial)
+
+    def test_signature_cap_splits_chunks(self, workload, serial, monkeypatch):
+        # A chunk whose signature BFS is over SIGNATURE_WORD_CAP is split
+        # and retried like an out-of-memory chunk; its halves fit.
+        queries, data = workload
+        query = CSRGO.from_graphs(queries)
+        half = len(data) // 2
+        chunks = [CSRGO.from_graphs(part) for part in (data[:half], data[half:])]
+        whole = CSRGO.from_graphs(data)
+
+        def words_needed(chunk):
+            """Largest signature-BFS array of either side of one chunk."""
+            n_labels = derive_n_labels(query, chunk, None)
+            return max(
+                (int(np.diff(side.graph_offsets).max()) + 63) // 64
+                * max(side.n_nodes * n_labels, side.column_indices.size)
+                for side in (query, chunk)
+            )
+
+        cap = max(words_needed(chunk) for chunk in chunks)
+        assert cap < words_needed(whole)
+        monkeypatch.setattr(signatures, "SIGNATURE_WORD_CAP", cap)
+        clear_accel_caches()  # memoized signatures would skip the BFS
+        result = run_resilient(queries, data, chunk_size=len(data))
+        assert result.status == COMPLETE
+        assert result.n_chunks == 2
+        assert result.report.count(telemetry.OOM) == 1
+        assert result.matched_pairs == serial.matched_pairs
+        assert result.total_matches == serial.total_matches
 
     def test_exhausted_attempts_go_partial(self, workload):
         queries, data = workload
