@@ -31,7 +31,7 @@ baseline:
 test:
 	$(PY) -m pytest -x -q
 
-check: test check-analysis check-backends check-pipeline check-slo check-robustness check-obs
+check: test check-analysis check-backends check-pipeline check-slo check-robustness check-obs check-perf
 
 # Backend gate: the repro.xp registry and cross-backend parity suite
 # (numpy vs. instrumented must agree bitwise on matches, stats, and

@@ -3,10 +3,13 @@
 The paper's throughput lives in the join stage (section 4.6); this package
 is the reproduction's hot-path engine room.  It provides:
 
-* :mod:`repro.accel.local_view` — sorted-CSR per-data-graph adjacency
-  views built with NumPy slices (no per-edge Python loop) and cached by
-  batch content hash, so iteration sweeps, chunked drivers and resilient
-  re-runs over the same batch never rebuild identical adjacency.
+* :mod:`repro.accel.local_view` — one sorted-CSR edge view class over a
+  node range, built with NumPy slices (no per-edge Python loop): per data
+  graph for the DFS and tabular kernels, over the whole batch for the
+  fused table.  Views are cached by batch content hash in byte-bounded
+  :class:`~repro.accel.memo.ContentMemo` tables, so iteration sweeps,
+  chunked drivers and resilient re-runs over the same batch never
+  rebuild identical adjacency.
 * :mod:`repro.accel.tabular` — the vectorized *tabular frontier join*: a
   Δ-Motif/GSI-style formulation that extends every partial embedding at a
   depth in one NumPy pass (candidate gather → ``np.searchsorted``
@@ -22,9 +25,11 @@ is the reproduction's hot-path engine room.  It provides:
   single-node queries, fused up to ``FUSED_MAX_ELEMENTS`` estimated
   elements, tabular above), with ``"dfs"`` / ``"tabular"`` / ``"fused"``
   forcing a backend for every pair.
-* :mod:`repro.accel.memo` — content-hash memoization of signature count
-  matrices and compiled :class:`~repro.core.join.PlanTable` arrays, keyed
-  on every config field that affects them, shared across engine runs.
+* :mod:`repro.accel.memo` — :class:`~repro.accel.memo.ContentMemo`, the
+  one bounded LRU behind every cache on the matching path, and the
+  content-hash memoization of signature count matrices and compiled
+  :class:`~repro.core.join.PlanTable` arrays, keyed on every config field
+  that affects them, shared across engine runs.
 """
 
 from repro.accel.dispatch import (

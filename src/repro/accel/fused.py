@@ -13,7 +13,8 @@ through the vectorized steps at once —
 * one ragged candidate-gather per depth across all slots,
 * one injectivity mask,
 * one batched ``xp.searchsorted`` edge probe per check round against the
-  whole-batch edge index (:class:`repro.accel.local_view.BatchCSRView`),
+  whole-batch edge index (a :class:`repro.accel.local_view.LocalCSRView`
+  over the batch's full node range ``[0, n_nodes)``),
 
 so the per-step NumPy overhead amortizes over the *batch*, not the pair.
 
@@ -57,7 +58,7 @@ from repro.analysis.markers import kernel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from repro.accel.local_view import BatchCSRView
+    from repro.accel.local_view import LocalCSRView
     from repro.core.candidates import CandidateIndex
     from repro.core.join import PlanTable
 
@@ -207,7 +208,7 @@ class FusedOutcome:
 
 @kernel(writes=("acc",))
 def extend_fused_block(
-    view: "BatchCSRView",
+    view: "LocalCSRView",
     fplan: FusedPlan,
     table: np.ndarray,
     acc: FusedOutcome,
@@ -325,7 +326,7 @@ def _block_starts(counts: np.ndarray, bound: int = FUSED_BLOCK_ELEMS) -> list[in
 
 @kernel(writes=("acc",))
 def fused_join(
-    view: "BatchCSRView",
+    view: "LocalCSRView",
     fplan: FusedPlan,
     find_first: bool,
     acc: FusedOutcome,

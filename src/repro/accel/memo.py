@@ -45,15 +45,30 @@ class MemoStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    stores: int = 0
 
     @property
     def lookups(self) -> int:
         """Total lookups served."""
         return self.hits + self.misses
 
+    def as_dict(self) -> dict[str, int]:
+        """Plain-dict view (telemetry, tests)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "stores": self.stores,
+        }
+
 
 class ContentMemo:
     """A bounded, thread-safe, insertion-ordered LRU memo table.
+
+    The one LRU of the matching path: the signature and plan memos
+    below, the edge-view tables of :mod:`repro.accel.local_view`, the
+    pipeline's :class:`~repro.pipeline.artifacts.ArtifactCache` and a
+    session's data-batch conversion cache.
 
     Values are treated as immutable once stored; callers must not mutate
     what they get back (the accel layer stores read-only NumPy arrays and
@@ -100,6 +115,7 @@ class ContentMemo:
                 return
             self._entries[key] = (value, weight)
             self._weight += weight
+            self.stats.stores += 1
             while self._weight > self.capacity:
                 _, (_, evicted) = self._entries.popitem(last=False)
                 self._weight -= evicted

@@ -4,9 +4,6 @@ The paper scales SIGMo to 256 NVIDIA A100s with MPI, statically assigning
 500,000 ZINC molecules per GPU.  No cluster exists here, so this package
 simulates the same execution structure:
 
-* :mod:`~repro.cluster.partition` — static partitioning of a molecule
-  stream across ranks (the paper's strategy, including the workload
-  imbalance it causes);
 * :mod:`~repro.cluster.mpi_sim` — per-rank execution: each rank runs the
   *real* engine on its shard (at a configurable per-rank scale) and
   converts its measured counters to A100 time with the performance model;
@@ -24,7 +21,6 @@ so the harness reads like the MPI driver it replaces.
 
 from repro.cluster.mpi_sim import RankResult, SimulatedCluster
 from repro.cluster.parallel import ParallelResult, run_parallel
-from repro.cluster.partition import partition_static
 from repro.cluster.scaling import WeakScalingPoint, weak_scaling_sweep
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "RankResult",
     "run_parallel",
     "SimulatedCluster",
-    "partition_static",
     "WeakScalingPoint",
     "weak_scaling_sweep",
 ]

@@ -99,6 +99,12 @@ class CSRGO:
             self.column_indices.min() < 0 or self.column_indices.max() >= n_nodes
         ):
             raise ValueError("column index out of range")
+        # Labels are non-negative, as LabeledGraph enforces: a negative
+        # edge label would collide with the join's -2 "no edge" sentinel.
+        if self.labels.size and self.labels.min() < 0:
+            raise ValueError("node labels must be non-negative")
+        if self.adj_edge_labels.size and self.adj_edge_labels.min() < 0:
+            raise ValueError("edge labels must be non-negative")
 
     # -- construction --------------------------------------------------------
 

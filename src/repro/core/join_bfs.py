@@ -125,8 +125,8 @@ def run_bfs_join(
         )
         if lo == hi:
             continue
-        d_start, _ = data.graph_node_range(d)
-        view = LocalCSRView(data, d)
+        d_start, d_stop = data.graph_node_range(d)
+        view = LocalCSRView(data, d_start, d_stop)
         for pair_idx in range(lo, hi):
             qg = int(gmcr.query_graph_indices[pair_idx])
             plan = plans[qg]

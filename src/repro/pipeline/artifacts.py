@@ -17,10 +17,10 @@ copies of the mutable parts (the GMCR ``matched`` flags).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+from repro.accel.memo import ContentMemo
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 
@@ -49,69 +49,26 @@ class StageArtifact:
     value: Any
 
 
-@dataclass
-class ArtifactCacheStats:
-    """Hit/miss/eviction counters of one :class:`ArtifactCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    stores: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (telemetry, tests)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stores": self.stores,
-        }
-
-
-class ArtifactCache:
+class ArtifactCache(ContentMemo):
     """Bounded LRU of :class:`StageArtifact` keyed by (stage, fingerprint).
 
-    Insertion of an existing key refreshes both recency and value.  The
-    bound is an entry count, not bytes: entries reference arrays the
+    A :class:`~repro.accel.memo.ContentMemo` with unit weights: insertion
+    of an existing key refreshes both recency and value, and the bound is
+    an entry count, not bytes: entries reference arrays the
     owning engine/session already keeps alive, so the marginal footprint
     is one bitmap/GMCR per retained config variant.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, StageArtifact] = OrderedDict()
-        self.stats = ArtifactCacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(max_entries)
 
     def get(self, stage: str, fingerprint: tuple) -> StageArtifact | None:
         """Recall a stage artifact, refreshing its recency."""
-        key = (stage, fingerprint)
-        artifact = self._entries.get(key)
-        if artifact is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return artifact
+        return super().get((stage, fingerprint))
 
     def put(self, artifact: StageArtifact) -> None:
         """Store an artifact, evicting the least-recently-used past the bound."""
-        key = (artifact.stage, artifact.fingerprint)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = artifact
-        self.stats.stores += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept)."""
-        self._entries.clear()
+        super().put((artifact.stage, artifact.fingerprint), artifact)
 
 
 def derive_n_labels(query: CSRGO, data: CSRGO, wildcard_label: int | None) -> int:

@@ -22,9 +22,9 @@ what the cache fingerprints encode.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Any, Iterable
+from typing import Iterable
 
+from repro.accel.memo import ContentMemo
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.join import FIND_ALL, JoinBudget
@@ -74,17 +74,14 @@ class MatcherSession:
         max_cached_batches: int = 8,
         max_cached_artifacts: int = 16,
     ) -> None:
-        if max_cached_batches < 1:
-            raise ValueError("max_cached_batches must be >= 1")
         self.config = config or SigmoConfig()
         self._query = as_csrgo(queries, "query")
         # Warm the content hash now: every artifact fingerprint and memo
         # key derives from it, and it is cached on the CSRGO instance.
         self._query.content_hash()
         self._artifacts = ArtifactCache(max_entries=max_cached_artifacts)
-        self._max_cached_batches = max_cached_batches
         # id(batch) -> (strong ref keeping the id valid, converted CSRGO)
-        self._data_cache: OrderedDict[int, tuple[Any, CSRGO]] = OrderedDict()
+        self._data_cache = ContentMemo(max_cached_batches)
         self.batches_matched = 0
         # Serializes match() calls: the artifact/data caches and the
         # recalled artifacts are not safe under interleaving
@@ -178,11 +175,8 @@ class MatcherSession:
         key = id(data)
         entry = self._data_cache.get(key)
         if entry is not None and entry[0] is data:
-            self._data_cache.move_to_end(key)
             return entry[1]
         csrgo = as_csrgo(data, "data")
         csrgo.content_hash()
-        self._data_cache[key] = (data, csrgo)
-        while len(self._data_cache) > self._max_cached_batches:
-            self._data_cache.popitem(last=False)
+        self._data_cache.put(key, (data, csrgo))
         return csrgo

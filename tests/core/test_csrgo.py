@@ -63,6 +63,20 @@ class TestConstruction:
                 np.array([0]),
             )
 
+    def test_validation_rejects_negative_labels(self):
+        # Path 0-1-2 whose edge (0, 1) carries -2, the join's "no edge"
+        # sentinel: the dense and binary-search probes would disagree.
+        arrays = (
+            np.array([0, 3]),
+            np.array([0, 1, 3, 4]),
+            np.array([1, 0, 2, 1], dtype=np.int32),
+        )
+        with pytest.raises(ValueError, match="edge labels"):
+            CSRGO(*arrays, np.array([0, 0, 0]), np.array([-2, -2, 0, 0]))
+        with pytest.raises(ValueError, match="node labels"):
+            CSRGO(*arrays, np.array([0, -1, 0]), np.zeros(4, dtype=np.int32))
+        assert CSRGO(*arrays, np.array([0, 0, 0]), np.array([2, 2, 0, 0])).n_edges == 2
+
 
 class TestNavigation:
     def test_graph_of_node_binary_search(self, csrgo):

@@ -143,7 +143,10 @@ class TestSignatureState:
             SignatureState(c, 2)
 
     def test_negative_label_rejected(self):
-        c = CSRGO([0, 2], [0, 1, 2], [1, 0], [0, -1])
+        # The constructor rejects negative labels; the filter still guards
+        # against arrays mutated after validation.
+        c = CSRGO([0, 2], [0, 1, 2], [1, 0], [0, 1])
+        c.labels[1] = -1
         with pytest.raises(ValueError, match="outside"):
             SignatureState(c, 2)
 

@@ -55,15 +55,8 @@ class TestArtifactCache:
         assert cache.get("refine", ("a",)).value == 2
         assert cache.get("refine", ("b",)) is None
 
-    def test_clear_keeps_stats(self):
-        cache = ArtifactCache()
-        cache.put(self.art("refine", "a"))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.stores == 1
-
     def test_bound_validated(self):
-        with pytest.raises(ValueError, match="max_entries"):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
             ArtifactCache(max_entries=0)
 
 

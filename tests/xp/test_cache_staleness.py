@@ -1,7 +1,7 @@
 """Backend identity in cache keys: no stale-backend artifacts, ever.
 
-Every cache keyed by ``CSRGO.content_hash()`` — the local/batch CSR view
-LRUs, the global signature/plan memos, the pipeline artifact cache, and
+Every cache keyed by ``CSRGO.content_hash()`` — the per-graph and
+whole-batch view memos, the global signature/plan memos, the pipeline artifact cache, and
 the serving pool — also keys on the active backend, so switching
 backends mid-session can never serve arrays (or compiled plans) built by
 a different backend.
@@ -9,7 +9,8 @@ a different backend.
 
 import pytest
 
-from repro.accel.local_view import BatchViewCache, LocalViewCache
+from repro.accel import clear_accel_caches
+from repro.accel.local_view import get_batch_view, get_local_view
 from repro.chem.datasets import build_benchmark
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
@@ -32,24 +33,30 @@ def data():
 
 
 class TestViewCaches:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        clear_accel_caches()
+        yield
+        clear_accel_caches()
+
     def test_batch_view_cache_is_backend_keyed(self, data):
-        cache = BatchViewCache(capacity=4)
-        numpy_view = cache.get(data)
+        numpy_view = get_batch_view(data)
         with use_backend("instrumented"):
-            other_view = cache.get(data)
+            other_view = get_batch_view(data)
         assert other_view is not numpy_view
         # Returning to numpy serves the original entry, not the other one.
-        assert cache.get(data) is numpy_view
+        assert get_batch_view(data) is numpy_view
         with use_backend("instrumented"):
-            assert cache.get(data) is other_view
+            assert get_batch_view(data) is other_view
 
     def test_local_view_cache_is_backend_keyed(self, data):
-        cache = LocalViewCache(capacity=4)
-        numpy_views = cache.views_of(data)
+        numpy_view = get_local_view(data, 1)
         with use_backend("instrumented"):
-            other_views = cache.views_of(data)
-        assert other_views is not numpy_views
-        assert cache.views_of(data) is numpy_views
+            other_view = get_local_view(data, 1)
+        assert other_view is not numpy_view
+        assert get_local_view(data, 1) is numpy_view
+        with use_backend("instrumented"):
+            assert get_local_view(data, 1) is other_view
 
 
 class TestFingerprints:
