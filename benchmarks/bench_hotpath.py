@@ -2,27 +2,24 @@
 """Join hot-path benchmark: accelerated vs. reference backend.
 
 Measures the join-stage wall clock of the scalar stack-DFS reference
-backend against the accelerated dispatch (``join_backend="auto"``, whose
-size rule routes pairs of at most ``FUSED_MAX_ELEMENTS`` estimated
-elements to the fused whole-batch table and bigger, enumeration-heavy
-pairs to the per-pair tabular backend) on seeded suites, and writes/checks the committed
-``BENCH_perf.json``.  Every suite also times a forced-fused arm
-(``join_backend="fused"``) so the batch backend's raw cost is visible
-next to the dispatched mix.
+backend against the accelerated dispatch (``join_backend="auto"``: DFS
+for single-node queries, the neighbour-driven fused whole-batch table
+for every other pair) on seeded suites, and writes/checks the committed
+``BENCH_perf.json``.  Every suite also times a forced-tabular arm
+(``join_backend="tabular"``: the same kernel one pair per table) so the
+cost of fusing pairs is visible next to the dispatched run.
 
 Suites (all seeded, all verified to produce identical match counts;
 every suite is gated at :data:`MIN_SPEEDUP` x):
 
 * ``find-all-hot`` — enumeration-heavy Find All on large, label-sparse
   graphs with label-only filtering (``refinement_iterations=1``), where
-  the join dominates end-to-end time.  Auto dispatches these big pairs
-  to the per-pair tabular backend.
+  the join dominates end-to-end time.
 * ``find-all-molecular`` — the paper-shaped molecular workload
   (selective labels, 6 refinement iterations): thousands of small
-  pairs per batch, the fused table's home regime.
-* ``find-first`` — Find First on the hot workload; auto sends the same
-  big pairs to the per-pair tabular backend, whose block-bounded pass
-  still beats the abandon-early DFS.
+  pairs per batch.
+* ``find-first`` — Find First on the hot workload: the block-bounded
+  table with batched early exit against the abandon-early DFS.
 
 Usage:
     python benchmarks/bench_hotpath.py                    # print results
@@ -114,19 +111,18 @@ def _join_seconds(engine: SigmoEngine, mode: str, repeats: int) -> tuple[float, 
     return best, result.total_matches, dict(result.join_result.backend_pairs)
 
 
-#: Benchmark arms: (row label, forced/auto ``join_backend``).  The fused
-#: arm times the whole-batch table on every pair regardless of what the
-#: size rule would pick — the raw batch-backend cost next to the
-#: dispatched mix.
+#: Benchmark arms: (row label, forced/auto ``join_backend``).  The
+#: tabular arm runs every pair as its own one-slot table — what ``auto``
+#: saves by fusing the batch.
 ARMS = (
     ("reference", "dfs"),
     ("accelerated", "auto"),
-    ("fused", "fused"),
+    ("tabular", "tabular"),
 )
 
 
 def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
-    """One suite: reference (DFS) vs. accelerated (auto) vs. forced fused."""
+    """One suite: reference (DFS) vs. accelerated (auto) vs. forced tabular."""
     queries, data = build()
     rows = {}
     for label, backend in ARMS:
@@ -142,13 +138,13 @@ def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
             "backend_pairs": split,
         }
     ref = rows["reference"]
-    for label in ("accelerated", "fused"):
+    for label in ("accelerated", "tabular"):
         if rows[label]["matches"] != ref["matches"]:
             raise AssertionError(
                 f"{name}: backend mismatch — reference found "
                 f"{ref['matches']} matches, {label} {rows[label]['matches']}"
             )
-    acc, fus = rows["accelerated"], rows["fused"]
+    acc, tab = rows["accelerated"], rows["tabular"]
     return {
         "suite": name,
         "mode": mode,
@@ -156,9 +152,9 @@ def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
         "matches": ref["matches"],
         "join_seconds_reference": ref["join_seconds"],
         "join_seconds_accelerated": acc["join_seconds"],
-        "join_seconds_fused": fus["join_seconds"],
+        "join_seconds_tabular": tab["join_seconds"],
         "speedup": ref["join_seconds"] / acc["join_seconds"],
-        "speedup_fused": ref["join_seconds"] / fus["join_seconds"],
+        "speedup_tabular": ref["join_seconds"] / tab["join_seconds"],
         "backend_pairs_accelerated": acc["backend_pairs"],
     }
 
@@ -176,8 +172,8 @@ def run_all(repeats: int = REPEATS) -> dict:
             f"ref {row['join_seconds_reference'] * 1e3:8.1f} ms  "
             f"accel {row['join_seconds_accelerated'] * 1e3:8.1f} ms  "
             f"{row['speedup']:5.2f}x  "
-            f"fused {row['join_seconds_fused'] * 1e3:8.1f} ms  "
-            f"{row['speedup_fused']:5.2f}x  "
+            f"tabular {row['join_seconds_tabular'] * 1e3:8.1f} ms  "
+            f"{row['speedup_tabular']:5.2f}x  "
             f"({time.perf_counter() - start:.1f} s)",
             flush=True,
         )

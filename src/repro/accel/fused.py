@@ -1,45 +1,52 @@
 """The fused whole-batch frontier join: one table for every pair.
 
-The per-pair tabular backend (:mod:`repro.accel.tabular`) already
-vectorizes the join *within* one (data graph, query graph) pair, but each
-pair still pays its own Python call, frontier setup and local-view
-probes — which is exactly where the molecular and Find First suites lose
-their speedup (many small pairs, little work per pair).  Following
-Δ-Motif's whole-batch tabular-operations formulation, this module fuses
-the join *across* pairs: a single frontier table whose leading **pair
-column** (the "slot") carries every fused-dispatched pair of a batch
-through the vectorized steps at once —
+Following Δ-Motif's whole-batch tabular-operations formulation, this
+module runs the join of many (data graph, query graph) pairs through a
+single frontier table whose leading **pair column** (the "slot") carries
+every pair of a batch through the vectorized steps at once, so the
+per-step NumPy overhead amortizes over the *batch*, not the pair.  A
+forced ``join_backend="tabular"`` runs the same kernel with one pair per
+table (:func:`tabular_join_pair`).
 
-* one ragged candidate-gather per depth across all slots,
-* one injectivity mask,
-* one batched ``xp.searchsorted`` edge probe per check round against the
-  whole-batch edge index (a :class:`repro.accel.local_view.LocalCSRView`
-  over the batch's full node range ``[0, n_nodes)``),
+**Neighbour-driven extension.**  A row at depth ``p`` grows from its
+**anchor**: the data node it matched at the earlier depth named by the
+slot's first back-edge check at ``p``.  Following GSI's Prealloc-Combine
+join, the kernel reads the anchor's CSR-GO neighbours from the cached
+whole-batch view (:class:`repro.accel.local_view.LocalCSRView` over
+``[0, n_nodes)``) and keeps a neighbour when its candidate-bitmap bit is
+set for depth ``p``'s query node, the row does not use it yet, and its
+edge label passes the first check.  Those are exactly the candidates that
+survive the first check of the (row x candidate list) cross product, so
+the kernel never builds the elements that check would discard.  CSR-GO
+rows are sorted by global id, like candidate lists, so survivors come out
+in candidate-list order.  Rows whose slot has no check at ``p`` (a later
+component of a disconnected query) still cross their candidate list.
 
-so the per-step NumPy overhead amortizes over the *batch*, not the pair.
-
-**Accounting parity.**  Find All work counters decompose per (prefix,
-candidate) element exactly as in the per-pair tabular backend (see its
-module docstring): each element is one visit; used-duplicates get no
-edge checks; check rounds run in each slot's own plan order with
-sequential early-break accounting; survivors are pushes.  Element
-survival depends only on the element's own row, so the per-slot totals
-are invariant to how rows are blocked or interleaved across slots —
-``visits`` / ``edge_checks`` / ``stack_pushes`` per slot come out
-*identical* to running that pair alone on either reference backend.
-Rows are processed depth-first over LIFO element-bounded blocks and
-every vectorized step preserves relative row order, so each slot's
-full-depth rows also emit in DFS (lexicographic) order — embeddings
-match the reference backends row for row.
+**Accounting parity.**  The scalar DFS scans a depth's whole candidate
+list once per pushed prefix, so its counters decompose per (row,
+candidate) element: one visit each; used candidates get no edge checks;
+the others run the back-edge checks in plan order with early break, then
+the induced probes; survivors are pushes.  The kernel accounts the same
+totals without the elements: a row's visits are its candidate-list size,
+its first-round checks that size minus the matched nodes that sit in the
+list (one bitmap probe per earlier depth), and later rounds and induced
+probes run on the built survivors exactly as the DFS would.  Survival
+depends only on an element's own row, so per-slot totals are invariant
+to how rows are blocked or interleaved across slots — ``visits`` /
+``edge_checks`` / ``stack_pushes`` per slot come out *identical* to the
+scalar DFS.  Rows are processed depth-first over LIFO element-bounded
+blocks and every step preserves each slot's row order, so each slot's
+full-depth rows also emit in DFS (lexicographic) order — embeddings match
+the DFS row for row.
 
 **Find First.**  The first full-depth row emitted for a slot *is* that
 pair's DFS-first embedding (same order argument).  The driver retires a
 matched slot's remaining rows at the next block boundary — the batched
 early-exit — so one pair finding its match stops paying for the rest of
-its subtree while other slots keep going.  As with the per-pair tabular
-backend, Find First *results* are bitwise-equal to DFS while the work
-counters are backend-specific (a vectorized pass pays block-granular
-work the scalar DFS abandons mid-stream).
+its subtree while other slots keep going.  Find First *results* are
+bitwise-equal to DFS while the work counters are block-granular and
+backend-specific (a vectorized pass pays for a whole block the scalar
+DFS abandons mid-stream).
 
 Heterogeneous plans ride the same table: per-slot candidate lists,
 back-edge checks and induced non-adjacency probes are ragged arrays
@@ -59,16 +66,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.accel.local_view import LocalCSRView
-    from repro.core.candidates import CandidateIndex
+    from repro.core.candidates import CandidateBitmap, CandidateIndex
     from repro.core.join import PlanTable
 
-from repro.accel.tabular import BLOCK_ELEMS
+#: Element bound per fused expansion block: a popped table is split into
+#: row chunks whose (row, neighbour) elements stay under it, so peak
+#: memory stays ~depth * FUSED_BLOCK_ELEMS rows even on pathological Find
+#: All pairs — the tabular answer to the BFS blowup the paper rejects in
+#: section 4.6.
+FUSED_BLOCK_ELEMS = 1 << 15
 
-#: Element bound per fused expansion block.  The fused table amortizes
-#: per-step Python overhead over every slot in the block, so it prefers
-#: blocks twice the per-pair bound — larger still loses to cache misses
-#: on the gathered intermediates (measured on the hot-path suites).
-FUSED_BLOCK_ELEMS = BLOCK_ELEMS * 2
+
+def _ragged_at(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[i] + arange(sizes[i])``, in order."""
+    ends = xp.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    return xp.arange(total, dtype=xp.int64) + xp.repeat(starts - ends + sizes, sizes)
 
 
 def _ragged_take(
@@ -77,27 +90,29 @@ def _ragged_take(
     """(gathered, offsets) of the ragged runs ``flat[starts[i]:][:sizes[i]]``."""
     offsets = xp.zeros(sizes.size + 1, dtype=xp.int64)
     offsets[1:] = xp.cumsum(sizes)
-    total = int(offsets[-1])
-    if total == 0:
-        return xp.empty(0, dtype=xp.int64), offsets
-    at = xp.arange(total, dtype=xp.int64) + xp.repeat(starts - offsets[:-1], sizes)
-    return flat[at], offsets
+    if int(offsets[-1]) == 0:
+        return flat[:0], offsets
+    return flat[_ragged_at(starts, sizes)], offsets
 
 
 @dataclass(frozen=True)
 class FusedPlan:
     """Compiled slot-indexed layout of one fused table.
 
-    Everything the extension kernel gathers per element is flattened
-    into ragged (flat, offsets) pairs indexed by the slot column: the
-    sorted **global** candidate ids per (slot, depth), the back-edge
-    checks ``(earlier_depth, edge_label)`` per (slot, depth) in each
-    slot's own plan order, and the induced non-adjacency depths.  Slots
-    whose plan is shorter than ``max_depth`` simply have empty ranges at
-    the deeper levels.
+    Per (slot, depth) the plan holds the global query node (the bitmap
+    row neighbours are tested against) and its candidate-list size; the
+    sorted **global** candidate ids themselves are gathered only where
+    the kernel crosses them — depth 0 and slots without a back-edge check
+    at that depth.  The back-edge checks ``(earlier_depth, edge_label)``
+    per (slot, depth) in each slot's own plan order and the induced
+    non-adjacency depths are ragged (flat, offsets) pairs indexed by the
+    slot column.  Slots whose plan is shorter than ``max_depth`` simply
+    have empty ranges at the deeper levels.
     """
 
     depth_counts: np.ndarray  # int64[n_slots]: plan.n_nodes per slot
+    query_nodes: tuple[np.ndarray, ...]  # per depth: int64[n_slots] bitmap row
+    cand_size: tuple[np.ndarray, ...]  # per depth: int64[n_slots] list size
     cand_flat: tuple[np.ndarray, ...]  # per depth: int64 global candidate ids
     cand_off: tuple[np.ndarray, ...]  # per depth: int64[n_slots + 1]
     ck_depth: tuple[np.ndarray, ...]  # per depth: int64 earlier plan depth
@@ -105,6 +120,8 @@ class FusedPlan:
     ck_off: tuple[np.ndarray, ...]  # per depth: int64[n_slots + 1]
     bn_depth: tuple[np.ndarray, ...]  # per depth: int64 banned earlier depth
     bn_off: tuple[np.ndarray, ...]  # per depth: int64[n_slots + 1]
+    words: np.ndarray  # the candidate bitmap's words (query node x word)
+    word_bits: int
 
     @property
     def n_slots(self) -> int:
@@ -116,24 +133,31 @@ class FusedPlan:
         """Deepest plan among the slots (frontier column bound)."""
         return int(self.depth_counts.max()) if self.depth_counts.size else 0
 
+    def is_candidate(self, query_nodes: np.ndarray, data_nodes: np.ndarray) -> np.ndarray:
+        """Whether each data node's bitmap bit is set for its query node."""
+        bits = self.word_bits
+        words = self.words[query_nodes, data_nodes // bits]
+        shift = (data_nodes % bits).astype(words.dtype)
+        return (xp.right_shift(words, shift) & 1).astype(xp.bool_)
+
 
 def build_fused_plan(
     query_graphs: np.ndarray,
     data_graphs: np.ndarray,
     plans: "PlanTable",
     index: "CandidateIndex",
+    bitmap: "CandidateBitmap",
 ) -> FusedPlan:
-    """Compile fused-dispatched pairs into one :class:`FusedPlan`.
+    """Compile pairs into one :class:`FusedPlan`.
 
     Slot ``i`` is the pair (``query_graphs[i]``, ``data_graphs[i]``).
     Per depth, the slots' query nodes ``node_offsets[qg] + order[qg, d]``
-    index the candidate index's cuts, and one ragged gather pulls their
-    sorted **global** candidate ids (the whole-batch edge index keys on
-    global ids, so no per-pair local re-slicing happens on this path);
-    the check and banned columns are ragged gathers of the plan table's
-    (query graph, depth) rows.  Every candidate list must be non-empty —
-    pairs with an empty depth are skipped before dispatch, exactly as on
-    the per-pair backends.
+    index the candidate index's cuts for the list sizes, and one ragged
+    gather pulls the sorted **global** candidate ids of the lists the
+    kernel crosses (depth 0 and check-less slots); the check and banned
+    columns are ragged gathers of the plan table's (query graph, depth)
+    rows.  Every candidate list must be non-empty — pairs with an empty
+    depth are skipped before dispatch, exactly as on the DFS backend.
     """
     qg = xp.asarray(query_graphs, dtype=xp.int64)
     graphs = xp.asarray(data_graphs, dtype=xp.int64)
@@ -141,7 +165,7 @@ def build_fused_plan(
     max_depth = int(depth_counts.max()) if qg.size else 0
     first_node = plans.node_offsets[qg]
     rows = qg * plans.max_nodes
-    cand_flat, cand_off = [], []
+    query_nodes, cand_size, cand_flat, cand_off = [], [], [], []
     ck_depth, ck_label, ck_off = [], [], []
     bn_depth, bn_off = [], []
     for d in range(max_depth):
@@ -149,23 +173,29 @@ def build_fused_plan(
         nodes = xp.where(live, first_node + plans.order[qg, d], 0)
         starts = index.cuts[nodes, graphs]
         sizes = xp.where(live, index.cuts[nodes, graphs + 1] - starts, 0)
-        flat, off = _ragged_take(index.positions, starts, sizes)
-        cand_flat.append(flat)
-        cand_off.append(off)
+        query_nodes.append(nodes)
+        cand_size.append(sizes)
         # Rows past a slot's plan depth are empty in the table.
         row = rows + d
-        starts = plans.ck_off[row]
-        sizes = plans.ck_off[row + 1] - starts
-        flat, off = _ragged_take(plans.ck_depth, starts, sizes)
+        ck_starts = plans.ck_off[row]
+        ck_sizes = plans.ck_off[row + 1] - ck_starts
+        # Slots with a check grow from their anchor's neighbours instead.
+        listed = xp.where(ck_sizes == 0, sizes, 0)
+        flat, off = _ragged_take(index.positions, starts, listed)
+        cand_flat.append(flat)
+        cand_off.append(off)
+        flat, off = _ragged_take(plans.ck_depth, ck_starts, ck_sizes)
         ck_depth.append(flat)
         ck_off.append(off)
-        ck_label.append(_ragged_take(plans.ck_label, starts, sizes)[0])
+        ck_label.append(_ragged_take(plans.ck_label, ck_starts, ck_sizes)[0])
         starts = plans.bn_off[row]
         flat, off = _ragged_take(plans.bn_depth, starts, plans.bn_off[row + 1] - starts)
         bn_depth.append(flat)
         bn_off.append(off)
     return FusedPlan(
         depth_counts=depth_counts,
+        query_nodes=tuple(query_nodes),
+        cand_size=tuple(cand_size),
         cand_flat=tuple(cand_flat),
         cand_off=tuple(cand_off),
         ck_depth=tuple(ck_depth),
@@ -173,6 +203,8 @@ def build_fused_plan(
         ck_off=tuple(ck_off),
         bn_depth=tuple(bn_depth),
         bn_off=tuple(bn_off),
+        words=bitmap.words,
+        word_bits=bitmap.word_bits,
     )
 
 
@@ -206,6 +238,41 @@ class FusedOutcome:
         )
 
 
+def _anchors(fplan: FusedPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows with a check at the next depth, each one's anchor node)."""
+    depth = table.shape[1] - 1
+    ck_off = fplan.ck_off[depth]
+    slots = table[:, 0]
+    rows = xp.flatnonzero(ck_off[slots + 1] > ck_off[slots])
+    earlier = fplan.ck_depth[depth][ck_off[slots[rows]]]
+    return rows, table[rows, 1 + earlier]
+
+
+def _block_elements(
+    view: "LocalCSRView", fplan: FusedPlan, table: np.ndarray
+) -> np.ndarray:
+    """Elements the kernel builds per row: anchor degree, else list size."""
+    counts = fplan.cand_size[table.shape[1] - 1][table[:, 0]]
+    rows, anchor = _anchors(fplan, table)
+    counts[rows] = view.row_offsets[anchor + 1] - view.row_offsets[anchor]
+    return counts
+
+
+def _drop_used(
+    table: np.ndarray, row_idx: np.ndarray, cand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elements whose candidate their own row has not matched yet.
+
+    Column by column — 1-D gathers beat one 2-D advanced-index
+    materialization.
+    """
+    dup = table[row_idx, 1] == cand
+    for c in range(2, table.shape[1]):
+        dup |= table[row_idx, c] == cand
+    keep = ~dup
+    return row_idx[keep], cand[keep]
+
+
 @kernel(writes=("acc",))
 def extend_fused_block(
     view: "LocalCSRView",
@@ -218,41 +285,60 @@ def extend_fused_block(
     ``table`` is ``int64[n_rows, 1 + depth]``: the slot column followed
     by the matched global data nodes of depths ``0..depth-1`` in plan
     order.  Returns the surviving rows extended to ``1 + depth + 1``
-    columns.  Work is accounted per slot into ``acc`` with the same
-    element decomposition as the per-pair backends (see module
-    docstring), so totals are bitwise-comparable.
+    columns.  Work is accounted per slot into ``acc`` with the DFS's
+    element decomposition (see module docstring), so totals are
+    bitwise-comparable.
     """
     depth = table.shape[1] - 1  # matched depths so far; extending to this one
     slots = table[:, 0]
     n_slots = fplan.n_slots
-    cand_off = fplan.cand_off[depth]
-    counts = cand_off[slots + 1] - cand_off[slots]
-    total = int(counts.sum())
-    # Candidate gather: ragged cross product of rows x their slot's list.
-    row_idx = xp.repeat(xp.arange(table.shape[0], dtype=xp.int64), counts)
-    ends = xp.cumsum(counts)
-    within = xp.arange(total, dtype=xp.int64) - xp.repeat(ends - counts, counts)
-    cand = fplan.cand_flat[depth][xp.repeat(cand_off[slots], counts) + within]
-    eslot = xp.repeat(slots, counts)
-    acc.visits += xp.bincount(eslot, minlength=n_slots)
-    # Injectivity mask: candidate already used by its own row.  Column
-    # by column — 1-D gathers beat one 2-D advanced-index materialization.
-    dup = table[row_idx, 1] == cand
-    for c in range(2, table.shape[1]):
-        dup |= table[row_idx, c] == cand
-    keep = ~dup
-    row_idx = row_idx[keep]
-    cand = cand[keep]
-    eslot = eslot[keep]
-    # Back-edge label checks, round k = the k-th check of each element's
-    # own plan — sequential early-break accounting: an element stops
-    # paying after its first failed round, elements whose slot has fewer
-    # checks sit rounds out but stay alive.
-    width = xp.checked_flat_stride(view.width)
+    size = fplan.cand_size[depth]
+    acc.visits += xp.bincount(slots, minlength=n_slots) * size
     ck_off = fplan.ck_off[depth]
+    rows, anchor = _anchors(fplan, table)
+    # Round 0 on anchored rows: every unused candidate pays one check.  A
+    # matched node sits in the row's list iff its bitmap bit is set (all
+    # of a slot's nodes lie in its data graph).
+    anchored_slots = slots[rows]
+    qnode = fplan.query_nodes[depth][anchored_slots]
+    in_list = fplan.is_candidate(xp.repeat(qnode, depth), table[rows, 1:].ravel())
+    acc.echecks += xp.bincount(anchored_slots, minlength=n_slots) * size
+    acc.echecks -= xp.bincount(
+        xp.repeat(anchored_slots, depth)[in_list], minlength=n_slots
+    )
+    # Neighbour gather: the anchor's CSR-GO row, sorted by global id (the
+    # batch view starts at node 0, so view-local ids are global).
+    start = view.row_offsets[anchor]
+    degree = view.row_offsets[anchor + 1] - start
+    at = _ragged_at(start, degree)
+    width = xp.checked_flat_stride(view.width)
+    cand = view.flat_keys[at] - xp.repeat(anchor * width, degree)
+    label = xp.repeat(fplan.ck_label[depth][ck_off[anchored_slots]], degree)
+    passed = (label == -1) | (view.edge_labels[at] == label)
+    passed &= fplan.is_candidate(xp.repeat(qnode, degree), cand)
+    row_idx, cand = _drop_used(table, xp.repeat(rows, degree)[passed], cand[passed])
+    if rows.size < slots.size:
+        # Check-less rows (a later component of a disconnected query)
+        # cross their slot's candidate list.
+        free = xp.flatnonzero(ck_off[slots + 1] == ck_off[slots])
+        cand_off = fplan.cand_off[depth]
+        counts = size[slots[free]]
+        at = _ragged_at(cand_off[slots[free]], counts)
+        free_idx, free_cand = _drop_used(
+            table, xp.repeat(free, counts), fplan.cand_flat[depth][at]
+        )
+        row_idx = xp.concatenate([row_idx, free_idx])
+        order = xp.argsort(row_idx, kind="stable")
+        row_idx = row_idx[order]
+        cand = xp.concatenate([cand, free_cand])[order]
+    # Later check rounds, round k = the k-th check of each element's own
+    # plan — sequential early-break accounting: an element stops paying
+    # after its first failed round, elements whose slot has fewer checks
+    # sit rounds out but stay alive.
+    eslot = slots[row_idx]
     n_checks = ck_off[eslot + 1] - ck_off[eslot]
     rounds = int(n_checks.max()) if n_checks.size else 0
-    for k in range(rounds):
+    for k in range(1, rounds):
         active = xp.nonzero(n_checks > k)[0]
         if active.size == 0:
             break
@@ -306,9 +392,8 @@ def _block_starts(counts: np.ndarray, bound: int = FUSED_BLOCK_ELEMS) -> list[in
 
     Greedy: rows join the current chunk until its element total would
     exceed the bound; a single row above the bound forms its own chunk
-    (it cannot be split — same degenerate case as the per-pair backend's
-    ``max(1, ...)`` rows-per-block floor).  One ``searchsorted`` on the
-    running totals finds each chunk's end.
+    (it cannot be split).  One ``searchsorted`` on the running totals
+    finds each chunk's end.
     """
     n = int(counts.size)
     before = xp.zeros(n + 1, dtype=xp.int64)  # before[i]: elements of rows < i
@@ -335,13 +420,14 @@ def fused_join(
 ) -> FusedOutcome:
     """Run one fused table to completion.
 
-    Depth-first over LIFO element-bounded row blocks (the fused analogue
-    of the per-pair backend's block stack): sibling chunks are pushed in
-    reverse so the lexicographically first chunk pops first, which keeps
-    every slot's emission in DFS order.  Under ``find_first``, a slot is
-    retired the moment its first full-depth row lands — subsequent pops
-    drop its remaining rows before paying for them (the batched
-    early-exit).
+    Depth-first over LIFO element-bounded row blocks: a pop whose rows
+    would build more than :data:`FUSED_BLOCK_ELEMS` elements (anchor
+    degrees, or list sizes for check-less rows) is split, and sibling
+    chunks are pushed in reverse so the lexicographically first chunk
+    pops first, which keeps every slot's emission in DFS order.  Under
+    ``find_first``, a slot is retired the moment its first full-depth
+    row lands — subsequent pops drop its remaining rows before paying
+    for them (the batched early-exit).
 
     ``record_rows`` keeps up to ``max_record`` full-depth rows per slot
     in ``acc.rows`` (global ids, plan order); the caller converts them
@@ -351,7 +437,7 @@ def fused_join(
     if n_slots == 0:
         return acc
     depth_counts = fplan.depth_counts
-    sizes0 = fplan.cand_off[0][1:] - fplan.cand_off[0][:-1]
+    sizes0 = fplan.cand_size[0]
     # Depth 0: every candidate is one visit and one push on any backend.
     acc.visits += sizes0
     acc.pushes += sizes0
@@ -372,13 +458,12 @@ def fused_join(
     counts0 = sizes0[deep]
     root = xp.empty((int(counts0.sum()), 2), dtype=xp.int64)
     root[:, 0] = xp.repeat(deep, counts0)
-    starts = fplan.cand_off[0][deep]
-    ends = xp.cumsum(counts0)
-    within = xp.arange(root.shape[0], dtype=xp.int64) - xp.repeat(
-        ends - counts0, counts0
-    )
-    root[:, 1] = fplan.cand_flat[0][xp.repeat(starts, counts0) + within]
+    root[:, 1] = fplan.cand_flat[0][_ragged_at(fplan.cand_off[0][deep], counts0)]
 
+    # Rows x the widest anchor row or crossed list bounds a pop's
+    # elements, so most pops skip counting them exactly.
+    degree = int(xp.max(xp.diff(view.row_offsets)))
+    widest = [max(degree, int(xp.max(xp.diff(off)))) for off in fplan.cand_off]
     retired = xp.zeros(n_slots, dtype=xp.bool_)
     stack: list[np.ndarray] = [root]
     while stack:
@@ -391,15 +476,14 @@ def fused_join(
         if table.shape[0] == 0:
             continue
         depth = table.shape[1] - 1
-        cand_off = fplan.cand_off[depth]
-        slots = table[:, 0]
-        counts = cand_off[slots + 1] - cand_off[slots]
-        if int(counts.sum()) > FUSED_BLOCK_ELEMS and table.shape[0] > 1:
-            bounds = _block_starts(counts)
-            bounds.append(table.shape[0])
-            for i in range(len(bounds) - 2, -1, -1):
-                stack.append(table[bounds[i] : bounds[i + 1]])
-            continue
+        if table.shape[0] > 1 and table.shape[0] * widest[depth] > FUSED_BLOCK_ELEMS:
+            counts = _block_elements(view, fplan, table)
+            if int(counts.sum()) > FUSED_BLOCK_ELEMS:
+                bounds = _block_starts(counts)
+                bounds.append(table.shape[0])
+                for i in range(len(bounds) - 2, -1, -1):
+                    stack.append(table[bounds[i] : bounds[i + 1]])
+                continue
         new_table = extend_fused_block(view, fplan, table, acc)
         if new_table.shape[0] == 0:
             continue
@@ -428,6 +512,35 @@ def fused_join(
         if new_table.shape[0]:
             stack.append(new_table)
     return acc
+
+
+@kernel(writes=())
+def tabular_join_pair(
+    view: "LocalCSRView",
+    plans: "PlanTable",
+    index: "CandidateIndex",
+    bitmap: "CandidateBitmap",
+    query_graph: int,
+    data_graph: int,
+    find_first: bool,
+    record_rows: bool = False,
+    max_record: int = 0,
+) -> FusedOutcome:
+    """Join one pair alone, as a one-slot table on the batch view.
+
+    The forced ``join_backend="tabular"`` arm: the fused kernel with no
+    cross-pair fusion, so each pair pays its own plan and table setup.
+    Returns the one-slot :class:`FusedOutcome` (slot 0).
+    """
+    fplan = build_fused_plan(
+        xp.full(1, query_graph, dtype=xp.int64),
+        xp.full(1, data_graph, dtype=xp.int64),
+        plans,
+        index,
+        bitmap,
+    )
+    acc = FusedOutcome.empty(1)
+    return fused_join(view, fplan, find_first, acc, record_rows, max_record)
 
 
 def slot_rows(acc: FusedOutcome, slot: int) -> np.ndarray | None:

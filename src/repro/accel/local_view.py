@@ -14,9 +14,12 @@ out of the batch CSR-GO with pure NumPy slices (no per-edge Python loop):
   (:data:`DENSE_CELL_CAP` cells max), turning hot-loop probes into plain
   gathers; ``probe_labels`` picks the path transparently.
 * ``edge_labels`` — the labels parallel to ``flat_keys``.
+* ``row_offsets`` — each node's slice of the two arrays, so a kernel can
+  read a node's neighbours (``flat_keys[at] - u * width``) and their edge
+  labels without touching the raw CSR-GO.
 
-One class serves every join kernel: the DFS and tabular kernels probe
-one data graph's range (:func:`get_local_view`), the fused table probes
+One class serves every join kernel: the DFS kernel probes one data
+graph's range (:func:`get_local_view`), the fused table reads and probes
 the whole batch ``[0, n_nodes)`` with global ids (:func:`get_batch_view`).
 The scalar DFS kernel wants O(1) per-probe lookups; the view keeps a flat
 dict as a *lazy* property built from the flat arrays (one C-level
@@ -77,6 +80,9 @@ class LocalCSRView:
         ``int64`` sorted flat edge keys.
     edge_labels:
         ``int32`` labels parallel to ``flat_keys``.
+    row_offsets:
+        ``int64[width + 1]``: node ``u``'s slots are
+        ``row_offsets[u] : row_offsets[u + 1]`` of the two arrays above.
     """
 
     __slots__ = (
@@ -84,6 +90,7 @@ class LocalCSRView:
         "width",
         "flat_keys",
         "edge_labels",
+        "row_offsets",
         "_edge_label_map",
         "_dense",
     )
@@ -101,6 +108,7 @@ class LocalCSRView:
         self.edge_labels = xp.ascontiguousarray(
             data.adj_edge_labels[adj_lo:adj_hi], dtype=xp.int32
         )
+        self.row_offsets = xp.asarray(row_offsets, dtype=xp.int64) - adj_lo
         self._edge_label_map: dict[int, int] | None = None
         self._dense: np.ndarray | None | bool = None
 
@@ -143,10 +151,11 @@ class LocalCSRView:
 
 
 def _view_bytes(view: LocalCSRView) -> int:
-    """Memo weight: the flat arrays plus the dense table it may build."""
+    """Memo weight: the CSR arrays plus the dense table it may build."""
     width = view.width
     dense = width * width if _dense_fits(width, view.edge_labels) else 0
-    return int(view.flat_keys.nbytes + view.edge_labels.nbytes + dense)
+    arrays = view.flat_keys.nbytes + view.edge_labels.nbytes + view.row_offsets.nbytes
+    return int(arrays + dense)
 
 
 _LOCAL_VIEWS = ContentMemo(VIEW_MEMO_BYTES, weigh=_view_bytes)

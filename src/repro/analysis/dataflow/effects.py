@@ -567,17 +567,25 @@ SPACE_PREFIXES: dict[str, tuple[str, ...]] = {
     "sig.query": ("query_counts",),
     "sig.data": ("data_counts",),
     "bitmap": ("bitmap.words", "initialize_candidates:bitmap"),
-    # join traces (DFS + tabular run through run_join)
-    "csr.row_offsets": ("run_join:view", "data"),
-    "csr.flat_keys": ("run_join:view.flat_keys", "run_join:view"),
-    "csr.edge_labels": ("run_join:view.edge_labels", "run_join:view"),
+    # join traces (DFS + tabular run through run_join; tabular reads the
+    # batch view through the frontier kernel's neighbour gathers)
+    "csr.row_offsets": ("run_join:view", "run_join:batch_view.row_offsets", "data"),
+    "csr.flat_keys": (
+        "run_join:view.flat_keys",
+        "run_join:view",
+        "run_join:batch_view.flat_keys",
+    ),
+    "csr.edge_labels": (
+        "run_join:view.edge_labels",
+        "run_join:view",
+        "run_join:batch_view.edge_labels",
+    ),
     "join.pair_matches": ("run_join:result.pair_matches",),
     "gmcr.matched": ("gmcr.matched",),
     "join.match_count": ("run_join:result.total_matches",),
     "tabular.frontier": (
-        "extend_frontier:new_table",
-        "extend_frontier:dup",
-        "tabular_join_pair:root",
+        "extend_fused_block:new_table",
+        "fused_join:root",
     ),
 }
 

@@ -18,12 +18,14 @@ pattern matches what the vectorized kernels compute, at word granularity:
   ``pair_matches``/``matched`` slots, and bumps the global match counter
   with an *atomic* — atomics never conflict with each other in the model.
 
-* **Tabular join** (``repro.accel.tabular``): same work decomposition as
-  the DFS join, but each pair additionally builds its frontier tables in
-  a private ``FRONTIER_STRIDE``-word region of a shared
-  ``tabular.frontier`` space and reads the flattened sorted-CSR
-  key/edge-label tables.  Regions are disjoint per pair, so an
-  off-by-one in the stride arithmetic would surface as a conflict.
+* **Tabular join** (``repro.accel.fused.tabular_join_pair``, the frontier
+  kernel one pair per table): same work decomposition as the DFS join,
+  but each pair gathers its anchors' neighbours from the batch view's
+  row offsets and sorted-CSR key/edge-label arrays, and builds its root
+  table and each depth's ``new_table`` in a private
+  ``FRONTIER_STRIDE``-word region of a shared ``tabular.frontier``
+  space.  Regions are disjoint per pair, so an off-by-one in the stride
+  arithmetic would surface as a conflict.
 
 :func:`scatter_add_trace` is the canonical seeded-race kernel: a naive
 (non-atomic) scatter-add whose duplicate targets produce the write-write
@@ -149,14 +151,16 @@ def trace_tabular_join_races(
     config: SigmoConfig | None = None,
     shadow: ShadowMemory | None = None,
 ) -> ShadowMemory:
-    """Replay the tabular frontier-join backend's memory plan.
+    """Replay the one-pair-per-table frontier kernel's memory plan.
 
     Same work decomposition as the DFS join (one work-item per
     (data graph, query graph) pair, all pairs in one epoch) but the
-    tabular backend's memory traffic: the sorted flat-key/edge-label
-    arrays replace scalar dict probes, and each pair grows a *private*
-    frontier table (``extend_frontier``'s ``new_table``/``dup``
-    allocations) — modeled as a per-pair region of the
+    frontier kernel's memory traffic: neighbour gathers over the batch
+    view's row offsets and sorted flat-key/edge-label arrays replace
+    scalar dict probes, bitmap words answer candidate membership, and
+    each pair grows *private* frontier tables (``fused_join``'s root
+    table, ``extend_fused_block``'s ``new_table`` of neighbour
+    survivors) — modeled as a per-pair region of the
     ``tabular.frontier`` space, so any cross-pair frontier sharing would
     conflict.  Result slots and the atomic Find-All counter are shared
     with the DFS plan.
@@ -186,19 +190,21 @@ def trace_tabular_join_races(
             q_start, q_stop = query.graph_node_range(qg)
             base = pair_idx * FRONTIER_STRIDE
             offset = 0
-            # Local-view construction + vectorized probes: shared
-            # read-only CSR traffic (row offsets, sorted flat keys, the
-            # parallel edge labels).
+            # Neighbour gathers + vectorized probes: shared read-only
+            # batch-view traffic (row offsets, sorted flat keys, the
+            # parallel edge labels) over the data graph's range.
             shadow.read_many("csr.row_offsets", csr_rows, item)
             shadow.read_many("csr.flat_keys", edge_slots, item)
             shadow.read_many("csr.edge_labels", edge_slots, item)
             for q in range(q_start, q_stop):
+                # Candidate membership of the gathered neighbours.
                 shadow.read_many("bitmap", q * n_words + graph_words, item)
-                # extend_frontier materializes the next depth's table (and
-                # its dedup scratch) in pair-private storage, one slot per
-                # surviving candidate row.
+                # The root table and each depth's new_table live in
+                # pair-private storage, one slot per row (bounded by the
+                # node's candidates inside the data graph).
                 n_rows = min(
-                    len(bitmap.candidates_of(q)), FRONTIER_STRIDE - offset
+                    len(bitmap.candidates_of(q, d_start, d_stop)),
+                    FRONTIER_STRIDE - offset,
                 )
                 if n_rows > 0:
                     rows = base + offset + np.arange(n_rows, dtype=np.int64)

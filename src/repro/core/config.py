@@ -72,13 +72,12 @@ class SigmoConfig:
         so artifacts from different backends never collide.
     join_backend:
         Join backend selection: ``"auto"`` picks per (data, query) pair
-        by one size rule (:func:`repro.accel.dispatch.choose_backends`:
-        DFS for single-node queries, the fused table up to
-        ``FUSED_MAX_ELEMENTS`` estimated elements, tabular above);
-        ``"dfs"`` forces the scalar stack-DFS reference backend,
-        ``"tabular"`` forces the per-pair vectorized tabular frontier
-        backend, ``"fused"`` forces the whole-batch fused frontier table
-        (:mod:`repro.accel.fused`).  The backends are bitwise-equivalent
+        (:func:`repro.accel.dispatch.choose_backends`: DFS for
+        single-node queries, the fused table otherwise); ``"dfs"`` forces
+        the scalar stack-DFS reference backend, ``"fused"`` the
+        whole-batch frontier table (:mod:`repro.accel.fused`) and
+        ``"tabular"`` the same kernel with one pair per table (never
+        chosen under ``"auto"``).  The backends are bitwise-equivalent
         in Find All (match sets, stats, truncation) and agree on results
         in Find First, so this is purely a performance knob.
     """

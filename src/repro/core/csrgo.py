@@ -105,6 +105,48 @@ class CSRGO:
             raise ValueError("node labels must be non-negative")
         if self.adj_edge_labels.size and self.adj_edge_labels.min() < 0:
             raise ValueError("edge labels must be non-negative")
+        self._validate_adjacency(n_nodes)
+
+    def _validate_adjacency(self, n_nodes: int) -> None:
+        """The adjacency invariants the join kernels' flat keys rely on.
+
+        Flat keys ``u * n + v`` must be strictly increasing (rows sorted,
+        no duplicate edges), every neighbour must lie in its row's graph
+        (a cross-graph key would alias an in-graph one in a per-graph
+        view), and the adjacency must be symmetric with equal labels.
+        One ``np.sort`` of the transposed (key, label) composites checks
+        the last; the rest is O(E).
+        """
+        if not self.column_indices.size:
+            return
+        source = np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(self.row_offsets))
+        keys = source * n_nodes + self.column_indices
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("adjacency rows must be sorted without duplicate edges")
+        graph_of = np.repeat(
+            np.arange(self.n_graphs, dtype=np.int64), np.diff(self.graph_offsets)
+        )
+        if np.any(graph_of[source] != graph_of[self.column_indices]):
+            raise ValueError("every neighbour must lie in its node's graph")
+        labels = self.adj_edge_labels
+        n_labels = int(labels.max()) + 1
+        transposed = self.column_indices * np.int64(n_nodes)
+        transposed += source
+        if n_nodes * n_nodes * n_labels < 2**62:
+            # In place: fresh temporaries cost more than the arithmetic.
+            transposed *= n_labels
+            transposed += labels
+            transposed.sort()
+            keys *= n_labels
+            keys += labels
+            symmetric = np.array_equal(transposed, keys)
+        else:  # the composites would overflow int64
+            order = np.lexsort((labels, transposed))
+            symmetric = np.array_equal(transposed[order], keys) and np.array_equal(
+                labels[order], labels
+            )
+        if not symmetric:
+            raise ValueError("adjacency must be symmetric with equal edge labels")
 
     # -- construction --------------------------------------------------------
 

@@ -28,16 +28,22 @@ from repro.accel.dispatch import (
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
+    DFS_CODE,
     FUSED_CODE,
     TABULAR_CODE,
     choose_backends,
     estimate_elements,
     packing_order,
 )
-from repro.accel.fused import FusedOutcome, build_fused_plan, fused_join, slot_rows
+from repro.accel.fused import (
+    FusedOutcome,
+    build_fused_plan,
+    fused_join,
+    slot_rows,
+    tabular_join_pair,
+)
 from repro.accel.local_view import LocalCSRView, get_batch_view, get_local_view
 from repro.accel.memo import array_hash, plan_memo
-from repro.accel.tabular import tabular_join_pair
 from repro.analysis.markers import kernel
 from repro.core.candidates import CandidateBitmap, build_candidate_index
 from repro.core.config import SigmoConfig
@@ -232,7 +238,7 @@ class PlanTable:
     holds depth ``p``'s back-edge checks and induced non-adjacency
     depths, in the order :class:`QueryPlan` lists them.  The join reads
     the arrays directly; ``table[qg]`` builds (once) the
-    :class:`QueryPlan` the scalar DFS, tabular and recording paths use.
+    :class:`QueryPlan` the scalar DFS and recording paths use.
 
     Attributes
     ----------
@@ -734,28 +740,30 @@ def run_join(
        boundary.
        The (pair, depth) query nodes ``node_offsets[qg] + order[qg, p]``
        then index the cuts for every pair's per-depth candidate counts at
-       once: the empty-depth skip, the work estimates and the size rule's
-       backend choice under ``config.join_backend``
+       once: the empty-depth skip, the work estimates and the backend
+       choice under ``config.join_backend``
        (:func:`repro.accel.dispatch.choose_backends`, one call per
-       distinct plan depth) between scalar DFS (:func:`join_pair`),
-       per-pair tabular (:func:`repro.accel.tabular.tabular_join_pair`)
-       and the fused whole-batch table (:mod:`repro.accel.fused`).
+       distinct plan depth) between scalar DFS (:func:`join_pair`), the
+       fused whole-batch table (:mod:`repro.accel.fused`) and, forced
+       only, the same table one pair at a time
+       (:func:`repro.accel.fused.tabular_join_pair`).
     2. **Fused waves** — all fused-dispatched pairs of the batch run as
        one frontier table (one wave) against the cached whole-batch edge
-       index (:func:`repro.accel.local_view.get_batch_view`), packed in
+       view (:func:`repro.accel.local_view.get_batch_view`), packed in
        descending estimate order; :func:`build_fused_plan` gathers the
-       table's candidate and check columns from the slots' (query graph,
-       data graph) index arrays.  Under a :class:`JoinBudget`, waves are
-       instead sized lazily by the remaining budget headroom so a
-       truncated run never pays for far-future pairs.
-    3. **Replay** — pairs are accounted in GMCR order: DFS/tabular pairs
-       execute in place on candidate lists sliced from the index, fused
-       pairs fold in their precomputed per-slot results, and the budget
-       is checked before *every* pair.  Because the fused per-pair stats
-       equal the sequential backends' stats in Find All, truncation
-       points, resume tokens, ``gmcr.matched`` and recorded embeddings
-       come out bitwise-identical to a pure sequential run, whatever mix
-       of backends dispatch chose.  With no budget, recording or tracer,
+       table's query-node, list-size and check columns from the slots'
+       (query graph, data graph) index arrays.  Under a
+       :class:`JoinBudget`, waves are instead sized lazily by the
+       remaining budget headroom so a truncated run never pays for
+       far-future pairs.
+    3. **Replay** — pairs are accounted in GMCR order: DFS and forced
+       tabular pairs execute in place, fused pairs fold in their
+       precomputed per-slot results, and the budget is checked before
+       *every* pair.  Because the fused per-pair stats equal the DFS
+       stats in Find All, truncation points, resume tokens,
+       ``gmcr.matched`` and recorded embeddings come out
+       bitwise-identical to a pure sequential run, whatever mix of
+       backends dispatch chose.  With no budget, recording or tracer,
        fused waves fold into the result vectorized and only DFS/tabular
        pairs are replayed.
 
@@ -825,7 +833,7 @@ def run_join(
 
         # -- pass 2: fused waves ------------------------------------------------
         fused_acc: dict[int, tuple[FusedOutcome, int]] = {}
-        batch_view = get_batch_view(data) if fused_queue.size else None
+        batch_view = get_batch_view(data) if (codes > DFS_CODE).any() else None
         fused_pos = 0  # next unexecuted index into fused_queue
         traced = tracer.enabled
         # With no budget to police, no embeddings to record and no spans
@@ -840,7 +848,7 @@ def run_join(
             fused_pos += wave.size
             packed = wave[packing_order(result.pair_cost_estimates[wave])]
             fplan = build_fused_plan(
-                pair_qg[packed], pair_graph[packed], plans, index
+                pair_qg[packed], pair_graph[packed], plans, index, bitmap
             )
             acc = FusedOutcome.empty(packed.size)
             with tracer.span(
@@ -959,27 +967,7 @@ def run_join(
                         if pair_idx not in fused_acc:
                             run_wave(wave_size())
                         acc, slot = fused_acc[pair_idx]
-                        found = int(acc.matches[slot])
-                        pair_visits = int(acc.visits[slot])
-                        result.stats.candidate_visits += pair_visits
-                        result.stats.edge_checks += int(acc.echecks[slot])
-                        result.stats.stack_pushes += int(acc.pushes[slot])
-                        if record is not None and found:
-                            rows = slot_rows(acc, slot)
-                            order = xp.asarray(plan.order, dtype=xp.int64)
-                            for r in range(0 if rows is None else rows.shape[0]):
-                                if len(record) >= max_record:
-                                    break
-                                mapping = xp.empty(plan.n_nodes, dtype=xp.int64)
-                                mapping[order] = rows[r] - d_start
-                                record.append((d, qg, mapping))
                     else:
-                        if view is None:
-                            view = get_local_view(data, d)
-                        cand_arrays = index.lists(
-                            plans.node_offsets[qg] + plan.order, d
-                        )
-                        visits_before = result.stats.candidate_visits
                         if code == TABULAR_CODE:
                             span_name = "kernel:accel:join-tabular"
                         else:
@@ -995,17 +983,26 @@ def run_join(
                             pair_span.__enter__()
                         try:
                             if code == TABULAR_CODE:
-                                found = tabular_join_pair(
-                                    view,
-                                    plan,
-                                    [a - d_start for a in cand_arrays],
+                                acc = tabular_join_pair(
+                                    batch_view,
+                                    plans,
+                                    index,
+                                    bitmap,
+                                    qg,
+                                    d,
                                     find_first,
-                                    result.stats,
-                                    record=record,
-                                    record_meta=(d, qg),
+                                    record_rows=record is not None,
                                     max_record=max_record,
                                 )
+                                slot = 0
+                                found = int(acc.matches[0])
                             else:
+                                if view is None:
+                                    view = get_local_view(data, d)
+                                cand_arrays = index.lists(
+                                    plans.node_offsets[qg] + plan.order, d
+                                )
+                                visits_before = result.stats.candidate_visits
                                 found = join_pair(
                                     view,
                                     plan,
@@ -1017,11 +1014,28 @@ def run_join(
                                     record_meta=(d, qg),
                                     max_record=max_record,
                                 )
+                                pair_visits = (
+                                    result.stats.candidate_visits - visits_before
+                                )
                         finally:
                             if pair_span is not None:
                                 pair_span.set(matches=found)
                                 pair_span.__exit__(None, None, None)
-                        pair_visits = result.stats.candidate_visits - visits_before
+                    if code != DFS_CODE:
+                        found = int(acc.matches[slot])
+                        pair_visits = int(acc.visits[slot])
+                        result.stats.candidate_visits += pair_visits
+                        result.stats.edge_checks += int(acc.echecks[slot])
+                        result.stats.stack_pushes += int(acc.pushes[slot])
+                        if record is not None and found:
+                            rows = slot_rows(acc, slot)
+                            order = xp.asarray(plan.order, dtype=xp.int64)
+                            for r in range(0 if rows is None else rows.shape[0]):
+                                if len(record) >= max_record:
+                                    break
+                                mapping = xp.empty(plan.n_nodes, dtype=xp.int64)
+                                mapping[order] = rows[r] - d_start
+                                record.append((d, qg, mapping))
                     result.backend_pairs[chosen] += 1
                     result.backend_visits[chosen] += pair_visits
                     result.pair_matches[pair_idx] = found

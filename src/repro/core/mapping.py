@@ -69,15 +69,18 @@ class GMCR:
             int(self.data_graph_offsets[data_graph + 1]),
         )
 
+    def matched_pair_array(self) -> np.ndarray:
+        """``int64[n, 2]`` ``(data_graph, query_graph)`` rows of the matched
+        pairs, in pair order (so sorted by data graph)."""
+        pairs = np.flatnonzero(self.matched)
+        out = np.empty((pairs.size, 2), dtype=np.int64)
+        out[:, 0] = np.searchsorted(self.data_graph_offsets, pairs, side="right") - 1
+        out[:, 1] = self.query_graph_indices[pairs]
+        return out
+
     def matched_pairs(self) -> list[tuple[int, int]]:
         """All ``(data_graph, query_graph)`` pairs flagged as matched."""
-        out = []
-        for d in range(self.n_data_graphs):
-            sl = self.pair_slice(d)
-            for q, m in zip(self.query_graph_indices[sl], self.matched[sl]):
-                if m:
-                    out.append((d, int(q)))
-        return out
+        return list(map(tuple, self.matched_pair_array().tolist()))
 
     def nbytes(self) -> int:
         """Storage footprint in bytes."""

@@ -46,6 +46,7 @@ from repro.serve.request import (
     STATUS_PARTIAL,
     STATUS_REJECTED,
     DeadlineExceeded,
+    MatchPairs,
     MatchRequest,
     MatchResponse,
     Overloaded,
@@ -71,6 +72,7 @@ __all__ = [
     "DeadlineExceeded",
     "Ewma",
     "ManualClock",
+    "MatchPairs",
     "MatchRequest",
     "MatchResponse",
     "MatchService",

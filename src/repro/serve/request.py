@@ -21,8 +21,11 @@ trichotomy under injected faults.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.core.join import FIND_ALL, FIND_FIRST
 
@@ -205,18 +208,64 @@ class MatchRequest:
             raise ValueError("max_retries must be >= 0")
 
 
+class MatchPairs(Sequence):
+    """Immutable ``(data graph, query graph)`` pairs over one ``int32[n, 2]``
+    array.
+
+    A response can carry hundreds of pairs, and callers may keep many
+    responses alive; the array costs 8 bytes per pair where a list of
+    int tuples costs about 90.  Indexing and iteration yield plain
+    ``(int, int)`` tuples, so ``sorted``, ``set`` and ``list.extend``
+    see the same values a list would hold.
+    """
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: Any = ()) -> None:
+        self._pairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+        self._pairs.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self._pairs.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MatchPairs(self._pairs[index])
+        d, q = self._pairs[index].tolist()
+        return d, q
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return map(tuple, self._pairs.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MatchPairs):
+            return np.array_equal(self._pairs, other._pairs)
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def tolist(self) -> list[list[int]]:
+        """The pairs as ``[[data graph, query graph], ...]`` (JSON form)."""
+        return self._pairs.tolist()
+
+    def __repr__(self) -> str:
+        return f"MatchPairs({list(self)!r})"
+
+
 @dataclass
 class MatchResponse:
     """The single, typed outcome of one submitted request.
 
     ``matches`` uses request-local indices: ``(data graph index within
     the request's own batch, query graph index within the registered
-    set)`` — batching and routing never leak into the result shape.
+    set)`` — batching and routing never leak into the result shape.  It
+    is a :class:`MatchPairs` (any sequence of pairs passed in is
+    converted).
     """
 
     seq: int
     status: str
-    matches: list[tuple[int, int]] = field(default_factory=list)
+    matches: Sequence[tuple[int, int]] = field(default_factory=MatchPairs)
     total_matches: int = 0
     resume: ServeResumeToken | None = None
     rejection: Rejection | None = None
@@ -227,6 +276,10 @@ class MatchResponse:
     queue_delay_s: float = 0.0
     request_id: str = ""
     chain: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.matches, MatchPairs):
+            self.matches = MatchPairs(self.matches)
 
     @property
     def ok(self) -> bool:
@@ -248,7 +301,7 @@ class MatchResponse:
             "chain": self.chain,
             "status": self.status,
             "total_matches": self.total_matches,
-            "matches": [list(pair) for pair in self.matches],
+            "matches": self.matches.tolist(),
             "attempts": self.attempts,
             "lane": self.lane,
             "latency_s": self.latency_s,

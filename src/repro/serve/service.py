@@ -65,6 +65,7 @@ from repro.serve.request import (
     STATUS_COMPLETE,
     STATUS_PARTIAL,
     STATUS_REJECTED,
+    MatchPairs,
     MatchRequest,
     MatchResponse,
     Rejection,
@@ -743,11 +744,12 @@ class MatchService:
         jr = result.join_result
         pair_offsets = result.gmcr.data_graph_offsets
         resume_pair = jr.resume_pair if jr.truncated else None
-        all_matches = result.matched_pairs()
+        all_matches = result.gmcr.matched_pair_array()  # sorted by graph
+        cuts = np.searchsorted(all_matches[:, 0], graph_offsets).tolist()
         for i, ticket in enumerate(tickets):
             g0, g1 = graph_offsets[i], graph_offsets[i + 1]
             p0, p1 = int(pair_offsets[g0]), int(pair_offsets[g1])
-            matches = [(d - g0, q) for d, q in all_matches if g0 <= d < g1]
+            matches = MatchPairs(all_matches[cuts[i] : cuts[i + 1]] - (g0, 0))
             if jr.pair_matches is not None:
                 total = int(np.asarray(jr.pair_matches[p0:p1]).sum())
             else:
@@ -763,7 +765,7 @@ class MatchService:
                     response = MatchResponse(
                         seq=member.seq,
                         status=STATUS_COMPLETE,
-                        matches=list(matches),
+                        matches=matches,
                         total_matches=total,
                         attempts=member.attempt + 1,
                         lane=lane.lane_id,
@@ -778,7 +780,7 @@ class MatchService:
                     response = MatchResponse(
                         seq=member.seq,
                         status=STATUS_PARTIAL,
-                        matches=list(matches),
+                        matches=matches,
                         total_matches=total,
                         resume=token,
                         truncate_reason=jr.truncate_reason,

@@ -1,16 +1,16 @@
-"""Backend selection: the size rule and the config override."""
+"""Backend selection: the ``auto`` rule and the config override."""
 
 import numpy as np
 import pytest
 
 from repro.accel import dispatch
 from repro.accel.dispatch import (
+    TABULAR_CODE,
     BACKEND_AUTO,
     BACKEND_CODES,
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
-    FUSED_MAX_ELEMENTS,
     JOIN_BACKENDS,
     choose_backends,
     estimate_elements,
@@ -21,8 +21,9 @@ from repro.core.config import SigmoConfig
 pytestmark = pytest.mark.perf_accel
 
 #: The committed default coefficients of the fitted per-mode linear cost
-#: model the size rule replaced: backend -> (pair_overhead, element_cost)
-#: in seconds.  Kept as the reference the rule must reproduce.
+#: model an earlier size rule replaced: backend -> (pair_overhead,
+#: element_cost) in seconds.  With the tabular arm forced-only, the rule
+#: must reproduce the model's DFS-versus-fused choice.
 REFERENCE_COEFFICIENTS = {
     "find-all": {
         BACKEND_DFS: (2.1e-6, 1.45e-7),
@@ -42,10 +43,10 @@ ORACLE_CHUNK = 250_000
 
 
 def reference_codes(mode, n_depths, elements):
-    """The replaced model's three-way cost comparison, per element count.
+    """The fitted model's DFS-versus-fused cost comparison, per element count.
 
-    Single-node queries stay on DFS; otherwise the cheaper of fused and
-    tabular (ties go fused) wins if strictly cheaper than DFS.
+    Single-node queries stay on DFS; otherwise fused wins if strictly
+    cheaper than DFS.  Tabular no longer competes: ``auto`` never picks it.
     """
     if n_depths < 2:
         return np.zeros(elements.size, dtype=np.int8)
@@ -55,15 +56,9 @@ def reference_codes(mode, n_depths, elements):
         backend: overhead + slope * elements
         for backend, (overhead, slope) in table.items()
     }
-    vec_is_fused = cost[BACKEND_FUSED] <= cost[BACKEND_TABULAR]
-    vec_cost = np.where(vec_is_fused, cost[BACKEND_FUSED], cost[BACKEND_TABULAR])
     codes = np.where(
-        vec_cost < cost[BACKEND_DFS],
-        np.where(
-            vec_is_fused,
-            BACKEND_CODES.index(BACKEND_FUSED),
-            BACKEND_CODES.index(BACKEND_TABULAR),
-        ),
+        cost[BACKEND_FUSED] < cost[BACKEND_DFS],
+        BACKEND_CODES.index(BACKEND_FUSED),
         BACKEND_CODES.index(BACKEND_DFS),
     )
     return codes.astype(np.int8)
@@ -93,7 +88,7 @@ def _one(n_depths, counts, requested=BACKEND_AUTO):
 
 
 class TestCostModel:
-    """The size rule, checked against the fitted cost model it replaced."""
+    """The ``auto`` rule, checked against the fitted cost model it replaced."""
 
     def test_estimate_is_root_plus_first_expansion(self):
         assert estimate_elements(1, np.array([[7]])).tolist() == [7]
@@ -118,28 +113,31 @@ class TestCostModel:
             assert got.dtype == np.int8
             assert np.array_equal(got, reference_codes(mode, n_depths, elements))
 
-    def test_crossover_follows_coefficients(self, monkeypatch):
-        # The rule's one coefficient is read at call time, so moving it
-        # moves the fused/tabular crossover with it.
-        monkeypatch.setattr(dispatch, "FUSED_MAX_ELEMENTS", 50)
-        assert _one(2, [5, 9]) == BACKEND_FUSED  # E=50
-        assert _one(2, [1, 50]) == BACKEND_TABULAR  # E=51
+    def test_crossover_follows_coefficients(self):
+        # Fused undercuts DFS on both the per-pair overhead and the
+        # per-element slope in both modes, so the fitted lines never
+        # cross at a non-negative size: the rule needs no threshold.
+        assert not hasattr(dispatch, "FUSED_MAX_ELEMENTS")
+        for table in REFERENCE_COEFFICIENTS.values():
+            dfs, fused = table[BACKEND_DFS], table[BACKEND_FUSED]
+            assert fused[0] < dfs[0] and fused[1] < dfs[1]
+        assert _one(2, [0, 0]) == BACKEND_FUSED
+        assert _one(2, [1, 10**9]) == BACKEND_FUSED
 
     def test_find_first_is_a_cost_decision(self):
-        # Find First is decided by the same estimate as Find All:
-        # moderate pairs ride the fused table, enumeration-heavy pairs
-        # go to the per-pair tabular pass.
+        # Find First is decided like Find All: moderate and
+        # enumeration-heavy pairs alike ride the fused table.
         assert _one(5, [10, 20, 1, 1, 1]) == BACKEND_FUSED
-        assert _one(5, [1000, 1000, 1, 1, 1]) == BACKEND_TABULAR
+        assert _one(5, [1000, 1000, 1, 1, 1]) == BACKEND_FUSED
 
     def test_fused_tabular_crossover(self):
-        assert FUSED_MAX_ELEMENTS == 1794
+        # Tabular is forced-only: no estimate sends a pair there.
         for n_depths in range(2, 7):
             tail = [1] * (n_depths - 2)
-            assert _one(n_depths, [1, 1793] + tail) == BACKEND_FUSED
-            assert _one(n_depths, [1, 1794] + tail) == BACKEND_TABULAR
-            assert _one(n_depths, [2, 896] + tail) == BACKEND_FUSED  # 1794
-            assert _one(n_depths, [5, 358] + tail) == BACKEND_TABULAR  # 1795
+            for head in ([1, 1793], [1, 1794], [2, 896], [5, 358], [900, 900]):
+                assert _one(n_depths, head + tail) == BACKEND_FUSED
+            counts = counts_for(n_depths, np.arange(0, 40_000, 3, dtype=np.int64))
+            assert (choose_backends(n_depths, counts) != TABULAR_CODE).all()
 
     def test_single_node_query_stays_on_dfs(self):
         # Nothing to vectorize at depth 1, however big the candidate list.

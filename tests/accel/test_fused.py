@@ -96,11 +96,13 @@ class TestFusedFindFirst:
     def test_early_exit_depths_recorded(self):
         # Retirement fires when a pair matches while it still has stacked
         # frontier rows: a label-uniform ring gives a path query frontiers
-        # far wider than one block, so the first match retires the rest.
+        # whose neighbour elements (two per row) span more than one
+        # block, so the first match retires the rest.
         from repro.graph.generators import path_graph, ring_graph
 
+        n = FUSED_BLOCK_ELEMS // 2 + 400
         queries = [path_graph([1, 1, 1])]
-        data = [ring_graph(400, [1] * 400)]
+        data = [ring_graph(n, [1] * n)]
         rf = _run(queries, data, "fused", mode=FIND_FIRST)
         depths = rf.join_result.fused_early_exit_depths
         assert depths
@@ -323,11 +325,21 @@ class TestCandidateIndex:
 
 
 def _oracle_fused_plan(slots):
-    """Per-slot lists of the fused table's columns, from the scalar plans."""
+    """Per-slot lists of the fused table's columns, from the scalar plans.
+
+    Candidate lists are gathered only where the kernel crosses them:
+    depth 0 and depths without a back-edge check.
+    """
     columns = {k: [] for k in ("cand", "ck_depth", "ck_label", "bn_depth")}
     for plan, cand_lists in slots:
         for name, per_depth in (
-            ("cand", [a.tolist() for a in cand_lists]),
+            (
+                "cand",
+                [
+                    [] if checks else a.tolist()
+                    for a, checks in zip(cand_lists, plan.check_edges)
+                ],
+            ),
             ("ck_depth", [[c[0] for c in cs] for cs in plan.check_edges]),
             ("ck_label", [[c[1] for c in cs] for cs in plan.check_edges]),
             ("bn_depth", [list(b) for b in plan.forbidden]),
@@ -354,8 +366,8 @@ class TestFusedPlanParity:
         rng = np.random.default_rng(0)
         qg = rng.integers(0, query.n_graphs, size=200)
         dg = rng.integers(0, data.n_graphs, size=200)
-        fplan = build_fused_plan(qg, dg, plans, index)
-        slots = []
+        fplan = build_fused_plan(qg, dg, plans, index, bitmap)
+        slots, nodes = [], []
         for q, d in zip(qg.tolist(), dg.tolist()):
             plan = plans[q]
             q_start, _ = query.graph_node_range(q)
@@ -365,11 +377,21 @@ class TestFusedPlanParity:
                 full = bit_positions(bitmap.words[q_start + local])
                 cands.append(full[(full >= d_start) & (full < d_stop)])
             slots.append((plan, cands))
+            nodes.append([q_start + local for local in plan.order.tolist()])
         expected = _oracle_fused_plan(slots)
         n = len(slots)
         assert fplan.depth_counts.tolist() == [p.n_nodes for p, _ in slots]
         assert fplan.max_depth == max(p.n_nodes for p, _ in slots)
+        assert fplan.words is bitmap.words
         for depth in range(fplan.max_depth):
+            live = [depth < p.n_nodes for p, _ in slots]
+            assert fplan.cand_size[depth].tolist() == [
+                cands[depth].size if ok else 0
+                for ok, (_, cands) in zip(live, slots)
+            ]
+            assert [
+                int(v) for v, ok in zip(fplan.query_nodes[depth], live) if ok
+            ] == [ns[depth] for ns, ok in zip(nodes, live) if ok]
             got = {
                 "cand": _unpack(fplan.cand_flat[depth], fplan.cand_off[depth], n),
                 "ck_depth": _unpack(fplan.ck_depth[depth], fplan.ck_off[depth], n),
@@ -396,5 +418,6 @@ class TestFusedPlanParity:
             np.empty(0, dtype=np.int64),
             compile_plans(query, bitmap, config),
             build_candidate_index(bitmap, data.graph_offsets),
+            bitmap,
         )
         assert fplan.n_slots == 0 and fplan.max_depth == 0

@@ -273,7 +273,10 @@ class TestViewBudget:
         data = CSRGO.from_graphs(bench.data)
         view = get_batch_view(data)
         assert batch_view_cache().weight == (
-            view.flat_keys.nbytes + view.edge_labels.nbytes + view.width**2
+            view.flat_keys.nbytes
+            + view.edge_labels.nbytes
+            + view.row_offsets.nbytes
+            + view.width**2
         )
 
     def test_fresh_batches_stay_within_budget(self, rng):
@@ -305,13 +308,13 @@ class TestViewBudget:
 class TestRunJoinHoisting:
     """View construction is hoisted out of ``run_join``.
 
-    Pinned to the per-pair tabular backend — under ``auto`` the dispatch
-    routes pairs to the fused table, which probes the *batch*-level view
-    instead of per-graph views (covered below).
+    Pinned to the DFS backend, the one per-graph view reader — under
+    ``auto`` the dispatch routes multi-node pairs to the fused table,
+    which reads the *batch*-level view instead (covered below).
     """
 
     def test_second_run_builds_no_views(self, bench):
-        config = SigmoConfig(join_backend="tabular")
+        config = SigmoConfig(join_backend="dfs")
         engine = SigmoEngine(bench.queries, bench.data, config)
         cache = local_view_cache()
         engine.run()
@@ -322,7 +325,7 @@ class TestRunJoinHoisting:
         assert cache.stats.hits >= misses_after_first
 
     def test_sweep_shares_views(self, bench):
-        config = SigmoConfig(join_backend="tabular")
+        config = SigmoConfig(join_backend="dfs")
         engine = SigmoEngine(bench.queries, bench.data, config)
         cache = local_view_cache()
         engine.run_iteration_sweep([2, 4, 6])
@@ -333,7 +336,7 @@ class TestRunJoinHoisting:
         assert cache.stats.misses == len(cache)
 
     def test_batch_change_invalidates(self, bench):
-        config = SigmoConfig(join_backend="tabular")
+        config = SigmoConfig(join_backend="dfs")
         SigmoEngine(bench.queries, bench.data[:20], config).run()
         first_misses = local_view_cache().stats.misses
         SigmoEngine(bench.queries, bench.data[20:40], config).run()
@@ -357,6 +360,22 @@ class TestBatchViewCorrectness:
                     assert label == data.edge_label(u, v)
                 else:
                     assert not hit
+
+    def test_row_offsets_read_neighbours(self, bench):
+        data = CSRGO.from_graphs(bench.data)
+        for view, start in (
+            (get_batch_view(data), 0),
+            (get_local_view(data, 3), data.graph_node_range(3)[0]),
+        ):
+            assert view.row_offsets.size == view.width + 1
+            for u in range(view.width):
+                at = np.arange(view.row_offsets[u], view.row_offsets[u + 1])
+                nbrs = view.flat_keys[at] - u * view.width + start
+                assert nbrs.tolist() == data.neighbors(start + u).tolist()
+                assert (
+                    view.edge_labels[at].tolist()
+                    == data.neighbor_edge_labels(start + u).tolist()
+                )
 
     def test_flat_keys_globally_sorted_across_graphs(self, bench):
         data = CSRGO.from_graphs(bench.data)

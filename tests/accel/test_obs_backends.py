@@ -95,11 +95,13 @@ class TestProfileCounters:
     def test_fused_early_exit_histogram(self):
         # A label-uniform ring makes the path query's frontier span
         # several blocks, so Find First retirement fires mid-table.
+        from repro.accel.fused import FUSED_BLOCK_ELEMS
         from repro.graph.generators import path_graph, ring_graph
 
+        n = FUSED_BLOCK_ELEMS // 2 + 400
         engine = SigmoEngine(
             [path_graph([1, 1, 1])],
-            [ring_graph(400, [1] * 400)],
+            [ring_graph(n, [1] * n)],
             SigmoConfig(join_backend="fused"),
         )
         result = engine.run(mode="find-first")

@@ -154,17 +154,29 @@ class TestBudgetTruncationParity:
             assert total == full.total_matches, backend
 
 
-#: Fused size cap that splits the seeded test workloads roughly in half
-#: (their pair estimates have a median near 10 elements), so ``auto``
-#: sends the small pairs to the fused table and the rest to tabular.
+#: Estimate cap that splits the seeded test workloads roughly in half
+#: (their pair estimates have a median near 10 elements): :func:`force_mix`
+#: keeps the small pairs on the fused table and sends the rest to the
+#: forced-only tabular arm, so one ``auto`` run replays both.
 MIX_FUSED_MAX_ELEMENTS = 10
 
 
 def force_mix(monkeypatch):
-    """Lower the dispatch size rule's fused cap to :data:`MIX_FUSED_MAX_ELEMENTS`."""
-    from repro.accel import dispatch
+    """Route ``auto`` pairs estimated above :data:`MIX_FUSED_MAX_ELEMENTS`
+    to tabular, the one-pair-per-table arm ``auto`` never picks itself."""
+    from repro.accel.dispatch import FUSED_CODE, TABULAR_CODE, estimate_elements
+    from repro.core import join
 
-    monkeypatch.setattr(dispatch, "FUSED_MAX_ELEMENTS", MIX_FUSED_MAX_ELEMENTS)
+    original = join.choose_backends
+
+    def mixed(n_depths, counts, requested="auto"):
+        codes = original(n_depths, counts, requested)
+        if requested == "auto":
+            big = estimate_elements(n_depths, counts) > MIX_FUSED_MAX_ELEMENTS
+            codes[big & (codes == FUSED_CODE)] = TABULAR_CODE
+        return codes
+
+    monkeypatch.setattr(join, "choose_backends", mixed)
 
 
 class TestMixedDispatch:
@@ -181,7 +193,7 @@ class TestMixedDispatch:
         force_mix(monkeypatch)
         rc = _run(ds.queries, ds.data, "auto")
         split = rc.join_result.backend_pairs
-        # The lowered cap exercises both vectorized backends under auto.
+        # The forced split exercises both vectorized arms under auto.
         assert split["tabular"] > 0 and split["fused"] > 0
         ra = _run(ds.queries, ds.data, "dfs")
         assert_find_all_parity(ra, rc)

@@ -77,6 +77,61 @@ class TestConstruction:
             CSRGO(*arrays, np.array([0, -1, 0]), np.zeros(4, dtype=np.int32))
         assert CSRGO(*arrays, np.array([0, 0, 0]), np.array([2, 2, 0, 0])).n_edges == 2
 
+    def test_validation_rejects_cross_graph_edges(self):
+        # Graph 0 is 0(0) 1(1) 2(0) with edge 0-1; graph 1 is node 3(0),
+        # joined to node 1 by a cross-graph edge.  Graph 0's per-graph
+        # view would key that edge 1*3+3 — the key of edge (2, 0) — so the
+        # DFS saw a label-0 edge that does not exist.
+        offsets = np.array([0, 3, 4])
+        with pytest.raises(ValueError, match="neighbour"):
+            CSRGO(
+                offsets,
+                np.array([0, 1, 3, 3, 4]),
+                np.array([1, 0, 3, 1], dtype=np.int32),
+                np.array([0, 1, 0, 0]),
+            )
+        assert CSRGO(
+            offsets,
+            np.array([0, 1, 2, 2, 2]),
+            np.array([1, 0], dtype=np.int32),
+            np.array([0, 1, 0, 0]),
+        ).n_edges == 1
+
+    def test_validation_symmetry_without_int64_composites(self):
+        # 50,000 nodes and a label near 2**31: the (key, label) composites
+        # would overflow int64, so symmetry is checked by a lexsort.
+        n, big = 50_000, 2**31 - 1
+        row_offsets = np.concatenate([[0, 1, 2], np.full(n - 2, 2)])
+        arrays = (np.array([0, n]), row_offsets, np.array([1, 0], dtype=np.int32))
+        assert CSRGO(*arrays, np.zeros(n), np.array([big, big])).n_edges == 1
+        with pytest.raises(ValueError, match="symmetric"):
+            CSRGO(*arrays, np.zeros(n), np.array([big, big - 1]))
+
+    @pytest.mark.parametrize(
+        "row_offsets, columns, edge_labels, message",
+        [
+            # Row 1 lists its neighbours out of order.
+            ([0, 1, 3, 4], [1, 2, 0, 1], [0, 0, 0, 0], "sorted"),
+            # Edge 0-1 stored twice in row 0.
+            ([0, 2, 4, 4], [1, 1, 0, 0], [0, 0, 0, 0], "duplicate"),
+            # Edge 0->1 without its reverse.
+            ([0, 1, 1, 1], [1], [0], "symmetric"),
+            # Edge 0-1 carrying label 1 one way and label 2 the other.
+            ([0, 1, 2, 2], [1, 0], [1, 2], "symmetric"),
+        ],
+    )
+    def test_validation_rejects_malformed_adjacency(
+        self, row_offsets, columns, edge_labels, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            CSRGO(
+                np.array([0, 3]),
+                np.array(row_offsets),
+                np.array(columns, dtype=np.int32),
+                np.zeros(3, dtype=np.int32),
+                np.array(edge_labels),
+            )
+
 
 class TestNavigation:
     def test_graph_of_node_binary_search(self, csrgo):

@@ -7,6 +7,7 @@ from repro.core.candidates import CandidateBitmap
 from repro.core.csrgo import CSRGO
 from repro.core.filtering import initialize_candidates
 from repro.core.mapping import (
+    GMCR,
     build_gmcr,
     query_node_has_candidate_per_graph,
     viable_query_matrix,
@@ -68,6 +69,32 @@ class TestGMCR:
         gmcr = build_gmcr(bitmap, q, d)
         gmcr.matched[1] = True
         assert gmcr.matched_pairs() == [(1, 1)]
+
+    def test_matched_pairs_equal_per_graph_loop(self):
+        # Random GMCRs, empty data graphs included: the vectorized rows
+        # equal the per-graph scan they replaced, in the same order.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            sizes = rng.integers(0, 5, size=int(rng.integers(1, 12)))
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            gmcr = GMCR(
+                offsets,
+                rng.integers(0, 9, size=int(offsets[-1])).astype(np.int32),
+                rng.random(int(offsets[-1])) < 0.5,
+            )
+            expected = [
+                (d, int(q))
+                for d in range(gmcr.n_data_graphs)
+                for q, m in zip(
+                    gmcr.query_graph_indices[gmcr.pair_slice(d)],
+                    gmcr.matched[gmcr.pair_slice(d)],
+                )
+                if m
+            ]
+            got = gmcr.matched_pairs()
+            assert got == expected
+            assert all(type(v) is int for pair in got for v in pair)
+            assert gmcr.matched_pair_array().tolist() == [list(p) for p in expected]
 
     def test_nbytes(self, setup):
         q, d, bitmap = setup

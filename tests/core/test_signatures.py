@@ -152,8 +152,11 @@ class TestSignatureState:
 
     def test_edge_across_graphs_rejected(self):
         # Bitsets are over each graph's local ids; a raw CSR-GO whose edge
-        # joins two graphs has no meaning there.
-        c = CSRGO([0, 1, 2], [0, 1, 2], [1, 0], [0, 1])
+        # joins two graphs has no meaning there.  The constructor rejects
+        # such an edge first, so mutate a validated batch (graph 0 = edge
+        # 0-1, graph 1 = node 2) to reach the filter's own guard.
+        c = CSRGO([0, 2, 3], [0, 1, 2, 2], [1, 0], [0, 1, 0])
+        c.column_indices[0] = 2
         with pytest.raises(ValueError, match="joins two graphs"):
             SignatureState(c, 2)
 

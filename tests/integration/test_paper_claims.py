@@ -131,7 +131,7 @@ class TestFindFirstClaims:
         # the first embedding), so pin the reference backend: the
         # vectorized backends agree on results but pay block-granular
         # work, so their Find First visit counters can tie Find All on
-        # tiny pairs (see repro.accel.tabular).
+        # tiny pairs (see repro.accel.fused).
         engine = SigmoEngine(
             small_dataset.queries,
             small_dataset.data,

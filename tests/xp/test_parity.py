@@ -31,11 +31,12 @@ def dataset():
     return build_benchmark(scale=1.0, n_queries=8, n_data_graphs=40, seed=11)
 
 
-def run_pipeline(dataset, backend, **kwargs):
+def run_pipeline(dataset, backend, join_backend="auto", **kwargs):
     config = SigmoConfig(
         refinement_iterations=3,
         record_embeddings=True,
         array_backend=backend,
+        join_backend=join_backend,
     )
     engine = SigmoEngine(dataset.queries, dataset.data, config)
     return engine.run(**kwargs)
@@ -85,6 +86,19 @@ class TestBackendParity:
             dataset, backend, join_start_pair=got.resume_pair
         )
         assert_bitwise_equal(got_rest, ref_rest)
+
+    @pytest.mark.parametrize("join_backend", ["dfs", "fused", "tabular"])
+    def test_forced_join_backends_match_numpy_reference(
+        self, dataset, backend, join_backend
+    ):
+        for kwargs in (
+            {},
+            {"mode": FIND_FIRST},
+            {"join_budget": JoinBudget(max_matches=3)},
+        ):
+            reference = run_pipeline(dataset, "numpy", join_backend, **kwargs)
+            got = run_pipeline(dataset, backend, join_backend, **kwargs)
+            assert_bitwise_equal(got, reference)
 
 
 class TestInstrumentedBackendObservations:

@@ -131,7 +131,7 @@ class TestScalarShims:
 class TestFlatStrideOverflowGuard:
     """Regression for the latent int64 wraparound in the flat edge keys.
 
-    ``accel/tabular.py`` and the CSR views build flat keys as
+    ``accel/fused.py`` and the CSR views build flat keys as
     ``u * width + v``; a bare ``np.int64(width)`` multiplication wraps
     silently once ``width**2`` exceeds 2**63.  The shim refuses such
     widths instead of corrupting every join probe.
