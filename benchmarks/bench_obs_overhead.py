@@ -58,8 +58,10 @@ from repro.serve.loadgen import ZipfSampler  # noqa: E402
 #: Maximum goodput the always-on monitor may cost (fraction).
 MAX_OVERHEAD = 0.05
 
-#: Interleaved repetitions per arm (median taken).
-REPS = 3
+#: Interleaved repetitions per arm (median taken).  One arm of 18
+#: requests lasts about 0.1 s, so a 3-rep median failed the gate on
+#: host jitter in about one run in five; 15 reps keep it steady.
+REPS = 15
 
 SCHEMA = "repro.bench_obs_overhead/1"
 

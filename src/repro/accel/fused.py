@@ -61,12 +61,14 @@ from typing import TYPE_CHECKING
 
 from repro import xp
 from repro.analysis.markers import kernel
+from repro.core.candidates import segment_counts, segment_ids
+from repro.utils.bitops import ragged_at
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.accel.local_view import LocalCSRView
-    from repro.core.candidates import CandidateBitmap, CandidateIndex
+    from repro.core.candidates import CandidateBitmap
     from repro.core.join import PlanTable
 
 #: Element bound per fused expansion block: a popped table is split into
@@ -77,13 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FUSED_BLOCK_ELEMS = 1 << 15
 
 
-def _ragged_at(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Flat indices of the runs ``starts[i] + arange(sizes[i])``, in order."""
-    ends = xp.cumsum(sizes)
-    total = int(ends[-1]) if ends.size else 0
-    return xp.arange(total, dtype=xp.int64) + xp.repeat(starts - ends + sizes, sizes)
-
-
 def _ragged_take(
     flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +87,7 @@ def _ragged_take(
     offsets[1:] = xp.cumsum(sizes)
     if int(offsets[-1]) == 0:
         return flat[:0], offsets
-    return flat[_ragged_at(starts, sizes)], offsets
+    return flat[ragged_at(starts, sizes)], offsets
 
 
 @dataclass(frozen=True)
@@ -145,51 +140,63 @@ def build_fused_plan(
     query_graphs: np.ndarray,
     data_graphs: np.ndarray,
     plans: "PlanTable",
-    index: "CandidateIndex",
     bitmap: "CandidateBitmap",
+    graph_offsets: np.ndarray,
 ) -> FusedPlan:
     """Compile pairs into one :class:`FusedPlan`.
 
-    Slot ``i`` is the pair (``query_graphs[i]``, ``data_graphs[i]``).
-    Per depth, the slots' query nodes ``node_offsets[qg] + order[qg, d]``
-    index the candidate index's cuts for the list sizes, and one ragged
-    gather pulls the sorted **global** candidate ids of the lists the
-    kernel crosses (depth 0 and check-less slots); the check and banned
-    columns are ragged gathers of the plan table's (query graph, depth)
-    rows.  Every candidate list must be non-empty — pairs with an empty
-    depth are skipped before dispatch, exactly as on the DFS backend.
+    Slot ``i`` is the pair (``query_graphs[i]``, ``data_graphs[i]``);
+    ``graph_offsets`` are the data batch's CSR-GO graph offsets.  The
+    (slot, depth) query nodes ``node_offsets[qg] + order[qg, d]`` give
+    every list size in one :func:`~repro.core.candidates.segment_counts`
+    call, and one :func:`~repro.core.candidates.segment_ids` call reads
+    the sorted **global** candidate ids of only the lists the kernel
+    crosses (depth 0 and check-less slots) straight from the bitmap
+    words; the check and banned columns are ragged gathers of the plan
+    table's (query graph, depth) rows.  Every candidate list must be
+    non-empty — pairs with an empty depth are skipped before dispatch,
+    exactly as on the DFS backend.
     """
     qg = xp.asarray(query_graphs, dtype=xp.int64)
     graphs = xp.asarray(data_graphs, dtype=xp.int64)
     depth_counts = plans.n_nodes[qg]
     max_depth = int(depth_counts.max()) if qg.size else 0
-    first_node = plans.node_offsets[qg]
-    rows = qg * plans.max_nodes
+    # Depth-major (depth, slot) arrays, so each depth's columns are rows.
+    order = xp.ascontiguousarray(plans.order[qg, :max_depth].T)
+    live = order >= 0
+    nodes = xp.where(live, plans.node_offsets[qg] + order, 0)
+    sizes = xp.zeros(nodes.shape, dtype=xp.int64)
+    sizes[live] = segment_counts(
+        bitmap, graph_offsets, nodes[live], xp.broadcast_to(graphs, nodes.shape)[live]
+    )
+    # (depth, slot) rows of the plan table's ragged check / banned columns.
+    rows = xp.arange(max_depth, dtype=xp.int64)[:, None] + qg * plans.max_nodes
+    ck_starts = plans.ck_off[rows]
+    ck_sizes = plans.ck_off[rows + 1] - ck_starts
+    bn_starts = plans.bn_off[rows]
+    bn_sizes = plans.bn_off[rows + 1] - bn_starts
+    # Slots with a check grow from their anchor's neighbours instead, so
+    # only check-less lists (depth 0 among them) are gathered; flat index
+    # ``at = depth * n_slots + slot``.
+    listed = xp.where(ck_sizes == 0, sizes, 0)
+    at = xp.flatnonzero(listed)
+    ids, _ = segment_ids(bitmap, graph_offsets, nodes.ravel()[at], graphs[at % qg.size])
+    depth_end = xp.cumsum(listed.sum(axis=1)).tolist()
     query_nodes, cand_size, cand_flat, cand_off = [], [], [], []
     ck_depth, ck_label, ck_off = [], [], []
     bn_depth, bn_off = [], []
     for d in range(max_depth):
-        live = depth_counts > d
-        nodes = xp.where(live, first_node + plans.order[qg, d], 0)
-        starts = index.cuts[nodes, graphs]
-        sizes = xp.where(live, index.cuts[nodes, graphs + 1] - starts, 0)
-        query_nodes.append(nodes)
-        cand_size.append(sizes)
-        # Rows past a slot's plan depth are empty in the table.
-        row = rows + d
-        ck_starts = plans.ck_off[row]
-        ck_sizes = plans.ck_off[row + 1] - ck_starts
-        # Slots with a check grow from their anchor's neighbours instead.
-        listed = xp.where(ck_sizes == 0, sizes, 0)
-        flat, off = _ragged_take(index.positions, starts, listed)
-        cand_flat.append(flat)
+        query_nodes.append(nodes[d])
+        cand_size.append(sizes[d])
+        off = xp.zeros(qg.size + 1, dtype=xp.int64)
+        off[1:] = xp.cumsum(listed[d])
+        cand_flat.append(ids[depth_end[d] - int(off[-1]) : depth_end[d]])
         cand_off.append(off)
-        flat, off = _ragged_take(plans.ck_depth, ck_starts, ck_sizes)
+        flat, off = _ragged_take(plans.ck_depth, ck_starts[d], ck_sizes[d])
         ck_depth.append(flat)
         ck_off.append(off)
-        ck_label.append(_ragged_take(plans.ck_label, ck_starts, ck_sizes)[0])
-        starts = plans.bn_off[row]
-        flat, off = _ragged_take(plans.bn_depth, starts, plans.bn_off[row + 1] - starts)
+        ck_label.append(_ragged_take(plans.ck_label, ck_starts[d], ck_sizes[d])[0])
+        flat, off = _ragged_take(plans.bn_depth, bn_starts[d], bn_sizes[d])
         bn_depth.append(flat)
         bn_off.append(off)
     return FusedPlan(
@@ -227,6 +234,22 @@ class FusedOutcome:
     rows: dict[int, list[np.ndarray]] = field(default_factory=dict)
     #: Find First: depths at which a retirement event dropped rows.
     early_exit_depths: list[int] = field(default_factory=list)
+    #: Largest total ``nbytes`` of the tables held at once: the stack,
+    #: the block being extended and its new table.
+    peak_table_bytes: int = 0
+    #: ``level_rows[d]``: rows built at depth ``d`` over every block —
+    #: what a level-synchronous (BFS) join of the same slots holds at
+    #: level ``d``.
+    level_rows: list[int] = field(default_factory=list)
+
+    def level_table_bytes(self) -> int:
+        """Bytes of the largest level table a level-synchronous join of
+        these slots would hold: ``level_rows[d]`` rows of the slot column
+        plus ``d + 1`` matched nodes, as ``int64``."""
+        return max(
+            (rows * (d + 2) * 8 for d, rows in enumerate(self.level_rows)),
+            default=0,
+        )
 
     @classmethod
     def empty(cls, n_slots: int) -> "FusedOutcome":
@@ -310,7 +333,7 @@ def extend_fused_block(
     # batch view starts at node 0, so view-local ids are global).
     start = view.row_offsets[anchor]
     degree = view.row_offsets[anchor + 1] - start
-    at = _ragged_at(start, degree)
+    at = ragged_at(start, degree)
     width = xp.checked_flat_stride(view.width)
     cand = view.flat_keys[at] - xp.repeat(anchor * width, degree)
     label = xp.repeat(fplan.ck_label[depth][ck_off[anchored_slots]], degree)
@@ -323,7 +346,7 @@ def extend_fused_block(
         free = xp.flatnonzero(ck_off[slots + 1] == ck_off[slots])
         cand_off = fplan.cand_off[depth]
         counts = size[slots[free]]
-        at = _ragged_at(cand_off[slots[free]], counts)
+        at = ragged_at(cand_off[slots[free]], counts)
         free_idx, free_cand = _drop_used(
             table, xp.repeat(free, counts), fplan.cand_flat[depth][at]
         )
@@ -458,7 +481,10 @@ def fused_join(
     counts0 = sizes0[deep]
     root = xp.empty((int(counts0.sum()), 2), dtype=xp.int64)
     root[:, 0] = xp.repeat(deep, counts0)
-    root[:, 1] = fplan.cand_flat[0][_ragged_at(fplan.cand_off[0][deep], counts0)]
+    root[:, 1] = fplan.cand_flat[0][ragged_at(fplan.cand_off[0][deep], counts0)]
+    levels = acc.level_rows
+    levels.extend([0] * (fplan.max_depth - len(levels)))
+    levels[0] += root.shape[0]
 
     # Rows x the widest anchor row or crossed list bounds a pop's
     # elements, so most pops skip counting them exactly.
@@ -485,6 +511,9 @@ def fused_join(
                     stack.append(table[bounds[i] : bounds[i + 1]])
                 continue
         new_table = extend_fused_block(view, fplan, table, acc)
+        levels[depth] += new_table.shape[0]
+        held = sum(t.nbytes for t in stack) + table.nbytes + new_table.nbytes
+        acc.peak_table_bytes = max(acc.peak_table_bytes, held)
         if new_table.shape[0] == 0:
             continue
         done = depth_counts[new_table[:, 0]] == depth + 1
@@ -518,8 +547,8 @@ def fused_join(
 def tabular_join_pair(
     view: "LocalCSRView",
     plans: "PlanTable",
-    index: "CandidateIndex",
     bitmap: "CandidateBitmap",
+    graph_offsets: np.ndarray,
     query_graph: int,
     data_graph: int,
     find_first: bool,
@@ -536,8 +565,8 @@ def tabular_join_pair(
         xp.full(1, query_graph, dtype=xp.int64),
         xp.full(1, data_graph, dtype=xp.int64),
         plans,
-        index,
         bitmap,
+        graph_offsets,
     )
     acc = FusedOutcome.empty(1)
     return fused_join(view, fplan, find_first, acc, record_rows, max_record)

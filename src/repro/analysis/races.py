@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.candidates import segment_counts
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.filtering import (
@@ -170,6 +171,8 @@ def trace_tabular_join_races(
     bitmap, gmcr = _pipeline_artifacts(query, data, config)
     n_words = bitmap.words.shape[1]
     word_bits = bitmap.word_bits
+    # Candidates of every query node inside every data graph.
+    counts = segment_counts(bitmap, data.graph_offsets).tolist()
 
     for d in range(gmcr.n_data_graphs):
         pair_lo = int(gmcr.data_graph_offsets[d])
@@ -202,10 +205,7 @@ def trace_tabular_join_races(
                 # The root table and each depth's new_table live in
                 # pair-private storage, one slot per row (bounded by the
                 # node's candidates inside the data graph).
-                n_rows = min(
-                    len(bitmap.candidates_of(q, d_start, d_stop)),
-                    FRONTIER_STRIDE - offset,
-                )
+                n_rows = min(counts[q][d], FRONTIER_STRIDE - offset)
                 if n_rows > 0:
                     rows = base + offset + np.arange(n_rows, dtype=np.int64)
                     shadow.write_many("tabular.frontier", rows, item)

@@ -20,9 +20,9 @@ from repro import xp
 from repro.analysis.markers import kernel
 from repro.utils.bitops import (
     WORD_BITS,
-    bit_positions,
     bitmap_words,
     pack_bool_rows,
+    ragged_at,
     row_popcount,
     unpack_bitmap_rows,
     word_dtype,
@@ -117,14 +117,15 @@ class CandidateBitmap:
     ) -> np.ndarray:
         """Data-node ids that are candidates for ``query_node``.
 
-        ``start``/``stop`` restrict to a global-id window — the join uses
-        this to pull only the candidates inside one data graph.
+        ``start``/``stop`` restrict to a global-id window; only the words
+        that window covers are read.
         """
-        stop = self.n_data_nodes if stop is None else stop
-        positions = bit_positions(self.words[query_node], self.word_bits)
-        lo = xp.searchsorted(positions, start)
-        hi = xp.searchsorted(positions, stop)
-        return positions[lo:hi]
+        n = self.n_data_nodes
+        lo = min(max(start, 0), n)
+        hi = min(max(n if stop is None else stop, lo), n)
+        window = xp.asarray([lo, hi], dtype=xp.int64)
+        row = xp.full(1, query_node, dtype=xp.int64)
+        return segment_ids(self, window, row, xp.zeros(1, dtype=xp.int64))[0]
 
     # -- aggregate views ----------------------------------------------------------------
 
@@ -153,17 +154,7 @@ class CandidateBitmap:
             of the GMCR mapping phase: a query graph maps to a data graph
             only when every one of its nodes has a nonzero entry.
         """
-        segment_offsets = xp.asarray(segment_offsets, dtype=xp.int64)
-        dense = self.to_bool()
-        # Segment sums via prefix sums along data-node axis: O(nq * nd).
-        csums = xp.concatenate(
-            [
-                xp.zeros((self.n_query_nodes, 1), dtype=xp.int64),
-                xp.cumsum(dense, axis=1, dtype=xp.int64),
-            ],
-            axis=1,
-        )
-        return csums[:, segment_offsets[1:]] - csums[:, segment_offsets[:-1]]
+        return segment_counts(self, segment_offsets)
 
     def nbytes(self) -> int:
         """Bitmap storage in bytes (the paper's |V_Q| x |V_D| / 8 figure)."""
@@ -184,94 +175,99 @@ class CandidateBitmap:
         )
 
 
-#: Transient byte budget of one unpacked row chunk in
-#: :func:`build_candidate_index` (the bool rows plus the unpacked bytes).
-INDEX_CHUNK_BYTES = 4 << 20
+def _low_bits(n_bits: np.ndarray, word_bits: int) -> np.ndarray:
+    """Words whose low ``n_bits`` bits are set: none for ``n_bits <= 0``,
+    all for ``n_bits >= word_bits``."""
+    dtype = word_dtype(word_bits)
+    one = xp.ones((), dtype=dtype)
+    shift = xp.where((n_bits > 0) & (n_bits < word_bits), n_bits, 0).astype(dtype)
+    low = xp.left_shift(one, shift) - one
+    return xp.where(n_bits >= word_bits, ~xp.zeros((), dtype=dtype), low)
 
 
-class CandidateIndex:
-    """Every query node's candidates as sorted global ids, cut per data graph.
-
-    The join's view of a :class:`CandidateBitmap`: ``positions`` holds the
-    set bits of every row, row after row, ascending within a row, and
-    ``cuts[q, g]`` is the offset in ``positions`` where query node ``q``'s
-    candidates inside data graph ``g`` start (``cuts[q, g + 1]`` where they
-    end).  One (query node, data graph) candidate list is then the slice
-    ``positions[cuts[q, g] : cuts[q, g + 1]]``, and its size a difference
-    of two ``cuts`` entries — for any number of (node, graph) pairs at once.
-    """
-
-    __slots__ = ("positions", "cuts")
-
-    def __init__(self, positions: np.ndarray, cuts: np.ndarray) -> None:
-        self.positions = positions
-        self.cuts = cuts
-
-    def sizes(self, query_nodes: np.ndarray, graphs: np.ndarray) -> np.ndarray:
-        """Candidate counts of (query node, data graph) pairs, elementwise."""
-        return self.cuts[query_nodes, graphs + 1] - self.cuts[query_nodes, graphs]
-
-    def lists(self, query_nodes: np.ndarray, graph: int) -> list[np.ndarray]:
-        """Candidate arrays (global ids) of ``query_nodes`` in one data graph."""
-        lo = self.cuts[query_nodes, graph].tolist()
-        hi = self.cuts[query_nodes, graph + 1].tolist()
-        return [self.positions[a:b] for a, b in zip(lo, hi)]
-
-
-
-def build_candidate_index(
-    bitmap: CandidateBitmap, graph_offsets: np.ndarray
-) -> CandidateIndex:
-    """Index ``bitmap``, unpacking it in row chunks of about
-    :data:`INDEX_CHUNK_BYTES`.
-
-    ``graph_offsets`` are the data batch's CSR-GO graph offsets.
-    """
-    graph_offsets = xp.asarray(graph_offsets, dtype=xp.int64)
-    n_rows, n_bits = bitmap.n_query_nodes, bitmap.n_data_nodes
-    row_start = xp.zeros(n_rows + 1, dtype=xp.int64)
-    row_start[1:] = xp.cumsum(bitmap.row_counts())
-    positions = xp.empty(int(row_start[-1]), dtype=xp.int64)
-    cuts = xp.zeros((n_rows, graph_offsets.size), dtype=xp.int64)
-    row_bytes = 2 * bitmap.words.shape[1] * bitmap.word_bits
-    step = max(1, INDEX_CHUNK_BYTES // max(row_bytes, 1))
-    # Without data nodes every row is empty and the zero cuts stand.
-    for lo in range(0, n_rows if n_bits else 0, step):
-        hi = min(n_rows, lo + step)
-        base, stop = int(row_start[lo]), int(row_start[hi])
-        _index_rows(
-            bitmap.words[lo:hi],
-            n_bits,
-            bitmap.word_bits,
-            graph_offsets,
-            base,
-            positions[base:stop],
-            cuts[lo:hi],
-        )
-    return CandidateIndex(positions, cuts)
-
-
-@kernel(writes=("positions", "cuts"))
-def _index_rows(
-    words: np.ndarray,
-    n_bits: int,
-    word_bits: int,
+@kernel(writes=())
+def segment_counts(
+    bitmap: CandidateBitmap,
     graph_offsets: np.ndarray,
-    base: int,
-    positions: np.ndarray,
-    cuts: np.ndarray,
-) -> None:
-    """Set-bit columns and per-graph cut offsets of one bitmap row chunk.
+    rows: np.ndarray | None = None,
+    graphs: np.ndarray | None = None,
+) -> np.ndarray:
+    """Set bits of bitmap rows inside data-graph node ranges.
 
-    ``base`` is the chunk's first offset in the whole index.  A row-major
-    ``flatnonzero`` of the unpacked chunk yields ``row * n_bits + column``
-    keys ascending, so one ``searchsorted`` of every (row, graph start)
-    key cuts all rows at every data-graph boundary.
+    Segment ``(q, g)`` is row ``q`` restricted to ``[graph_offsets[g],
+    graph_offsets[g + 1])``.  With ``rows`` and ``graphs`` omitted the
+    result is the whole ``int64[n_query_nodes, n_graphs]`` matrix (the
+    mapping phase's counting pass); otherwise it is the count of each
+    ``(rows[i], graphs[i])`` point, ``rows`` and ``graphs`` broadcast
+    against each other (the join's list sizes).
+
+    One ``popcount`` and a per-row word ``cumsum`` give the set bits
+    before every word; a segment bound inside a word adds the
+    ``popcount`` of that word masked to its low bits, so the count of a
+    segment is the difference of its two bounds' prefixes and zero-node
+    graphs count zero by construction.  The bitmap is never unpacked.
     """
-    keys = xp.flatnonzero(unpack_bitmap_rows(words, n_bits, word_bits))
-    bounds = (
-        xp.arange(words.shape[0], dtype=xp.int64)[:, None] * n_bits
-        + graph_offsets[None, :]
+    offsets = xp.asarray(graph_offsets, dtype=xp.int64)
+    words = bitmap.words
+    n_words = words.shape[1]
+    bits = bitmap.word_bits
+    before = xp.zeros((words.shape[0], n_words + 1), dtype=xp.int64)
+    before[:, 1:] = xp.cumsum(xp.popcount(words), axis=1, dtype=xp.int64)
+    # Per graph boundary: its word, and the mask of that word's bits below it.
+    word = offsets // bits
+    edge = xp.minimum(word, n_words - 1)
+    mask = _low_bits(offsets - word * bits, bits)
+
+    def bits_before(rows, bound) -> np.ndarray:
+        """Set bits of ``rows`` before graph boundary ``bound``, elementwise."""
+        prefix = before[rows, word[bound]]
+        if n_words == 0:  # no data nodes: nothing is set
+            return prefix
+        partial = xp.popcount(words[rows, edge[bound]] & mask[bound])
+        return prefix + partial.astype(xp.int64)
+
+    if rows is None:
+        # Every row at every graph boundary: column gathers, then one diff.
+        return xp.diff(bits_before(slice(None), slice(None)), axis=1)
+    rows = xp.asarray(rows, dtype=xp.int64)
+    graphs = xp.asarray(graphs, dtype=xp.int64)
+    return bits_before(rows, graphs + 1) - bits_before(rows, graphs)
+
+
+@kernel(writes=())
+def segment_ids(
+    bitmap: CandidateBitmap,
+    graph_offsets: np.ndarray,
+    rows: np.ndarray,
+    graphs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted global data-node ids of the ``(rows[i], graphs[i])`` segments.
+
+    Returns ``(ids, offsets)``: segment ``i``'s candidates are
+    ``ids[offsets[i] : offsets[i + 1]]``, ascending, segment after
+    segment in request order.  Only the words the segments cover are
+    read: each is masked to its segment's bit range and only the nonzero
+    ones are unpacked.
+    """
+    offsets = xp.asarray(graph_offsets, dtype=xp.int64)
+    rows = xp.asarray(rows, dtype=xp.int64).ravel()
+    graphs = xp.asarray(graphs, dtype=xp.int64).ravel()
+    bits = bitmap.word_bits
+    start, stop = offsets[graphs], offsets[graphs + 1]
+    first = start // bits
+    n_words = xp.where(stop > start, (stop - 1) // bits + 1 - first, 0)
+    column = ragged_at(first, n_words)
+    segment = xp.repeat(xp.arange(rows.size, dtype=xp.int64), n_words)
+    base = column * bits
+    mask = _low_bits(stop[segment] - base, bits) & ~_low_bits(start[segment] - base, bits)
+    words = bitmap.words[rows[segment], column] & mask
+    # Segment offsets from the words' popcounts; ids from the nonzero words.
+    ends = xp.zeros(words.size + 1, dtype=xp.int64)
+    ends[1:] = xp.cumsum(xp.popcount(words), dtype=xp.int64)
+    first_word = xp.zeros(rows.size + 1, dtype=xp.int64)
+    first_word[1:] = xp.cumsum(n_words)
+    hit = xp.flatnonzero(words)
+    word, bit = xp.divmod_(
+        xp.flatnonzero(xp.unpack_bits(words[hit], hit.size * bits, bits)), bits
     )
-    cuts[:] = base + xp.searchsorted(keys, bounds.ravel()).reshape(cuts.shape)
-    positions[:] = keys % n_bits
+    return base[hit[word]] + bit, ends[first_word]

@@ -45,7 +45,7 @@ from repro.accel.fused import (
 from repro.accel.local_view import LocalCSRView, get_batch_view, get_local_view
 from repro.accel.memo import array_hash, plan_memo
 from repro.analysis.markers import kernel
-from repro.core.candidates import CandidateBitmap, build_candidate_index
+from repro.core.candidates import CandidateBitmap, segment_counts, segment_ids
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.mapping import GMCR
@@ -211,6 +211,15 @@ class JoinResult:
         estimate per pair (:func:`repro.accel.dispatch.estimate_elements`)
         that the dispatch rule compares, fused packing orders by and
         budgeted fused waves are sized with.
+    fused_peak_table_bytes:
+        Largest bytes of frontier tables one fused wave held at once
+        (:attr:`repro.accel.fused.FusedOutcome.peak_table_bytes`), over
+        waves.
+    fused_level_table_bytes:
+        Largest level table a level-synchronous (BFS) join of one fused
+        wave would hold
+        (:meth:`repro.accel.fused.FusedOutcome.level_table_bytes`), over
+        waves — the memory the paper's section 4.6 rejects BFS for.
     """
 
     total_matches: int = 0
@@ -227,6 +236,8 @@ class JoinResult:
     fused_pairs_per_table: list[int] = field(default_factory=list)
     fused_early_exit_depths: list[int] = field(default_factory=list)
     pair_cost_estimates: np.ndarray | None = None
+    fused_peak_table_bytes: int = 0
+    fused_level_table_bytes: int = 0
 
 
 class PlanTable:
@@ -734,25 +745,29 @@ def run_join(
 
     1. **Planning** — array operations over the whole batch.
        :func:`compile_plans` yields the :class:`PlanTable` (every query
-       graph's order and checks as padded/ragged arrays), and
-       :func:`~repro.core.candidates.build_candidate_index` unpacks the
-       bitmap once into sorted candidate ids cut at every data-graph
-       boundary.
-       The (pair, depth) query nodes ``node_offsets[qg] + order[qg, p]``
-       then index the cuts for every pair's per-depth candidate counts at
-       once: the empty-depth skip, the work estimates and the backend
+       graph's order and checks as padded/ragged arrays).  The (pair,
+       depth) query nodes ``node_offsets[qg] + order[qg, p]`` and the
+       pairs' data graphs are the points of one
+       :func:`~repro.core.candidates.segment_counts` call, which reads
+       every per-depth candidate count straight from the bitmap words:
+       the empty-depth skip, the work estimates and the backend
        choice under ``config.join_backend``
        (:func:`repro.accel.dispatch.choose_backends`, one call per
        distinct plan depth) between scalar DFS (:func:`join_pair`), the
        fused whole-batch table (:mod:`repro.accel.fused`) and, forced
        only, the same table one pair at a time
-       (:func:`repro.accel.fused.tabular_join_pair`).
+       (:func:`repro.accel.fused.tabular_join_pair`).  One
+       :func:`~repro.core.candidates.segment_ids` call then gathers the
+       candidate lists of every DFS pair's depths, which the replay
+       slices per pair.
     2. **Fused waves** — all fused-dispatched pairs of the batch run as
        one frontier table (one wave) against the cached whole-batch edge
        view (:func:`repro.accel.local_view.get_batch_view`), packed in
        descending estimate order; :func:`build_fused_plan` gathers the
-       table's query-node, list-size and check columns from the slots'
-       (query graph, data graph) index arrays.  Under a
+       table's query-node, list-size and check columns for the slots'
+       (query graph, data graph) pairs, and candidate ids only for the
+       lists the kernel crosses.  Each wave reports its peak table bytes
+       and the level-table bytes a BFS join would hold.  Under a
        :class:`JoinBudget`, waves are instead sized lazily by the
        remaining budget headroom so a truncated run never pays for
        far-future pairs.
@@ -801,7 +816,6 @@ def run_join(
         "kernel:join", category="kernel", work_items=n_pairs
     ):
         plans = compile_plans(query, bitmap, config)
-        index = build_candidate_index(bitmap, data.graph_offsets)
         pair_qg = xp.asarray(gmcr.query_graph_indices, dtype=xp.int64)
         pair_graph = xp.repeat(
             xp.arange(gmcr.n_data_graphs, dtype=xp.int64),
@@ -817,18 +831,35 @@ def run_join(
         order = plans.order[tail_qg]
         placed = order >= 0
         nodes = xp.where(placed, plans.node_offsets[tail_qg, None] + order, 0)
-        counts = xp.where(
-            placed, index.sizes(nodes, pair_graph[tail, None]), 1
+        depths = plans.n_nodes[tail_qg]
+        # Placed depths are a prefix of each row, so ``repeat`` lines the
+        # pairs' graphs up with ``nodes[placed]``.
+        counts = xp.ones(nodes.shape, dtype=xp.int64)
+        counts[placed] = segment_counts(
+            bitmap, data.graph_offsets, nodes[placed], xp.repeat(pair_graph[tail], depths)
         )
         viable = (counts > 0).all(axis=1)
-        depths = plans.n_nodes[tail_qg]
         for n in xp.unique(depths[viable]).tolist():
             group = xp.flatnonzero(viable & (depths == n))
             group_counts = counts[group, :n].T
             pairs = tail[group]
             result.pair_cost_estimates[pairs] = estimate_elements(n, group_counts)
             codes[pairs] = choose_backends(n, group_counts, config.join_backend)
-        del order, placed, nodes, counts  # free before the fused table
+        # Every DFS pair's per-depth candidate lists in one gather, pair
+        # after pair in plan order; ``dfs_seg[p]`` is pair ``p``'s first
+        # segment in ``dfs_off``.
+        dfs = xp.flatnonzero(codes[tail] == DFS_CODE)
+        dfs_ids, dfs_off = segment_ids(
+            bitmap,
+            data.graph_offsets,
+            nodes[dfs][placed[dfs]],
+            xp.repeat(pair_graph[tail[dfs]], depths[dfs]),
+        )
+        dfs_off = dfs_off.tolist()
+        dfs_seg = dict(
+            zip(tail[dfs].tolist(), (xp.cumsum(depths[dfs]) - depths[dfs]).tolist())
+        )
+        del order, placed, nodes, counts, dfs  # free before the fused table
         fused_queue = xp.flatnonzero(codes == FUSED_CODE)  # GMCR order
 
         # -- pass 2: fused waves ------------------------------------------------
@@ -848,7 +879,7 @@ def run_join(
             fused_pos += wave.size
             packed = wave[packing_order(result.pair_cost_estimates[wave])]
             fplan = build_fused_plan(
-                pair_qg[packed], pair_graph[packed], plans, index, bitmap
+                pair_qg[packed], pair_graph[packed], plans, bitmap, data.graph_offsets
             )
             acc = FusedOutcome.empty(packed.size)
             with tracer.span(
@@ -867,8 +898,19 @@ def run_join(
                     max_record=max_record,
                 )
                 wave_matches = int(acc.matches.sum())
+                level_bytes = acc.level_table_bytes()
                 fused_wg.set(matches=wave_matches)
-                fused_sp.set(matches=wave_matches)
+                fused_sp.set(
+                    matches=wave_matches,
+                    peak_table_bytes=acc.peak_table_bytes,
+                    level_table_bytes=level_bytes,
+                )
+            result.fused_peak_table_bytes = max(
+                result.fused_peak_table_bytes, acc.peak_table_bytes
+            )
+            result.fused_level_table_bytes = max(
+                result.fused_level_table_bytes, level_bytes
+            )
             result.fused_tables += 1
             result.fused_pairs_per_table.append(packed.size)
             result.fused_early_exit_depths.extend(acc.early_exit_depths)
@@ -986,8 +1028,8 @@ def run_join(
                                 acc = tabular_join_pair(
                                     batch_view,
                                     plans,
-                                    index,
                                     bitmap,
+                                    data.graph_offsets,
                                     qg,
                                     d,
                                     find_first,
@@ -999,14 +1041,19 @@ def run_join(
                             else:
                                 if view is None:
                                     view = get_local_view(data, d)
-                                cand_arrays = index.lists(
-                                    plans.node_offsets[qg] + plan.order, d
-                                )
+                                seg = dfs_seg[pair_idx]
+                                cuts = dfs_off[seg : seg + plan.n_nodes + 1]
+                                local = (
+                                    dfs_ids[cuts[0] : cuts[-1]] - d_start
+                                ).tolist()
                                 visits_before = result.stats.candidate_visits
                                 found = join_pair(
                                     view,
                                     plan,
-                                    [(a - d_start).tolist() for a in cand_arrays],
+                                    [
+                                        local[a - cuts[0] : b - cuts[0]]
+                                        for a, b in zip(cuts[:-1], cuts[1:])
+                                    ],
                                     n_graph_nodes,
                                     find_first,
                                     result.stats,

@@ -14,7 +14,9 @@ GMCR stores the viable pairs CSR-style:
 
 Construction mirrors the paper's two kernels: a counting pass feeding a
 prefix sum (done host-side here, like the paper's host-side inclusive sum),
-then a population pass.
+then a population pass — all three as whole-batch array operations over
+the per-(query node, data graph) candidate counts, read straight from the
+bitmap words (:func:`repro.core.candidates.segment_counts`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.candidates import CandidateBitmap
+from repro import xp
+from repro.core.candidates import CandidateBitmap, segment_counts
 from repro.core.csrgo import CSRGO
 
 
@@ -91,36 +94,6 @@ class GMCR:
         )
 
 
-def query_node_has_candidate_per_graph(
-    bitmap: CandidateBitmap,
-    data_graph_offsets: np.ndarray,
-    chunk_rows: int = 64,
-) -> np.ndarray:
-    """Boolean matrix: does query node ``i`` keep a candidate in data graph ``g``?
-
-    Processes the bitmap ``chunk_rows`` query nodes at a time so the dense
-    intermediate stays small even at full (2.7 M data node) scale.
-    """
-    offsets = np.asarray(data_graph_offsets, dtype=np.int64)
-    n_graphs = offsets.size - 1
-    nq = bitmap.n_query_nodes
-    out = np.zeros((nq, n_graphs), dtype=bool)
-    if n_graphs == 0 or nq == 0:
-        return out
-    starts = offsets[:-1]
-    for row0 in range(0, nq, chunk_rows):
-        row1 = min(row0 + chunk_rows, nq)
-        from repro.utils.bitops import unpack_bitmap_rows
-
-        dense = unpack_bitmap_rows(
-            bitmap.words[row0:row1], bitmap.n_data_nodes, bitmap.word_bits
-        )
-        # Segment ORs via reduceat on integer view (any = sum > 0).
-        sums = np.add.reduceat(dense.astype(np.int32), starts, axis=1)
-        out[row0:row1] = sums > 0
-    return out
-
-
 def viable_query_matrix(
     bitmap: CandidateBitmap, query: CSRGO, data: CSRGO
 ) -> np.ndarray:
@@ -129,30 +102,32 @@ def viable_query_matrix(
     Query graph ``q`` is viable for data graph ``d`` iff *all* its nodes
     have candidates inside ``d`` — "discarding any query graph that
     contains nodes with zero candidates in that data graph" (section 4.5).
+    A running count of zero-candidate nodes along the query-node axis,
+    differenced at the query graph offsets, counts each query graph's
+    empty nodes per data graph; query graphs without nodes are never
+    viable.
     """
-    node_has = query_node_has_candidate_per_graph(bitmap, data.graph_offsets)
-    n_qgraphs = query.n_graphs
-    out = np.zeros((n_qgraphs, data.n_graphs), dtype=bool)
-    for qg in range(n_qgraphs):
-        lo, hi = query.graph_node_range(qg)
-        if hi > lo:
-            out[qg] = node_has[lo:hi].all(axis=0)
-    return out
+    empty = segment_counts(bitmap, data.graph_offsets) == 0
+    running = xp.zeros((query.n_nodes + 1, data.n_graphs), dtype=xp.int32)
+    running[1:] = xp.cumsum(empty, axis=0, dtype=xp.int32)
+    offsets = xp.asarray(query.graph_offsets, dtype=xp.int64)
+    has_nodes = (offsets[1:] > offsets[:-1])[:, None]
+    return has_nodes & (running[offsets[1:]] == running[offsets[:-1]])
 
 
 def build_gmcr(bitmap: CandidateBitmap, query: CSRGO, data: CSRGO) -> GMCR:
     """Stage 5 of the pipeline: construct the GMCR.
 
-    Counting pass -> prefix sum -> population pass, as in the paper's
-    two-kernel mapping phase.
+    The paper's two-kernel mapping phase on whole-batch arrays: the
+    counting pass sums each data graph's viable query graphs
+    (:func:`viable_query_matrix`), a host-side inclusive sum turns the
+    sums into ``data_graph_offsets``, and the population pass is one
+    ``nonzero`` over the transposed viability matrix, which lists the
+    viable query graphs data graph after data graph, ascending.
     """
-    viable = viable_query_matrix(bitmap, query, data)  # (nq_graphs, nd_graphs)
-    per_data = viable.sum(axis=0).astype(np.int64)  # counting pass
-    offsets = np.zeros(data.n_graphs + 1, dtype=np.int64)
-    np.cumsum(per_data, out=offsets[1:])  # host-side inclusive sum
-    indices = np.empty(int(offsets[-1]), dtype=np.int32)
-    for d in range(data.n_graphs):  # population pass
-        qids = np.nonzero(viable[:, d])[0]
-        indices[offsets[d] : offsets[d + 1]] = qids
-    matched = np.zeros(indices.size, dtype=bool)
+    viable = viable_query_matrix(bitmap, query, data).T  # (nd_graphs, nq_graphs)
+    offsets = xp.zeros(data.n_graphs + 1, dtype=xp.int64)
+    offsets[1:] = xp.cumsum(viable.sum(axis=1, dtype=xp.int64))
+    indices = xp.nonzero(viable)[1].astype(xp.int32)
+    matched = xp.zeros(indices.size, dtype=xp.bool_)
     return GMCR(offsets, indices, matched)

@@ -119,20 +119,15 @@ def row_popcount(words: np.ndarray) -> np.ndarray:
     return popcount(words).sum(axis=1, dtype=xp.int64)
 
 
-def bit_positions(word_row: np.ndarray, word_bits: int = WORD_BITS) -> np.ndarray:
-    """Indices of set bits in a single packed bitmap row, ascending.
+def ragged_at(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[i] + arange(sizes[i])``, in order.
 
-    Used by the join kernel to iterate a query node's candidate list for one
-    data graph.  Vectorized: expands the row to booleans then uses
-    ``xp.nonzero``.  The expansion width comes from the row's dtype, so the
-    ``word_bits`` argument is advisory.
+    Gathers the words a bit range covers and the ragged per-slot columns
+    of the fused join table in one fancy index.
     """
-    word_row = xp.asarray(word_row)
-    if word_row.ndim != 1:
-        raise ValueError(f"word_row must be 1-D, got shape {word_row.shape}")
-    width = word_row.dtype.itemsize * 8
-    bits = xp.unpack_bits(word_row, word_row.shape[0] * width, width)
-    return xp.nonzero(bits)[0]
+    ends = xp.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    return xp.arange(total, dtype=xp.int64) + xp.repeat(starts - ends + sizes, sizes)
 
 
 @kernel(writes=("words",))

@@ -20,15 +20,12 @@ from repro.accel.fused import (
 )
 from repro.accel.local_view import batch_view_cache
 from repro.chem.datasets import build_benchmark
-from repro.core import candidates
-from repro.core.candidates import CandidateBitmap, build_candidate_index
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.filtering import IterativeFilter
 from repro.core import join
 from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget, compile_plans
-from repro.utils.bitops import bit_positions
 from repro.pipeline.session import MatcherSession
 from tests.accel.test_parity import (
     _embeddings,
@@ -246,7 +243,7 @@ class TestSessionReuse:
             assert _embeddings(r) == _embeddings(expected)
 
 
-# -- fused planning from index arrays -----------------------------------------------
+# -- fused planning from the bitmap words ------------------------------------------
 
 
 def _oracle_block_starts(counts, bound=FUSED_BLOCK_ELEMS):
@@ -298,32 +295,6 @@ class TestBlockStarts:
             )
 
 
-class TestCandidateIndex:
-    @pytest.mark.parametrize("chunk_bytes", [1, 300, 1 << 20])
-    def test_slices_equal_bit_positions(self, chunk_bytes, monkeypatch):
-        monkeypatch.setattr(candidates, "INDEX_CHUNK_BYTES", chunk_bytes)
-        rng = np.random.default_rng(chunk_bytes)
-        rows = rng.random((23, 150)) < 0.2
-        rows[4] = False
-        bitmap = CandidateBitmap.from_bool(rows)
-        offsets = np.array([0, 10, 10, 64, 65, 128, 150])
-        index = build_candidate_index(bitmap, offsets)
-        for q in range(rows.shape[0]):
-            full = bit_positions(bitmap.words[q])
-            for g in range(offsets.size - 1):
-                inside = full[(full >= offsets[g]) & (full < offsets[g + 1])]
-                got = index.positions[index.cuts[q, g] : index.cuts[q, g + 1]]
-                assert np.array_equal(got, inside)
-                assert index.sizes(np.array([q]), np.array([g]))[0] == inside.size
-        assert index.positions.dtype == np.int64
-
-    def test_no_data_nodes(self):
-        bitmap = CandidateBitmap(3, 0)
-        index = build_candidate_index(bitmap, np.array([0]))
-        assert index.positions.size == 0
-        assert index.cuts.shape == (3, 1)
-
-
 def _oracle_fused_plan(slots):
     """Per-slot lists of the fused table's columns, from the scalar plans.
 
@@ -354,19 +325,18 @@ def _unpack(flat, off, n_slots):
 
 class TestFusedPlanParity:
     @pytest.mark.parametrize("induced", [False, True])
-    def test_columns_equal_per_slot_build(self, induced, monkeypatch):
-        monkeypatch.setattr(candidates, "INDEX_CHUNK_BYTES", 4096)
+    def test_columns_equal_per_slot_build(self, induced):
         ds = build_benchmark(scale=1.0, n_queries=30, n_data_graphs=25, seed=6)
         config = SigmoConfig(refinement_iterations=3, induced=induced)
         query = CSRGO.from_graphs(ds.queries)
         data = CSRGO.from_graphs(ds.data)
         bitmap = IterativeFilter(query, data, config).run().bitmap
         plans = compile_plans(query, bitmap, config)
-        index = build_candidate_index(bitmap, data.graph_offsets)
+        dense = bitmap.to_bool()
         rng = np.random.default_rng(0)
         qg = rng.integers(0, query.n_graphs, size=200)
         dg = rng.integers(0, data.n_graphs, size=200)
-        fplan = build_fused_plan(qg, dg, plans, index, bitmap)
+        fplan = build_fused_plan(qg, dg, plans, bitmap, data.graph_offsets)
         slots, nodes = [], []
         for q, d in zip(qg.tolist(), dg.tolist()):
             plan = plans[q]
@@ -374,8 +344,7 @@ class TestFusedPlanParity:
             d_start, d_stop = data.graph_node_range(d)
             cands = []
             for local in plan.order.tolist():
-                full = bit_positions(bitmap.words[q_start + local])
-                cands.append(full[(full >= d_start) & (full < d_stop)])
+                cands.append(np.flatnonzero(dense[q_start + local, d_start:d_stop]) + d_start)
             slots.append((plan, cands))
             nodes.append([q_start + local for local in plan.order.tolist()])
         expected = _oracle_fused_plan(slots)
@@ -417,7 +386,7 @@ class TestFusedPlanParity:
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             compile_plans(query, bitmap, config),
-            build_candidate_index(bitmap, data.graph_offsets),
             bitmap,
+            data.graph_offsets,
         )
         assert fplan.n_slots == 0 and fplan.max_depth == 0

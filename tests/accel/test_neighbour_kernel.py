@@ -18,7 +18,6 @@ import pytest
 from repro.accel import fused, local_view
 from repro.accel.fused import (
     FusedOutcome,
-    _ragged_at,
     _ragged_take,
     build_fused_plan,
     extend_fused_block,
@@ -26,7 +25,6 @@ from repro.accel.fused import (
 )
 from repro.accel.local_view import get_batch_view
 from repro.core import join
-from repro.core.candidates import build_candidate_index
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.filtering import IterativeFilter
@@ -34,6 +32,7 @@ from repro.core.join import FIND_ALL, FIND_FIRST, JoinStats, compile_plans
 from repro.core.mapping import build_gmcr
 from repro.graph.generators import random_connected_graph, random_subgraph_pattern
 from repro.graph.labeled_graph import LabeledGraph
+from repro.utils.bitops import ragged_at
 from tests.accel.test_parity import _embeddings, _run, assert_find_all_parity
 
 pytestmark = pytest.mark.perf_accel
@@ -45,8 +44,26 @@ ORACLE_BLOCK_ELEMS = 1 << 14
 # -- oracle: the cross-product fused kernel -------------------------------------
 
 
+def _dense_index(bitmap, graph_offsets):
+    """(positions, cuts) of every row's set bits cut at every data-graph
+    boundary, from the unpacked bitmap: row ``q``'s candidates inside
+    graph ``g`` are ``positions[cuts[q, g] : cuts[q, g + 1]]``."""
+    keys = np.flatnonzero(bitmap.to_bool())
+    n_bits = bitmap.n_data_nodes
+    bounds = np.arange(bitmap.n_query_nodes)[:, None] * n_bits + graph_offsets[None, :]
+    cuts = np.searchsorted(keys, bounds.ravel()).reshape(bounds.shape)
+    return keys % max(n_bits, 1), cuts
+
+
+def _lists_of(index, nodes, graph):
+    """Candidate arrays (global ids) of ``nodes`` in one data graph."""
+    positions, cuts = index
+    return [positions[cuts[q, graph] : cuts[q, graph + 1]] for q in nodes]
+
+
 def _full_lists(query_graphs, data_graphs, plans, index):
     """Every (slot, depth) candidate list: the columns the old plan held."""
+    positions, cuts = index
     qg = np.asarray(query_graphs, dtype=np.int64)
     graphs = np.asarray(data_graphs, dtype=np.int64)
     depth_counts = plans.n_nodes[qg]
@@ -54,9 +71,9 @@ def _full_lists(query_graphs, data_graphs, plans, index):
     for d in range(int(depth_counts.max())):
         live = depth_counts > d
         nodes = np.where(live, plans.node_offsets[qg] + plans.order[qg, d], 0)
-        starts = index.cuts[nodes, graphs]
-        sizes = np.where(live, index.cuts[nodes, graphs + 1] - starts, 0)
-        flat, off = _ragged_take(index.positions, starts, sizes)
+        starts = cuts[nodes, graphs]
+        sizes = np.where(live, cuts[nodes, graphs + 1] - starts, 0)
+        flat, off = _ragged_take(positions, starts, sizes)
         flat_lists.append(flat)
         offsets.append(off)
     return flat_lists, offsets
@@ -258,25 +275,25 @@ class TestBlockParity:
         query, data = CSRGO.from_graphs(queries), CSRGO.from_graphs(graphs)
         bitmap = IterativeFilter(query, data, config).run().bitmap
         plans = compile_plans(query, bitmap, config)
-        index = build_candidate_index(bitmap, data.graph_offsets)
+        index = _dense_index(bitmap, data.graph_offsets)
+        cuts = index[1]
         gmcr = build_gmcr(bitmap, query, data)
         qg = gmcr.query_graph_indices.astype(np.int64)
         dg = np.repeat(np.arange(gmcr.n_data_graphs), np.diff(gmcr.data_graph_offsets))
         nodes = plans.node_offsets[qg, None] + np.maximum(plans.order[qg], 0)
-        viable = (
-            (index.sizes(nodes, dg[:, None]) > 0) | (plans.order[qg] < 0)
-        ).all(axis=1)
+        sizes = cuts[nodes, dg[:, None] + 1] - cuts[nodes, dg[:, None]]
+        viable = ((sizes > 0) | (plans.order[qg] < 0)).all(axis=1)
         qg, dg = qg[viable], dg[viable]
         if qg.size == 0:
             pytest.skip("no viable pair")
-        fplan = build_fused_plan(qg, dg, plans, index, bitmap)
+        fplan = build_fused_plan(qg, dg, plans, bitmap, data.graph_offsets)
         lists = _full_lists(qg, dg, plans, index)
         view = get_batch_view(data)
         deep = np.flatnonzero(fplan.depth_counts > 1)
         off0 = lists[1][0]
         counts = off0[deep + 1] - off0[deep]
         table = np.column_stack(
-            [np.repeat(deep, counts), lists[0][0][_ragged_at(off0[deep], counts)]]
+            [np.repeat(deep, counts), lists[0][0][ragged_at(off0[deep], counts)]]
         )
         blocks = 0
         while table.shape[0]:
@@ -316,13 +333,15 @@ class TestTabularArmParity:
         find_first = mode == FIND_FIRST
         compared = []
 
-        def checked(view, plans, index, bitmap, qg, d, ff, record_rows=False, max_record=0):
+        def checked(view, plans, bitmap, offsets, qg, d, ff, record_rows=False, max_record=0):
             acc = fused.tabular_join_pair(
-                view, plans, index, bitmap, qg, d, ff, record_rows, max_record
+                view, plans, bitmap, offsets, qg, d, ff, record_rows, max_record
             )
             plan = plans[qg]
             stats = JoinStats()
-            cands = index.lists(plans.node_offsets[qg] + plan.order, d)
+            cands = _lists_of(
+                _dense_index(bitmap, offsets), plans.node_offsets[qg] + plan.order, d
+            )
             found, rows = oracle_tabular_join_pair(view, plan, cands, ff, stats)
             assert int(acc.matches[0]) == found
             want = np.concatenate(rows)[:max_record] if rows else None

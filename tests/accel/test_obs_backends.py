@@ -43,6 +43,10 @@ class TestKernelSpans:
         # Every fused-dispatched pair rides exactly one table.
         pairs = sum(sp.attrs["pairs"] for sp in fused)
         assert pairs == result.join_result.backend_pairs["fused"]
+        # Each wave's table memory; the result keeps the largest.
+        jr = result.join_result
+        assert max(sp.attrs["peak_table_bytes"] for sp in fused) == jr.fused_peak_table_bytes > 0
+        assert max(sp.attrs["level_table_bytes"] for sp in fused) == jr.fused_level_table_bytes > 0
 
     def test_auto_tags_each_pair_with_its_backend(self, bench):
         with tracing() as t:

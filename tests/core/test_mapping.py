@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.candidates import CandidateBitmap
+from repro.core.candidates import CandidateBitmap, segment_counts
+from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
+from repro.core.engine import SigmoEngine
 from repro.core.filtering import initialize_candidates
-from repro.core.mapping import (
-    GMCR,
-    build_gmcr,
-    query_node_has_candidate_per_graph,
-    viable_query_matrix,
-)
-from repro.graph.generators import path_graph
+from repro.core.join import FIND_ALL, FIND_FIRST
+from repro.core.mapping import GMCR, build_gmcr, viable_query_matrix
+from repro.graph.generators import path_graph, ring_graph
+from repro.graph.labeled_graph import LabeledGraph
 
 
 @pytest.fixture
@@ -25,27 +24,122 @@ def setup():
     return q, d, bitmap
 
 
+def _node_has_oracle(bitmap, graph_offsets):
+    """Dense oracle: does query node ``i`` keep a candidate in graph ``g``?"""
+    dense = bitmap.to_bool()
+    return np.array(
+        [
+            [dense[i, lo:hi].any() for lo, hi in zip(graph_offsets[:-1], graph_offsets[1:])]
+            for i in range(dense.shape[0])
+        ],
+        dtype=bool,
+    ).reshape(dense.shape[0], graph_offsets.size - 1)
+
+
+def _viable_oracle(bitmap, q, d):
+    """Per-(query graph, data graph) loop over the dense node-has matrix."""
+    node_has = _node_has_oracle(bitmap, d.graph_offsets)
+    out = np.zeros((q.n_graphs, d.n_graphs), dtype=bool)
+    for qg in range(q.n_graphs):
+        lo, hi = q.graph_node_range(qg)
+        if hi > lo:
+            out[qg] = node_has[lo:hi].all(axis=0)
+    return out
+
+
+class _Offsets:
+    """The CSR-GO fields the mapping phase reads: graph node offsets."""
+
+    def __init__(self, offsets):
+        self.graph_offsets = np.asarray(offsets, dtype=np.int64)
+        self.n_graphs = self.graph_offsets.size - 1
+        self.n_nodes = int(self.graph_offsets[-1])
+
+    def graph_node_range(self, g):
+        return int(self.graph_offsets[g]), int(self.graph_offsets[g + 1])
+
+
 class TestViability:
     def test_node_has_candidate_per_graph(self, setup):
         q, d, bitmap = setup
-        m = query_node_has_candidate_per_graph(bitmap, d.graph_offsets)
+        m = segment_counts(bitmap, d.graph_offsets) > 0
         assert m.shape == (4, 3)
         # query node 0 (label 1) has candidates in graphs 0 and 2
         np.testing.assert_array_equal(m[0], [True, False, True])
         # query node 1 (label 2) only in graph 0
         np.testing.assert_array_equal(m[1], [True, False, False])
+        np.testing.assert_array_equal(m, _node_has_oracle(bitmap, d.graph_offsets))
 
     def test_chunked_matches_unchunked(self, setup):
+        # Point queries over any subset of (node, graph) cells equal the
+        # whole matrix.
         q, d, bitmap = setup
-        a = query_node_has_candidate_per_graph(bitmap, d.graph_offsets, chunk_rows=1)
-        b = query_node_has_candidate_per_graph(bitmap, d.graph_offsets, chunk_rows=64)
-        np.testing.assert_array_equal(a, b)
+        full = segment_counts(bitmap, d.graph_offsets)
+        rows, graphs = np.indices(full.shape)
+        for lo in range(full.shape[0]):
+            got = segment_counts(bitmap, d.graph_offsets, rows[lo:], graphs[lo:])
+            np.testing.assert_array_equal(got, full[lo:])
 
     def test_viable_query_matrix(self, setup):
         q, d, bitmap = setup
         v = viable_query_matrix(bitmap, q, d)
         # query 0 (C-O) viable only in data graph 0; query 1 (3-3) only in 1.
         np.testing.assert_array_equal(v, [[True, False, False], [False, True, False]])
+
+    def test_viable_equals_per_graph_loop(self, rng):
+        # Random bitmaps over random node splits, zero-node graphs included
+        # on both sides.
+        for _ in range(30):
+            q_sizes = rng.integers(0, 4, size=int(rng.integers(1, 6)))
+            d_sizes = rng.integers(0, 6, size=int(rng.integers(1, 9)))
+            q_off = np.concatenate([[0], np.cumsum(q_sizes)])
+            d_off = np.concatenate([[0], np.cumsum(d_sizes)])
+            dense = rng.random((int(q_off[-1]), int(d_off[-1]))) < 0.5
+            bitmap = CandidateBitmap.from_bool(dense, int(rng.choice([8, 16, 32, 64])))
+            q = _Offsets(q_off)
+            d = _Offsets(d_off)
+            np.testing.assert_array_equal(
+                viable_query_matrix(bitmap, q, d), _viable_oracle(bitmap, q, d)
+            )
+            gmcr = build_gmcr(bitmap, q, d)
+            viable = _viable_oracle(bitmap, q, d)
+            want = [np.flatnonzero(viable[:, g]).tolist() for g in range(d.n_graphs)]
+            assert [gmcr.queries_of(g).tolist() for g in range(d.n_graphs)] == want
+            assert gmcr.query_graph_indices.dtype == np.int32
+
+
+def _empty_graph():
+    return LabeledGraph(np.zeros(0, dtype=np.int64), [])
+
+
+class TestZeroNodeDataGraphs:
+    """A data graph without nodes maps to no query graph, wherever it sits."""
+
+    QUERY = [path_graph([1, 1])]
+    RING = ring_graph(3, [1, 1, 1])
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("mode", [FIND_ALL, FIND_FIRST])
+    def test_gmcr_and_matches(self, position, mode):
+        data = [self.RING, self.RING]
+        data.insert(position, _empty_graph())
+        config = SigmoConfig(record_embeddings=True)
+        got = SigmoEngine(self.QUERY, data, config).run(mode=mode)
+        ref = SigmoEngine(self.QUERY, data, config.with_backend("dfs")).run(mode=mode)
+        assert got.gmcr.n_pairs == 2
+        assert got.gmcr.queries_of(position).size == 0
+        rings = [g for g in range(3) if g != position]
+        assert [got.gmcr.queries_of(g).tolist() for g in rings] == [[0], [0]]
+        np.testing.assert_array_equal(got.gmcr.query_graph_indices, ref.gmcr.query_graph_indices)
+        np.testing.assert_array_equal(got.join_result.pair_matches, ref.join_result.pair_matches)
+        assert got.total_matches == ref.total_matches == (12 if mode == FIND_ALL else 2)
+        assert [(d, q, m.tolist()) for d, q, m in got.join_result.embeddings] == [
+            (d, q, m.tolist()) for d, q, m in ref.join_result.embeddings
+        ]
+
+    def test_empty_query_graph_still_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            SigmoEngine([path_graph([1, 1]), _empty_graph()], [self.RING]).run()
 
 
 class TestGMCR:

@@ -75,7 +75,7 @@ def _workload(seed):
         "induced": seed % 3 == 1,
         "wildcard_edge_label": 0 if seed % 4 == 2 else None,
         "candidate_order": "bfs" if seed % 5 == 3 else "fewest-candidates",
-        "word_bits": 32 if seed % 2 else 64,
+        "word_bits": (64, 32, 16, 8)[seed % 4],
     }
     return queries, data, fields
 

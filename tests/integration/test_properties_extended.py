@@ -1,5 +1,5 @@
 """Property-based tests for the extension modules (chunking, canonical
-forms, fingerprints, BFS join, wildcards)."""
+forms, fingerprints, the fused level-table join, wildcards)."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +10,6 @@ from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.filtering import IterativeFilter
 from repro.core.join import run_join
-from repro.core.join_bfs import run_bfs_join
 from repro.core.mapping import build_gmcr
 from repro.graph.canonical import canonical_form, relabel
 from repro.graph.generators import random_connected_graph, random_subgraph_pattern
@@ -61,6 +60,7 @@ class TestBfsJoinProperties:
     @given(workloads(n_data_max=3))
     @settings(**SETTINGS)
     def test_bfs_equals_dfs(self, workload):
+        """The fused table (levels built block by block) equals the DFS."""
         queries, data = workload
         config = SigmoConfig(refinement_iterations=2)
         q = CSRGO.from_graphs(queries)
@@ -68,10 +68,12 @@ class TestBfsJoinProperties:
         fr = IterativeFilter(q, d, config).run()
         gmcr_a = build_gmcr(fr.bitmap, q, d)
         gmcr_b = build_gmcr(fr.bitmap, q, d)
-        dfs = run_join(q, d, fr.bitmap, gmcr_a, config)
-        bfs = run_bfs_join(q, d, fr.bitmap, gmcr_b, config)
+        dfs = run_join(q, d, fr.bitmap, gmcr_a, config.with_backend("dfs"))
+        bfs = run_join(q, d, fr.bitmap, gmcr_b, config.with_backend("fused"))
         assert dfs.total_matches == bfs.total_matches
         np.testing.assert_array_equal(dfs.pair_matches, bfs.pair_matches)
+        np.testing.assert_array_equal(dfs.pair_visits, bfs.pair_visits)
+        assert dfs.stats == bfs.stats
 
 
 class TestWildcardProperties:

@@ -77,17 +77,15 @@ class TestPopcount:
             bitops.row_popcount(np.zeros(3, dtype=np.uint64))
 
 
-class TestBitPositions:
-    def test_positions_sorted(self):
-        rows = np.zeros((1, 130), dtype=bool)
-        idx = [0, 63, 64, 129]
-        rows[0, idx] = True
-        packed = bitops.pack_bool_rows(rows)
-        np.testing.assert_array_equal(bitops.bit_positions(packed[0]), idx)
+class TestRaggedAt:
+    def test_runs_in_order(self):
+        got = bitops.ragged_at(np.array([5, 0, 9]), np.array([2, 0, 3]))
+        np.testing.assert_array_equal(got, [5, 6, 9, 10, 11])
+        assert got.dtype == np.int64
 
-    def test_empty_row(self):
-        packed = np.zeros(2, dtype=np.uint64)
-        assert bitops.bit_positions(packed).size == 0
+    def test_no_runs(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert bitops.ragged_at(empty, empty).size == 0
 
 
 class TestSetTestBit:
