@@ -2,12 +2,14 @@
 """Join hot-path benchmark: accelerated vs. reference backend.
 
 Measures the join-stage wall clock of the scalar stack-DFS reference
-backend against the accelerated dispatch (``join_backend="auto"``: DFS
-for single-node queries, the neighbour-driven fused whole-batch table
-for every other pair) on seeded suites, and writes/checks the committed
-``BENCH_perf.json``.  Every suite also times a forced-tabular arm
-(``join_backend="tabular"``: the same kernel one pair per table) so the
-cost of fusing pairs is visible next to the dispatched run.
+backend against the accelerated default (``join_backend="auto"``: the
+neighbour-driven fused whole-batch table for every pair) on seeded
+suites, and writes/checks the committed ``BENCH_perf.json``.  Every
+suite also times a forced-tabular arm (``join_backend="tabular"``: the
+same kernel one pair per table) so the cost of fusing pairs is visible
+next to the default run.  Each arm's time is the median of
+:data:`REPEATS` samples, each the mean over repeated ``run_join`` calls
+spanning at least :data:`SAMPLE_SECONDS`.
 
 Suites (all seeded, all verified to produce identical match counts;
 every suite is gated at :data:`MIN_SPEEDUP` x):
@@ -43,7 +45,7 @@ import numpy as np  # noqa: E402
 from repro.accel import clear_accel_caches  # noqa: E402
 from repro.core.config import SigmoConfig  # noqa: E402
 from repro.core.engine import SigmoEngine  # noqa: E402
-from repro.core.join import FIND_ALL, FIND_FIRST  # noqa: E402
+from repro.core.join import FIND_ALL, FIND_FIRST, run_join  # noqa: E402
 
 #: Required join-stage speedup of the accelerated dispatch over the DFS
 #: reference on every gated suite.
@@ -53,8 +55,13 @@ MIN_SPEEDUP = 2.0
 #: one (wall-clock benchmarks on shared CI hosts are noisy).
 SPEEDUP_TOLERANCE = 0.4
 
-#: Benchmark repeats (best-of to suppress scheduler noise).
-REPEATS = 3
+#: Timing samples per arm; the gate compares their median.
+REPEATS = 5
+
+#: Minimum seconds one timing sample spans: a sample repeats the join
+#: until this much time has passed and reports the mean per call, so a
+#: 7 ms arm is timed over about 30 calls and timer noise washes out.
+SAMPLE_SECONDS = 0.2
 
 SCHEMA = "repro.bench_perf/2"
 
@@ -102,13 +109,34 @@ SUITES = [
 
 
 def _join_seconds(engine: SigmoEngine, mode: str, repeats: int) -> tuple[float, int, dict]:
-    """Best-of join-stage seconds (cache-warm), matches, backend split."""
-    engine.run(mode=mode)  # warm the view/plan/signature caches
-    best = float("inf")
+    """Median per-call join seconds (cache-warm), matches, backend split.
+
+    One engine run warms the view/plan/signature caches and yields the
+    join's inputs; each of ``repeats`` samples then calls ``run_join`` on
+    them for at least :data:`SAMPLE_SECONDS`.
+    """
+    result = engine.run(mode=mode)
+    args = (
+        engine.query,
+        engine.data,
+        result.filter_result.bitmap,
+        result.gmcr,
+        engine.config,
+        mode,
+    )
+    samples = []
     for _ in range(repeats):
-        result = engine.run(mode=mode)
-        best = min(best, result.timings["join"])
-    return best, result.total_matches, dict(result.join_result.backend_pairs)
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            run_join(*args)
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= SAMPLE_SECONDS:
+                break
+        samples.append(elapsed / calls)
+    seconds = float(np.median(samples))
+    return seconds, result.total_matches, dict(result.join_result.backend_pairs)
 
 
 #: Benchmark arms: (row label, forced/auto ``join_backend``).  The

@@ -18,10 +18,9 @@ is the reproduction's hot-path engine room.  It provides:
   All — including :class:`~repro.core.join.JoinStats` counters,
   embedding order and budget truncation.  ``tabular_join_pair`` runs it
   one pair per table.
-* :mod:`repro.accel.dispatch` — the per-(data graph, query graph) backend
-  choice: under ``config.join_backend="auto"`` DFS for single-node
-  queries and the fused table otherwise, with ``"dfs"`` / ``"tabular"``
-  / ``"fused"`` forcing a backend for every pair.
+* :mod:`repro.accel.dispatch` — the one backend of a run:
+  ``config.join_backend="auto"`` resolves to the fused table for every
+  pair, and ``"dfs"`` / ``"tabular"`` / ``"fused"`` force a backend.
 * :mod:`repro.accel.memo` — :class:`~repro.accel.memo.ContentMemo`, the
   one bounded LRU behind every cache on the matching path, and the
   content-hash memoization of signature count matrices and compiled
@@ -35,7 +34,7 @@ from repro.accel.dispatch import (
     BACKEND_FUSED,
     BACKEND_TABULAR,
     JOIN_BACKENDS,
-    choose_backends,
+    resolve_backend,
 )
 from repro.accel.fused import tabular_join_pair
 from repro.accel.local_view import LocalCSRView, get_local_view, local_view_cache
@@ -54,11 +53,11 @@ __all__ = [
     "JOIN_BACKENDS",
     "LocalCSRView",
     "MemoStats",
-    "choose_backends",
     "clear_accel_caches",
     "get_local_view",
     "local_view_cache",
     "plan_memo",
+    "resolve_backend",
     "signature_memo",
     "tabular_join_pair",
 ]

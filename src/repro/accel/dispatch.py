@@ -1,30 +1,28 @@
-"""Per-pair join backend selection.
+"""Join backend resolution: one backend per run.
 
-The engine exposes one dispatch point (``run_join``); this module decides,
-for each (data graph, query graph) pair, which backend joins it:
+The engine exposes one join entry point (``run_join``); this module names
+the backends it can run and resolves ``SigmoConfig.join_backend`` to the
+one that joins *every* pair of a run:
 
-* ``"dfs"`` — the scalar stack-DFS reference (paper section 4.6);
 * ``"fused"`` — the whole-batch frontier table (:mod:`repro.accel.fused`):
-  every fused-dispatched pair of a batch rides one table with a leading
-  pair column, growing rows from their anchors' CSR-GO neighbours, so the
-  per-pair Python call and table setup are paid once per *batch*;
-* ``"tabular"`` — the same kernel with one pair per table
-  (:func:`repro.accel.fused.tabular_join_pair`); forced only, never
-  chosen under ``"auto"``.
+  every pair of a batch rides one table with a leading pair column,
+  growing rows from their anchors' CSR-GO neighbours, so the per-pair
+  Python call and table setup are paid once per *batch*;
+* ``"dfs"`` — the scalar stack-DFS reference (paper section 4.6);
+  forced only;
+* ``"tabular"`` — the fused kernel with one pair per table
+  (:func:`repro.accel.fused.tabular_join_pair`); forced only.
 
-Because the backends are bitwise-equivalent in Find All — match sets,
-stats, truncation, embedding order — the choice is *purely* a performance
-decision and may differ pair to pair within one run.
+``"auto"`` (the default) resolves to ``"fused"``, single-node queries
+included: the table counts a single-node pair's work exactly as the DFS
+does.  The backends are bitwise-equivalent in Find All — match sets,
+stats, truncation, embedding order — so the forced arms exist for parity
+tests and the hot-path benchmark.
 
-Under ``join_backend="auto"`` single-node queries go to DFS (a plain
-candidate scan, nothing to vectorize) and every other pair to the fused
-table.  The pre-dispatch work estimates (:func:`estimate_elements`) still
-order pairs *within* the table (:func:`packing_order`), which packs
-expensive pairs into early row blocks, and size budgeted waves —
-ordering never changes results, only block shapes.
-
-``join_backend="dfs"`` / ``"tabular"`` / ``"fused"`` force the respective
-backend for every pair (parity tests and the hot-path benchmark arms).
+The pre-join work estimates (:func:`estimate_elements`) order pairs
+*within* a fused table (:func:`packing_order`), which packs expensive
+pairs into early row blocks, and size budgeted waves — ordering never
+changes results, only block shapes.
 """
 
 from __future__ import annotations
@@ -37,17 +35,28 @@ BACKEND_DFS = "dfs"
 BACKEND_TABULAR = "tabular"
 #: Whole-batch frontier table (:mod:`repro.accel.fused`).
 BACKEND_FUSED = "fused"
-#: DFS for single-node queries, fused otherwise.
+#: The default: resolves to the fused table.
 BACKEND_AUTO = "auto"
 #: Valid ``SigmoConfig.join_backend`` values.
 JOIN_BACKENDS = (BACKEND_AUTO, BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED)
-#: Backend names by integer code (the engine's per-pair dispatch array).
-BACKEND_CODES = (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED)
-DFS_CODE, TABULAR_CODE, FUSED_CODE = range(len(BACKEND_CODES))
+
+
+def resolve_backend(requested: str = BACKEND_AUTO) -> str:
+    """The backend that joins every pair of a run.
+
+    ``requested`` is ``SigmoConfig.join_backend``: a forced backend is
+    returned as is, ``"auto"`` resolves to ``"fused"``, anything else
+    raises ``ValueError``.
+    """
+    if requested not in JOIN_BACKENDS:
+        raise ValueError(
+            f"join_backend must be one of {JOIN_BACKENDS}, got {requested!r}"
+        )
+    return BACKEND_FUSED if requested == BACKEND_AUTO else requested
 
 
 def estimate_elements(n_depths: int, counts: np.ndarray) -> np.ndarray:
-    """Pre-dispatch work estimate of each pair (column) of ``counts``.
+    """Pre-join work estimate of each pair (column) of ``counts``.
 
     ``counts`` is ``int[n_depths, n_pairs]`` — one column of per-depth
     candidate sizes per pair, all of plan depth ``n_depths``.  The
@@ -59,26 +68,6 @@ def estimate_elements(n_depths: int, counts: np.ndarray) -> np.ndarray:
     if n_depths < 2:
         return c0
     return c0 + c0 * counts[1].astype(np.int64)
-
-
-def choose_backends(
-    n_depths: int, counts: np.ndarray, requested: str = BACKEND_AUTO
-) -> np.ndarray:
-    """Backend code (index into :data:`BACKEND_CODES`) of every pair.
-
-    ``counts`` is as in :func:`estimate_elements`; ``requested`` is
-    ``SigmoConfig.join_backend``.  A forced backend wins for every pair;
-    under ``"auto"`` single-node queries go to DFS and the rest to the
-    fused table.
-    """
-    n_pairs = counts.shape[1]
-    if requested in BACKEND_CODES:
-        return np.full(n_pairs, BACKEND_CODES.index(requested), dtype=np.int8)
-    if requested != BACKEND_AUTO:
-        raise ValueError(
-            f"join_backend must be one of {JOIN_BACKENDS}, got {requested!r}"
-        )
-    return np.full(n_pairs, DFS_CODE if n_depths < 2 else FUSED_CODE, dtype=np.int8)
 
 
 def packing_order(estimates: np.ndarray) -> np.ndarray:

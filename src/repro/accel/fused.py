@@ -46,7 +46,8 @@ early-exit — so one pair finding its match stops paying for the rest of
 its subtree while other slots keep going.  Find First *results* are
 bitwise-equal to DFS while the work counters are block-granular and
 backend-specific (a vectorized pass pays for a whole block the scalar
-DFS abandons mid-stream).
+DFS abandons mid-stream) — except on single-node slots, which count the
+DFS's one visit and one push.
 
 Heterogeneous plans ride the same table: per-slot candidate lists,
 back-edge checks and induced non-adjacency probes are ragged arrays
@@ -219,10 +220,10 @@ def build_fused_plan(
 class FusedOutcome:
     """Per-slot results of one fused table run.
 
-    The driver accumulates into the ``int64[n_slots]`` arrays; the
-    replay loop in :func:`repro.core.join.run_join` folds them into
-    ``JoinStats`` / ``JoinResult`` in GMCR pair order, which is what
-    keeps budget truncation bitwise-identical to a sequential run.
+    The driver accumulates into the ``int64[n_slots]`` arrays;
+    :func:`repro.core.join.run_join` folds them into ``JoinStats`` /
+    ``JoinResult`` in GMCR pair order, which is what keeps budget
+    truncation bitwise-identical to a sequential run.
     """
 
     matches: np.ndarray
@@ -410,7 +411,7 @@ def extend_fused_block(
     return new_table
 
 
-def _block_starts(counts: np.ndarray, bound: int = FUSED_BLOCK_ELEMS) -> list[int]:
+def _block_starts(counts: np.ndarray, bound: int) -> list[int]:
     """Row boundaries splitting a pop into <= ``bound`` element chunks.
 
     Greedy: rows join the current chunk until its element total would
@@ -431,6 +432,7 @@ def _block_starts(counts: np.ndarray, bound: int = FUSED_BLOCK_ELEMS) -> list[in
         if over >= n:
             return starts
         starts.append(over)
+
 
 @kernel(writes=("acc",))
 def fused_join(
@@ -454,7 +456,7 @@ def fused_join(
 
     ``record_rows`` keeps up to ``max_record`` full-depth rows per slot
     in ``acc.rows`` (global ids, plan order); the caller converts them
-    to embeddings in GMCR replay order.
+    to embeddings in GMCR pair order.
     """
     n_slots = fplan.n_slots
     if n_slots == 0:
@@ -462,19 +464,19 @@ def fused_join(
     depth_counts = fplan.depth_counts
     sizes0 = fplan.cand_size[0]
     # Depth 0: every candidate is one visit and one push on any backend.
-    acc.visits += sizes0
-    acc.pushes += sizes0
-    # Single-node plans: every root candidate is a full match.
-    trivial = xp.nonzero(depth_counts == 1)[0]
-    for s in trivial.tolist():
-        lo, hi = int(fplan.cand_off[0][s]), int(fplan.cand_off[0][s + 1])
-        n_found = 1 if find_first else hi - lo
-        acc.matches[s] = n_found
-        if record_rows and n_found:
-            stop = lo + min(n_found, max_record)
-            acc.rows[s] = [
-                fplan.cand_flat[0][lo:stop].reshape(-1, 1)
-            ]
+    # A single-node plan's candidates are all full matches, and under
+    # Find First the DFS stops at the first one: one visit, one push.
+    single = depth_counts == 1
+    roots = xp.where(single, 1, sizes0) if find_first else sizes0
+    acc.visits += roots
+    acc.pushes += roots
+    acc.matches[single] = roots[single]
+    if record_rows:
+        trivial = xp.flatnonzero(single & (roots > 0))
+        for s in trivial.tolist():
+            lo = int(fplan.cand_off[0][s])
+            stop = lo + min(int(roots[s]), max_record)
+            acc.rows[s] = [fplan.cand_flat[0][lo:stop].reshape(-1, 1)]
     deep = xp.nonzero(depth_counts > 1)[0]
     if deep.size == 0:
         return acc
@@ -505,7 +507,7 @@ def fused_join(
         if table.shape[0] > 1 and table.shape[0] * widest[depth] > FUSED_BLOCK_ELEMS:
             counts = _block_elements(view, fplan, table)
             if int(counts.sum()) > FUSED_BLOCK_ELEMS:
-                bounds = _block_starts(counts)
+                bounds = _block_starts(counts, FUSED_BLOCK_ELEMS)
                 bounds.append(table.shape[0])
                 for i in range(len(bounds) - 2, -1, -1):
                     stack.append(table[bounds[i] : bounds[i + 1]])

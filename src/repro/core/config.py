@@ -71,15 +71,14 @@ class SigmoConfig:
         Backend identity is threaded into every content-hash-keyed cache
         so artifacts from different backends never collide.
     join_backend:
-        Join backend selection: ``"auto"`` picks per (data, query) pair
-        (:func:`repro.accel.dispatch.choose_backends`: DFS for
-        single-node queries, the fused table otherwise); ``"dfs"`` forces
-        the scalar stack-DFS reference backend, ``"fused"`` the
-        whole-batch frontier table (:mod:`repro.accel.fused`) and
-        ``"tabular"`` the same kernel with one pair per table (never
-        chosen under ``"auto"``).  The backends are bitwise-equivalent
-        in Find All (match sets, stats, truncation) and agree on results
-        in Find First, so this is purely a performance knob.
+        The one backend that joins every pair of a run
+        (:func:`repro.accel.dispatch.resolve_backend`): ``"auto"`` is
+        the whole-batch frontier table (:mod:`repro.accel.fused`), the
+        same as ``"fused"``; ``"dfs"`` forces the scalar stack-DFS
+        reference backend and ``"tabular"`` the fused kernel with one
+        pair per table.  The backends are bitwise-equivalent in Find All
+        (match sets, stats, truncation) and agree on results in Find
+        First, so this is purely a performance knob.
     """
 
     refinement_iterations: int = DEFAULT_REFINEMENT_ITERATIONS

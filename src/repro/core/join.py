@@ -8,9 +8,10 @@ candidate cursors — with no recursion and no per-step allocation.
 
 Execution model (paper section 4.6): each *data graph* is a work-group;
 the work-items of the group iterate over the query graphs GMCR mapped to
-that data graph, one query per work-item at a time.  The driver loop here
-follows the same nesting (data graph outer, query graph inner) so the
-device simulator can replay it with real per-pair work counts.
+that data graph, one query per work-item at a time.  The join folds its
+per-pair work counts in the same GMCR order (data graph outer, query
+graph inner), so the device simulator can replay it with real per-pair
+work counts.
 
 Matching semantics are paper Def. 2.1: injective, label-preserving, every
 query edge present in the data graph, and edge labels must agree
@@ -24,16 +25,12 @@ from typing import TYPE_CHECKING
 
 from repro import xp
 from repro.accel.dispatch import (
-    BACKEND_CODES,
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
-    DFS_CODE,
-    FUSED_CODE,
-    TABULAR_CODE,
-    choose_backends,
     estimate_elements,
     packing_order,
+    resolve_backend,
 )
 from repro.accel.fused import (
     FusedOutcome,
@@ -104,6 +101,32 @@ class JoinBudget:
         if self.max_pushes is not None and stats.stack_pushes >= self.max_pushes:
             return f"stack_pushes >= {self.max_pushes}"
         return None
+
+    def cut(
+        self,
+        total_matches: int,
+        stats: "JoinStats",
+        matches: np.ndarray,
+        visits: np.ndarray,
+        pushes: np.ndarray,
+    ) -> int:
+        """How many of the next pairs a run under this budget joins.
+
+        ``matches`` / ``visits`` / ``pushes`` are the next pairs' work in
+        GMCR order, and ``total_matches`` / ``stats`` the totals so far.
+        The count runs through the first pair after which
+        :meth:`exceeded` fires (all pairs when none does): one prefix-sum
+        search per dimension.
+        """
+        n = int(matches.size)
+        for limit, spent, work in (
+            (self.max_matches, total_matches, matches),
+            (self.max_visits, stats.candidate_visits, visits),
+            (self.max_pushes, stats.stack_pushes, pushes),
+        ):
+            if limit is not None:
+                n = min(n, int(xp.searchsorted(xp.cumsum(work), limit - spent)) + 1)
+        return n
 
 
 @dataclass(frozen=True)
@@ -207,10 +230,10 @@ class JoinResult:
         Find First only: frontier depths at which the fused batched
         early-exit retired a matched pair's remaining rows.
     pair_cost_estimates:
-        Parallel to ``gmcr.query_graph_indices``: the pre-dispatch work
+        Parallel to ``gmcr.query_graph_indices``: the pre-join work
         estimate per pair (:func:`repro.accel.dispatch.estimate_elements`)
-        that the dispatch rule compares, fused packing orders by and
-        budgeted fused waves are sized with.
+        that fused packing orders by and budgeted fused waves are sized
+        with.
     fused_peak_table_bytes:
         Largest bytes of frontier tables one fused wave held at once
         (:attr:`repro.accel.fused.FusedOutcome.peak_table_bytes`), over
@@ -741,7 +764,9 @@ def run_join(
 ) -> JoinResult:
     """Stage 6 of the pipeline: join every viable pair.
 
-    The engine's single join dispatch point, in three passes:
+    The engine's single join entry point.  One backend joins every pair
+    of the run (:func:`repro.accel.dispatch.resolve_backend`: ``"auto"``
+    is the fused table), in two passes:
 
     1. **Planning** — array operations over the whole batch.
        :func:`compile_plans` yields the :class:`PlanTable` (every query
@@ -750,37 +775,37 @@ def run_join(
        pairs' data graphs are the points of one
        :func:`~repro.core.candidates.segment_counts` call, which reads
        every per-depth candidate count straight from the bitmap words:
-       the empty-depth skip, the work estimates and the backend
-       choice under ``config.join_backend``
-       (:func:`repro.accel.dispatch.choose_backends`, one call per
-       distinct plan depth) between scalar DFS (:func:`join_pair`), the
-       fused whole-batch table (:mod:`repro.accel.fused`) and, forced
-       only, the same table one pair at a time
-       (:func:`repro.accel.fused.tabular_join_pair`).  One
-       :func:`~repro.core.candidates.segment_ids` call then gathers the
-       candidate lists of every DFS pair's depths, which the replay
-       slices per pair.
-    2. **Fused waves** — all fused-dispatched pairs of the batch run as
-       one frontier table (one wave) against the cached whole-batch edge
-       view (:func:`repro.accel.local_view.get_batch_view`), packed in
-       descending estimate order; :func:`build_fused_plan` gathers the
-       table's query-node, list-size and check columns for the slots'
-       (query graph, data graph) pairs, and candidate ids only for the
-       lists the kernel crosses.  Each wave reports its peak table bytes
-       and the level-table bytes a BFS join would hold.  Under a
-       :class:`JoinBudget`, waves are instead sized lazily by the
-       remaining budget headroom so a truncated run never pays for
-       far-future pairs.
-    3. **Replay** — pairs are accounted in GMCR order: DFS and forced
-       tabular pairs execute in place, fused pairs fold in their
-       precomputed per-slot results, and the budget is checked before
-       *every* pair.  Because the fused per-pair stats equal the DFS
-       stats in Find All, truncation points, resume tokens,
-       ``gmcr.matched`` and recorded embeddings come out
-       bitwise-identical to a pure sequential run, whatever mix of
-       backends dispatch chose.  With no budget, recording or tracer,
-       fused waves fold into the result vectorized and only DFS/tabular
-       pairs are replayed.
+       the empty-depth skip and the work estimates.  The pairs to join
+       are one GMCR-ordered index array.
+    2. **Join and fold** — the backend joins the pairs in waves, each a
+       GMCR-order run of them, and every wave folds into the result
+       through one fold, in GMCR order:
+
+       * ``fused``: one wave of every pair runs as one frontier table
+         against the cached whole-batch edge view
+         (:func:`repro.accel.local_view.get_batch_view`), packed in
+         descending estimate order; :func:`build_fused_plan` gathers the
+         table's query-node, list-size and check columns, and candidate
+         ids only for the lists the kernel crosses.  Each wave reports
+         its peak table bytes and the level-table bytes a BFS join
+         would hold.  Under a :class:`JoinBudget`, waves are instead
+         sized lazily by the remaining budget headroom, so a truncated
+         run never pays for far-future pairs.
+       * ``tabular`` (forced): one-pair waves through
+         :func:`repro.accel.fused.tabular_join_pair`.
+       * ``dfs`` (forced): one :func:`join_pair` per wave, over
+         candidate lists gathered for every pair by one
+         :func:`~repro.core.candidates.segment_ids` call.
+
+       Under a budget the fold takes the wave's pairs up to and
+       including the first after which the budget is exceeded
+       (:meth:`JoinBudget.cut`) and names the next pair as
+       ``resume_pair`` — the point a check before every pair finds,
+       since the totals change only at joined pairs.  Because per-pair
+       stats are equal across backends in Find All, truncation points,
+       resume tokens, ``gmcr.matched`` and recorded embeddings are
+       bitwise-identical to the DFS; plain, budgeted, recording and
+       traced runs execute the same fold.
 
     Parameters
     ----------
@@ -797,6 +822,7 @@ def run_join(
     if start_pair < 0 or start_pair > gmcr.n_pairs:
         raise ValueError(f"start_pair must be in [0, {gmcr.n_pairs}]")
     config = config or SigmoConfig()
+    backend = resolve_backend(config.join_backend)
     find_first = mode == FIND_FIRST
     n_pairs = gmcr.n_pairs
     result = JoinResult(
@@ -806,7 +832,7 @@ def run_join(
         backend_visits={BACKEND_DFS: 0, BACKEND_TABULAR: 0, BACKEND_FUSED: 0},
         pair_cost_estimates=xp.zeros(n_pairs, dtype=xp.int64),
     )
-    record = result.embeddings if config.record_embeddings else None
+    recording = config.record_embeddings
     max_record = config.max_embeddings_recorded
 
     tracer = get_tracer()
@@ -822,10 +848,7 @@ def run_join(
             xp.diff(gmcr.data_graph_offsets),
         )
 
-        # -- pass 1: plan every pair (candidate counts + backend choice) -----
-        # ``codes[p]`` indexes BACKEND_CODES; -1 marks pairs not joined
-        # (before ``start_pair``, or with an empty candidate depth).
-        codes = xp.full(n_pairs, -1, dtype=xp.int8)
+        # -- pass 1: plan every pair (candidate counts, viability, estimates) --
         tail = xp.arange(start_pair, n_pairs, dtype=xp.int64)
         tail_qg = pair_qg[tail]
         order = plans.order[tail_qg]
@@ -841,43 +864,113 @@ def run_join(
         viable = (counts > 0).all(axis=1)
         for n in xp.unique(depths[viable]).tolist():
             group = xp.flatnonzero(viable & (depths == n))
-            group_counts = counts[group, :n].T
-            pairs = tail[group]
-            result.pair_cost_estimates[pairs] = estimate_elements(n, group_counts)
-            codes[pairs] = choose_backends(n, group_counts, config.join_backend)
-        # Every DFS pair's per-depth candidate lists in one gather, pair
-        # after pair in plan order; ``dfs_seg[p]`` is pair ``p``'s first
-        # segment in ``dfs_off``.
-        dfs = xp.flatnonzero(codes[tail] == DFS_CODE)
-        dfs_ids, dfs_off = segment_ids(
-            bitmap,
-            data.graph_offsets,
-            nodes[dfs][placed[dfs]],
-            xp.repeat(pair_graph[tail[dfs]], depths[dfs]),
-        )
-        dfs_off = dfs_off.tolist()
-        dfs_seg = dict(
-            zip(tail[dfs].tolist(), (xp.cumsum(depths[dfs]) - depths[dfs]).tolist())
-        )
-        del order, placed, nodes, counts, dfs  # free before the fused table
-        fused_queue = xp.flatnonzero(codes == FUSED_CODE)  # GMCR order
+            result.pair_cost_estimates[tail[group]] = estimate_elements(
+                n, counts[group, :n].T
+            )
+        joined = tail[viable]  # the pairs to join, in GMCR order
+        slot_ids = xp.arange(joined.size, dtype=xp.int64)
+        if backend == BACKEND_DFS:
+            # Every pair's per-depth candidate lists in one gather, pair
+            # after pair in plan order; pair ``i``'s first segment in
+            # ``dfs_off`` is ``dfs_seg[i]``.
+            depths = depths[viable]
+            dfs_ids, dfs_off = segment_ids(
+                bitmap,
+                data.graph_offsets,
+                nodes[viable][placed[viable]],
+                xp.repeat(pair_graph[joined], depths),
+            )
+            dfs_off = dfs_off.tolist()
+            dfs_seg = (xp.cumsum(depths) - depths).tolist()
+        del order, placed, nodes, counts  # free before the join
 
-        # -- pass 2: fused waves ------------------------------------------------
-        fused_acc: dict[int, tuple[FusedOutcome, int]] = {}
-        batch_view = get_batch_view(data) if (codes > DFS_CODE).any() else None
-        fused_pos = 0  # next unexecuted index into fused_queue
-        traced = tracer.enabled
-        # With no budget to police, no embeddings to record and no spans
-        # to attribute, per-pair replay of fused slots is pure bookkeeping
-        # — fold the whole wave into the result arrays vectorized instead.
-        fast_fold = budget is None and record is None and not traced
+        def fold(pairs: np.ndarray, acc: FusedOutcome, slots: np.ndarray) -> None:
+            """Fold a GMCR-order run of joined pairs into the result.
 
-        def run_wave(n_wave_pairs: int) -> None:
-            """Execute the next ``n_wave_pairs`` fused pairs as one table."""
-            nonlocal fused_pos
-            wave = fused_queue[fused_pos : fused_pos + n_wave_pairs]
-            fused_pos += wave.size
-            packed = wave[packing_order(result.pair_cost_estimates[wave])]
+            ``acc`` slot ``slots[i]`` holds pair ``pairs[i]``'s outcome.
+            Under a budget only the pairs through :meth:`JoinBudget.cut`
+            fold, and the run truncates after them unless nothing
+            follows.
+            """
+            matches = acc.matches[slots]
+            visits = acc.visits[slots]
+            pushes = acc.pushes[slots]
+            if budget is not None:
+                n = budget.cut(result.total_matches, result.stats, matches, visits, pushes)
+                pairs, slots = pairs[:n], slots[:n]
+                matches, visits, pushes = matches[:n], visits[:n], pushes[:n]
+            n_visits = int(visits.sum())
+            result.pair_matches[pairs] = matches
+            result.pair_visits[pairs] = visits
+            result.stats.pairs_joined += pairs.size
+            result.stats.candidate_visits += n_visits
+            result.stats.edge_checks += int(acc.echecks[slots].sum())
+            result.stats.stack_pushes += int(pushes.sum())
+            result.backend_pairs[backend] += pairs.size
+            result.backend_visits[backend] += n_visits
+            gmcr.matched[pairs[matches > 0]] = True
+            result.total_matches += int(matches.sum())
+            record = result.embeddings
+            for i in xp.flatnonzero(matches).tolist() if acc.rows else ():
+                if len(record) >= max_record:
+                    break
+                rows = slot_rows(acc, int(slots[i]))
+                if rows is None:
+                    continue
+                d, qg = int(pair_graph[pairs[i]]), int(pair_qg[pairs[i]])
+                mapping = xp.empty(rows.shape, dtype=xp.int64)
+                mapping[:, plans.order[qg, : rows.shape[1]]] = (
+                    rows - data.graph_offsets[d]
+                )
+                record.extend((d, qg, m) for m in mapping[: max_record - len(record)])
+            if budget is None:
+                return
+            reason = budget.exceeded(result.total_matches, result.stats)
+            if reason is not None and int(pairs[-1]) + 1 < n_pairs:
+                result.truncated = True
+                result.resume_pair = int(pairs[-1]) + 1
+                result.truncate_reason = reason
+
+        batch_view = (
+            get_batch_view(data) if joined.size and backend != BACKEND_DFS else None
+        )
+        # Running estimate totals along the joined pairs, for wave sizing.
+        queue_est = xp.cumsum(result.pair_cost_estimates[joined])
+
+        def wave_size(pos: int) -> int:
+            """Pairs the next wave, from ``joined[pos]``, takes.
+
+            The forced arms join one pair per wave, the fused table every
+            remaining pair.  Under a budget fused waves are bounded by the
+            remaining visit/push headroom (the cost estimates approximate
+            visits): pairs join the wave up to and including the first
+            whose running estimate exceeds the headroom, so a run about to
+            truncate fuses only as far as the budget could plausibly reach
+            — never the whole remaining batch.
+            """
+            if backend != BACKEND_FUSED:
+                return 1
+            remaining = joined.size - pos
+            if budget is None:
+                return remaining
+            headroom: int | None = None
+            if budget.max_visits is not None:
+                headroom = budget.max_visits - result.stats.candidate_visits
+            if budget.max_pushes is not None:
+                left = budget.max_pushes - result.stats.stack_pushes
+                headroom = left if headroom is None else min(headroom, left)
+            if headroom is None:
+                return remaining
+            spent = int(queue_est[pos - 1]) if pos else 0
+            over = int(
+                xp.searchsorted(queue_est[pos:], spent + headroom, side="right")
+            )
+            return max(min(over + 1, remaining), 1)
+
+        def fused_wave(wave: np.ndarray) -> tuple[FusedOutcome, np.ndarray]:
+            """Join ``wave`` as one fused table; (outcome, slot of each pair)."""
+            packing = packing_order(result.pair_cost_estimates[wave])
+            packed = wave[packing]
             fplan = build_fused_plan(
                 pair_qg[packed], pair_graph[packed], plans, bitmap, data.graph_offsets
             )
@@ -894,7 +987,7 @@ def run_join(
                     fplan,
                     find_first,
                     acc,
-                    record_rows=record is not None,
+                    record_rows=recording,
                     max_record=max_record,
                 )
                 wave_matches = int(acc.matches.sum())
@@ -914,183 +1007,86 @@ def run_join(
             result.fused_tables += 1
             result.fused_pairs_per_table.append(packed.size)
             result.fused_early_exit_depths.extend(acc.early_exit_depths)
-            if fast_fold:
-                wave_visits = int(acc.visits.sum())
-                result.pair_matches[packed] = acc.matches
-                result.pair_visits[packed] = acc.visits
-                result.stats.pairs_joined += packed.size
-                result.stats.candidate_visits += wave_visits
-                result.stats.edge_checks += int(acc.echecks.sum())
-                result.stats.stack_pushes += int(acc.pushes.sum())
-                result.backend_pairs[BACKEND_FUSED] += packed.size
-                result.backend_visits[BACKEND_FUSED] += wave_visits
-                gmcr.matched[packed[acc.matches > 0]] = True
-                result.total_matches += wave_matches
-            else:
-                for slot, p in enumerate(packed.tolist()):
-                    fused_acc[p] = (acc, slot)
+            slots = xp.empty_like(packing)
+            slots[packing] = slot_ids[: packed.size]
+            return acc, slots
 
-        # Running estimate totals along the fused queue, for wave sizing.
-        queue_est = xp.cumsum(result.pair_cost_estimates[fused_queue])
-
-        def wave_size() -> int:
-            """Fused pairs the next lazily-sized wave may take.
-
-            Bounded by the remaining visit/push budget headroom (the
-            cost estimates approximate visits): pairs join the wave up to
-            and including the first whose running estimate exceeds the
-            headroom, so a run about to truncate fuses only as far as the
-            budget could plausibly reach — never the whole remaining batch.
-            """
-            headroom: int | None = None
-            if budget.max_visits is not None:
-                headroom = budget.max_visits - result.stats.candidate_visits
-            if budget.max_pushes is not None:
-                left = budget.max_pushes - result.stats.stack_pushes
-                headroom = left if headroom is None else min(headroom, left)
-            remaining = fused_queue.size - fused_pos
-            if headroom is None:
-                return remaining
-            spent = int(queue_est[fused_pos - 1]) if fused_pos else 0
-            over = int(
-                xp.searchsorted(queue_est[fused_pos:], spent + headroom, side="right")
-            )
-            return max(min(over + 1, remaining), 1)
-
-        if fused_queue.size and budget is None:
-            run_wave(fused_queue.size)
-
-        # -- pass 3: replay in GMCR order ----------------------------------------
-        if fast_fold:
-            replay = xp.flatnonzero((codes >= 0) & (codes != FUSED_CODE))
-        else:
-            replay = tail
-        replay_graph = pair_graph[replay]
-        group_starts = xp.flatnonzero(
-            xp.diff(replay_graph, prepend=-1)
-        ).tolist() + [int(replay.size)]
-        replay_graph = replay_graph.tolist()
-        replay_pairs = replay.tolist()
-        replay_qg = pair_qg[replay].tolist()
-        replay_codes = codes[replay].tolist()
-        for lo, hi in zip(group_starts[:-1], group_starts[1:]):
-            if result.truncated:
-                break
-            d = replay_graph[lo]
-            d_start, d_stop = data.graph_node_range(d)
-            n_graph_nodes = d_stop - d_start
-            view: LocalCSRView | None = None
-            # One work-group per data graph (paper section 4.6).
+        def tabular_wave(wave: np.ndarray) -> tuple[FusedOutcome, np.ndarray]:
+            """Join the one pair of ``wave`` as its own one-slot table."""
+            p = int(wave[0])
+            qg, d = int(pair_qg[p]), int(pair_graph[p])
             with tracer.span(
-                f"wg:data-{d}",
-                category="workgroup",
-                pairs=int(
-                    gmcr.data_graph_offsets[d + 1] - gmcr.data_graph_offsets[d]
-                ),
-            ) as wg:
-                group_matches = result.total_matches
-                for i in range(lo, hi):
-                    pair_idx = replay_pairs[i]
-                    if budget is not None:
-                        reason = budget.exceeded(result.total_matches, result.stats)
-                        if reason is not None:
-                            result.truncated = True
-                            result.resume_pair = pair_idx
-                            result.truncate_reason = reason
-                            break
-                    code = replay_codes[i]
-                    if code < 0:
-                        continue
-                    chosen = BACKEND_CODES[code]
-                    qg = replay_qg[i]
-                    plan = plans[qg]
-                    result.stats.pairs_joined += 1
-                    if code == FUSED_CODE:
-                        if pair_idx not in fused_acc:
-                            run_wave(wave_size())
-                        acc, slot = fused_acc[pair_idx]
-                    else:
-                        if code == TABULAR_CODE:
-                            span_name = "kernel:accel:join-tabular"
-                        else:
-                            span_name = "kernel:join-dfs"
-                        pair_span = (
-                            tracer.span(
-                                span_name, category="kernel", pair=pair_idx, query=qg
-                            )
-                            if traced
-                            else None
-                        )
-                        if pair_span is not None:
-                            pair_span.__enter__()
-                        try:
-                            if code == TABULAR_CODE:
-                                acc = tabular_join_pair(
-                                    batch_view,
-                                    plans,
-                                    bitmap,
-                                    data.graph_offsets,
-                                    qg,
-                                    d,
-                                    find_first,
-                                    record_rows=record is not None,
-                                    max_record=max_record,
-                                )
-                                slot = 0
-                                found = int(acc.matches[0])
-                            else:
-                                if view is None:
-                                    view = get_local_view(data, d)
-                                seg = dfs_seg[pair_idx]
-                                cuts = dfs_off[seg : seg + plan.n_nodes + 1]
-                                local = (
-                                    dfs_ids[cuts[0] : cuts[-1]] - d_start
-                                ).tolist()
-                                visits_before = result.stats.candidate_visits
-                                found = join_pair(
-                                    view,
-                                    plan,
-                                    [
-                                        local[a - cuts[0] : b - cuts[0]]
-                                        for a, b in zip(cuts[:-1], cuts[1:])
-                                    ],
-                                    n_graph_nodes,
-                                    find_first,
-                                    result.stats,
-                                    record=record,
-                                    record_meta=(d, qg),
-                                    max_record=max_record,
-                                )
-                                pair_visits = (
-                                    result.stats.candidate_visits - visits_before
-                                )
-                        finally:
-                            if pair_span is not None:
-                                pair_span.set(matches=found)
-                                pair_span.__exit__(None, None, None)
-                    if code != DFS_CODE:
-                        found = int(acc.matches[slot])
-                        pair_visits = int(acc.visits[slot])
-                        result.stats.candidate_visits += pair_visits
-                        result.stats.edge_checks += int(acc.echecks[slot])
-                        result.stats.stack_pushes += int(acc.pushes[slot])
-                        if record is not None and found:
-                            rows = slot_rows(acc, slot)
-                            order = xp.asarray(plan.order, dtype=xp.int64)
-                            for r in range(0 if rows is None else rows.shape[0]):
-                                if len(record) >= max_record:
-                                    break
-                                mapping = xp.empty(plan.n_nodes, dtype=xp.int64)
-                                mapping[order] = rows[r] - d_start
-                                record.append((d, qg, mapping))
-                    result.backend_pairs[chosen] += 1
-                    result.backend_visits[chosen] += pair_visits
-                    result.pair_matches[pair_idx] = found
-                    result.pair_visits[pair_idx] = pair_visits
-                    if found:
-                        gmcr.matched[pair_idx] = True
-                    result.total_matches += found
-                wg.set(matches=result.total_matches - group_matches)
+                "kernel:accel:join-tabular", category="kernel", pair=p, query=qg
+            ) as pair_sp:
+                acc = tabular_join_pair(
+                    batch_view,
+                    plans,
+                    bitmap,
+                    data.graph_offsets,
+                    qg,
+                    d,
+                    find_first,
+                    record_rows=recording,
+                    max_record=max_record,
+                )
+                pair_sp.set(matches=int(acc.matches[0]))
+            return acc, slot_ids[:1]
+
+        dfs_acc = FusedOutcome.empty(joined.size if backend == BACKEND_DFS else 0)
+        dfs_views: dict[int, LocalCSRView] = {}
+
+        def dfs_wave(wave: np.ndarray, pos: int) -> tuple[FusedOutcome, np.ndarray]:
+            """Join the one pair of ``wave`` with the scalar DFS.
+
+            Its counters land in slot ``pos`` of one outcome for every
+            pair; the DFS records its embeddings itself.
+            """
+            p = int(wave[0])
+            qg, d = int(pair_qg[p]), int(pair_graph[p])
+            view = dfs_views.get(d)
+            if view is None:
+                view = dfs_views[d] = get_local_view(data, d)
+            d_start, d_stop = data.graph_node_range(d)
+            plan = plans[qg]
+            cuts = dfs_off[dfs_seg[pos] : dfs_seg[pos] + plan.n_nodes + 1]
+            local = (dfs_ids[cuts[0] : cuts[-1]] - d_start).tolist()
+            stats = JoinStats()
+            with tracer.span(
+                "kernel:join-dfs", category="kernel", pair=p, query=qg
+            ) as pair_sp:
+                found = join_pair(
+                    view,
+                    plan,
+                    [
+                        local[a - cuts[0] : b - cuts[0]]
+                        for a, b in zip(cuts[:-1], cuts[1:])
+                    ],
+                    d_stop - d_start,
+                    find_first,
+                    stats,
+                    record=result.embeddings if recording else None,
+                    record_meta=(d, qg),
+                    max_record=max_record,
+                )
+                pair_sp.set(matches=found)
+            dfs_acc.matches[pos] = found
+            dfs_acc.visits[pos] = stats.candidate_visits
+            dfs_acc.echecks[pos] = stats.edge_checks
+            dfs_acc.pushes[pos] = stats.stack_pushes
+            return dfs_acc, slot_ids[pos : pos + 1]
+
+        # -- pass 2: join and fold, wave after wave -------------------------------
+        pos = 0
+        while pos < joined.size and not result.truncated:
+            wave = joined[pos : pos + wave_size(pos)]
+            if backend == BACKEND_FUSED:
+                acc, slots = fused_wave(wave)
+            elif backend == BACKEND_TABULAR:
+                acc, slots = tabular_wave(wave)
+            else:
+                acc, slots = dfs_wave(wave, pos)
+            fold(wave, acc, slots)
+            pos += wave.size
         stage_sp.set(
             matches=result.total_matches,
             candidate_visits=result.stats.candidate_visits,

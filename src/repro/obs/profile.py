@@ -270,8 +270,8 @@ def format_profile(profile: Profile, top_k: int = 5) -> str:
     fused_tables = counters.get("join.fused.tables")
     if fused_tables:
         hist = profile.metrics.histograms.get("join.fused.pairs_per_table")
-        pairs = int(hist.count) if hist is not None else 0
-        mean = hist.sum / hist.count if hist is not None and hist.count else 0.0
+        pairs = int(hist.sum) if hist is not None else 0
+        mean = pairs / fused_tables
         line = (
             f"fused join: {int(fused_tables)} table(s), {pairs} pairs "
             f"({mean:.1f} pairs/table)"

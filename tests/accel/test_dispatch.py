@@ -1,29 +1,31 @@
-"""Backend selection: the ``auto`` rule and the config override."""
+"""Backend resolution: one backend per run, and the config override."""
 
 import numpy as np
 import pytest
 
 from repro.accel import dispatch
 from repro.accel.dispatch import (
-    TABULAR_CODE,
     BACKEND_AUTO,
-    BACKEND_CODES,
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
     JOIN_BACKENDS,
-    choose_backends,
     estimate_elements,
     packing_order,
+    resolve_backend,
 )
 from repro.core.config import SigmoConfig
+from repro.core.engine import SigmoEngine
+from repro.core.join import FIND_FIRST
+from repro.graph.generators import path_graph, ring_graph
+from repro.graph.labeled_graph import LabeledGraph
 
 pytestmark = pytest.mark.perf_accel
 
 #: The committed default coefficients of the fitted per-mode linear cost
 #: model an earlier size rule replaced: backend -> (pair_overhead,
-#: element_cost) in seconds.  With the tabular arm forced-only, the rule
-#: must reproduce the model's DFS-versus-fused choice.
+#: element_cost) in seconds.  ``auto`` must reproduce the model's
+#: DFS-versus-fused choice.
 REFERENCE_COEFFICIENTS = {
     "find-all": {
         BACKEND_DFS: (2.1e-6, 1.45e-7),
@@ -42,26 +44,19 @@ ORACLE_MAX = 2_000_000
 ORACLE_CHUNK = 250_000
 
 
-def reference_codes(mode, n_depths, elements):
-    """The fitted model's DFS-versus-fused cost comparison, per element count.
+def reference_fused(mode, elements):
+    """Whether the fitted model picks fused over DFS, per element count.
 
-    Single-node queries stay on DFS; otherwise fused wins if strictly
-    cheaper than DFS.  Tabular no longer competes: ``auto`` never picks it.
+    Fused wins if strictly cheaper than DFS.  Tabular does not compete:
+    ``auto`` never picks it.
     """
-    if n_depths < 2:
-        return np.zeros(elements.size, dtype=np.int8)
     table = REFERENCE_COEFFICIENTS[mode]
     elements = elements.astype(np.float64)
     cost = {
         backend: overhead + slope * elements
         for backend, (overhead, slope) in table.items()
     }
-    codes = np.where(
-        cost[BACKEND_FUSED] < cost[BACKEND_DFS],
-        BACKEND_CODES.index(BACKEND_FUSED),
-        BACKEND_CODES.index(BACKEND_DFS),
-    )
-    return codes.astype(np.int8)
+    return cost[BACKEND_FUSED] < cost[BACKEND_DFS]
 
 
 def counts_for(n_depths, elements, seed=0):
@@ -81,14 +76,14 @@ def counts_for(n_depths, elements, seed=0):
     return counts
 
 
-def _one(n_depths, counts, requested=BACKEND_AUTO):
-    """The backend name chosen for one pair with per-depth ``counts``."""
-    column = np.asarray(counts, dtype=np.int64).reshape(-1, 1)
-    return BACKEND_CODES[int(choose_backends(n_depths, column, requested)[0])]
+def _auto_split(queries, data, mode):
+    """``backend_pairs`` of one ``auto`` run."""
+    engine = SigmoEngine(queries, data, SigmoConfig(refinement_iterations=2))
+    return engine.run(mode=mode).join_result.backend_pairs
 
 
 class TestCostModel:
-    """The ``auto`` rule, checked against the fitted cost model it replaced."""
+    """``auto``, checked against the fitted cost model it replaced."""
 
     def test_estimate_is_root_plus_first_expansion(self):
         assert estimate_elements(1, np.array([[7]])).tolist() == [7]
@@ -101,6 +96,9 @@ class TestCostModel:
     @pytest.mark.parametrize("mode", ["find-all", "find-first"])
     @pytest.mark.parametrize("n_depths", [1, 2, 3, 4, 5, 6])
     def test_rule_reproduces_fitted_model(self, mode, n_depths):
+        # The model picks fused at every estimated size and plan depth,
+        # which is what resolving ``auto`` once per run does.
+        assert resolve_backend(BACKEND_AUTO) == BACKEND_FUSED
         for lo in range(0, ORACLE_MAX + 1, ORACLE_CHUNK):
             elements = np.arange(
                 lo, min(lo + ORACLE_CHUNK, ORACLE_MAX + 1), dtype=np.int64
@@ -109,9 +107,7 @@ class TestCostModel:
             assert np.array_equal(
                 estimate_elements(n_depths, counts), elements
             )
-            got = choose_backends(n_depths, counts)
-            assert got.dtype == np.int8
-            assert np.array_equal(got, reference_codes(mode, n_depths, elements))
+            assert reference_fused(mode, elements).all()
 
     def test_crossover_follows_coefficients(self):
         # Fused undercuts DFS on both the per-pair overhead and the
@@ -121,28 +117,30 @@ class TestCostModel:
         for table in REFERENCE_COEFFICIENTS.values():
             dfs, fused = table[BACKEND_DFS], table[BACKEND_FUSED]
             assert fused[0] < dfs[0] and fused[1] < dfs[1]
-        assert _one(2, [0, 0]) == BACKEND_FUSED
-        assert _one(2, [1, 10**9]) == BACKEND_FUSED
+        assert resolve_backend(BACKEND_AUTO) == BACKEND_FUSED
 
     def test_find_first_is_a_cost_decision(self):
-        # Find First is decided like Find All: moderate and
-        # enumeration-heavy pairs alike ride the fused table.
-        assert _one(5, [10, 20, 1, 1, 1]) == BACKEND_FUSED
-        assert _one(5, [1000, 1000, 1, 1, 1]) == BACKEND_FUSED
+        # Find First resolves like Find All: every pair of an ``auto``
+        # run, single-node queries included, rides the fused table.
+        queries = [path_graph([1, 2]), LabeledGraph([1], [])]
+        data = [ring_graph(6, [1, 1, 2, 1, 1, 2])]
+        for mode in ("find-all", FIND_FIRST):
+            assert _auto_split(queries, data, mode) == {
+                BACKEND_DFS: 0,
+                BACKEND_TABULAR: 0,
+                BACKEND_FUSED: 2,
+            }
 
     def test_fused_tabular_crossover(self):
-        # Tabular is forced-only: no estimate sends a pair there.
-        for n_depths in range(2, 7):
-            tail = [1] * (n_depths - 2)
-            for head in ([1, 1793], [1, 1794], [2, 896], [5, 358], [900, 900]):
-                assert _one(n_depths, head + tail) == BACKEND_FUSED
-            counts = counts_for(n_depths, np.arange(0, 40_000, 3, dtype=np.int64))
-            assert (choose_backends(n_depths, counts) != TABULAR_CODE).all()
+        # Tabular is forced-only: ``auto`` never resolves to it.
+        assert resolve_backend(BACKEND_AUTO) != BACKEND_TABULAR
 
-    def test_single_node_query_stays_on_dfs(self):
-        # Nothing to vectorize at depth 1, however big the candidate list.
-        assert _one(1, [10_000_000]) == BACKEND_DFS
-        assert _one(1, [1]) == BACKEND_DFS
+    def test_single_node_query_rides_fused(self):
+        # The table counts a single-node pair's work as the DFS does, so
+        # it needs no DFS exception.
+        data = [ring_graph(6, [1, 1, 2, 1, 1, 2])]
+        split = _auto_split([LabeledGraph([2], [])], data, FIND_FIRST)
+        assert split[BACKEND_FUSED] == 1 and split[BACKEND_DFS] == 0
 
     def test_ordering_descending_and_stable(self):
         assert packing_order(np.array([5, 9, 5, 12])).tolist() == [3, 1, 0, 2]
@@ -151,25 +149,15 @@ class TestCostModel:
 
 class TestOverride:
     def test_forced_backends_win_over_model(self):
-        # Forcing beats every rule, including the depth-1 guard.
-        assert _one(1, [1], BACKEND_TABULAR) == BACKEND_TABULAR
-        assert _one(1, [1], BACKEND_FUSED) == BACKEND_FUSED
-        assert _one(9, [9999] * 9, BACKEND_DFS) == BACKEND_DFS
-        assert _one(2, [1, 1], BACKEND_TABULAR) == BACKEND_TABULAR
-        assert _one(2, [9999, 9999], BACKEND_FUSED) == BACKEND_FUSED
-        counts = counts_for(3, np.arange(0, 4000, 7, dtype=np.int64))
-        for code, backend in enumerate(BACKEND_CODES):
-            assert (choose_backends(3, counts, backend) == code).all()
+        for backend in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED):
+            assert resolve_backend(backend) == backend
 
     def test_auto_is_default(self):
-        counts = counts_for(3, np.arange(0, 4000, 7, dtype=np.int64))
-        assert np.array_equal(
-            choose_backends(3, counts), choose_backends(3, counts, BACKEND_AUTO)
-        )
+        assert resolve_backend() == resolve_backend(BACKEND_AUTO) == BACKEND_FUSED
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="join_backend"):
-            choose_backends(2, np.array([[10], [10]]), "gpu")
+            resolve_backend("gpu")
 
 
 class TestConfigKnob:

@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.accel import fused
 from repro.accel.fused import (
     FUSED_BLOCK_ELEMS,
     _block_starts,
@@ -31,7 +32,6 @@ from tests.accel.test_parity import (
     _embeddings,
     _run,
     assert_find_all_parity,
-    force_mix,
 )
 
 pytestmark = pytest.mark.perf_accel
@@ -164,7 +164,7 @@ class TestFusedBudgets:
         # With a budget the fused queue runs in lazily sized waves sized
         # by the remaining headroom, never the whole batch in one table.
         # Waves are speculative: a wave may execute a few more pairs than
-        # the replay commits before truncating.
+        # the fold commits before truncating.
         ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=3)
         full = _run(ds.queries, ds.data, "fused")
         rf = _run(ds.queries, ds.data, "fused", budget=JoinBudget(max_visits=500))
@@ -192,20 +192,6 @@ class TestPackingInvariance:
         assert _embeddings(baseline) == _embeddings(reordered)
         if mode == FIND_ALL:
             assert_find_all_parity(baseline, reordered)
-
-    def test_mixed_dispatch_keeps_gmcr_emission_order(self, monkeypatch):
-        # With a lowered fused cap the replay pass interleaves fused and
-        # tabular pairs back into GMCR order — under either packing — so
-        # embeddings come out exactly as the all-DFS reference emits them.
-        ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=4)
-        ra = _run(ds.queries, ds.data, "dfs")
-        force_mix(monkeypatch)
-        rc = _run(ds.queries, ds.data, "auto")
-        assert rc.join_result.backend_pairs["tabular"] > 0
-        assert rc.join_result.backend_pairs["fused"] > 0
-        assert_find_all_parity(ra, rc)
-        monkeypatch.setattr(join, "packing_order", _ascending_order)
-        assert_find_all_parity(ra, _run(ds.queries, ds.data, "auto"))
 
 
 class TestSessionReuse:
@@ -266,7 +252,8 @@ class TestBlockStarts:
             n = int(rng.integers(0, 60))
             counts = rng.integers(0, 3 * FUSED_BLOCK_ELEMS // 4, size=n)
             counts[rng.random(n) < 0.3] = 0
-            assert _block_starts(counts) == _oracle_block_starts(counts)
+            got = _block_starts(counts, FUSED_BLOCK_ELEMS)
+            assert got == _oracle_block_starts(counts)
 
     @pytest.mark.parametrize(
         "counts",
@@ -284,7 +271,21 @@ class TestBlockStarts:
     )
     def test_edge_cases(self, counts):
         counts = np.asarray(counts, dtype=np.int64)
-        assert _block_starts(counts) == _oracle_block_starts(counts)
+        got = _block_starts(counts, FUSED_BLOCK_ELEMS)
+        assert got == _oracle_block_starts(counts)
+
+    def test_patched_bound_splits_tables_like_dfs(self, monkeypatch):
+        # The split decision and the split itself must read the same live
+        # bound, or a patched-small bound splits nothing and the same
+        # table is pushed back forever.
+        ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=0)
+        ra = _run(ds.queries, ds.data, "dfs")
+        wide = _run(ds.queries, ds.data, "fused")
+        monkeypatch.setattr(fused, "FUSED_BLOCK_ELEMS", 16)
+        small = _run(ds.queries, ds.data, "fused")
+        assert_find_all_parity(ra, small)
+        peak = small.join_result.fused_peak_table_bytes
+        assert 0 < peak < wide.join_result.fused_peak_table_bytes
 
     def test_small_bounds(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,8 @@ the forced one-pair-per-table ``"tabular"`` arm and ``"auto"``.  Seeds
 also vary induced mode, wildcard edge labels, the matching-order
 heuristic and the bitmap word width.  In Find All every path must equal
 the DFS in matches, every ``JoinStats`` counter and embedding order; in
-Find First in matches and embeddings.  Budgets then truncate each path
+Find First in matches, embeddings and single-node pairs' visits, also
+across a budgeted run and its resume.  Budgets then truncate each path
 at a random pair: truncation points, reasons and counters must equal
 the DFS's, and resuming from the token must complete the full run
 exactly.
@@ -108,10 +109,36 @@ def test_find_all_equals_dfs(seed):
 def test_find_first_equals_dfs(seed):
     queries, data, fields = _workload(seed)
     ref = _engine(queries, data, "dfs", fields).run(mode=FIND_FIRST)
+    jr = ref.join_result
+    # Single-node pairs: the DFS stops at the first candidate, and so
+    # must every backend's work counters.
+    single = np.array(
+        [queries[q].n_nodes == 1 for q in ref.gmcr.query_graph_indices], dtype=bool
+    )
+    assert single.any()
     for backend in BACKENDS:
         got = _engine(queries, data, backend, fields).run(mode=FIND_FIRST)
-        assert np.array_equal(got.join_result.pair_matches, ref.join_result.pair_matches)
+        assert np.array_equal(got.join_result.pair_matches, jr.pair_matches)
         assert _embeddings(got) == _embeddings(ref)
+        assert np.array_equal(
+            got.join_result.pair_visits[single], jr.pair_visits[single]
+        ), backend
+    # A budgeted run plus its resume gives the DFS's answers on every
+    # backend, wherever each backend's own counters truncate it.
+    for budget in _budgets(ref, np.random.default_rng(seed)):
+        for backend in ("dfs", *BACKENDS):
+            engine = _engine(queries, data, backend, fields)
+            part = engine.run(mode=FIND_FIRST, join_budget=budget)
+            matches = part.join_result.pair_matches.copy()
+            embeddings = _embeddings(part)
+            if part.join_result.truncated:
+                rest = engine.run(
+                    mode=FIND_FIRST, join_start_pair=part.join_result.resume_pair
+                )
+                matches += rest.join_result.pair_matches
+                embeddings += _embeddings(rest)
+            assert np.array_equal(matches, jr.pair_matches), (backend, budget)
+            assert embeddings == _embeddings(ref), (backend, budget)
 
 
 def _budgets(ref, rng):

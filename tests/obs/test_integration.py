@@ -93,6 +93,22 @@ class TestTracedPipeline:
         assert traced.matched_pairs() == plain.matched_pairs()
         assert traced.embeddings == plain.embeddings
         assert traced.stage_counts == plain.stage_counts
+        assert traced.join_result.stats == plain.join_result.stats
+        assert (
+            traced.join_result.pair_visits.tolist()
+            == plain.join_result.pair_visits.tolist()
+        )
+        budget = JoinBudget(max_visits=plain.join_result.stats.candidate_visits // 2)
+        engine = SigmoEngine(dataset.queries, dataset.data, config)
+        runs = [engine.run(join_budget=budget)]
+        with tracing():
+            runs.append(engine.run(join_budget=budget))
+        tokens = [
+            (j.truncated, j.resume_pair, j.truncate_reason)
+            for j in (r.join_result for r in runs)
+        ]
+        assert tokens[0][0] and tokens[0] == tokens[1]
+        assert runs[0].embeddings == runs[1].embeddings
 
     def test_two_seeded_runs_export_byte_identical_traces(self, dataset):
         with tracing() as t1:

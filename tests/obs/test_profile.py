@@ -63,6 +63,17 @@ class TestProfile:
         for row in profile.top_kernels(3):
             assert row["kernel"] in text
 
+    def test_fused_line_counts_pairs_not_tables(self, profile):
+        counters = profile.metrics.counters
+        tables = int(counters["join.fused.tables"])
+        pairs = int(counters["join.backend_pairs.fused"])
+        assert pairs > tables >= 1
+        text = format_profile(profile)
+        assert (
+            f"fused join: {tables} table(s), {pairs} pairs "
+            f"({pairs / tables:.1f} pairs/table)"
+        ) in text
+
 
 class TestProfileBaseline:
     def test_profile_matches_itself(self, profile):
