@@ -4,9 +4,12 @@ The simulated cluster (:mod:`repro.cluster.mpi_sim`) models the paper's
 multi-GPU runs; this module is the *practical* counterpart: run SIGMo's
 independent data slices on multiple host processes, mpi4py-style SPMD
 without MPI.  Each worker gets one contiguous slice (static partitioning,
-like the paper's per-GPU blocks, section 5.4) and runs the serial chunk
-loop :func:`repro.runtime.resilient.run_resilient` on it, so results are
-bitwise identical to a serial run (asserted in tests).
+like the paper's per-GPU blocks, section 5.4, cut by the same
+:func:`~repro.pipeline.policies.chunk_ranges` planner the chunk loop
+uses) and runs the serial chunk loop
+:func:`repro.runtime.resilient.run_resilient` on it; the worker results
+fold through :meth:`~repro.pipeline.aggregate.AggregateResult.add`, so
+results are bitwise identical to a serial run (asserted in tests).
 
 Transport: both batches are converted to CSR-GO once in the parent and
 exported via :mod:`repro.cluster.shm`; each worker maps the arrays a
@@ -49,8 +52,8 @@ from repro.core.join import FIND_ALL
 from repro.core.results import MatchRecord
 from repro.device.memory import DeviceOutOfMemory
 from repro.graph.labeled_graph import LabeledGraph
-from repro.pipeline.aggregate import COMPLETE, PARTIAL, AggregateResult, ResultAccumulator
-from repro.pipeline.policies import RetryPolicy, partition_slices
+from repro.pipeline.aggregate import COMPLETE, PARTIAL, AggregateResult
+from repro.pipeline.policies import RetryPolicy, chunk_ranges
 from repro.runtime import telemetry
 from repro.runtime.faults import FaultPlan, WorkerCrash
 from repro.runtime.resilient import ResilientResult, run_resilient
@@ -198,9 +201,12 @@ def run_parallel(
     )
     n_workers = n_workers or min(os.cpu_count() or 1, 8)
     n_workers = max(1, min(n_workers, len(data)))
+    # Static ceil(n / workers)-wide blocks: the cut points, and so the
+    # aggregation order, depend only on the inputs.
+    block = -(-len(data) // n_workers)
     slices = [
         _Slice(index=i, start=start, stop=stop, chunk_size=chunk_size)
-        for i, (start, stop) in enumerate(partition_slices(len(data), n_workers))
+        for i, (start, stop) in enumerate(chunk_ranges(0, len(data), block))
     ]
     inline = len(slices) == 1
     query = CSRGO.from_graphs(queries)
@@ -297,13 +303,11 @@ def run_parallel(
                 # the shared block is unlinked.
                 detach_all()
 
-    acc = ResultAccumulator()
     for sl in slices:
         if sl.result is None:
             out.failed_slices.append((sl.start, sl.stop))
         else:
-            acc.add_aggregate(sl.result)
-    acc.fill(out)
+            out.add(sl.result)
     out.matched_pairs.sort()
     out.status = PARTIAL if out.failed_slices else COMPLETE
     return out

@@ -8,16 +8,16 @@ Public surface:
   point routes through.
 * :mod:`~repro.pipeline.artifacts` — explicit, checkpointable stage
   artifacts plus the per-engine/per-session cache.
-* :mod:`~repro.pipeline.policies` — chunking/partitioning/retry/memory
-  policies the two drivers compose.
-* :mod:`~repro.pipeline.aggregate` — the shared aggregate-result fields
-  and the one fold that fills them.
+* :mod:`~repro.pipeline.policies` — the one range planner
+  (:func:`~repro.pipeline.policies.chunk_ranges`), retry schedule and
+  budget sizing the two drivers compose.
+* :mod:`~repro.pipeline.aggregate` — the seven summable result fields,
+  declared once, and the one fold (``add``) every driver folds through.
 * :class:`~repro.pipeline.session.MatcherSession` — prepared-query
   serving layer (compile queries once, stream data batches).
 """
 
-from repro.core.join import JoinResult as JoinOutput
-from repro.pipeline.aggregate import AggregateResult, ResultAccumulator
+from repro.pipeline.aggregate import AggregateResult, ResultFields
 from repro.pipeline.artifacts import (
     ArtifactCache,
     StageArtifact,
@@ -26,12 +26,9 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.policies import (
     BudgetInfeasible,
-    ChunkingPolicy,
-    MemoryBudgetPolicy,
     RetryPolicy,
-    WorkUnit,
+    chunk_ranges,
     chunk_size_for_budget,
-    partition_slices,
 )
 from repro.pipeline.session import MatcherSession
 from repro.pipeline.stages import PipelineRequest, execute
@@ -40,18 +37,14 @@ __all__ = [
     "AggregateResult",
     "ArtifactCache",
     "BudgetInfeasible",
-    "ChunkingPolicy",
-    "JoinOutput",
     "MatcherSession",
-    "MemoryBudgetPolicy",
     "PipelineRequest",
-    "ResultAccumulator",
+    "ResultFields",
     "RetryPolicy",
     "StageArtifact",
-    "WorkUnit",
+    "chunk_ranges",
     "chunk_size_for_budget",
     "derive_n_labels",
     "execute",
     "filter_fingerprint",
-    "partition_slices",
 ]

@@ -1,14 +1,14 @@
 """Result aggregation shared by the two multi-chunk drivers.
 
-Both drivers — the serial chunk loop
-(:func:`repro.runtime.resilient.run_resilient`) and the pool driver
-(:func:`repro.cluster.parallel.run_parallel`) — report the same nine
-aggregate fields, declared once on :class:`AggregateResult`.
-:class:`ResultAccumulator` is the one fold that fills them: it sums
-match counts, sums stage seconds, stage counts and join counters with
-:func:`sum_into`, tracks peak memory, and concatenates globally indexed
-matches, fed either per-chunk resilient payloads or already-aggregated
-partial results from workers.
+The seven summable result fields are declared once, on
+:class:`ResultFields`, and folded by its one :meth:`ResultFields.add`.
+Both the per-chunk checkpoint payload
+(:class:`~repro.runtime.checkpoint.ChunkPayload`) and every run's
+:class:`AggregateResult` derive from it, so the serial chunk loop
+(:func:`repro.runtime.resilient.run_resilient`) folds engine segments,
+checkpointed progress and chunks, and the pool driver
+(:func:`repro.cluster.parallel.run_parallel`) folds worker results,
+through the same code.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def join_stats_dict(stats: JoinStats) -> dict[str, int]:
     }
 
 
-@dataclass
-class AggregateResult:
-    """The fields every multi-chunk run reports.
+@dataclass(kw_only=True)
+class ResultFields:
+    """The seven summable fields every chunk and every run reports.
 
     ``matched_pairs`` / ``embeddings`` carry *global* data-graph indices;
     ``timings`` / ``stage_counts`` / ``join_stats`` are summed over every
@@ -61,9 +61,7 @@ class AggregateResult:
     chunking buys.
     """
 
-    status: str = COMPLETE
     total_matches: int = 0
-    n_chunks: int = 0
     peak_memory_bytes: int = 0
     matched_pairs: list[tuple[int, int]] = field(default_factory=list)
     embeddings: list[MatchRecord] = field(default_factory=list)
@@ -71,61 +69,42 @@ class AggregateResult:
     stage_counts: dict[str, int] = field(default_factory=dict)
     join_stats: JoinStats = field(default_factory=JoinStats)
 
-    @property
-    def total_seconds(self) -> float:
-        """Summed per-stage engine seconds across every executed chunk."""
-        return sum(self.timings.values())
+    def add(self, part: ResultFields) -> ResultFields:
+        """Fold ``part`` in (returns ``self``): the one fold of every driver.
 
-
-@dataclass
-class ResultAccumulator:
-    """Folds per-chunk/per-worker results into one aggregate.
-
-    ``peak_memory_bytes`` is a max, everything else a sum or a
-    concatenation in fold order; :meth:`fill` copies the result onto an
-    :class:`AggregateResult`.
-    """
-
-    total_matches: int = 0
-    n_chunks: int = 0
-    peak_memory_bytes: int = 0
-    matched_pairs: list[tuple[int, int]] = field(default_factory=list)
-    embeddings: list[MatchRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    stage_counts: dict[str, int] = field(default_factory=dict)
-    join_stats: dict[str, int] = field(default_factory=dict)
-
-    def add_payload(self, payload) -> None:
-        """Fold one resilient ``ChunkPayload`` (indices already global)."""
-        self.n_chunks += 1
-        self._add(payload, payload.join_stats)
-
-    def add_aggregate(self, other) -> None:
-        """Fold an already-aggregated partial result (a worker's output).
-
-        ``other`` is an :class:`AggregateResult` (or has its shape) with
-        global ``matched_pairs`` / ``embeddings``.
+        Counts and dicts sum, pairs and embeddings concatenate in fold
+        order, peak memory takes the max.
         """
-        self.n_chunks += other.n_chunks
-        self._add(other, join_stats_dict(other.join_stats))
-
-    def _add(self, part, join_stats: Mapping[str, int]) -> None:
         self.total_matches += part.total_matches
         self.peak_memory_bytes = max(self.peak_memory_bytes, part.peak_memory_bytes)
         self.matched_pairs.extend(part.matched_pairs)
         self.embeddings.extend(part.embeddings)
         sum_into(self.timings, part.timings)
         sum_into(self.stage_counts, part.stage_counts)
-        sum_into(self.join_stats, join_stats)
+        self.join_stats = JoinStats(
+            **sum_into(join_stats_dict(self.join_stats), join_stats_dict(part.join_stats))
+        )
+        return self
 
-    def fill(self, out: AggregateResult) -> AggregateResult:
-        """Copy the folded fields onto ``out`` (returned); ``status`` is left as is."""
-        out.total_matches = self.total_matches
-        out.n_chunks = self.n_chunks
-        out.peak_memory_bytes = self.peak_memory_bytes
-        out.matched_pairs = self.matched_pairs
-        out.embeddings = self.embeddings
-        out.timings = self.timings
-        out.stage_counts = self.stage_counts
-        out.join_stats = JoinStats(**self.join_stats)
-        return out
+
+@dataclass(kw_only=True)
+class AggregateResult(ResultFields):
+    """A multi-chunk run: the summed fields plus status and chunk count.
+
+    Folding another aggregate adds its ``n_chunks``; folding a single
+    chunk's payload adds one.
+    """
+
+    status: str = COMPLETE
+    n_chunks: int = 0
+
+    def add(self, part: ResultFields) -> AggregateResult:
+        """Fold ``part`` in (returns ``self``), counting its chunks."""
+        super().add(part)
+        self.n_chunks += part.n_chunks if isinstance(part, AggregateResult) else 1
+        return self
+
+    @property
+    def total_seconds(self) -> float:
+        """Summed per-stage engine seconds across every executed chunk."""
+        return sum(self.timings.values())

@@ -1,20 +1,17 @@
-"""Composable execution policies around the one pipeline call.
+"""Execution policies around the one pipeline call.
 
-A *policy* decides how a workload is cut up, placed, retried, or bounded —
-never how a stage computes.  The two drivers
+A *policy* decides how a workload is cut up, retried, or bounded — never
+how a stage computes.  The two drivers
 (:func:`repro.runtime.resilient.run_resilient` and
 :func:`repro.cluster.parallel.run_parallel`) compose them:
 
-* :class:`ChunkingPolicy` — split a data range into memory-bounded
-  chunks; the only chunk planner.
-* :func:`partition_slices` — the static per-worker block partitioning of
-  the pool driver (identical blocks ⇒ bitwise-equal aggregation
-  regardless of worker count).
+* :func:`chunk_ranges` — the one range planner: contiguous fixed-width
+  ranges, used for memory-bounded chunks and per-worker slices alike.
 * :class:`RetryPolicy` — attempt bounds + exponential backoff with seeded
-  jitter (the pool driver's retry schedule).
-* :class:`MemoryBudgetPolicy` — derive chunk sizes from a device budget
-  (:func:`chunk_size_for_budget`) and degrade on infeasibility
-  (``run_resilient``'s sizing).
+  jitter (the pool driver's and the matching service's retry schedule).
+* :func:`chunk_size_for_budget` — the chunk size whose candidate bitmap
+  fits a device budget, raising :class:`BudgetInfeasible` when even one
+  graph cannot fit (``run_resilient`` degrades to single-graph chunks).
 """
 
 from __future__ import annotations
@@ -24,52 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class WorkUnit:
-    """One contiguous data-graph range ``[start, stop)``."""
+def chunk_ranges(start: int, stop: int, size: int) -> list[tuple[int, int]]:
+    """Contiguous ``size``-wide ranges covering ``[start, stop)``.
 
-    start: int
-    stop: int
+    The one range planner: the resilient driver cuts every uncovered gap
+    into chunks with it, and the pool driver cuts its per-worker slices
+    with ``size = ceil(n / n_workers)``.  The cut points — and so the
+    aggregation order — are a pure function of the inputs, which keeps
+    chunked and parallel runs bitwise-equal to serial ones.
 
-    @property
-    def size(self) -> int:
-        """Graphs covered by the unit."""
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
-class ChunkingPolicy:
-    """Fixed-size chunking of a data range (the memory-wall workaround)."""
-
-    chunk_size: int
-
-    def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-
-    def units(self, start: int, stop: int) -> list[WorkUnit]:
-        """Contiguous ``chunk_size`` ranges covering ``[start, stop)``."""
-        return [
-            WorkUnit(lo, min(lo + self.chunk_size, stop))
-            for lo in range(start, stop, self.chunk_size)
-        ]
-
-
-def partition_slices(n_items: int, n_workers: int) -> list[tuple[int, int]]:
-    """Static per-worker block partitioning of the pool driver.
-
-    Blocks are ``ceil(n_items / n_workers)`` wide, so the cut points —
-    and therefore the aggregation order — are a pure function of the
-    inputs, which is what keeps parallel runs bitwise-equal to serial.
+    Examples
+    --------
+    >>> chunk_ranges(0, 25, 10)
+    [(0, 10), (10, 20), (20, 25)]
     """
-    if n_items < 1:
-        raise ValueError("at least one item is required")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    block = -(-n_items // n_workers)
-    return [
-        (start, min(start + block, n_items)) for start in range(0, n_items, block)
-    ]
+    if size < 1:
+        raise ValueError("chunk size must be >= 1")
+    return [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
 @dataclass(frozen=True)
@@ -115,13 +83,18 @@ class RetryPolicy:
         return attempt >= self.max_attempts
 
 
+#: Share of a chunk's device footprint the candidate bitmap takes (~80 %,
+#: paper section 5.1.3).
+BITMAP_SHARE = 0.8
+
+
 class BudgetInfeasible(ValueError):
     """No chunk size can satisfy the memory budget.
 
     Raised by :func:`chunk_size_for_budget` when even a single data graph's
     candidate-bitmap share exceeds the budget — chunking cannot help, the
-    run needs a bigger device (or :class:`MemoryBudgetPolicy`'s
-    degradation to single-graph chunks, which catches this error).
+    run needs a bigger device (or the resilient driver's degradation to
+    single-graph chunks, which catches this error).
     """
 
     def __init__(self, message: str, required_bytes: int, budget_bytes: int) -> None:
@@ -134,13 +107,11 @@ def chunk_size_for_budget(
     n_query_nodes: int,
     mean_nodes_per_data_graph: float,
     budget_bytes: int,
-    word_bits: int = 64,
-    bitmap_share: float = 0.8,
 ) -> int:
     """Chunk size whose candidate bitmap fits a memory budget.
 
     Solves ``n_query_nodes * chunk_size * mean_nodes / 8 <= budget *
-    bitmap_share`` (the bitmap is ~80 % of the footprint, section 5.1.3).
+    BITMAP_SHARE``.
 
     Raises
     ------
@@ -154,48 +125,14 @@ def chunk_size_for_budget(
     if n_query_nodes <= 0 or mean_nodes_per_data_graph <= 0:
         raise ValueError("node counts must be > 0")
     bytes_per_graph = n_query_nodes * mean_nodes_per_data_graph / 8
-    usable = budget_bytes * bitmap_share
+    usable = budget_bytes * BITMAP_SHARE
     size = int(usable // max(bytes_per_graph, 1e-9))
     if size < 1:
         raise BudgetInfeasible(
             f"a single data graph needs ~{bytes_per_graph:.0f} bitmap bytes "
             f"but only {usable:.0f} of {budget_bytes} are usable "
-            f"(bitmap_share={bitmap_share})",
+            f"(bitmap_share={BITMAP_SHARE})",
             required_bytes=int(bytes_per_graph),
             budget_bytes=int(budget_bytes),
         )
     return size
-
-
-@dataclass(frozen=True)
-class MemoryBudgetPolicy:
-    """Chunk sizing under a device-memory budget, degrading to 1.
-
-    ``auto_chunk_size`` mirrors the resilient driver's behavior: solve the
-    bitmap-share inequality for the chunk size and, when even one average
-    graph cannot fit, fall back to single-graph chunks and let the
-    per-chunk lease decide which graphs truly cannot run.
-    """
-
-    capacity_bytes: int | None = None
-
-    def auto_chunk_size(
-        self,
-        n_query_nodes: int,
-        mean_nodes_per_data_graph: float,
-        n_data: int,
-        word_bits: int = 64,
-    ) -> tuple[int, str | None]:
-        """Chunk size for the budget plus a degradation note (or ``None``)."""
-        if self.capacity_bytes is None:
-            return n_data, None
-        try:
-            size = chunk_size_for_budget(
-                max(n_query_nodes, 1),
-                max(mean_nodes_per_data_graph, 1e-9),
-                self.capacity_bytes,
-                word_bits=word_bits,
-            )
-            return size, None
-        except BudgetInfeasible as exc:
-            return 1, str(exc)

@@ -26,12 +26,12 @@ Durability rules:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.results import MatchRecord
+from repro.core.join import JoinStats
 from repro.io.serialization import (
     atomic_write_bytes,
     atomic_write_json,
@@ -40,6 +40,7 @@ from repro.io.serialization import (
     pack_match_records,
     unpack_match_records,
 )
+from repro.pipeline.aggregate import ResultFields, join_stats_dict
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -54,25 +55,20 @@ class CheckpointMismatch(RuntimeError):
 
 
 @dataclass
-class ChunkPayload:
+class ChunkPayload(ResultFields):
     """Everything persisted for one completed (or truncated) chunk.
 
-    ``matched_pairs`` and ``embeddings`` use *global* data-graph indices;
-    ``next_pair`` is only meaningful for ``STATUS_TRUNCATED`` payloads and
-    names the first unprocessed GMCR pair of the chunk's engine run.
+    The summed result fields come from
+    :class:`~repro.pipeline.aggregate.ResultFields` (``matched_pairs`` and
+    ``embeddings`` use *global* data-graph indices); ``next_pair`` is only
+    meaningful for ``STATUS_TRUNCATED`` payloads and names the first
+    unprocessed GMCR pair of the chunk's engine run.
     """
 
     start: int
     stop: int
     status: str = STATUS_OK
     next_pair: int = 0
-    total_matches: int = 0
-    matched_pairs: list[tuple[int, int]] = field(default_factory=list)
-    embeddings: list[MatchRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    stage_counts: dict[str, int] = field(default_factory=dict)
-    join_stats: dict[str, int] = field(default_factory=dict)
-    peak_memory_bytes: int = 0
 
 
 class CheckpointStore:
@@ -172,7 +168,9 @@ class CheckpointStore:
             },
             # Absent in pre-pipeline manifests; zeros are the right merge
             # identity, so old checkpoints stay loadable.
-            join_stats={k: int(v) for k, v in entry.get("join_stats", {}).items()},
+            join_stats=JoinStats(
+                **{k: int(v) for k, v in entry.get("join_stats", {}).items()}
+            ),
             peak_memory_bytes=int(entry.get("peak_memory_bytes", 0)),
         )
 
@@ -204,7 +202,7 @@ class CheckpointStore:
             "total_matches": payload.total_matches,
             "timings": {k: float(v) for k, v in payload.timings.items()},
             "stage_counts": {k: int(v) for k, v in payload.stage_counts.items()},
-            "join_stats": {k: int(v) for k, v in payload.join_stats.items()},
+            "join_stats": join_stats_dict(payload.join_stats),
             "peak_memory_bytes": payload.peak_memory_bytes,
         }
         self._write_manifest()

@@ -7,7 +7,9 @@ Queries and data arrive as graph lists or CSR-GO batches; the query side
 is compiled once into a :class:`~repro.pipeline.session.MatcherSession`
 and every chunk is cut from one converted data batch with
 :meth:`~repro.core.csrgo.CSRGO.slice_graphs`.  Chunk ranges come from
-:class:`~repro.pipeline.policies.ChunkingPolicy`.  Four recovery
+:func:`~repro.pipeline.policies.chunk_ranges`, and engine segments,
+checkpointed progress and chunks all fold through
+:meth:`~repro.pipeline.aggregate.ResultFields.add`.  Four recovery
 mechanisms compose:
 
 1. **Graceful memory degradation** — every chunk's predicted footprint
@@ -51,14 +53,12 @@ from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory, sigmo_footp
 from repro.graph.labeled_graph import LabeledGraph
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
 from repro.obs.trace import get_tracer
-from repro.pipeline.aggregate import (
-    PARTIAL,
-    AggregateResult,
-    ResultAccumulator,
-    join_stats_dict,
-    sum_into,
+from repro.pipeline.aggregate import PARTIAL, AggregateResult, ResultFields
+from repro.pipeline.policies import (
+    BudgetInfeasible,
+    chunk_ranges,
+    chunk_size_for_budget,
 )
-from repro.pipeline.policies import ChunkingPolicy, MemoryBudgetPolicy
 from repro.pipeline.session import MatcherSession
 from repro.runtime import telemetry
 from repro.runtime.checkpoint import (
@@ -150,19 +150,17 @@ def combine_results(*results: ResilientResult) -> ResilientResult:
     chunk is left failed/infeasible.
     """
     out = ResilientResult()
-    acc = ResultAccumulator()
     completed_ranges: set[tuple[int, int]] = set()
     for result in results:
         out.chunk_records.extend(result.chunk_records)
         out.report.attempts.extend(result.report.attempts)
         out.chunks_from_checkpoint += result.chunks_from_checkpoint
-        acc.add_aggregate(result)
+        out.add(result)
         completed_ranges.update(
             (rec.start, rec.stop)
             for rec in result.chunk_records
             if rec.status == CHUNK_OK
         )
-    acc.fill(out)
     out.chunk_records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
     out.matched_pairs.sort()
     out.embeddings.sort(key=lambda rec: (rec.data_graph, rec.query_graph))
@@ -328,7 +326,7 @@ def run_resilient(
 
     result = ResilientResult()
     if chunk_size is None:
-        chunk_size = _auto_chunk_size(session.query, data, pool, config, result.report)
+        chunk_size = _auto_chunk_size(session.query, data, pool, result.report)
     tasks = _plan_tasks(n_data, chunk_size, cached, resume_token)
     payloads: dict[tuple[int, int, int], ChunkPayload] = {}
 
@@ -385,10 +383,8 @@ def run_resilient(
 
     # Assemble in range order (ties broken by pair progress) — identical
     # to an uninterrupted serial chunked run.
-    acc = ResultAccumulator()
     for key in sorted(payloads):
-        acc.add_payload(payloads[key])
-    acc.fill(result)
+        result.add(payloads[key])
     if pool is not None:
         result.peak_memory_bytes = max(result.peak_memory_bytes, pool.peak)
     bad = [
@@ -406,20 +402,18 @@ def _auto_chunk_size(
     query: CSRGO,
     data: CSRGO,
     pool: DeviceMemoryPool | None,
-    config: SigmoConfig,
     report: RunReport,
 ) -> int:
     """Derive the chunk size from the pool budget (degrading to 1)."""
     if pool is None:
         return data.n_graphs
-    policy = MemoryBudgetPolicy(capacity_bytes=pool.capacity)
-    size, degradation = policy.auto_chunk_size(
-        query.n_nodes,
-        data.n_nodes / data.n_graphs,
-        data.n_graphs,
-        word_bits=config.word_bits,
-    )
-    if degradation is not None:
+    try:
+        return chunk_size_for_budget(
+            max(query.n_nodes, 1),
+            max(data.n_nodes / data.n_graphs, 1e-9),
+            pool.capacity,
+        )
+    except BudgetInfeasible as exc:
         # Even one average graph exceeds the bitmap share of the budget;
         # degrade to single-graph chunks and let the per-chunk lease
         # decide which graphs truly cannot run.
@@ -428,11 +422,11 @@ def _auto_chunk_size(
                 unit="auto-chunk-size",
                 attempt=0,
                 outcome=telemetry.INFEASIBLE,
-                chunk_size=size,
-                detail=degradation,
+                chunk_size=1,
+                detail=str(exc),
             )
         )
-    return size
+        return 1
 
 
 def _plan_tasks(
@@ -471,17 +465,16 @@ def _plan_tasks(
         for key, payload in cached.items()
         if payload.status == STATUS_TRUNCATED
     }
-    policy = ChunkingPolicy(chunk_size)
     position = span_start
     boundaries = [key for key in done if key[1] > span_start] + [(n_data, n_data)]
     for start, stop in boundaries:
         # Chunk the gap before this completed range (empty when covered).
-        for unit in policy.units(position, max(start, span_start)):
-            prior = truncated.get((unit.start, unit.stop))
+        for lo, hi in chunk_ranges(position, max(start, span_start), chunk_size):
+            prior = truncated.get((lo, hi))
             tasks.append(
                 _Task(
-                    start=unit.start,
-                    stop=unit.stop,
+                    start=lo,
+                    stop=hi,
                     next_pair=prior.next_pair if prior else 0,
                     prior=prior,
                 )
@@ -607,7 +600,9 @@ def _run_task(
 
     elapsed = time.perf_counter() - started
     if task.prior is not None:
-        payload = _merge_payloads(task.prior, payload)
+        # Checkpointed progress first, then its resumed remainder.
+        merged = ChunkPayload(task.start, task.stop, payload.status, payload.next_pair)
+        payload = merged.add(task.prior).add(payload)
     chunk_sp.set(
         outcome=(
             telemetry.TRUNCATED
@@ -702,19 +697,19 @@ def _run_segments(
             join_start_pair=next_pair,
             reuse=next_pair > 0,
         )
-        payload.total_matches += run.total_matches
-        payload.matched_pairs.extend(
-            (d + task.start, q) for d, q in run.matched_pairs()
-        )
-        payload.embeddings.extend(
-            MatchRecord(rec.data_graph + task.start, rec.query_graph, rec.mapping)
-            for rec in run.embeddings
-        )
-        sum_into(payload.timings, run.timings)
-        sum_into(payload.stage_counts, run.stage_counts)
-        sum_into(payload.join_stats, join_stats_dict(run.join_result.stats))
-        payload.peak_memory_bytes = max(
-            payload.peak_memory_bytes, run.memory.total
+        payload.add(
+            ResultFields(
+                total_matches=run.total_matches,
+                peak_memory_bytes=run.memory.total,
+                matched_pairs=[(d + task.start, q) for d, q in run.matched_pairs()],
+                embeddings=[
+                    MatchRecord(rec.data_graph + task.start, rec.query_graph, rec.mapping)
+                    for rec in run.embeddings
+                ],
+                timings=run.timings,
+                stage_counts=run.stage_counts,
+                join_stats=run.join_result.stats,
+            )
         )
         if not run.truncated:
             payload.status = STATUS_OK
@@ -725,20 +720,3 @@ def _run_segments(
             payload.status = STATUS_TRUNCATED
             payload.next_pair = next_pair
             return payload, n_segments
-
-
-def _merge_payloads(prior: ChunkPayload, fresh: ChunkPayload) -> ChunkPayload:
-    """Merge checkpointed partial progress with its resumed remainder."""
-    return ChunkPayload(
-        start=prior.start,
-        stop=prior.stop,
-        status=fresh.status,
-        next_pair=fresh.next_pair,
-        total_matches=prior.total_matches + fresh.total_matches,
-        matched_pairs=list(prior.matched_pairs) + list(fresh.matched_pairs),
-        embeddings=list(prior.embeddings) + list(fresh.embeddings),
-        timings=sum_into(dict(prior.timings), fresh.timings),
-        stage_counts=sum_into(dict(prior.stage_counts), fresh.stage_counts),
-        join_stats=sum_into(dict(prior.join_stats), fresh.join_stats),
-        peak_memory_bytes=max(prior.peak_memory_bytes, fresh.peak_memory_bytes),
-    )

@@ -219,10 +219,9 @@ class MatchService:
             max_queued=cfg.max_queued,
             requests_per_batch=cfg.requests_per_batch,
         )
-        # max_attempts here only shapes delay(); exhaustion is governed
-        # by each request's own max_retries budget.
+        # Only the backoff schedule (delay()) is used; exhaustion is
+        # governed by each request's own max_retries budget.
         self._retry = RetryPolicy(
-            max_attempts=max(2, cfg.max_batch_requests),
             backoff_base=cfg.backoff_base_s,
             backoff_factor=cfg.backoff_factor,
             jitter=cfg.backoff_jitter,

@@ -9,13 +9,11 @@ from repro.core.csrgo import CSRGO
 from repro.graph.generators import random_connected_graph
 from repro.pipeline import (
     ArtifactCache,
-    ChunkingPolicy,
-    MemoryBudgetPolicy,
     RetryPolicy,
     StageArtifact,
+    chunk_ranges,
     derive_n_labels,
     filter_fingerprint,
-    partition_slices,
 )
 
 pytestmark = pytest.mark.pipeline
@@ -105,20 +103,20 @@ class TestFingerprint:
 
 class TestPolicies:
     def test_chunking_units_cover_the_range(self):
-        units = ChunkingPolicy(10).units(0, 25)
-        assert [(u.start, u.stop) for u in units] == [(0, 10), (10, 20), (20, 25)]
-        assert [u.size for u in units] == [10, 10, 5]
-        with pytest.raises(ValueError, match="chunk_size"):
-            ChunkingPolicy(0)
+        assert chunk_ranges(0, 25, 10) == [(0, 10), (10, 20), (20, 25)]
+        assert chunk_ranges(7, 12, 2) == [(7, 9), (9, 11), (11, 12)]
+        assert chunk_ranges(5, 5, 3) == []
+        with pytest.raises(ValueError, match="chunk size"):
+            chunk_ranges(0, 10, 0)
 
     def test_partition_slices_are_deterministic_blocks(self):
-        assert partition_slices(30, 2) == [(0, 15), (15, 30)]
-        assert partition_slices(30, 4) == [(0, 8), (8, 16), (16, 24), (24, 30)]
-        assert partition_slices(3, 8) == [(0, 1), (1, 2), (2, 3)]
-        with pytest.raises(ValueError, match="at least one item"):
-            partition_slices(0, 2)
-        with pytest.raises(ValueError, match="n_workers"):
-            partition_slices(5, 0)
+        # The pool driver's per-worker slices: ceil(n / workers)-wide blocks.
+        def slices(n, workers):
+            return chunk_ranges(0, n, -(-n // workers))
+
+        assert slices(30, 2) == [(0, 15), (15, 30)]
+        assert slices(30, 4) == [(0, 8), (8, 16), (16, 24), (24, 30)]
+        assert slices(3, 8) == [(0, 1), (1, 2), (2, 3)]
 
     def test_retry_policy_schedule(self):
         retry = RetryPolicy(max_attempts=3, backoff_base=0.5, backoff_factor=2.0)
@@ -132,12 +130,3 @@ class TestPolicies:
         with pytest.raises(ValueError, match="backoff_base"):
             RetryPolicy(backoff_base=-1.0)
 
-    def test_memory_budget_policy(self):
-        unlimited = MemoryBudgetPolicy(capacity_bytes=None)
-        assert unlimited.auto_chunk_size(10, 20.0, 100) == (100, None)
-        bounded = MemoryBudgetPolicy(capacity_bytes=1 << 30)
-        size, note = bounded.auto_chunk_size(10, 20.0, 100)
-        assert size >= 1 and note is None
-        tiny = MemoryBudgetPolicy(capacity_bytes=1)
-        size, note = tiny.auto_chunk_size(10_000, 10_000.0, 100)
-        assert size == 1 and note  # degraded to single-graph chunks

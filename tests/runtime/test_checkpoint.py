@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.join import JoinStats
 from repro.core.results import MatchRecord
+from repro.io.serialization import file_sha256
+from repro.pipeline.aggregate import AggregateResult
+from repro.runtime import run_resilient
 from repro.runtime.checkpoint import (
     STATUS_OK,
     STATUS_TRUNCATED,
@@ -114,3 +118,89 @@ class TestCorruption:
         store.chunk_path(4, 8).write_bytes(b"orphan")
         loaded = CheckpointStore(tmp_path, fingerprint="fp").load()
         assert set(loaded) == {(0, 4)}
+
+
+class TestFormat:
+    """The on-disk manifest format is pinned: old checkpoints stay loadable."""
+
+    def test_manifest_entry_is_pinned(self, tmp_path):
+        payload = make_payload(4, 8, status=STATUS_TRUNCATED, next_pair=5)
+        payload.stage_counts = {"filter": 2, "join": 1}
+        payload.join_stats = JoinStats(
+            pairs_joined=2, stack_pushes=9, candidate_visits=31, edge_checks=14
+        )
+        store = CheckpointStore(tmp_path, fingerprint="fp")
+        store.save_chunk(payload)
+        manifest = json.loads(store.manifest_path.read_text())
+        assert list(manifest) == ["chunks", "fingerprint", "version"]
+        assert (manifest["fingerprint"], manifest["version"]) == ("fp", 1)
+        (entry,) = manifest["chunks"]
+        expected = {
+            "file": "chunk-0000004-0000008.npz",
+            "join_stats": {
+                "candidate_visits": 31,
+                "edge_checks": 14,
+                "pairs_joined": 2,
+                "stack_pushes": 9,
+            },
+            "next_pair": 5,
+            "peak_memory_bytes": 4096,
+            "sha256": file_sha256(store.chunk_path(4, 8)),
+            "stage_counts": {"filter": 2, "join": 1},
+            "start": 4,
+            "status": "truncated",
+            "stop": 8,
+            "timings": {"filter": 0.5, "join": 0.25},
+            "total_matches": 3,
+        }
+        assert list(entry.items()) == list(expected.items())
+        with np.load(store.chunk_path(4, 8)) as arrays:
+            assert sorted(arrays.files) == [
+                "embedding_mappings", "embedding_offsets", "embedding_pairs",
+                "matched_pairs",
+            ]
+
+    def test_pre_pipeline_entry_loads_and_merges(self, tmp_path):
+        store = CheckpointStore(tmp_path, fingerprint="fp")
+        store.save_chunk(make_payload(0, 4))
+        manifest = json.loads(store.manifest_path.read_text())
+        (entry,) = manifest["chunks"]
+        manifest["chunks"] = [
+            {
+                key: entry[key]
+                for key in (
+                    "start", "stop", "file", "sha256", "status",
+                    "total_matches", "timings", "stage_counts",
+                )
+            }
+        ]
+        store.manifest_path.write_text(json.dumps(manifest))
+        loaded = CheckpointStore(tmp_path, fingerprint="fp").load()[(0, 4)]
+        assert loaded.join_stats == JoinStats()
+        assert (loaded.peak_memory_bytes, loaded.next_pair) == (0, 0)
+        fresh = make_payload(4, 8)
+        fresh.join_stats = JoinStats(pairs_joined=3)
+        merged = AggregateResult().add(loaded).add(fresh)
+        assert merged.n_chunks == 2
+        assert merged.total_matches == 6
+        assert merged.join_stats == JoinStats(pairs_joined=3)
+        assert merged.peak_memory_bytes == 4096
+        assert merged.matched_pairs == loaded.matched_pairs + fresh.matched_pairs
+
+    def test_pre_pipeline_checkpoint_resumes_a_run(self, tmp_path, small_dataset):
+        queries, data = small_dataset.queries[:4], small_dataset.data[:12]
+        full = run_resilient(queries, data, chunk_size=4, checkpoint=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for entry in manifest["chunks"]:
+            for key in ("join_stats", "peak_memory_bytes", "next_pair"):
+                del entry[key]
+        del manifest["chunks"][1]  # this range re-executes
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        resumed = run_resilient(queries, data, chunk_size=4, checkpoint=tmp_path)
+        assert resumed.chunks_from_checkpoint == 2
+        assert resumed.total_matches == full.total_matches
+        assert resumed.matched_pairs == full.matched_pairs
+        # Old entries carry no counters: only the re-executed range counts.
+        rerun = [r for r in resumed.chunk_records if not r.from_checkpoint]
+        assert [(r.start, r.stop) for r in rerun] == [(4, 8)]
+        assert 0 < resumed.join_stats.pairs_joined < full.join_stats.pairs_joined

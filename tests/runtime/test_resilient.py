@@ -129,6 +129,24 @@ class TestOOMDegradation:
         assert result.n_chunks > 1
         assert_equals_serial(result, serial)
 
+    def test_auto_chunk_size_degrades_when_infeasible(self, workload):
+        # A budget below one graph's bitmap share: sizing logs the
+        # infeasibility and falls back to single-graph chunks, each of
+        # which the per-chunk lease then rejects.
+        queries, data = workload
+        result = run_resilient(
+            queries, data[:3], chunk_size=None, memory_budget_bytes=64
+        )
+        sizing = result.report.attempts[0]
+        assert (sizing.unit, sizing.outcome, sizing.chunk_size) == (
+            "auto-chunk-size", telemetry.INFEASIBLE, 1,
+        )
+        assert "bitmap_share=0.8" in sizing.detail
+        assert result.status == PARTIAL
+        assert [(r.start, r.stop) for r in result.chunk_records] == [
+            (0, 1), (1, 2), (2, 3),
+        ]
+
     def test_signature_cap_splits_chunks(self, workload, serial, monkeypatch):
         # A chunk whose signature BFS is over SIGNATURE_WORD_CAP is split
         # and retried like an out-of-memory chunk; its halves fit.
