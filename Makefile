@@ -5,7 +5,7 @@
 PY := python
 export PYTHONPATH := src
 
-.PHONY: lint analyze check-analysis test check check-robustness check-obs check-perf check-pipeline check-serve check-slo check-backends baseline bench-e2e
+.PHONY: lint analyze check-analysis test check check-robustness check-obs check-perf check-pipeline check-serve check-slo check-backends baseline bench-e2e fuzz
 
 lint: analyze
 
@@ -86,3 +86,12 @@ check-perf:
 # accounting, comparison gate and answer checks of benchmarks/e2e.
 bench-e2e:
 	$(PY) -m pytest benchmarks/e2e -q
+
+# Differential fuzzing (long local mode, not part of `make check`): the
+# join and driver differential suites over seeds 0..FUZZ_SEEDS-1 instead
+# of their fixed tier-1/CI seeds.  `make fuzz FUZZ_SEEDS=400` widens it.
+FUZZ_SEEDS ?= 100
+fuzz:
+	REPRO_FUZZ_SEEDS=$(FUZZ_SEEDS) $(PY) -m pytest -q \
+		tests/integration/test_join_differential.py \
+		tests/integration/test_driver_differential.py

@@ -12,7 +12,10 @@ next to the default run.  Each arm's time is the median of
 spanning at least :data:`SAMPLE_SECONDS`.
 
 Suites (all seeded, all verified to produce identical match counts;
-every suite is gated at :data:`MIN_SPEEDUP` x):
+every suite is gated at :data:`MIN_SPEEDUP` x).  The gated arms join
+node-only bitmaps (``edge_signatures=False``), the inputs the committed
+baseline was recorded on; the default edge-aware filter's reference and
+accelerated arms are timed alongside and reported for information:
 
 * ``find-all-hot`` — enumeration-heavy Find All on large, label-sparse
   graphs with label-only filtering (``refinement_iterations=1``), where
@@ -139,13 +142,18 @@ def _join_seconds(engine: SigmoEngine, mode: str, repeats: int) -> tuple[float, 
     return seconds, result.total_matches, dict(result.join_result.backend_pairs)
 
 
-#: Benchmark arms: (row label, forced/auto ``join_backend``).  The
-#: tabular arm runs every pair as its own one-slot table — what ``auto``
-#: saves by fusing the batch.
+#: Benchmark arms: (row label, forced/auto ``join_backend``,
+#: ``edge_signatures``).  The tabular arm runs every pair as its own
+#: one-slot table — what ``auto`` saves by fusing the batch.  The gated
+#: arms join node-only bitmaps, the inputs ``BENCH_perf.json`` was
+#: recorded on; the edge-aware pass (the default) prunes the DFS's work
+#: too, so its two arms are printed and stored for information only.
 ARMS = (
-    ("reference", "dfs"),
-    ("accelerated", "auto"),
-    ("tabular", "tabular"),
+    ("reference", "dfs", False),
+    ("accelerated", "auto", False),
+    ("tabular", "tabular", False),
+    ("reference_edge_aware", "dfs", True),
+    ("accelerated_edge_aware", "auto", True),
 )
 
 
@@ -153,10 +161,12 @@ def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
     """One suite: reference (DFS) vs. accelerated (auto) vs. forced tabular."""
     queries, data = build()
     rows = {}
-    for label, backend in ARMS:
+    for label, backend, edge_signatures in ARMS:
         clear_accel_caches()
         config = SigmoConfig(
-            join_backend=backend, refinement_iterations=iterations
+            join_backend=backend,
+            refinement_iterations=iterations,
+            edge_signatures=edge_signatures,
         )
         engine = SigmoEngine(queries, data, config)
         seconds, matches, split = _join_seconds(engine, mode, repeats)
@@ -166,13 +176,14 @@ def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
             "backend_pairs": split,
         }
     ref = rows["reference"]
-    for label in ("accelerated", "tabular"):
+    for label in rows:
         if rows[label]["matches"] != ref["matches"]:
             raise AssertionError(
                 f"{name}: backend mismatch — reference found "
                 f"{ref['matches']} matches, {label} {rows[label]['matches']}"
             )
     acc, tab = rows["accelerated"], rows["tabular"]
+    ref_edge, acc_edge = rows["reference_edge_aware"], rows["accelerated_edge_aware"]
     return {
         "suite": name,
         "mode": mode,
@@ -184,6 +195,9 @@ def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
         "speedup": ref["join_seconds"] / acc["join_seconds"],
         "speedup_tabular": ref["join_seconds"] / tab["join_seconds"],
         "backend_pairs_accelerated": acc["backend_pairs"],
+        "join_seconds_reference_edge_aware": ref_edge["join_seconds"],
+        "join_seconds_accelerated_edge_aware": acc_edge["join_seconds"],
+        "speedup_edge_aware": ref_edge["join_seconds"] / acc_edge["join_seconds"],
     }
 
 
@@ -202,7 +216,11 @@ def run_all(repeats: int = REPEATS) -> dict:
             f"{row['speedup']:5.2f}x  "
             f"tabular {row['join_seconds_tabular'] * 1e3:8.1f} ms  "
             f"{row['speedup_tabular']:5.2f}x  "
-            f"({time.perf_counter() - start:.1f} s)",
+            f"({time.perf_counter() - start:.1f} s)\n"
+            f"{'':<20} {'edge-aware (info)':>16}  "
+            f"ref {row['join_seconds_reference_edge_aware'] * 1e3:8.1f} ms  "
+            f"accel {row['join_seconds_accelerated_edge_aware'] * 1e3:8.1f} ms  "
+            f"{row['speedup_edge_aware']:5.2f}x",
             flush=True,
         )
     return {"schema": SCHEMA, "min_speedup": MIN_SPEEDUP, "suites": suites}

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.experiments.shared import (
+    PAPER_CONFIG,
     SCALE_TO_PAPER,
     ExperimentReport,
     fmt_table,
     reference_dataset,
 )
 from repro.chem.datasets import balanced_diameter_groups
-from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
 from repro.device.counters import counters_from_result
 from repro.device.spec import DEVICES
@@ -35,11 +35,11 @@ def run(device_name: str = "nvidia-v100s", max_diameter: int = 12) -> Experiment
     best_by_diameter = {}
     for diameter, query_idxs in groups.items():
         queries = [ds.queries[i] for i in query_idxs]
-        engine = SigmoEngine(queries, ds.data)
+        engine = SigmoEngine(queries, ds.data, PAPER_CONFIG)
         totals = []
         matches = 0
         for s in SWEEP:
-            result = engine.run(config=SigmoConfig(refinement_iterations=s))
+            result = engine.run(config=PAPER_CONFIG.with_iterations(s))
             counters = counters_from_result(result, engine.query, engine.data)
             times = model.estimate_scaled(counters, SCALE_TO_PAPER)
             totals.append(times.total_seconds)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.experiments.shared import (
+    PAPER_CONFIG,
     ExperimentReport,
     fmt_table,
     reference_dataset,
@@ -43,7 +44,7 @@ def run() -> ExperimentReport:
     results = {}
 
     # SIGMo: one batched run (its design point).
-    engine = SigmoEngine(queries, data)
+    engine = SigmoEngine(queries, data, PAPER_CONFIG)
     t0 = time.perf_counter()
     first = engine.run(mode="find-first")
     t_first = time.perf_counter() - t0

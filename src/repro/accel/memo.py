@@ -162,18 +162,25 @@ def frozen_array(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-_SIGNATURE_MEMO = ContentMemo(SIGNATURE_MEMO_BYTES, weigh=lambda arr: arr.nbytes)
-_PLAN_MEMO = ContentMemo(
-    PLAN_MEMO_BYTES, weigh=lambda arrays: sum(arr.nbytes for arr in arrays)
-)
+def _arrays_nbytes(value: np.ndarray | tuple[np.ndarray, ...]) -> int:
+    """Bytes of one array or of a tuple of arrays."""
+    if isinstance(value, tuple):
+        return sum(arr.nbytes for arr in value)
+    return value.nbytes
+
+
+_SIGNATURE_MEMO = ContentMemo(SIGNATURE_MEMO_BYTES, weigh=_arrays_nbytes)
+_PLAN_MEMO = ContentMemo(PLAN_MEMO_BYTES, weigh=_arrays_nbytes)
 
 
 def signature_memo() -> ContentMemo:
     """The process-wide signature-count memo table.
 
     Keys: ``(batch content hash, n_labels, ignore_label, radius)`` — see
-    :meth:`repro.core.filtering.IterativeFilter._signatures_at`.  Bounded
-    by :data:`SIGNATURE_MEMO_BYTES` of count matrices, so a stream of
+    :meth:`repro.core.filtering.IterativeFilter._signatures_at` — and the
+    query side's edge-aware pair groups
+    (:func:`repro.core.edge_signatures.query_pair_groups`).  Bounded
+    by :data:`SIGNATURE_MEMO_BYTES` of arrays, so a stream of
     never-repeated data batches cannot grow the resident set while the
     hot query-side matrices of a session stay cached.
     """

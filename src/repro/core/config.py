@@ -56,8 +56,13 @@ class SigmoConfig:
     wildcard_edge_label:
         Query edge label treated as "matches any bond", or ``None``.
     edge_signatures:
-        Enable the edge-aware radius-1 refinement pass (extension; see
-        :mod:`repro.core.edge_signatures`).
+        Run the edge-aware radius-1 refinement pass (extension, on by
+        default; see :mod:`repro.core.edge_signatures`) inside the last
+        refine iteration.  It prunes candidates by (bond order, neighbour
+        label) histograms, so the join visits fewer; matches and
+        embeddings are identical either way.  ``False`` gives the paper's
+        node-only filter (the paper-figure experiments pin it), where
+        iteration 1 is label-only.
     induced:
         Require *induced* subgraph isomorphism: mapped node pairs that are
         non-adjacent in the query must be non-adjacent in the data graph
@@ -91,7 +96,7 @@ class SigmoConfig:
     candidate_order: str = "fewest-candidates"
     wildcard_label: int | None = None
     wildcard_edge_label: int | None = None
-    edge_signatures: bool = False
+    edge_signatures: bool = True
     induced: bool = False
     array_backend: str = "numpy"
     join_backend: str = "auto"

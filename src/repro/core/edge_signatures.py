@@ -1,4 +1,4 @@
-"""Edge-aware signature refinement (extension).
+"""Edge-aware signature refinement (extension, on by default).
 
 The paper's signatures count *node* labels in the neighborhood; bond
 orders are only checked later, during the join ("edge labels are evaluated
@@ -11,26 +11,81 @@ Soundness: under any valid embedding ``f``, each query edge ``(q, u)``
 with bond ``e`` maps to a data edge ``(f(q), f(u))`` with the same bond
 and the same neighbor label, and ``f`` is injective on neighbors — so the
 data node's ``(e, label)`` count is at least the query node's.  Wildcard
-atoms/bonds contribute nothing (they can map to any pair).
+atoms/bonds contribute nothing (they can map to any pair).  Each test
+depends only on the two nodes' histograms, so the pass commutes with the
+node-label iterations: :class:`~repro.core.filtering.IterativeFilter`
+runs it inside the last one, when the fewest candidates are left to test.
 
-The pair vocabulary (``n_edge_labels x n_labels``) exceeds what a single
-64-bit masked word can hold, so this refinement uses saturated ``uint8``
-count matrices directly — on a GPU it would be a small fixed number of
-extra signature words per node.  Enabled via
-``SigmoConfig(edge_signatures=True)``; the ablation bench measures what
-the extra pruning buys.
+Layout: only the *used* pair columns — those nonzero in some query row —
+are kept.  A data node passes every other column trivially, so dropping
+them is sound and keeps the histograms narrow.  Query rows are grouped by
+their saturated 4-bit counts (:data:`PAIR_COUNT_CAP`) packed
+:data:`COUNTS_PER_KEY` per ``uint64`` key, one 1-D ``unique`` per key;
+the groups are memoized per query batch.  The domination test itself is
+:func:`~repro.core.filtering.refine_dominated`, the node refine's kernel.
+``SigmoConfig(edge_signatures=False)`` restores the paper's node-only
+filter.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
+from repro import xp
+from repro.accel.memo import frozen_array, signature_memo
+from repro.analysis.markers import kernel
 from repro.core.candidates import CandidateBitmap
 from repro.core.csrgo import CSRGO
-from repro.core.filtering import refine_dominated
+from repro.core.filtering import pack_columns, refine_dominated
+from repro.obs.trace import get_tracer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Saturation cap for pair counts (molecular degree <= 6, so 15 is ample).
 PAIR_COUNT_CAP = 15
+
+#: Saturated counts per ``uint64`` grouping key (4 bits each).
+COUNTS_PER_KEY = 16
+
+
+@kernel(writes=())
+def pair_slots(
+    graph: CSRGO,
+    n_labels: int,
+    n_edge_labels: int,
+    ignore_label: int | None = None,
+    ignore_edge_label: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, feature)`` of every counted adjacency slot.
+
+    ``feature = edge_label * n_labels + neighbor_label``.  Slots touching
+    ``ignore_label`` / ``ignore_edge_label`` (query wildcards) and labels
+    outside the vocabulary are skipped.
+    """
+    rows = xp.repeat(
+        xp.arange(graph.n_nodes, dtype=xp.int64), xp.diff(graph.row_offsets)
+    )
+    neighbor_labels = graph.labels[graph.column_indices].astype(xp.int64)
+    edge_labels = graph.adj_edge_labels.astype(xp.int64)
+    keep = (neighbor_labels < n_labels) & (edge_labels < n_edge_labels)
+    if ignore_label is not None:
+        keep &= neighbor_labels != ignore_label
+        keep &= graph.labels[rows] != ignore_label
+    if ignore_edge_label is not None:
+        keep &= edge_labels != ignore_edge_label
+    return rows[keep], edge_labels[keep] * n_labels + neighbor_labels[keep]
+
+
+@kernel(writes=())
+def pair_counts(
+    rows: np.ndarray, columns: np.ndarray, n_rows: int, n_columns: int
+) -> np.ndarray:
+    """``int64[n_rows, n_columns]`` slot counts per (row, column) key."""
+    flat = rows * n_columns + columns
+    return xp.bincount(flat, minlength=n_rows * n_columns).reshape(
+        n_rows, n_columns
+    )
 
 
 def edge_pair_histograms(
@@ -40,40 +95,116 @@ def edge_pair_histograms(
     ignore_label: int | None = None,
     ignore_edge_label: int | None = None,
 ) -> np.ndarray:
-    """Per-node histograms over (edge label, neighbor label) pairs.
+    """Per-node histograms over every (edge label, neighbor label) pair.
 
-    Fully vectorized: one pass over the adjacency arrays.
-
-    Parameters
-    ----------
-    ignore_label / ignore_edge_label:
-        Wildcard values whose incident pairs are skipped (query side).
+    The full-width reference layout; the refine pass keeps only the
+    columns some query row uses.
 
     Returns
     -------
     numpy.ndarray
         ``int64[n_nodes, n_edge_labels * n_labels]``.
     """
-    n = graph.n_nodes
-    out = np.zeros((n, n_edge_labels * n_labels), dtype=np.int64)
-    if graph.n_adjacency == 0:
-        return out
-    # Row index of every adjacency slot.
-    slot_rows = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(graph.row_offsets)
+    rows, features = pair_slots(
+        graph, n_labels, n_edge_labels, ignore_label, ignore_edge_label
     )
-    neighbor_labels = graph.labels[graph.column_indices].astype(np.int64)
-    edge_labels = graph.adj_edge_labels.astype(np.int64)
-    keep = np.ones(slot_rows.size, dtype=bool)
-    if ignore_label is not None:
-        keep &= neighbor_labels != ignore_label
-        keep &= graph.labels[slot_rows] != ignore_label
-    if ignore_edge_label is not None:
-        keep &= edge_labels != ignore_edge_label
-    keep &= (neighbor_labels < n_labels) & (edge_labels < n_edge_labels)
-    features = edge_labels[keep] * n_labels + neighbor_labels[keep]
-    np.add.at(out, (slot_rows[keep], features), 1)
-    return out
+    return pair_counts(rows, features, graph.n_nodes, n_edge_labels * n_labels)
+
+
+@kernel(writes=())
+def group_count_rows(sat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group identical rows of saturated 4-bit counts.
+
+    Returns ``(first, inverse)`` as ``np.unique(sat, axis=0,
+    return_index=True, return_inverse=True)`` would, up to the order of
+    the groups.  Rows are packed :data:`COUNTS_PER_KEY` counts per
+    ``uint64`` key (injective on counts ``<= PAIR_COUNT_CAP``); the first
+    key is grouped by one 1-D ``unique``, and each further key is folded
+    in by combining the group ids as ``prev * n_rows + next`` and
+    re-grouping.
+    """
+    keys = pack_columns(sat, COUNTS_PER_KEY, 4)
+    if keys.shape[0] == 0:
+        keys = xp.zeros((1, sat.shape[0]), dtype=xp.uint64)
+    _, first, inverse = xp.unique(keys[0], return_index=True, return_inverse=True)
+    stride = xp.checked_flat_stride(sat.shape[0])
+    for key in keys[1:]:
+        _, nxt = xp.unique(key, return_inverse=True)
+        _, first, inverse = xp.unique(
+            inverse * stride + nxt, return_index=True, return_inverse=True
+        )
+    return first, inverse
+
+
+@kernel(writes=())
+def saturate_pairs(counts: np.ndarray) -> np.ndarray:
+    """Pair counts clamped at :data:`PAIR_COUNT_CAP`, as ``uint8``."""
+    return xp.minimum(counts, PAIR_COUNT_CAP).astype(xp.uint8)
+
+
+def query_pair_groups(
+    query: CSRGO,
+    n_labels: int,
+    n_edge_labels: int,
+    wildcard_label: int | None = None,
+    wildcard_edge_label: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The query side of the pass: ``(group_sigs, inverse, columns)``.
+
+    ``columns`` are the sorted pair features some query row counts;
+    ``group_sigs[inverse]`` are the rows' saturated counts over them.
+    The query side is fixed for a session, so the triple is memoized in
+    :func:`~repro.accel.memo.signature_memo` under the active backend,
+    the batch content hash, both vocabulary sizes and the wildcards;
+    returned arrays are frozen.
+    """
+    key = (
+        "edge-groups",
+        xp.backend_name(),
+        query.content_hash(),
+        n_labels,
+        n_edge_labels,
+        wildcard_label,
+        wildcard_edge_label,
+    )
+    memo = signature_memo()
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    rows, features = pair_slots(
+        query, n_labels, n_edge_labels, wildcard_label, wildcard_edge_label
+    )
+    columns = xp.unique(features)
+    sat = saturate_pairs(
+        pair_counts(
+            rows,
+            xp.searchsorted(columns, features),
+            query.n_nodes,
+            int(columns.shape[0]),
+        )
+    )
+    first, inverse = group_count_rows(sat)
+    groups = tuple(frozen_array(arr) for arr in (sat[first], inverse, columns))
+    memo.put(key, groups)
+    return groups
+
+
+@kernel(writes=())
+def data_pair_counts(
+    data: CSRGO, n_labels: int, n_edge_labels: int, columns: np.ndarray
+) -> np.ndarray:
+    """Saturated ``uint8[n_nodes, len(columns)]`` data-side counts.
+
+    Slots whose feature is not in ``columns`` are dropped before
+    counting, so the histogram is only as wide as the query side needs.
+    """
+    rows, features = pair_slots(data, n_labels, n_edge_labels)
+    n_columns = int(columns.shape[0])
+    column_of = xp.full(n_edge_labels * n_labels, -1, dtype=xp.int64)
+    column_of[columns] = xp.arange(n_columns, dtype=xp.int64)
+    at = column_of[features]
+    hit = at >= 0
+    return saturate_pairs(pair_counts(rows[hit], at[hit], data.n_nodes, n_columns))
 
 
 def refine_candidates_edge_aware(
@@ -86,9 +217,13 @@ def refine_candidates_edge_aware(
 ) -> None:
     """One edge-aware refinement pass (radius 1), in place on the bitmap.
 
-    Groups query nodes by pair-histogram and runs the same
-    candidate-sparse domination kernel as ``refine_candidates``.
+    Runs the candidate-sparse domination kernel of ``refine_candidates``
+    on the used columns of the pair histograms, under a
+    ``kernel:refine_edge_aware`` span.  A batch whose query rows count no
+    pair at all leaves the bitmap untouched.
     """
+    if bitmap.n_query_nodes == 0 or bitmap.n_data_nodes == 0:
+        return
     n_edge_labels = (
         int(
             max(
@@ -98,16 +233,14 @@ def refine_candidates_edge_aware(
         )
         + 1
     )
-    q_hist = edge_pair_histograms(
-        query,
-        n_labels,
-        n_edge_labels,
-        ignore_label=wildcard_label,
-        ignore_edge_label=wildcard_edge_label,
-    )
-    d_hist = edge_pair_histograms(data, n_labels, n_edge_labels)
-    sat_q = np.minimum(q_hist, PAIR_COUNT_CAP).astype(np.uint8)
-    sat_d = np.minimum(d_hist, PAIR_COUNT_CAP).astype(np.uint8)
-    # Histograms are wider than one 64-bit key, so group by rows.
-    unique_sigs, inverse = np.unique(sat_q, axis=0, return_inverse=True)
-    refine_dominated(bitmap, unique_sigs, inverse.reshape(-1), sat_d)
+    with get_tracer().span(
+        "kernel:refine_edge_aware", category="kernel", work_items=data.n_nodes
+    ) as sp:
+        group_sigs, inverse, columns = query_pair_groups(
+            query, n_labels, n_edge_labels, wildcard_label, wildcard_edge_label
+        )
+        sp.set(signature_groups=int(group_sigs.shape[0]), columns=int(columns.shape[0]))
+        if columns.shape[0] == 0:
+            return
+        sat_d = data_pair_counts(data, n_labels, n_edge_labels, columns)
+        sp.set(pairs=refine_dominated(bitmap, group_sigs, inverse, sat_d))

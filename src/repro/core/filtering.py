@@ -22,8 +22,8 @@ Kernel-equivalent layout notes:
   ``uint64`` word in guarded 16-bit lanes, so one subtraction tests four
   labels.  Pairs are materialized in chunks of
   :data:`REFINE_CHUNK_PAIRS`.  The edge-aware pass
-  (:mod:`repro.core.edge_signatures`) runs the same kernel on its pair
-  histograms.
+  (:mod:`repro.core.edge_signatures`, on by default) runs the same kernel
+  on its pair histograms inside the last iteration.
 """
 
 from __future__ import annotations
@@ -185,6 +185,26 @@ LANE_GUARDS = 0x0100_0100_0100_0100
 
 
 @kernel(writes=())
+def pack_columns(small: np.ndarray, per_word: int, lane_bits: int) -> np.ndarray:
+    """Small non-negative count columns packed ``per_word`` per ``uint64``.
+
+    Returns ``uint64[ceil(n_cols / per_word), n_rows]``: column ``c`` of
+    row ``i`` sits in bits ``lane_bits * (c % per_word)`` up of word
+    ``c // per_word``.  Values must fit ``lane_bits``.  One shifted OR per
+    lane over a strided column slice of ``small.T`` — no per-column
+    temporaries and no transposed copy of the result.
+    """
+    n_rows, n_cols = small.shape
+    words = xp.zeros((-(-n_cols // per_word), n_rows), dtype=xp.uint64)
+    columns = small.T
+    for lane in range(min(per_word, n_cols)):
+        part = columns[lane::per_word].astype(xp.uint64)
+        part <<= xp.uint64(lane_bits * lane)
+        words[: part.shape[0]] |= part
+    return words
+
+
+@kernel(writes=())
 def signature_lanes(sat: np.ndarray) -> np.ndarray:
     """Saturated ``uint8`` count rows packed four per ``uint64`` word.
 
@@ -196,13 +216,7 @@ def signature_lanes(sat: np.ndarray) -> np.ndarray:
     count — eight bits of headroom stop borrows from crossing lanes — so
     one subtraction tests four labels.
     """
-    n_rows, n_cols = sat.shape
-    n_words = -(-n_cols // 4)
-    lanes = xp.zeros((n_rows, 4 * n_words), dtype=xp.uint64)
-    lanes[:, :n_cols] = sat
-    shifts = xp.arange(4, dtype=xp.uint64) * xp.uint64(16)
-    words = (lanes.reshape(n_rows, n_words, 4) << shifts).sum(axis=2, dtype=xp.uint64)
-    return xp.ascontiguousarray(words.T)
+    return pack_columns(sat, 4, 16)
 
 
 @kernel(writes=("bitmap",))
@@ -352,8 +366,13 @@ class IterativeFilter:
         return FilterResult(bitmap=bitmap, packing=self.packing)
 
     def refine(self, result: FilterResult) -> FilterResult:
-        """Stages 3-4: the edge-aware pass (when enabled), then the
-        refinement iterations over an initialized bitmap.
+        """Stages 3-4: the refinement iterations over an initialized bitmap.
+
+        With ``config.edge_signatures`` the edge-aware pass runs inside the
+        last iteration, after its node refine: the pass commutes with the
+        node iterations (each test depends only on the two nodes'
+        signatures), and by then the fewest candidates are left to test.
+        That iteration's stats and ``REPRO_CHECK`` checks cover it.
 
         Mutates ``result`` in place (bitmap bits cleared monotonically,
         per-iteration stats appended, final signature matrices attached)
@@ -362,10 +381,18 @@ class IterativeFilter:
         import time
 
         bitmap = result.bitmap
-        if self.config.edge_signatures:
-            from repro.core.edge_signatures import refine_candidates_edge_aware
+        checking = contracts.enabled()
+        last = self.config.refinement_iterations
+        for iteration in range(1, last + 1):
+            start = time.perf_counter()
+            radius = iteration - 1
+            prev_words = bitmap.words.copy() if checking else None
+            if radius > 0:
+                q_counts, d_counts = self._signatures_at(radius)
+                refine_candidates(bitmap, q_counts, d_counts, self.packing)
+            if iteration == last and self.config.edge_signatures:
+                from repro.core.edge_signatures import refine_candidates_edge_aware
 
-            with get_tracer().span("kernel:refine_edge_aware", category="kernel"):
                 refine_candidates_edge_aware(
                     bitmap,
                     self.query,
@@ -374,14 +401,6 @@ class IterativeFilter:
                     wildcard_label=self.config.wildcard_label,
                     wildcard_edge_label=self.config.wildcard_edge_label,
                 )
-        checking = contracts.enabled()
-        for iteration in range(1, self.config.refinement_iterations + 1):
-            start = time.perf_counter()
-            radius = iteration - 1
-            prev_words = bitmap.words.copy() if checking else None
-            if radius > 0:
-                q_counts, d_counts = self._signatures_at(radius)
-                refine_candidates(bitmap, q_counts, d_counts, self.packing)
             elapsed = time.perf_counter() - start
             per_node = bitmap.row_counts()
             if checking:

@@ -201,14 +201,9 @@ def _run_filter(
     _clock(timings, counts, "initialize_candidates", start)
     start = time.perf_counter()
     filt.refine(result)
-    # One count per refine iteration, plus the edge-aware pass.
-    _clock(
-        timings,
-        counts,
-        "filter",
-        start,
-        len(result.iterations) + int(config.edge_signatures),
-    )
+    # One count per refine iteration; the edge-aware pass runs inside
+    # the last one, so it adds no count.
+    _clock(timings, counts, "filter", start, len(result.iterations))
     return result
 
 

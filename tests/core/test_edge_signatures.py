@@ -3,12 +3,61 @@
 import numpy as np
 import pytest
 
+from repro.accel import clear_accel_caches
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.edge_signatures import edge_pair_histograms
+from repro.core.edge_signatures import (
+    PAIR_COUNT_CAP,
+    data_pair_counts,
+    edge_pair_histograms,
+    group_count_rows,
+    query_pair_groups,
+    refine_candidates_edge_aware,
+)
 from repro.core.engine import SigmoEngine, find_all
-from repro.graph.generators import path_graph, star_graph
+from repro.core.filtering import IterativeFilter
+from repro.graph.generators import path_graph, random_connected_graph, star_graph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.xp import use_backend
 from tests.conftest import random_case
+
+BACKENDS = ("numpy", "instrumented")
+
+
+def assert_same_grouping(sat, first, inverse):
+    """``(first, inverse)`` partitions the rows of ``sat`` exactly as
+    ``np.unique(sat, axis=0)`` does (group order may differ)."""
+    ref_groups, ref_inverse = np.unique(sat, axis=0, return_inverse=True)
+    inverse = np.asarray(inverse).reshape(-1)
+    assert first.shape[0] == ref_groups.shape[0]
+    np.testing.assert_array_equal(sat[first][inverse], sat)
+    pairs = set(zip(ref_inverse.reshape(-1).tolist(), inverse.tolist()))
+    assert len(pairs) == ref_groups.shape[0]  # a bijection between groups
+
+
+def _wide_query_batch(rng, n_labels=8, n_edge_labels=4):
+    """Graphs whose (bond, neighbour label) pairs use well over 16 columns,
+    with wildcard atoms (label ``n_labels``) and bonds (label 0), and one
+    hub whose counts saturate at the cap."""
+    graphs = [
+        random_connected_graph(
+            int(rng.integers(4, 12)),
+            int(rng.integers(0, 6)),
+            n_labels + 1,
+            rng,
+            n_edge_labels=n_edge_labels,
+        )
+        for _ in range(12)
+    ]
+    leaves = PAIR_COUNT_CAP + 3
+    graphs.append(
+        LabeledGraph(
+            [0] + [1] * leaves,
+            [(0, i) for i in range(1, leaves + 1)],
+            [2] * leaves,
+        )
+    )
+    return CSRGO.from_graphs(graphs)
 
 
 class TestHistograms:
@@ -51,7 +100,9 @@ class TestEngineIntegration:
     def test_results_invariant(self, rng):
         for _ in range(12):
             q, d, _ = random_case(rng)
-            base = find_all([q], [d]).total_matches
+            base = find_all(
+                [q], [d], SigmoConfig(edge_signatures=False)
+            ).total_matches
             with_edges = find_all(
                 [q], [d], SigmoConfig(edge_signatures=True)
             ).total_matches
@@ -63,7 +114,9 @@ class TestEngineIntegration:
         # cannot distinguish them; the edge-aware pass can.
         q = path_graph([0, 1], [2])
         d = path_graph([0, 1], [1])
-        plain = SigmoEngine([q], [d], SigmoConfig(refinement_iterations=2))
+        plain = SigmoEngine(
+            [q], [d], SigmoConfig(refinement_iterations=2, edge_signatures=False)
+        )
         aware = SigmoEngine(
             [q], [d], SigmoConfig(refinement_iterations=2, edge_signatures=True)
         )
@@ -77,7 +130,9 @@ class TestEngineIntegration:
     def test_never_prunes_more_matches(self, small_dataset):
         queries = small_dataset.queries[:8]
         data = small_dataset.data[:20]
-        base = SigmoEngine(queries, data).run()
+        base = SigmoEngine(
+            queries, data, SigmoConfig(edge_signatures=False)
+        ).run()
         aware = SigmoEngine(
             queries, data, SigmoConfig(edge_signatures=True)
         ).run()
@@ -93,8 +148,100 @@ class TestEngineIntegration:
 
         mols = [mol_from_smiles("CC(=O)Oc1ccccc1").graph()]
         pattern = pattern_from_smarts("C~*")
-        base = SigmoEngine([pattern], mols, wildcard_config()).run().total_matches
+        base = SigmoEngine(
+            [pattern], mols, wildcard_config(edge_signatures=False)
+        ).run().total_matches
         aware = SigmoEngine(
             [pattern], mols, wildcard_config(edge_signatures=True)
         ).run().total_matches
         assert base == aware
+
+
+class TestPackedGrouping:
+    @pytest.mark.parametrize("n_cols", [0, 1, 15, 16, 17, 33, 48])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_unique_rows(self, n_cols, backend):
+        rng = np.random.default_rng(n_cols)
+        sat = rng.integers(0, 3, size=(300, n_cols)).astype(np.uint8)
+        sat[::5] = 0  # wildcard rows count no pair
+        sat[::7] = PAIR_COUNT_CAP  # saturated rows
+        sat[::11, ::2] = PAIR_COUNT_CAP
+        with use_backend(backend):
+            first, inverse = group_count_rows(sat)
+        assert_same_grouping(sat, first, inverse)
+
+    def test_empty_batch(self):
+        first, inverse = group_count_rows(np.zeros((0, 20), dtype=np.uint8))
+        assert first.shape == inverse.shape == (0,)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_query_groups_match_full_histograms(self, backend):
+        clear_accel_caches()
+        rng = np.random.default_rng(3)
+        query = _wide_query_batch(rng)
+        n_labels, n_edge_labels = 8, 4
+        full = np.minimum(
+            edge_pair_histograms(
+                query, n_labels, n_edge_labels, ignore_label=n_labels,
+                ignore_edge_label=0,
+            ),
+            PAIR_COUNT_CAP,
+        ).astype(np.uint8)
+        used = np.flatnonzero(full.any(axis=0))
+        assert used.size > 16
+        assert (full == PAIR_COUNT_CAP).any()
+        assert (~full.any(axis=1)).any()  # rows that count no pair
+        with use_backend(backend):
+            sigs, inverse, columns = query_pair_groups(
+                query, n_labels, n_edge_labels, n_labels, 0
+            )
+            np.testing.assert_array_equal(columns, used)
+            np.testing.assert_array_equal(sigs[inverse], full[:, used])
+            assert_same_grouping(full[:, used], np.unique(inverse, return_index=True)[1], inverse)
+            data = CSRGO.from_graphs(
+                [random_connected_graph(30, 10, n_labels, rng, n_edge_labels=n_edge_labels)]
+            )
+            sat_d = data_pair_counts(data, n_labels, n_edge_labels, columns)
+        d_full = np.minimum(
+            edge_pair_histograms(data, n_labels, n_edge_labels), PAIR_COUNT_CAP
+        )
+        np.testing.assert_array_equal(sat_d, d_full[:, used])
+
+    def test_query_groups_are_memoized(self):
+        from repro.accel.memo import signature_memo
+
+        clear_accel_caches()
+        query = _wide_query_batch(np.random.default_rng(4))
+        a = query_pair_groups(query, 8, 4, 8, 0)
+        b = query_pair_groups(query, 8, 4, 8, 0)
+        assert all(x is y for x, y in zip(a, b))
+        assert not a[0].flags.writeable
+        misses = signature_memo().stats.misses
+        query_pair_groups(query, 8, 5, 8, 0)  # another edge vocabulary
+        assert signature_memo().stats.misses == misses + 1
+
+
+class TestPassOrder:
+    """The pass commutes with the node iterations: running it before them
+    gives the same bitmap, bit for bit, as running it inside the last."""
+
+    @pytest.mark.parametrize("iterations", [1, 2, 4])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_before_equals_inside_last_iteration(self, small_dataset, iterations, backend):
+        q = CSRGO.from_graphs(small_dataset.queries[:10])
+        d = CSRGO.from_graphs(small_dataset.data[:25])
+        node_only = SigmoConfig(refinement_iterations=iterations, edge_signatures=False)
+        edge_aware = SigmoConfig(refinement_iterations=iterations)
+        with use_backend(backend):
+            filt = IterativeFilter(q, d, node_only)
+            before = filt.initialize()
+            refine_candidates_edge_aware(before.bitmap, q, d, filt.n_labels)
+            filt.refine(before)
+            inside = IterativeFilter(q, d, edge_aware).run()
+            plain = IterativeFilter(q, d, node_only).run()
+        np.testing.assert_array_equal(before.bitmap.words, inside.bitmap.words)
+        # Only the last iteration (which runs the pass) differs.
+        totals = [s.total_candidates for s in inside.iterations]
+        plain_totals = [s.total_candidates for s in plain.iterations]
+        assert totals[:-1] == plain_totals[:-1]
+        assert totals[-1] < plain_totals[-1]

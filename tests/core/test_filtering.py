@@ -182,12 +182,40 @@ class TestRefineDifferential:
             np.testing.assert_array_equal(bitmap.words, expected)
 
 
+def summed_lanes(sat):
+    """The historical lane packer, kept as the oracle: a ``uint64``
+    ``.sum(axis=2)`` over shifted lanes plus a transposed copy."""
+    n_rows, n_cols = sat.shape
+    n_words = -(-n_cols // 4)
+    lanes = np.zeros((n_rows, 4 * n_words), dtype=np.uint64)
+    lanes[:, :n_cols] = sat
+    shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
+    words = (lanes.reshape(n_rows, n_words, 4) << shifts).sum(axis=2, dtype=np.uint64)
+    return np.ascontiguousarray(words.T)
+
+
+class TestSignatureLanes:
+    @pytest.mark.parametrize("n_cols", [0, 1, 2, 3, 5, 7, 12, 13, 50])
+    @pytest.mark.parametrize("n_rows", [0, 1, 37])
+    @pytest.mark.parametrize("backend", ["numpy", "instrumented"])
+    def test_bitwise_equal_to_summed_lanes(self, n_cols, n_rows, backend):
+        rng = np.random.default_rng(n_cols * 100 + n_rows)
+        sat = rng.integers(0, 256, size=(n_rows, n_cols)).astype(np.uint8)
+        with use_backend(backend):
+            got = filtering.signature_lanes(sat)
+        expected = summed_lanes(sat)
+        assert got.dtype == np.uint64 and got.shape == expected.shape
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestIterativeFilter:
     def test_iteration_one_is_label_only(self):
         q = CSRGO.from_graphs([path_graph([1, 2])])
         d = CSRGO.from_graphs([path_graph([1, 3, 2])])
-        filt = IterativeFilter(q, d, SigmoConfig(refinement_iterations=1))
-        result = filt.run()
+        # The paper's filter: node-only signatures, no edge-aware pass.
+        config = SigmoConfig(refinement_iterations=1, edge_signatures=False)
+        result = IterativeFilter(q, d, config).run()
         # label-only: data node 0 is candidate for query node 0 even though
         # its neighborhood (label 3) cannot support the match
         assert result.bitmap.test(0, 0)

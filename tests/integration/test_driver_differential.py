@@ -16,7 +16,8 @@ each way the drivers cut and fold the same work:
   with 2 worker processes.
 
 In Find All every driver must equal the reference in total matches,
-global matched pairs and embeddings; in Find First in matched pairs.
+global matched pairs and embeddings, with the edge-aware filter pass on
+(the default) and off; in Find First in matched pairs.
 The ``fewest-candidates`` matching order is built from the candidate
 counts of the batch being joined, so a chunk's work counters depend on
 where the range was cut (its matches do not): each driver's summed
@@ -24,6 +25,7 @@ where the range was cut (its matches do not): each driver's summed
 is the single whole-batch run when one chunk covers the batch.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -34,11 +36,13 @@ from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
 from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget, JoinStats
 from repro.runtime import COMPLETE, combine_results, run_resilient
-from tests.integration.test_join_differential import _workload
+from tests.integration.test_join_differential import _workload, seed_flags
 
 pytestmark = pytest.mark.robustness
 
-SEEDS = range(8)
+#: Fixed seeds in tier-1 and CI; ``make fuzz`` widens the range through
+#: ``REPRO_FUZZ_SEEDS``.
+SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "8")))
 #: Seeds that also run the 2-process pool (each run starts a pool).
 POOL_SEEDS = (0, 5)
 
@@ -48,9 +52,7 @@ def _embeddings(records):
 
 
 def _reference(queries, data, config, mode):
-    run = SigmoEngine(queries, data, replace(config, join_backend="dfs")).run(mode=mode)
-    assert run.join_result.stats.pairs_joined > 0
-    return run
+    return SigmoEngine(queries, data, replace(config, join_backend="dfs")).run(mode=mode)
 
 
 def _cuts(start, stop, size):
@@ -126,11 +128,14 @@ def _drivers(queries, data, config, mode, budget, tmp_path, seed):
         ), _pool_cuts(n, 2, 3)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_find_all_drivers_equal_whole_batch(seed, tmp_path):
+@pytest.mark.parametrize(("seed", "edge_signatures"), seed_flags(SEEDS))
+def test_find_all_drivers_equal_whole_batch(seed, edge_signatures, tmp_path):
     queries, data, fields = _workload(seed)
-    config = SigmoConfig(record_embeddings=True, **fields)
+    config = SigmoConfig(
+        record_embeddings=True, edge_signatures=edge_signatures, **fields
+    )
     ref = _reference(queries, data, config, FIND_ALL)
+    assert ref.join_result.stats.pairs_joined > 0
     budget = _budget(ref, seed)
     pairs = sorted(ref.matched_pairs())
     embeddings = sorted(_embeddings(ref.join_result.embeddings))
@@ -151,6 +156,7 @@ def test_find_first_drivers_equal_whole_batch(seed, tmp_path):
     queries, data, fields = _workload(seed)
     config = SigmoConfig(record_embeddings=True, **fields)
     ref = _reference(queries, data, config, FIND_FIRST)
+    assert ref.join_result.stats.pairs_joined > 0
     pairs = sorted(ref.matched_pairs())
     budget = _budget(ref, seed)
     for name, got, _ in _drivers(

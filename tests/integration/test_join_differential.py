@@ -9,11 +9,15 @@ also vary induced mode, wildcard edge labels, the matching-order
 heuristic and the bitmap word width.  In Find All every path must equal
 the DFS in matches, every ``JoinStats`` counter and embedding order; in
 Find First in matches, embeddings and single-node pairs' visits, also
-across a budgeted run and its resume.  Budgets then truncate each path
-at a random pair: truncation points, reasons and counters must equal
-the DFS's, and resuming from the token must complete the full run
-exactly.
+across a budgeted run and its resume.  Both checks run with the
+edge-aware filter pass on (the default) and off.  Budgets then truncate
+each path at a random pair: truncation points, reasons and counters must
+equal the DFS's, and resuming from the token must complete the full run
+exactly.  Across the two filters, every path must give the same matches
+and embeddings, and the edge-aware filter may only cut the join's work.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -31,8 +35,25 @@ from repro.graph.generators import (
 from repro.graph.labeled_graph import LabeledGraph
 from tests.accel.test_parity import _embeddings, assert_find_all_parity
 
-SEEDS = range(10)
+#: Fixed seeds in tier-1 and CI; ``make fuzz`` widens the range through
+#: ``REPRO_FUZZ_SEEDS``.
+SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "10")))
 BACKENDS = ("fused", "tabular", "auto")
+#: ``SigmoConfig.edge_signatures`` values: node-only and edge-aware filters.
+EDGE_FLAGS = (False, True)
+
+
+def seed_flags(seeds):
+    """``(seed, edge_signatures)`` cases: each seed with the default
+    edge-aware filter (id ``seed``) and the node-only one."""
+    return [
+        pytest.param(seed, flag, id=str(seed) if flag else f"{seed}-node-only")
+        for seed in seeds
+        for flag in (True, False)
+    ]
+
+
+SEED_FLAGS = seed_flags(SEEDS)
 #: Embeddings recorded per run (recording truncation is part of parity).
 MAX_RECORDED = 500
 
@@ -96,18 +117,20 @@ def contracts_on(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK", "1")
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_find_all_equals_dfs(seed):
+@pytest.mark.parametrize(("seed", "edge_signatures"), SEED_FLAGS)
+def test_find_all_equals_dfs(seed, edge_signatures):
     queries, data, fields = _workload(seed)
+    fields["edge_signatures"] = edge_signatures
     ref = _engine(queries, data, "dfs", fields).run()
     assert ref.join_result.stats.pairs_joined > 0
     for backend in BACKENDS:
         assert_find_all_parity(ref, _engine(queries, data, backend, fields).run())
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_find_first_equals_dfs(seed):
+@pytest.mark.parametrize(("seed", "edge_signatures"), SEED_FLAGS)
+def test_find_first_equals_dfs(seed, edge_signatures):
     queries, data, fields = _workload(seed)
+    fields["edge_signatures"] = edge_signatures
     ref = _engine(queries, data, "dfs", fields).run(mode=FIND_FIRST)
     jr = ref.join_result
     # Single-node pairs: the DFS stops at the first candidate, and so
@@ -180,3 +203,34 @@ def test_truncation_and_resume_equal_dfs(seed):
                 assert getattr(jp.stats, counter) + getattr(
                     rest.join_result.stats, counter
                 ) == getattr(full.join_result.stats, counter), (backend, counter)
+
+
+#: ``JoinStats`` counters the edge-aware filter may only lower.
+WORK_COUNTERS = ("pairs_joined", "candidate_visits", "edge_checks", "stack_pushes")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_edge_aware_filter_keeps_answers_and_cuts_work(seed):
+    queries, data, fields = _workload(seed)
+    fields["max_embeddings_recorded"] = 1_000_000
+    for backend in ("dfs", *BACKENDS):
+        runs = {}
+        for flag in EDGE_FLAGS:
+            config = SigmoConfig(
+                record_embeddings=True,
+                join_backend=backend,
+                edge_signatures=flag,
+                **fields,
+            )
+            runs[flag] = SigmoEngine(queries, data, config).run()
+        off, on = runs[False], runs[True]
+        assert on.total_matches == off.total_matches, backend
+        assert sorted(on.matched_pairs()) == sorted(off.matched_pairs()), backend
+        assert sorted(_embeddings(on)) == sorted(_embeddings(off)), backend
+        assert (
+            on.filter_result.total_candidates <= off.filter_result.total_candidates
+        )
+        for counter in WORK_COUNTERS:
+            assert getattr(on.join_result.stats, counter) <= getattr(
+                off.join_result.stats, counter
+            ), (backend, counter)

@@ -16,9 +16,14 @@ from repro.device.spec import DEVICES
 from repro.perf.model import PerformanceModel
 
 
+#: The paper's signatures are node-only (its join checks bond orders), so
+#: every claim here runs without the edge-aware refinement pass.
+PAPER_CONFIG = SigmoConfig(edge_signatures=False)
+
+
 @pytest.fixture(scope="module")
 def sweep(small_dataset):
-    engine = SigmoEngine(small_dataset.queries, small_dataset.data)
+    engine = SigmoEngine(small_dataset.queries, small_dataset.data, PAPER_CONFIG)
     return engine, engine.run_iteration_sweep([1, 2, 4, 6])
 
 
@@ -73,7 +78,7 @@ class TestFig10Claims:
         queries = small_dataset.queries[:8]
         data = small_dataset.data[:20]
         t0 = time.perf_counter()
-        sigmo_matches = SigmoEngine(queries, data).run().total_matches
+        sigmo_matches = SigmoEngine(queries, data, PAPER_CONFIG).run().total_matches
         t_sigmo = time.perf_counter() - t0
         t0 = time.perf_counter()
         vf3_matches = vf3_batch(queries, data)
@@ -135,7 +140,7 @@ class TestFindFirstClaims:
         engine = SigmoEngine(
             small_dataset.queries,
             small_dataset.data,
-            SigmoConfig(join_backend="dfs"),
+            PAPER_CONFIG.with_backend("dfs"),
         )
         fa = engine.run()
         ff = engine.run(mode="find-first")

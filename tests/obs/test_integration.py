@@ -156,7 +156,8 @@ class TestStageCounts:
         assert list(result.stage_counts) == [
             "initialize_candidates", "filter", "mapping", "join",
         ]
-        assert result.stage_counts["filter"] == ITERATIONS + 1
+        # The pass runs inside the last refine iteration: no extra count.
+        assert result.stage_counts["filter"] == ITERATIONS
         assert result.stage_counts["initialize_candidates"] == 1
         by_id = {s.span_id: s for s in t.spans}
         (edge_aware,) = t.find("kernel:refine_edge_aware")

@@ -1,6 +1,7 @@
 """Integration tests for the fault-tolerant pool driver."""
 
 import os
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.cluster import parallel
 from repro.cluster.parallel import run_parallel
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
+from repro.core.join import JoinStats
 from repro.runtime import COMPLETE, PARTIAL, FaultPlan, run_resilient
 
 pytestmark = pytest.mark.robustness
@@ -37,6 +39,27 @@ def workload(small_dataset):
 def serial(workload):
     queries, data = workload
     return SigmoEngine(queries, data).run()
+
+
+def _stats_over_cuts(queries, data, config, result):
+    """``JoinStats`` of fault-free runs over the chunk cuts ``result`` ran.
+
+    A chunk's work counters depend on where its range was cut (the
+    ``fewest-candidates`` order reads the chunk's candidate counts), and
+    an OOM retry re-cuts its slice with a smaller chunk size, so the
+    counters are compared per cut; matches and embeddings are exact.
+    """
+    total = JoinStats()
+    for attempt in result.report.attempts:
+        if attempt.outcome != "ok":
+            continue
+        lo, hi = map(int, re.search(r"\[(\d+):(\d+)\]", attempt.unit).groups())
+        stats = run_resilient(
+            queries, data[lo:hi], attempt.chunk_size, config=config
+        ).join_stats
+        for name in vars(total):
+            setattr(total, name, getattr(total, name) + getattr(stats, name))
+    return total
 
 
 def assert_equals_serial(result, serial):
@@ -112,7 +135,7 @@ class TestRecovery:
         assert result.total_matches == reference.total_matches
         assert result.matched_pairs == sorted(reference.matched_pairs)
         assert result.embeddings == reference.embeddings
-        assert result.join_stats == reference.join_stats
+        assert result.join_stats == _stats_over_cuts(queries, data, config, result)
 
     def test_oom_halves_chunk_size(self, workload, serial):
         queries, data = workload
