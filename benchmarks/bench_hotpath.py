@@ -4,10 +4,8 @@
 Measures the join-stage wall clock of the scalar stack-DFS reference
 backend against the accelerated default (``join_backend="auto"``: the
 neighbour-driven fused whole-batch table for every pair) on seeded
-suites, and writes/checks the committed ``BENCH_perf.json``.  Every
-suite also times a forced-tabular arm (``join_backend="tabular"``: the
-same kernel one pair per table) so the cost of fusing pairs is visible
-next to the default run.  Each arm's time is the median of
+suites, and writes/checks the committed ``BENCH_perf.json``.  Each
+arm's time is the median of
 :data:`REPEATS` samples, each the mean over repeated ``run_join`` calls
 spanning at least :data:`SAMPLE_SECONDS`.
 
@@ -143,22 +141,19 @@ def _join_seconds(engine: SigmoEngine, mode: str, repeats: int) -> tuple[float, 
 
 
 #: Benchmark arms: (row label, forced/auto ``join_backend``,
-#: ``edge_signatures``).  The tabular arm runs every pair as its own
-#: one-slot table — what ``auto`` saves by fusing the batch.  The gated
-#: arms join node-only bitmaps, the inputs ``BENCH_perf.json`` was
+#: ``edge_signatures``).  The gated arms join node-only bitmaps, the inputs ``BENCH_perf.json`` was
 #: recorded on; the edge-aware pass (the default) prunes the DFS's work
 #: too, so its two arms are printed and stored for information only.
 ARMS = (
     ("reference", "dfs", False),
     ("accelerated", "auto", False),
-    ("tabular", "tabular", False),
     ("reference_edge_aware", "dfs", True),
     ("accelerated_edge_aware", "auto", True),
 )
 
 
 def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
-    """One suite: reference (DFS) vs. accelerated (auto) vs. forced tabular."""
+    """One suite: reference (DFS) vs. accelerated (auto), both filters."""
     queries, data = build()
     rows = {}
     for label, backend, edge_signatures in ARMS:
@@ -182,7 +177,7 @@ def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
                 f"{name}: backend mismatch — reference found "
                 f"{ref['matches']} matches, {label} {rows[label]['matches']}"
             )
-    acc, tab = rows["accelerated"], rows["tabular"]
+    acc = rows["accelerated"]
     ref_edge, acc_edge = rows["reference_edge_aware"], rows["accelerated_edge_aware"]
     return {
         "suite": name,
@@ -191,9 +186,7 @@ def run_suite(name, build, mode, iterations, repeats=REPEATS) -> dict:
         "matches": ref["matches"],
         "join_seconds_reference": ref["join_seconds"],
         "join_seconds_accelerated": acc["join_seconds"],
-        "join_seconds_tabular": tab["join_seconds"],
         "speedup": ref["join_seconds"] / acc["join_seconds"],
-        "speedup_tabular": ref["join_seconds"] / tab["join_seconds"],
         "backend_pairs_accelerated": acc["backend_pairs"],
         "join_seconds_reference_edge_aware": ref_edge["join_seconds"],
         "join_seconds_accelerated_edge_aware": acc_edge["join_seconds"],
@@ -214,8 +207,6 @@ def run_all(repeats: int = REPEATS) -> dict:
             f"ref {row['join_seconds_reference'] * 1e3:8.1f} ms  "
             f"accel {row['join_seconds_accelerated'] * 1e3:8.1f} ms  "
             f"{row['speedup']:5.2f}x  "
-            f"tabular {row['join_seconds_tabular'] * 1e3:8.1f} ms  "
-            f"{row['speedup_tabular']:5.2f}x  "
             f"({time.perf_counter() - start:.1f} s)\n"
             f"{'':<20} {'edge-aware (info)':>16}  "
             f"ref {row['join_seconds_reference_edge_aware'] * 1e3:8.1f} ms  "

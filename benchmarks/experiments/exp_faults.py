@@ -27,7 +27,7 @@ from benchmarks.experiments.shared import (
 from repro.cluster.mpi_sim import SimulatedCluster
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
-from repro.runtime import FaultPlan, run_resilient
+from repro.runtime import FaultPlan, RetryPolicy, run_resilient
 
 N_GPUS = int(os.environ.get("SIGMO_BENCH_FAULT_GPUS", "16"))
 SHARD_MOLECULES = int(os.environ.get("SIGMO_BENCH_SHARD", "10"))
@@ -49,7 +49,7 @@ def _resilient_rows():
         data,
         chunk_size=CHUNK_SIZE,
         fault_plan=FaultPlan(seed=SEED, oom_rate=OOM_RATE, fault_attempts=2),
-        max_attempts=8,
+        retry=RetryPolicy(max_attempts=8),
     )
     overhead = (
         faulted.total_seconds / clean.total_seconds if clean.total_seconds else 0.0

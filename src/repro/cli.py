@@ -593,7 +593,7 @@ def cmd_resilient_run(args) -> int:
     from repro.core.config import SigmoConfig
     from repro.core.join import JoinBudget
     from repro.io import read_smi
-    from repro.runtime import COMPLETE, FaultPlan, run_resilient
+    from repro.runtime import COMPLETE, FaultPlan, RetryPolicy, run_resilient
 
     if args.smoke:
         return _resilient_smoke(args)
@@ -644,7 +644,7 @@ def cmd_resilient_run(args) -> int:
         memory_budget_bytes=(
             int(args.memory_budget_mb * 2**20) if args.memory_budget_mb else None
         ),
-        max_attempts=args.max_attempts,
+        retry=RetryPolicy(max_attempts=args.max_attempts),
         join_budget=join_budget,
         checkpoint=args.checkpoint_dir,
         fault_plan=fault_plan,
@@ -685,10 +685,10 @@ def cmd_resilient_run(args) -> int:
 
 
 def _resilient_smoke(args) -> int:
-    """Seeded fault-injection check: faulted runs must equal fault-free."""
+    """Seeded fault-injection check: faulted runs must equal fault-free,
+    and the pooled faulted run must equal the serial one."""
     from repro.chem.datasets import build_benchmark
-    from repro.cluster.parallel import run_parallel
-    from repro.runtime import COMPLETE, FaultPlan, run_resilient
+    from repro.runtime import COMPLETE, FaultPlan, RetryPolicy, run_resilient
 
     ds = build_benchmark(n_queries=5, n_data_graphs=24, seed=0)
     baseline = run_resilient(ds.queries, ds.data, chunk_size=6)
@@ -699,10 +699,11 @@ def _resilient_smoke(args) -> int:
         crash_rate=args.fault_crash_rate or 0.5,
         fault_attempts=2,
     )
+    retry = RetryPolicy(max_attempts=6)
     failures = []
 
     serial = run_resilient(
-        ds.queries, ds.data, chunk_size=6, fault_plan=plan, max_attempts=6
+        ds.queries, ds.data, chunk_size=6, fault_plan=plan, retry=retry
     )
     if serial.status != COMPLETE or sorted(serial.matched_pairs) != expected:
         failures.append(
@@ -714,17 +715,22 @@ def _resilient_smoke(args) -> int:
         f"{serial.report.summary()}"
     )
 
-    pooled = run_parallel(
-        ds.queries, ds.data, n_workers=2, chunk_size=6,
-        fault_plan=plan, max_attempts=6,
+    pooled = run_resilient(
+        ds.queries, ds.data, chunk_size=6, fault_plan=plan, retry=retry,
+        n_workers=2,
     )
-    if pooled.status != COMPLETE or sorted(pooled.matched_pairs) != expected:
+    if (
+        pooled.status != serial.status
+        or pooled.matched_pairs != serial.matched_pairs
+        or pooled.join_stats != serial.join_stats
+    ):
         failures.append(
-            f"pool driver diverged: {pooled.status}, "
-            f"{pooled.total_matches} != {baseline.total_matches}"
+            f"pooled run diverged from serial: {pooled.status}, "
+            f"{pooled.total_matches} vs {serial.total_matches} matches, "
+            f"{pooled.join_stats} vs {serial.join_stats}"
         )
     print(
-        f"parallel: {pooled.status}, {pooled.total_matches} matches, "
+        f"pooled (2 workers): {pooled.status}, {pooled.total_matches} matches, "
         f"{pooled.report.summary()}"
     )
 

@@ -11,22 +11,19 @@ simulates the same execution structure:
   Figs. 13 and 14 (makespan = slowest rank, throughput = total matches /
   makespan, per-rank runtime variability).
 
-The practical counterpart on one host is the fault-tolerant process-pool
-driver :func:`~repro.cluster.parallel.run_parallel` (shared-memory
-transport, retry/backoff, OOM halving, broken-pool recovery).
+The practical counterpart on one host is the chunk loop with a worker
+pool, :func:`repro.runtime.resilient.run_resilient` with ``n_workers=k``;
+its workers map the batches through :mod:`~repro.cluster.shm`.
 
 The mpi4py-style interface (``rank``, ``size``, gather semantics) is kept
 so the harness reads like the MPI driver it replaces.
 """
 
 from repro.cluster.mpi_sim import RankResult, SimulatedCluster
-from repro.cluster.parallel import ParallelResult, run_parallel
 from repro.cluster.scaling import WeakScalingPoint, weak_scaling_sweep
 
 __all__ = [
-    "ParallelResult",
     "RankResult",
-    "run_parallel",
     "SimulatedCluster",
     "WeakScalingPoint",
     "weak_scaling_sweep",

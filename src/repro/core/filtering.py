@@ -64,15 +64,12 @@ class IterationStats:
         Sum of candidate-set sizes over all query nodes (Fig. 5 line).
     candidates_per_node:
         Candidate-set size per query node (Fig. 5 box plots).
-    filter_seconds:
-        Wall-clock host time of this iteration's signature + refine step.
     """
 
     iteration: int
     radius: int
     total_candidates: int
     candidates_per_node: np.ndarray
-    filter_seconds: float
 
 
 @dataclass
@@ -378,13 +375,10 @@ class IterativeFilter:
         per-iteration stats appended, final signature matrices attached)
         and returns it.
         """
-        import time
-
         bitmap = result.bitmap
         checking = contracts.enabled()
         last = self.config.refinement_iterations
         for iteration in range(1, last + 1):
-            start = time.perf_counter()
             radius = iteration - 1
             prev_words = bitmap.words.copy() if checking else None
             if radius > 0:
@@ -401,7 +395,6 @@ class IterativeFilter:
                     wildcard_label=self.config.wildcard_label,
                     wildcard_edge_label=self.config.wildcard_edge_label,
                 )
-            elapsed = time.perf_counter() - start
             per_node = bitmap.row_counts()
             if checking:
                 contracts.check_bitmap(
@@ -418,7 +411,6 @@ class IterativeFilter:
                     radius=radius,
                     total_candidates=int(per_node.sum()),
                     candidates_per_node=per_node,
-                    filter_seconds=elapsed,
                 )
             )
         if self._last_signatures is not None:

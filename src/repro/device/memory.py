@@ -105,12 +105,12 @@ class DeviceMemory:
 class DeviceMemoryPool:
     """Shared-capacity allocator handing out transactional leases.
 
-    The resilient runtime (:mod:`repro.runtime`) runs every chunk inside a
-    :meth:`lease`: the chunk's predicted allocations are claimed up front
-    (raising :class:`DeviceOutOfMemory` *before* any work is done when the
-    chunk cannot fit), and released unconditionally when the chunk
-    finishes — succeed, OOM, or crash — so no allocation ever leaks
-    between chunks.  Peak usage is tracked across leases, reproducing the
+    The resilient runtime (:mod:`repro.runtime`) takes one :meth:`lease`
+    per chunk attempt before dispatching it: the chunk's predicted
+    allocations are claimed (raising :class:`DeviceOutOfMemory` *before*
+    any work is done when the chunk cannot fit) and released at once, as
+    if the chunk ran alone — every pool worker models its own device —
+    so no allocation ever leaks between chunks.  Peak usage is tracked across leases, reproducing the
     "largest chunk footprint" bound that chunking buys (Fig. 12).
     """
 

@@ -10,14 +10,14 @@ Public surface:
   artifacts plus the per-engine/per-session cache.
 * :mod:`~repro.pipeline.policies` — the one range planner
   (:func:`~repro.pipeline.policies.chunk_ranges`), retry schedule and
-  budget sizing the two drivers compose.
+  budget sizing the chunk loop composes.
 * :mod:`~repro.pipeline.aggregate` — the seven summable result fields,
   declared once, and the one fold (``add``) every driver folds through.
 * :class:`~repro.pipeline.session.MatcherSession` — prepared-query
   serving layer (compile queries once, stream data batches).
 """
 
-from repro.pipeline.aggregate import AggregateResult, ResultFields
+from repro.pipeline.aggregate import ResultFields
 from repro.pipeline.artifacts import (
     ArtifactCache,
     StageArtifact,
@@ -34,7 +34,6 @@ from repro.pipeline.session import MatcherSession
 from repro.pipeline.stages import PipelineRequest, execute
 
 __all__ = [
-    "AggregateResult",
     "ArtifactCache",
     "BudgetInfeasible",
     "MatcherSession",

@@ -1,14 +1,13 @@
-"""Result aggregation shared by the two multi-chunk drivers.
+"""Result aggregation of the chunk loop.
 
 The seven summable result fields are declared once, on
 :class:`ResultFields`, and folded by its one :meth:`ResultFields.add`.
 Both the per-chunk checkpoint payload
-(:class:`~repro.runtime.checkpoint.ChunkPayload`) and every run's
-:class:`AggregateResult` derive from it, so the serial chunk loop
-(:func:`repro.runtime.resilient.run_resilient`) folds engine segments,
-checkpointed progress and chunks, and the pool driver
-(:func:`repro.cluster.parallel.run_parallel`) folds worker results,
-through the same code.
+(:class:`~repro.runtime.checkpoint.ChunkPayload`) and a run's
+:class:`~repro.runtime.resilient.ResilientResult` derive from it, so the
+chunk loop (:func:`repro.runtime.resilient.run_resilient`, serial or
+pooled) folds engine segments, checkpointed progress, chunks and
+token-resumed runs through the same code.
 """
 
 from __future__ import annotations
@@ -85,26 +84,3 @@ class ResultFields:
             **sum_into(join_stats_dict(self.join_stats), join_stats_dict(part.join_stats))
         )
         return self
-
-
-@dataclass(kw_only=True)
-class AggregateResult(ResultFields):
-    """A multi-chunk run: the summed fields plus status and chunk count.
-
-    Folding another aggregate adds its ``n_chunks``; folding a single
-    chunk's payload adds one.
-    """
-
-    status: str = COMPLETE
-    n_chunks: int = 0
-
-    def add(self, part: ResultFields) -> AggregateResult:
-        """Fold ``part`` in (returns ``self``), counting its chunks."""
-        super().add(part)
-        self.n_chunks += part.n_chunks if isinstance(part, AggregateResult) else 1
-        return self
-
-    @property
-    def total_seconds(self) -> float:
-        """Summed per-stage engine seconds across every executed chunk."""
-        return sum(self.timings.values())

@@ -1,14 +1,14 @@
 """Execution policies around the one pipeline call.
 
 A *policy* decides how a workload is cut up, retried, or bounded — never
-how a stage computes.  The two drivers
-(:func:`repro.runtime.resilient.run_resilient` and
-:func:`repro.cluster.parallel.run_parallel`) compose them:
+how a stage computes.  The one chunk loop
+(:func:`repro.runtime.resilient.run_resilient`, serial or pooled)
+composes them:
 
 * :func:`chunk_ranges` — the one range planner: contiguous fixed-width
-  ranges, used for memory-bounded chunks and per-worker slices alike.
+  ranges, whichever process runs each one.
 * :class:`RetryPolicy` — attempt bounds + exponential backoff with seeded
-  jitter (the pool driver's and the matching service's retry schedule).
+  jitter (the chunk loop's and the matching service's retry schedule).
 * :func:`chunk_size_for_budget` — the chunk size whose candidate bitmap
   fits a device budget, raising :class:`BudgetInfeasible` when even one
   graph cannot fit (``run_resilient`` degrades to single-graph chunks).
@@ -24,11 +24,10 @@ import numpy as np
 def chunk_ranges(start: int, stop: int, size: int) -> list[tuple[int, int]]:
     """Contiguous ``size``-wide ranges covering ``[start, stop)``.
 
-    The one range planner: the resilient driver cuts every uncovered gap
-    into chunks with it, and the pool driver cuts its per-worker slices
-    with ``size = ceil(n / n_workers)``.  The cut points — and so the
-    aggregation order — are a pure function of the inputs, which keeps
-    chunked and parallel runs bitwise-equal to serial ones.
+    The one range planner: the chunk loop cuts every uncovered gap into
+    chunks with it.  The cut points — and so the aggregation order and
+    each chunk's work counters — are a pure function of the inputs and
+    the chunk size, never of the worker count.
 
     Examples
     --------
@@ -52,7 +51,7 @@ class RetryPolicy:
     FaultPlan` — so faulted runs stay bit-for-bit replayable.
     """
 
-    max_attempts: int = 4
+    max_attempts: int = 5
     backoff_base: float = 0.0
     backoff_factor: float = 2.0
     jitter: float = 0.0

@@ -6,20 +6,22 @@ explosions, worker crashes, and rank failures are routine.  The engine
 under :mod:`repro.core` is exact but *brittle*: one fault loses the whole
 run.  This package wraps it in a resilient runtime:
 
-* :mod:`~repro.runtime.resilient` — the serial chunk loop, with
-  graceful memory degradation (OOM → smaller chunks, bounded retries),
-  the join watchdog (truncate + resume token), and checkpoint/resume;
+* :mod:`~repro.runtime.resilient` — the one chunk loop, serial or over
+  a worker pool, with graceful memory degradation (OOM → smaller
+  chunks), crash retry with backoff, the join watchdog (truncate +
+  resume token), and checkpoint/resume;
+* :mod:`~repro.runtime.workers` — where an attempt runs: in process, or
+  in a pool worker that maps the batches from shared memory once and
+  keeps one session;
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed chunk
   persistence;
 * :mod:`~repro.runtime.faults` — seeded deterministic fault injection
   (OOMs, worker crashes, rank failures, stragglers, poison queries);
 * :mod:`~repro.runtime.telemetry` — per-attempt observability.
 
-The fault-tolerant pool driver (crash/OOM retry with exponential
-backoff, broken-pool recovery, bitwise-equal to serial) is
-:func:`repro.cluster.parallel.run_parallel`, which runs
-:func:`~repro.runtime.resilient.run_resilient` per worker slice.
-Rank-failure re-execution for the simulated MPI cluster lives with the
+A pooled run (``run_resilient(..., n_workers=k)``) is the serial run:
+the parent keeps up to ``k`` attempts in flight, commits outcomes in
+queue order, and rebuilds a broken pool.  Rank-failure re-execution for the simulated MPI cluster lives with the
 cluster itself (:meth:`repro.cluster.mpi_sim.SimulatedCluster.run`
 accepts a :class:`~repro.runtime.faults.FaultPlan`).
 """
@@ -27,6 +29,7 @@ accepts a :class:`~repro.runtime.faults.FaultPlan`).
 from repro.core.join import JoinBudget
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory
 from repro.pipeline.aggregate import COMPLETE, PARTIAL
+from repro.pipeline.policies import RetryPolicy
 from repro.runtime.checkpoint import CheckpointMismatch, CheckpointStore, ChunkPayload
 from repro.runtime.faults import (
     NO_FAULTS,
@@ -62,6 +65,7 @@ __all__ = [
     "RankFailure",
     "ResilientResult",
     "ResumeToken",
+    "RetryPolicy",
     "RunReport",
     "WorkerCrash",
     "combine_results",

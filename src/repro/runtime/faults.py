@@ -105,9 +105,10 @@ class FaultPlan:
         Explicit request ids that are always poison.
     crash_hard:
         Injected worker crashes kill the worker *process* (``os._exit``)
-        instead of raising, exercising the pool driver's
-        ``BrokenProcessPool`` recovery path.  Ignored when the driver
-        runs inline (a hard crash would take the host down with it).
+        instead of raising, exercising the pooled chunk loop's
+        ``BrokenProcessPool`` recovery path.  With ``n_workers=1`` the
+        attempt runs in process, so the crash is raised like a soft one
+        (a hard crash would take the host down with it).
     """
 
     seed: int = 0
@@ -148,7 +149,7 @@ class FaultPlan:
         return float(rng.random())
 
     def injects_oom(self, unit: int, attempt: int) -> bool:
-        """Whether chunk/slice ``unit`` OOMs on ``attempt``."""
+        """Whether the chunk at ``unit`` OOMs on ``attempt``."""
         if (unit, attempt) in self.oom_at:
             return True
         return (

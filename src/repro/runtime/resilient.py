@@ -1,24 +1,33 @@
 """Chunked execution that finishes with partial results, never crashes.
 
-:func:`run_resilient` is the one serial chunk loop (the out-of-core
-decomposition of paper Fig. 12; the pool driver
-:func:`repro.cluster.parallel.run_parallel` runs it per worker slice).
-Queries and data arrive as graph lists or CSR-GO batches; the query side
-is compiled once into a :class:`~repro.pipeline.session.MatcherSession`
-and every chunk is cut from one converted data batch with
-:meth:`~repro.core.csrgo.CSRGO.slice_graphs`.  Chunk ranges come from
-:func:`~repro.pipeline.policies.chunk_ranges`, and engine segments,
-checkpointed progress and chunks all fold through
-:meth:`~repro.pipeline.aggregate.ResultFields.add`.  Four recovery
-mechanisms compose:
+:func:`run_resilient` is the one chunk loop: the out-of-core batches of
+paper Fig. 12 and, with ``n_workers=k``, the static per-GPU blocks of
+section 5.4 on host processes — both are independent data-graph ranges
+folded in range order.  Queries and data arrive as graph lists or CSR-GO
+batches; both are converted once, and every chunk is cut from the one
+data batch with :meth:`~repro.core.csrgo.CSRGO.slice_graphs`.  Chunk
+ranges come from :func:`~repro.pipeline.policies.chunk_ranges`, and
+engine segments, checkpointed progress and chunks all fold through
+:meth:`~repro.pipeline.aggregate.ResultFields.add`.
+
+The parent process does all planning and bookkeeping; only the attempt
+itself runs where :mod:`repro.runtime.workers` puts it (in process, or
+in a pool worker).  The parent keeps up to ``n_workers`` attempts in
+flight and commits their outcomes in queue order; after the first
+commit that is retried, split or stops the run, every later attempt in
+flight is discarded and its task requeued, so a pooled run is the
+serial run.  Four recovery mechanisms compose:
 
 1. **Graceful memory degradation** — every chunk's predicted footprint
    (:func:`repro.device.memory.sigmo_footprint_bytes`) is leased from a
-   :class:`~repro.device.memory.DeviceMemoryPool` before any work runs;
-   a :class:`~repro.device.memory.DeviceOutOfMemory` (predicted or
+   :class:`~repro.device.memory.DeviceMemoryPool` as if the chunk ran
+   alone (each worker models its own device); a
+   :class:`~repro.device.memory.DeviceOutOfMemory` (predicted or
    injected), or a :class:`~repro.core.signatures.SignatureCapacityError`
    from a chunk whose signature BFS is over the word cap, splits the
-   chunk in half and retries, bounded by ``max_attempts``.  Chunking
+   chunk in half and retries.  A crashed attempt retries the same range
+   after the :class:`~repro.pipeline.policies.RetryPolicy` backoff.
+   Attempts per range are bounded by ``retry.max_attempts``.  Chunking
    never changes results (data graphs are independent), so a degraded
    run is bitwise-identical to a clean one.
 2. **Join watchdog** — an optional
@@ -31,8 +40,8 @@ mechanisms compose:
    :class:`~repro.runtime.checkpoint.CheckpointStore`; a restarted run
    re-executes only uncovered ranges.
 4. **Fault injection** — a seeded
-   :class:`~repro.runtime.faults.FaultPlan` exercises all of the above
-   deterministically.
+   :class:`~repro.runtime.faults.FaultPlan` keyed by ``(chunk start,
+   attempt)`` exercises all of the above deterministically.
 
 Every attempt is logged in a :class:`~repro.runtime.telemetry.RunReport`.
 """
@@ -41,25 +50,27 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from concurrent.futures import BrokenExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.join import FIND_ALL, JoinBudget
-from repro.core.results import MatchRecord
 from repro.core.signatures import SignatureCapacityError
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory, sigmo_footprint_bytes
 from repro.graph.labeled_graph import LabeledGraph
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
 from repro.obs.trace import get_tracer
-from repro.pipeline.aggregate import PARTIAL, AggregateResult, ResultFields
+from repro.pipeline.aggregate import COMPLETE, PARTIAL, ResultFields
 from repro.pipeline.policies import (
     BudgetInfeasible,
+    RetryPolicy,
     chunk_ranges,
     chunk_size_for_budget,
 )
-from repro.pipeline.session import MatcherSession
+from repro.pipeline.stages import as_csrgo
 from repro.runtime import telemetry
 from repro.runtime.checkpoint import (
     STATUS_OK,
@@ -67,8 +78,9 @@ from repro.runtime.checkpoint import (
     CheckpointStore,
     ChunkPayload,
 )
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultPlan, WorkerCrash
 from repro.runtime.telemetry import Attempt, RunReport
+from repro.runtime.workers import Job, Outcome, attempt_runner
 
 #: Graph lists or an already-converted batch: either side of a run.
 Graphs = list[LabeledGraph] | CSRGO
@@ -125,19 +137,36 @@ class ChunkRecord:
     detail: str = ""
 
 
-@dataclass
-class ResilientResult(AggregateResult):
-    """Aggregated outcome of a resilient run.
+@dataclass(kw_only=True)
+class ResilientResult(ResultFields):
+    """Aggregated outcome of a resilient run: the summed fields plus
+    status, chunk count, chunk records, the attempt log and a resume token.
 
     ``matched_pairs`` / ``embeddings`` use global data-graph indices and
     are ordered by data graph exactly like an uninterrupted chunk-by-chunk
-    run — degradation and recovery never reorder results.
+    run — degradation, recovery and worker count never reorder results.
+    A range that ran out of attempts is a ``failed`` chunk record and the
+    status is ``partial``.
     """
 
+    status: str = COMPLETE
+    n_chunks: int = 0
     chunks_from_checkpoint: int = 0
     chunk_records: list[ChunkRecord] = field(default_factory=list)
     report: RunReport = field(default_factory=RunReport)
     resume_token: ResumeToken | None = None
+
+    def add(self, part: ResultFields) -> ResilientResult:
+        """Fold ``part`` in (returns ``self``): a folded run adds its
+        ``n_chunks``, a single chunk's payload adds one."""
+        super().add(part)
+        self.n_chunks += part.n_chunks if isinstance(part, ResilientResult) else 1
+        return self
+
+    @property
+    def total_seconds(self) -> float:
+        """Summed per-stage engine seconds across every executed chunk."""
+        return sum(self.timings.values())
 
 
 def combine_results(*results: ResilientResult) -> ResilientResult:
@@ -233,6 +262,10 @@ class _Task:
     # of the same range (checkpoint resume); merged into the final chunk.
     prior: ChunkPayload | None = None
 
+    @property
+    def unit(self) -> str:
+        return f"chunk[{self.start}:{self.stop}]"
+
 
 def run_resilient(
     queries: Graphs,
@@ -242,37 +275,42 @@ def run_resilient(
     config: SigmoConfig | None = None,
     memory: DeviceMemoryPool | None = None,
     memory_budget_bytes: int | None = None,
-    max_attempts: int = 5,
+    retry: RetryPolicy | None = None,
     join_budget: JoinBudget | None = None,
     on_truncate: str = "resume",
     checkpoint: CheckpointStore | str | Path | None = None,
     fault_plan: FaultPlan | None = None,
     resume_token: ResumeToken | dict | None = None,
+    n_workers: int = 1,
 ) -> ResilientResult:
     """Run the pipeline over ``data`` with fault-tolerant chunking.
 
     Results are exactly those of one whole-batch run; only peak memory
     differs.  Data-graph indices in ``matched_pairs`` and ``embeddings``
-    are global (indices into ``data``).
+    are global (indices into ``data``).  Everything but the attempt
+    timings (and a crash's detail text) is independent of
+    ``n_workers``, unless a pool worker really dies: that takes down
+    every attempt in flight, and each is charged a crash.
 
     Parameters
     ----------
     queries / data:
-        Graph lists or :class:`~repro.core.csrgo.CSRGO` batches.  The
-        query side is compiled once for the whole run; the data side is
-        converted once and each chunk is a ``slice_graphs`` copy.
+        Graph lists or :class:`~repro.core.csrgo.CSRGO` batches.  Both
+        sides are converted once; each chunk is a ``slice_graphs`` copy.
     chunk_size:
         Data graphs per chunk; ``None`` derives it from the memory budget
         (falling back to single-graph chunks when even that is infeasible
         — the :class:`~repro.pipeline.policies.BudgetInfeasible`
         degradation path).
     memory / memory_budget_bytes:
-        Device memory pool (or a plain byte budget) every chunk must fit;
-        omitted means unbounded.
-    max_attempts:
-        Per-range attempt bound; a range still failing afterwards is
-        recorded (``failed``/``infeasible``) and the run continues,
-        returning ``status="partial"``.
+        Device memory pool (or a plain byte budget) every chunk must fit
+        on its own; omitted means unbounded.
+    retry:
+        Per-range attempt bound and backoff schedule (default
+        :class:`~repro.pipeline.policies.RetryPolicy`); a range still
+        failing after ``retry.max_attempts`` is recorded
+        (``failed``/``infeasible``) and the run continues, returning
+        ``status="partial"``.
     join_budget / on_truncate:
         Join watchdog policy: ``"resume"`` transparently continues a
         truncated chunk in budgeted segments; ``"token"`` stops the run
@@ -282,7 +320,8 @@ def run_resilient(
         Checkpoint directory or store; completed chunks are persisted and
         a restarted run skips them (workload fingerprint enforced).
     fault_plan:
-        Deterministic fault injection (tests/benchmarks).
+        Deterministic fault injection keyed by ``(chunk start,
+        attempt)`` (tests/benchmarks).
     resume_token:
         Continue a token-truncated run: executes the token's remainder
         plus everything after it and returns only that new work — merge
@@ -291,6 +330,11 @@ def run_resilient(
         ``checkpoint=`` (no token): completed chunks are loaded and the
         truncated chunk resumes from its persisted pair token, so the
         returned result is the complete run.
+    n_workers:
+        Attempts run at once: 1 runs them in this process, more in a
+        pool of that many worker processes (at most one per data graph).
+        The pool runs separate chunks only, so ``chunk_size`` must be at
+        most ``ceil(len(data) / n_workers)`` to keep every worker busy.
     """
     n_data = data.n_graphs if isinstance(data, CSRGO) else len(data)
     if not n_data:
@@ -299,8 +343,9 @@ def run_resilient(
         raise ValueError("chunk_size must be >= 1 (or None to auto-size)")
     if on_truncate not in ("resume", "token"):
         raise ValueError("on_truncate must be 'resume' or 'token'")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    if n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
+    retry = retry or RetryPolicy()
     config = config or SigmoConfig()
     if isinstance(resume_token, dict):
         resume_token = ResumeToken.from_dict(resume_token)
@@ -318,15 +363,13 @@ def run_resilient(
         )
     cached = store.load() if store is not None else {}
 
-    # Two artifacts (refine + map) are exactly one chunk's worth: a resumed
-    # segment recalls its own chunk's, and nothing older stays alive.
-    session = MatcherSession(queries, config=config, max_cached_artifacts=2)
+    query = as_csrgo(queries, "query")
     if not isinstance(data, CSRGO):
         data = CSRGO.from_graphs(data)
 
     result = ResilientResult()
     if chunk_size is None:
-        chunk_size = _auto_chunk_size(session.query, data, pool, result.report)
+        chunk_size = _auto_chunk_size(query, data, pool, result.report)
     tasks = _plan_tasks(n_data, chunk_size, cached, resume_token)
     payloads: dict[tuple[int, int, int], ChunkPayload] = {}
 
@@ -357,29 +400,15 @@ def run_resilient(
             )
         )
 
-    queue = deque(tasks)
-    stopped_on_token = False
-    while queue:
-        task = queue.popleft()
-        outcome = _run_task(
-            task,
-            session,
-            data,
-            mode,
-            config,
-            pool,
-            fault_plan,
-            join_budget,
-            on_truncate,
-            max_attempts,
-            store,
-            result,
-            payloads,
-            queue,
-        )
-        if outcome == "token-stop":
-            stopped_on_token = True
-            break
+    width = min(n_workers, n_data)
+    loop = _Loop(
+        query, data, config, pool, retry, fault_plan, store, result, payloads, width
+    )
+    with attempt_runner(
+        query, data, width,
+        config=config, mode=mode, join_budget=join_budget, on_truncate=on_truncate,
+    ) as submit:
+        loop.run(tasks, submit)
 
     # Assemble in range order (ties broken by pair progress) — identical
     # to an uninterrupted serial chunked run.
@@ -392,7 +421,7 @@ def run_resilient(
         for rec in result.chunk_records
         if rec.status in (CHUNK_FAILED, CHUNK_INFEASIBLE)
     ]
-    if stopped_on_token or bad:
+    if loop.stopped or bad:
         result.status = PARTIAL
     result.chunk_records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
     return result
@@ -484,239 +513,254 @@ def _plan_tasks(
     return tasks
 
 
-def _run_task(
-    task: _Task,
-    session: MatcherSession,
-    data: CSRGO,
-    mode: str,
-    config: SigmoConfig,
-    pool: DeviceMemoryPool | None,
-    fault_plan: FaultPlan | None,
-    join_budget: JoinBudget | None,
-    on_truncate: str,
-    max_attempts: int,
-    store: CheckpointStore | None,
-    result: ResilientResult,
-    payloads: dict[tuple[int, int, int], ChunkPayload],
-    queue: deque,
-) -> str:
-    """Execute one range with retries; returns ``"done"`` or ``"token-stop"``."""
-    unit = f"chunk[{task.start}:{task.stop}]"
-    chunk = data.slice_graphs(task.start, task.stop)
-    span = task.stop - task.start
-    footprint = predict_chunk_footprint(session.query, chunk, config.word_bits)
 
-    # A single graph that cannot ever fit is infeasible, not retryable.
-    if pool is not None and span == 1 and sum(footprint.values()) > pool.capacity:
-        result.report.record(
+
+@dataclass(frozen=True)
+class _Prepared:
+    """An attempt as dispatched: its lease, the fault it met before any
+    work, and how to wait for its outcome (``None`` when it did not run)."""
+
+    footprint: dict[str, int] | None
+    fault: Exception | None = None
+    wait: Callable[[], Outcome] | None = None
+    die: bool = False
+
+    @property
+    def blocks(self) -> bool:
+        """Nothing is dispatched behind this attempt until it commits."""
+        return self.wait is None or self.die
+
+
+@dataclass
+class _Loop:
+    """The parent's side of the chunk loop: prepare, commit, requeue."""
+
+    query: CSRGO
+    data: CSRGO
+    config: SigmoConfig
+    pool: DeviceMemoryPool | None
+    retry: RetryPolicy
+    fault_plan: FaultPlan | None
+    store: CheckpointStore | None
+    result: ResilientResult
+    payloads: dict[tuple[int, int, int], ChunkPayload]
+    width: int = 1
+    stopped: bool = False
+
+    def run(self, tasks: list[_Task], submit: Callable[[Job], Callable[[], Outcome]]) -> None:
+        """Run ``tasks`` with up to ``width`` attempts in flight, committing
+        them in queue order; a worker is refilled as soon as the oldest
+        attempt commits.
+
+        After the first commit that retries, splits or stops the run,
+        every later attempt in flight is discarded and its task requeued
+        unchanged — except attempts a broken pool took down, which are
+        charged.  Nothing is dispatched behind an attempt that met a fault
+        before any work, and an injected hard crash runs alone, so no
+        attempt runs only to be discarded or taken down for it.
+        """
+        queue = deque(tasks)
+        window: deque[tuple[_Task, _Prepared]] = deque()
+        while (queue or window) and not self.stopped:
+            while queue and len(window) < self.width:
+                if window and (window[-1][1].blocks or self._dies(queue[0])):
+                    break
+                task = queue.popleft()
+                delay = self.retry.delay(task.attempt, unit=task.start)
+                if delay > 0:
+                    time.sleep(delay)
+                window.append((task, self._prepare(task, submit)))
+            task, prepared = window.popleft()
+            follow = self._commit(task, prepared, prepared.wait)
+            if follow or self.stopped:
+                queue.extendleft(reversed(follow + self._discard(window)))
+
+    def _discard(self, window: deque[tuple[_Task, _Prepared]]) -> list[_Task]:
+        """Wait out every attempt in flight; returns their tasks, charged
+        when a broken pool took them down (unless the run has stopped)."""
+        requeue: list[_Task] = []
+        while window:
+            task, prepared = window.popleft()
+            outcome = prepared.wait() if prepared.wait is not None else None
+            if isinstance(outcome, BrokenExecutor) and not self.stopped:
+                requeue.extend(self._commit(task, prepared, lambda: outcome))
+            else:
+                requeue.append(task)
+        return requeue
+
+    def _dies(self, task: _Task) -> bool:
+        """Whether the attempt is an injected hard crash of a pool worker."""
+        plan = self.fault_plan
+        return (
+            self.width > 1
+            and plan is not None
+            and plan.crash_hard
+            and plan.injects_crash(task.start, task.attempt)
+        )
+
+    def _prepare(self, task: _Task, submit) -> _Prepared:
+        """Check the attempt's faults and lease in serial order, then
+        dispatch it."""
+        job = Job(task.start, task.stop, task.next_pair, task.attempt)
+        footprint = None
+        if self.pool is not None:
+            chunk = self.data.slice_graphs(task.start, task.stop)
+            footprint = predict_chunk_footprint(self.query, chunk, self.config.word_bits)
+            if self._infeasible(task, footprint):
+                return _Prepared(footprint)
+        if self._dies(task):
+            return _Prepared(footprint, wait=submit(replace(job, die=True)), die=True)
+        try:
+            if self.fault_plan is not None:
+                self.fault_plan.check_crash(task.start, task.attempt)
+                self.fault_plan.check_oom(task.start, task.attempt)
+            if footprint is not None:
+                # Every chunk is leased as if it ran alone: each worker
+                # models its own device.
+                with self.pool.lease(footprint, tag=task.unit):
+                    pass
+        except (WorkerCrash, DeviceOutOfMemory) as exc:
+            return _Prepared(footprint, fault=exc)
+        return _Prepared(footprint, wait=submit(job))
+
+    def _infeasible(self, task: _Task, footprint: dict[str, int] | None) -> bool:
+        """A single graph that can never fit: recorded, not retried."""
+        return (
+            footprint is not None
+            and task.stop - task.start == 1
+            and sum(footprint.values()) > self.pool.capacity
+        )
+
+    def _commit(
+        self, task: _Task, prepared: _Prepared, wait: Callable[[], Outcome] | None
+    ) -> list[_Task]:
+        """Wait for and record one attempt inside its runtime span (an
+        in-process attempt's engine spans nest in it); returns the
+        attempt's retry or split tasks."""
+        with get_tracer().span(
+            task.unit,
+            category="runtime",
+            attempt=task.attempt,
+            chunk_size=task.stop - task.start,
+            start_pair=task.next_pair,
+        ) as span:
+            follow = self._record(task, prepared, wait() if wait is not None else None)
+            outcome = self.result.report.attempts[-1].outcome
+            span.set(outcome=outcome)
+            if outcome in (telemetry.OK, telemetry.TRUNCATED):
+                record = self.result.chunk_records[-1]
+                span.set(matches=record.total_matches, segments=record.segments)
+        return follow
+
+    def _record(
+        self, task: _Task, prepared: _Prepared, outcome: Outcome | None
+    ) -> list[_Task]:
+        """Record one attempt; returns its retry or split tasks."""
+        span = task.stop - task.start
+        report = self.result.report
+        backoff = self.retry.delay(task.attempt, unit=task.start)
+        footprint = prepared.footprint
+        if self._infeasible(task, footprint):
+            report.record(
+                Attempt(
+                    unit=task.unit,
+                    attempt=task.attempt,
+                    outcome=telemetry.INFEASIBLE,
+                    chunk_size=span,
+                    detail=f"footprint {sum(footprint.values())} > capacity {self.pool.capacity}",
+                )
+            )
+            self.result.chunk_records.append(
+                ChunkRecord(
+                    start=task.start,
+                    stop=task.stop,
+                    status=CHUNK_INFEASIBLE,
+                    attempts=task.attempt + 1,
+                    detail="graph footprint exceeds device capacity",
+                )
+            )
+            return []
+        failure = prepared.fault if prepared.fault is not None else outcome
+        if isinstance(failure, (DeviceOutOfMemory, SignatureCapacityError)):
+            return self._retry(task, telemetry.OOM, str(failure), backoff)
+        if isinstance(failure, (WorkerCrash, BrokenExecutor)):
+            return self._retry(task, telemetry.CRASH, str(failure), backoff)
+        if isinstance(failure, Exception):
+            raise failure
+
+        payload = outcome.payload
+        if task.prior is not None:
+            # Checkpointed progress first, then its resumed remainder.
+            merged = ChunkPayload(task.start, task.stop, payload.status, payload.next_pair)
+            payload = merged.add(task.prior).add(payload)
+        truncated = payload.status == STATUS_TRUNCATED
+        report.record(
             Attempt(
-                unit=unit,
+                unit=task.unit,
                 attempt=task.attempt,
-                outcome=telemetry.INFEASIBLE,
+                outcome=telemetry.TRUNCATED if truncated else telemetry.OK,
                 chunk_size=span,
-                detail=f"footprint {sum(footprint.values())} > capacity {pool.capacity}",
+                seconds=outcome.seconds,
+                backoff_seconds=backoff,
+                detail=f"resume at pair {payload.next_pair}" if truncated else "",
             )
         )
-        result.chunk_records.append(
+        self.result.chunk_records.append(
             ChunkRecord(
                 start=task.start,
                 stop=task.stop,
-                status=CHUNK_INFEASIBLE,
+                status=CHUNK_TRUNCATED if truncated else CHUNK_OK,
                 attempts=task.attempt + 1,
-                detail="graph footprint exceeds device capacity",
+                segments=outcome.n_segments,
+                total_matches=payload.total_matches,
+                resume_pair=payload.next_pair if truncated else None,
+                detail="join budget exhausted" if truncated else "",
             )
         )
-        return "done"
+        key_pair = task.next_pair if truncated or task.prior is None else 0
+        self.payloads[(task.start, task.stop, key_pair)] = payload
+        if self.store is not None:
+            self.store.save_chunk(payload)
+        if truncated:
+            self.result.resume_token = ResumeToken(
+                start=task.start, stop=task.stop, next_pair=payload.next_pair
+            )
+            self.stopped = True
+        return []
 
-    started = time.perf_counter()
-    # One runtime span per attempt; the engine's own spans nest inside it.
-    chunk_sp = get_tracer().span(
-        unit,
-        category="runtime",
-        attempt=task.attempt,
-        chunk_size=span,
-        start_pair=task.next_pair,
-    )
-    try:
-        with chunk_sp:
-            if fault_plan is not None:
-                fault_plan.check_oom(task.start, task.attempt)
-            if pool is not None:
-                with pool.lease(footprint, tag=unit):
-                    payload, n_segments = _run_segments(
-                        task, session, chunk, mode, join_budget, on_truncate
-                    )
-            else:
-                payload, n_segments = _run_segments(
-                    task, session, chunk, mode, join_budget, on_truncate
-                )
-    except (DeviceOutOfMemory, SignatureCapacityError) as exc:
-        chunk_sp.set(outcome=telemetry.OOM)
-        elapsed = time.perf_counter() - started
-        result.report.record(
+    def _retry(self, task: _Task, outcome: str, detail: str, backoff: float) -> list[_Task]:
+        """Log a failed attempt; split or retry the range while attempts last."""
+        span = task.stop - task.start
+        self.result.report.record(
             Attempt(
-                unit=unit,
+                unit=task.unit,
                 attempt=task.attempt,
-                outcome=telemetry.OOM,
+                outcome=outcome,
                 chunk_size=span,
-                seconds=elapsed,
-                detail=str(exc),
+                backoff_seconds=backoff,
+                detail=detail,
             )
         )
         next_attempt = task.attempt + 1
-        if next_attempt >= max_attempts:
-            result.chunk_records.append(
+        if self.retry.exhausted(next_attempt):
+            what = "out of memory" if outcome == telemetry.OOM else "crashed"
+            self.result.chunk_records.append(
                 ChunkRecord(
                     start=task.start,
                     stop=task.stop,
                     status=CHUNK_FAILED,
                     attempts=next_attempt,
-                    detail=f"out of memory after {next_attempt} attempt(s)",
+                    detail=f"{what} after {next_attempt} attempt(s)",
                 )
             )
-            return "done"
-        if span > 1 and task.next_pair == 0 and task.prior is None:
+            return []
+        if outcome == telemetry.OOM and span > 1 and task.next_pair == 0 and task.prior is None:
             # Exponential degradation: split the range in half.  Pair
             # tokens are range-relative, so ranges with partial progress
             # retry at the same size instead.
-            half = max(1, span // 2)
-            queue.appendleft(
-                _Task(task.start + half, task.stop, attempt=next_attempt)
-            )
-            queue.appendleft(
-                _Task(task.start, task.start + half, attempt=next_attempt)
-            )
-        else:
-            queue.appendleft(
-                _Task(
-                    task.start,
-                    task.stop,
-                    next_pair=task.next_pair,
-                    attempt=next_attempt,
-                    prior=task.prior,
-                )
-            )
-        return "done"
-
-    elapsed = time.perf_counter() - started
-    if task.prior is not None:
-        # Checkpointed progress first, then its resumed remainder.
-        merged = ChunkPayload(task.start, task.stop, payload.status, payload.next_pair)
-        payload = merged.add(task.prior).add(payload)
-    chunk_sp.set(
-        outcome=(
-            telemetry.TRUNCATED
-            if payload.status == STATUS_TRUNCATED
-            else telemetry.OK
-        ),
-        matches=payload.total_matches,
-        segments=n_segments,
-    )
-    if payload.status == STATUS_TRUNCATED:
-        result.report.record(
-            Attempt(
-                unit=unit,
-                attempt=task.attempt,
-                outcome=telemetry.TRUNCATED,
-                chunk_size=span,
-                seconds=elapsed,
-                detail=f"resume at pair {payload.next_pair}",
-            )
-        )
-        result.chunk_records.append(
-            ChunkRecord(
-                start=task.start,
-                stop=task.stop,
-                status=CHUNK_TRUNCATED,
-                attempts=task.attempt + 1,
-                total_matches=payload.total_matches,
-                resume_pair=payload.next_pair,
-                detail="join budget exhausted",
-            )
-        )
-        payloads[(task.start, task.stop, task.next_pair)] = payload
-        if store is not None:
-            store.save_chunk(payload)
-        result.resume_token = ResumeToken(
-            start=task.start, stop=task.stop, next_pair=payload.next_pair
-        )
-        return "token-stop"
-
-    result.report.record(
-        Attempt(
-            unit=unit,
-            attempt=task.attempt,
-            outcome=telemetry.OK,
-            chunk_size=span,
-            seconds=elapsed,
-        )
-    )
-    result.chunk_records.append(
-        ChunkRecord(
-            start=task.start,
-            stop=task.stop,
-            status=CHUNK_OK,
-            attempts=task.attempt + 1,
-            segments=n_segments,
-            total_matches=payload.total_matches,
-        )
-    )
-    payloads[(task.start, task.stop, task.next_pair if task.prior is None else 0)] = (
-        payload
-    )
-    if store is not None:
-        store.save_chunk(payload)
-    return "done"
-
-
-def _run_segments(
-    task: _Task,
-    session: MatcherSession,
-    chunk: CSRGO,
-    mode: str,
-    join_budget: JoinBudget | None,
-    on_truncate: str,
-) -> tuple[ChunkPayload, int]:
-    """Run one range, re-entering after truncations under ``"resume"``.
-
-    Returns the accumulated payload for the pairs processed in *this*
-    call (the caller merges any prior checkpointed progress) plus the
-    number of budgeted segments it took.  Only resumed segments recall
-    the chunk's filter/GMCR artifacts (``SigmoEngine.run``'s rule), so
-    stage counts match a fresh engine per chunk.
-    """
-    payload = ChunkPayload(start=task.start, stop=task.stop)
-    next_pair = task.next_pair
-    n_segments = 0
-    while True:
-        n_segments += 1
-        run = session.match(
-            chunk,
-            mode=mode,
-            join_budget=join_budget,
-            join_start_pair=next_pair,
-            reuse=next_pair > 0,
-        )
-        payload.add(
-            ResultFields(
-                total_matches=run.total_matches,
-                peak_memory_bytes=run.memory.total,
-                matched_pairs=[(d + task.start, q) for d, q in run.matched_pairs()],
-                embeddings=[
-                    MatchRecord(rec.data_graph + task.start, rec.query_graph, rec.mapping)
-                    for rec in run.embeddings
-                ],
-                timings=run.timings,
-                stage_counts=run.stage_counts,
-                join_stats=run.join_result.stats,
-            )
-        )
-        if not run.truncated:
-            payload.status = STATUS_OK
-            payload.next_pair = 0
-            return payload, n_segments
-        next_pair = run.resume_pair
-        if on_truncate == "token":
-            payload.status = STATUS_TRUNCATED
-            payload.next_pair = next_pair
-            return payload, n_segments
+            half = span // 2
+            return [
+                _Task(task.start, task.start + half, attempt=next_attempt),
+                _Task(task.start + half, task.stop, attempt=next_attempt),
+            ]
+        return [replace(task, attempt=next_attempt)]

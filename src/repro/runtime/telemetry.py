@@ -31,7 +31,7 @@ class Attempt:
     Attributes
     ----------
     unit:
-        Work-unit label, e.g. ``"chunk[64:128]"`` or ``"slice-3"``.
+        Work-unit label, e.g. ``"chunk[64:128]"`` or ``"auto-chunk-size"``.
     attempt:
         0-based attempt counter for this unit.
     outcome:

@@ -1,10 +1,11 @@
 """Shared-memory CSR-GO transport: roundtrip, isolation, and parity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.cluster import parallel
-from repro.cluster.parallel import run_parallel
+from repro.cluster import shm as shm_module
 from repro.cluster.shm import (
     CSRGO_FIELDS,
     SharedCSRGO,
@@ -120,49 +121,53 @@ def _no_shared_memory(csrgo):
 
 
 def pickled(monkeypatch, *args, **kwargs):
-    """``run_parallel`` forced onto its pickle fallback."""
+    """A pooled ``run_resilient`` forced onto its pickle fallback."""
     with monkeypatch.context() as patch:
-        patch.setattr(parallel, "SharedCSRGO", _no_shared_memory)
+        patch.setattr(shm_module, "SharedCSRGO", _no_shared_memory)
         with pytest.warns(RuntimeWarning, match="falling back to pickle"):
-            return run_parallel(*args, **kwargs)
+            return run_resilient(*args, **kwargs)
+
+
+def shared(*args, **kwargs):
+    """A pooled ``run_resilient`` that must not fall back to pickle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_resilient(*args, **kwargs)
 
 
 class TestParallelSharedMemory:
     def test_bitwise_equal_to_pickle_transport(self, bench, monkeypatch):
         config = SigmoConfig(record_embeddings=True)
         pick = pickled(
-            monkeypatch, bench.queries, bench.data, n_workers=3, chunk_size=9,
-            config=config,
+            monkeypatch, bench.queries, bench.data, 9, config=config, n_workers=3,
         )
-        shm = run_parallel(
-            bench.queries, bench.data, n_workers=3, chunk_size=9, config=config,
-        )
-        assert pick.transport == "pickle"
-        assert shm.transport == "shared-memory"
+        shm = shared(bench.queries, bench.data, 9, config=config, n_workers=3)
         assert shm.total_matches == pick.total_matches
         assert shm.n_chunks == pick.n_chunks
         assert shm.matched_pairs == pick.matched_pairs
         assert shm.stage_counts == pick.stage_counts
+        assert shm.join_stats == pick.join_stats
         embs = lambda r: sorted(
             (e.data_graph, e.query_graph, tuple(e.mapping.tolist()))
             for e in r.embeddings
         )
         assert embs(shm) == embs(pick)
 
-    def test_single_worker_in_process_path(self, bench):
+    def test_single_worker_in_process_path(self, bench, monkeypatch):
+        # One worker runs every attempt in process: no batch is exported,
+        # so a platform without shared memory never warns.
         serial = run_resilient(bench.queries, bench.data, 9)
-        shm = run_parallel(bench.queries, bench.data, n_workers=1, chunk_size=9)
-        assert shm.transport == "shared-memory"
-        assert shm.total_matches == serial.total_matches
+        monkeypatch.setattr(shm_module, "SharedCSRGO", _no_shared_memory)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = run_resilient(bench.queries, bench.data, 9, n_workers=1)
+        assert one.total_matches == serial.total_matches
+        assert one.matched_pairs == serial.matched_pairs
 
     def test_find_first_mode(self, bench, monkeypatch):
         pick = pickled(
-            monkeypatch, bench.queries, bench.data, n_workers=2, chunk_size=9,
-            mode="find-first",
+            monkeypatch, bench.queries, bench.data, 9, mode="find-first", n_workers=2,
         )
-        shm = run_parallel(
-            bench.queries, bench.data, n_workers=2, chunk_size=9,
-            mode="find-first",
-        )
+        shm = shared(bench.queries, bench.data, 9, mode="find-first", n_workers=2)
         assert shm.total_matches == pick.total_matches
         assert shm.matched_pairs == pick.matched_pairs

@@ -12,8 +12,7 @@ each way the drivers cut and fold the same work:
 * a ``"token"`` chain of budgeted runs merged by
   :func:`~repro.runtime.resilient.combine_results`;
 * a checkpoint restart after a token stop;
-* :func:`~repro.cluster.parallel.run_parallel` inline (1 worker) and
-  with 2 worker processes.
+* ``run_resilient`` over a 2-process worker pool (``n_workers=2``).
 
 In Find All every driver must equal the reference in total matches,
 global matched pairs and embeddings, with the edge-aware filter pass on
@@ -23,19 +22,29 @@ counts of the batch being joined, so a chunk's work counters depend on
 where the range was cut (its matches do not): each driver's summed
 ``JoinStats`` must equal the reference's summed over the same cuts, which
 is the single whole-batch run when one chunk covers the batch.
+
+A pooled run is the serial run: :func:`test_pooled_equals_serial` runs
+each configuration above, plus a fault plan, injected hard crashes and a
+memory budget that splits chunks, with ``n_workers`` 1 and 2 or 3, and requires equal
+status, matches, pairs, embeddings, ``JoinStats``, stage counts, chunk
+counts and records, attempt logs (without their seconds), resume tokens
+and checkpoint manifests (without their timing values).
 """
 
+import json
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.cluster.parallel import run_parallel
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
 from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget, JoinStats
-from repro.runtime import COMPLETE, combine_results, run_resilient
+from repro.runtime import COMPLETE, FaultPlan, RetryPolicy, combine_results, run_resilient
+from repro.runtime.checkpoint import MANIFEST_NAME
+from repro.runtime.resilient import predict_chunk_footprint
 from tests.integration.test_join_differential import _workload, seed_flags
 
 pytestmark = pytest.mark.robustness
@@ -43,7 +52,7 @@ pytestmark = pytest.mark.robustness
 #: Fixed seeds in tier-1 and CI; ``make fuzz`` widens the range through
 #: ``REPRO_FUZZ_SEEDS``.
 SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "8")))
-#: Seeds that also run the 2-process pool (each run starts a pool).
+#: Seeds that also run worker pools (each pooled run starts a pool).
 POOL_SEEDS = (0, 5)
 
 
@@ -76,26 +85,21 @@ def _budget(ref, seed):
     return JoinBudget(max_visits=int(rng.integers(1, max(2, visits // 3))))
 
 
-def _token_chain(queries, data, config, budget):
-    parts = [
-        run_resilient(
-            queries, data, 3, config=config, join_budget=budget, on_truncate="token"
-        )
-    ]
+def _token_parts(queries, data, config, budget, n_workers=1):
+    """A ``"token"`` chain of budgeted runs until no token is left."""
+    run = partial(
+        run_resilient, queries, data, 3, config=config, join_budget=budget,
+        on_truncate="token", n_workers=n_workers,
+    )
+    parts = [run()]
     while parts[-1].resume_token is not None:
         assert len(parts) < 500, "token chain does not progress"
-        parts.append(
-            run_resilient(
-                queries, data, 3, config=config, join_budget=budget,
-                on_truncate="token", resume_token=parts[-1].resume_token,
-            )
-        )
-    return combine_results(*parts)
+        parts.append(run(resume_token=parts[-1].resume_token))
+    return parts
 
 
-def _pool_cuts(n, n_workers, size):
-    block = -(-n // n_workers)
-    return [cut for lo, hi in _cuts(0, n, block) for cut in _cuts(lo, hi, size)]
+def _token_chain(queries, data, config, budget):
+    return combine_results(*_token_parts(queries, data, config, budget))
 
 
 def _drivers(queries, data, config, mode, budget, tmp_path, seed):
@@ -119,13 +123,10 @@ def _drivers(queries, data, config, mode, budget, tmp_path, seed):
         yield "restart", run_resilient(
             queries, data, 3, config=config, checkpoint=directory
         ), _cuts(0, n, 3)
-    yield "parallel[1]", run_parallel(
-        queries, data, n_workers=1, chunk_size=3, mode=mode, config=config
-    ), _pool_cuts(n, 1, 3)
     if seed in POOL_SEEDS:
-        yield "parallel[2]", run_parallel(
-            queries, data, n_workers=2, chunk_size=3, mode=mode, config=config
-        ), _pool_cuts(n, 2, 3)
+        yield "pooled[2]", run_resilient(
+            queries, data, 3, mode=mode, config=config, n_workers=2
+        ), _cuts(0, n, 3)
 
 
 @pytest.mark.parametrize(("seed", "edge_signatures"), seed_flags(SEEDS))
@@ -164,3 +165,86 @@ def test_find_first_drivers_equal_whole_batch(seed, tmp_path):
     ):
         assert got.status == COMPLETE, name
         assert sorted(got.matched_pairs) == pairs, name
+
+
+def _snapshot(result):
+    """Everything a run reports except its clocks."""
+    return {
+        "status": result.status,
+        "total_matches": result.total_matches,
+        "matched_pairs": result.matched_pairs,
+        "embeddings": _embeddings(
+            (r.data_graph, r.query_graph, r.mapping) for r in result.embeddings
+        ),
+        "join_stats": result.join_stats,
+        "stage_counts": result.stage_counts,
+        "timing_keys": sorted(result.timings),
+        "n_chunks": result.n_chunks,
+        "peak_memory_bytes": result.peak_memory_bytes,
+        "chunk_records": result.chunk_records,
+        "attempts": [replace(a, seconds=0.0) for a in result.report.attempts],
+        "resume_token": result.resume_token,
+    }
+
+
+def _manifest(directory):
+    """A checkpoint manifest with its timing values removed."""
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    for entry in manifest["chunks"]:
+        entry["timings"] = sorted(entry["timings"])
+    return manifest
+
+
+def _configurations(queries, data, config, budget, seed, n_workers, tmp_path):
+    """(name, everything reported) of every configuration at ``n_workers``."""
+    n = len(data)
+    run = partial(run_resilient, queries, data, config=config, n_workers=n_workers)
+    yield "plain", _snapshot(run())
+    for size in (1, 3, n + 1):
+        yield f"chunk[{size}]", _snapshot(run(size))
+    yield "resumed", _snapshot(run(3, join_budget=budget))
+    parts = _token_parts(queries, data, config, budget, n_workers)
+    yield "token-chain", [_snapshot(p) for p in parts + [combine_results(*parts)]]
+    directory = tmp_path / f"ckpt-{n_workers}"
+    stopped = run(3, join_budget=budget, on_truncate="token", checkpoint=directory)
+    assert stopped.resume_token is not None
+    stopped_manifest = _manifest(directory)
+    restarted = run(3, checkpoint=directory)
+    yield "restart", [
+        _snapshot(stopped), stopped_manifest, _snapshot(restarted), _manifest(directory)
+    ]
+    plan = FaultPlan(
+        seed=seed, oom_rate=0.3, crash_rate=0.3, fault_attempts=2,
+        oom_at=((3, 0),), crash_at=((0, 0), (6, 1)),
+    )
+    yield "faults", _snapshot(run(3, fault_plan=plan, retry=RetryPolicy(max_attempts=6)))
+    hard = FaultPlan(crash_at=((3, 0), (6, 0), (6, 1)), crash_hard=True)
+    crashed = _snapshot(run(3, fault_plan=hard, retry=RetryPolicy(max_attempts=4)))
+    # A pool worker dies where an in-process attempt raises: only the
+    # crash's detail (a broken pool, not the raised fault) differs.
+    crashed["attempts"] = [
+        replace(a, detail="") if a.outcome == "crash" else a for a in crashed["attempts"]
+    ]
+    yield "hard-crash", crashed
+    full = sum(predict_chunk_footprint(queries, data).values())
+    yield "memory", _snapshot(
+        run(n, memory_budget_bytes=full // 3, retry=RetryPolicy(max_attempts=8))
+    )
+
+
+@pytest.mark.parametrize(
+    ("seed", "n_workers"), [(seed, k) for seed in POOL_SEEDS for k in (2, 3)]
+)
+def test_pooled_equals_serial(seed, n_workers, tmp_path):
+    queries, data, fields = _workload(seed)
+    config = SigmoConfig(record_embeddings=True, **fields)
+    budget = _budget(_reference(queries, data, config, FIND_ALL), seed)
+    serial = dict(_configurations(queries, data, config, budget, seed, 1, tmp_path))
+    outcomes = {a.outcome for a in serial["faults"]["attempts"]}
+    assert {"crash", "oom"} <= outcomes  # the plan fired both faults
+    assert serial["memory"]["n_chunks"] > 1  # the budget split the batch
+    assert serial["memory"]["attempts"][0].outcome == "oom"
+    assert [a.outcome for a in serial["hard-crash"]["attempts"]].count("crash") == 3
+    pooled = _configurations(queries, data, config, budget, seed, n_workers, tmp_path)
+    for name, got in pooled:
+        assert got == serial[name], name

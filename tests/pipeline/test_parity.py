@@ -1,8 +1,8 @@
 """Cross-driver parity: one seeded workload, every entry point, one answer.
 
-Every run entry point — ``SigmoEngine.run``, the serial chunk loop
-``run_resilient`` (over graph lists or CSR-GO batches) and the pool
-driver ``run_parallel`` — is a thin adapter over the one pipeline,
+Every run entry point — ``SigmoEngine.run`` and the chunk loop
+``run_resilient`` (over graph lists or CSR-GO batches, in process or
+over a worker pool) — is a thin adapter over the one pipeline,
 :func:`~repro.pipeline.execute`, and all of them (plus ``execute``
 invoked directly) must produce identical match sets,
 embeddings, summed :class:`~repro.core.join.JoinStats`, and — for
@@ -12,7 +12,6 @@ drivers sharing a partition — identical ``stage_counts``.
 import pytest
 
 from repro.chem.datasets import build_benchmark
-from repro.cluster.parallel import run_parallel
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
@@ -97,28 +96,24 @@ class TestDriverParity:
         self.check(result, reference)
 
     def test_run_parallel(self, dataset, config, reference):
-        result = run_parallel(
-            dataset.queries,
-            dataset.data,
-            n_workers=2,
-            chunk_size=CHUNK,
-            config=config,
+        result = run_resilient(
+            dataset.queries, dataset.data, CHUNK, config=config, n_workers=2
         )
         self.check(result, reference)
 
     def test_run_parallel_resilient(self, dataset, config, reference):
-        # The pool driver's fault-tolerant path: a soft crash on slice 0 is
+        # The pooled fault-tolerant path: a soft crash on the chunk at 0 is
         # retried and the run still reproduces the whole-batch reference.
-        result = run_parallel(
+        result = run_resilient(
             dataset.queries,
             dataset.data,
-            n_workers=2,
-            chunk_size=CHUNK,
+            CHUNK,
             config=config,
             fault_plan=FaultPlan(crash_at=((0, 0),)),
+            n_workers=2,
         )
         assert result.status == "complete"
-        assert result.failed_slices == []
+        assert all(rec.status == "ok" for rec in result.chunk_records)
         self.check(result, reference)
 
     def test_executor_direct(self, dataset, config, reference):
@@ -161,35 +156,28 @@ class TestSharedPartition:
         serial = run_resilient(
             dataset.queries, dataset.data, chunk_size=CHUNK, config=config
         )
-        pooled = run_parallel(
-            dataset.queries,
-            dataset.data,
-            n_workers=1,
-            chunk_size=CHUNK,
-            config=config,
+        # One worker runs every attempt in process: the same loop.
+        pooled = run_resilient(
+            dataset.queries, dataset.data, CHUNK, config=config, n_workers=1
         )
-        assert pooled.matched_pairs == sorted(serial.matched_pairs)
+        assert pooled.matched_pairs == serial.matched_pairs
         assert pooled.embeddings == serial.embeddings
         assert pooled.stage_counts == serial.stage_counts
         assert stats_tuple(pooled.join_stats) == stats_tuple(serial.join_stats)
 
     def test_pool_vs_resilient_pool(self, dataset, config):
-        plain = run_parallel(
-            dataset.queries,
-            dataset.data,
-            n_workers=2,
-            chunk_size=CHUNK,
-            config=config,
+        plain = run_resilient(
+            dataset.queries, dataset.data, CHUNK, config=config, n_workers=2
         )
-        # A retried soft crash re-runs the same slice, so the partition and
+        # A retried soft crash re-runs the same chunk, so the partition and
         # therefore every counter are unchanged.
-        recovered = run_parallel(
+        recovered = run_resilient(
             dataset.queries,
             dataset.data,
-            n_workers=2,
-            chunk_size=CHUNK,
+            CHUNK,
             config=config,
             fault_plan=FaultPlan(crash_at=((0, 0),)),
+            n_workers=2,
         )
         assert recovered.status == plain.status == "complete"
         assert recovered.matched_pairs == plain.matched_pairs

@@ -8,8 +8,7 @@ import pytest
 from repro.core.join import JoinStats
 from repro.core.results import MatchRecord
 from repro.io.serialization import file_sha256
-from repro.pipeline.aggregate import AggregateResult
-from repro.runtime import run_resilient
+from repro.runtime import ResilientResult, run_resilient
 from repro.runtime.checkpoint import (
     STATUS_OK,
     STATUS_TRUNCATED,
@@ -180,7 +179,7 @@ class TestFormat:
         assert (loaded.peak_memory_bytes, loaded.next_pair) == (0, 0)
         fresh = make_payload(4, 8)
         fresh.join_stats = JoinStats(pairs_joined=3)
-        merged = AggregateResult().add(loaded).add(fresh)
+        merged = ResilientResult().add(loaded).add(fresh)
         assert merged.n_chunks == 2
         assert merged.total_matches == 6
         assert merged.join_stats == JoinStats(pairs_joined=3)

@@ -17,12 +17,14 @@ from repro.core.engine import SigmoEngine
 from repro.core.join import JoinBudget
 from repro.device.memory import DeviceMemoryPool
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
+from repro.obs.trace import tracing
 from repro.pipeline import derive_n_labels
 from repro.runtime import (
     COMPLETE,
     PARTIAL,
     FaultPlan,
     ResumeToken,
+    RetryPolicy,
     combine_results,
     run_resilient,
     workload_fingerprint,
@@ -91,7 +93,9 @@ class TestPlainExecution:
         with pytest.raises(ValueError):
             run_resilient(queries, data, on_truncate="explode")
         with pytest.raises(ValueError):
-            run_resilient(queries, data, max_attempts=0)
+            run_resilient(queries, data, retry=RetryPolicy(max_attempts=0))
+        with pytest.raises(ValueError):
+            run_resilient(queries, data, n_workers=0)
 
 
 class TestOOMDegradation:
@@ -99,7 +103,7 @@ class TestOOMDegradation:
         queries, data = workload
         plan = FaultPlan(seed=3, oom_rate=0.7, fault_attempts=2)
         result = run_resilient(
-            queries, data, chunk_size=8, fault_plan=plan, max_attempts=6
+            queries, data, chunk_size=8, fault_plan=plan, retry=RetryPolicy(max_attempts=6)
         )
         assert result.status == COMPLETE
         assert result.report.n_retries > 0
@@ -110,7 +114,7 @@ class TestOOMDegradation:
         full = sum(predict_chunk_footprint(queries, data).values())
         pool = DeviceMemoryPool(capacity_bytes=full // 3, reserve_fraction=0.0)
         result = run_resilient(
-            queries, data, chunk_size=len(data), memory=pool, max_attempts=8
+            queries, data, chunk_size=len(data), memory=pool, retry=RetryPolicy(max_attempts=8)
         )
         assert result.status == COMPLETE
         assert result.n_chunks > 1  # the single chunk had to split
@@ -180,7 +184,7 @@ class TestOOMDegradation:
         queries, data = workload
         plan = FaultPlan(seed=1, oom_rate=1.0, fault_attempts=10**6)
         result = run_resilient(
-            queries, data, chunk_size=8, fault_plan=plan, max_attempts=2
+            queries, data, chunk_size=8, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
         )
         assert result.status == PARTIAL
         assert result.total_matches == 0
@@ -192,12 +196,38 @@ class TestOOMDegradation:
         # span 1 and is then declared infeasible instead of looping
         pool = DeviceMemoryPool(capacity_bytes=16, reserve_fraction=0.0)
         result = run_resilient(
-            queries, data[:4], chunk_size=4, memory=pool, max_attempts=8
+            queries, data[:4], chunk_size=4, memory=pool, retry=RetryPolicy(max_attempts=8)
         )
         assert result.status == PARTIAL
         assert all(
             rec.status in ("infeasible", "failed") for rec in result.chunk_records
         )
+
+
+class TestCrashRecovery:
+    def test_serial_run_retries_injected_crash(self, workload):
+        # Crash faults are keyed by (chunk start, attempt) in serial runs
+        # too: the crashed chunk is retried and the run equals a clean one.
+        queries, data = workload
+        config = SigmoConfig(record_embeddings=True)
+        clean = run_resilient(queries, data, chunk_size=8, config=config)
+        result = run_resilient(
+            queries, data, chunk_size=8, config=config,
+            fault_plan=FaultPlan(crash_at=((0, 0),)),
+        )
+        crashes = [
+            (a.unit, a.attempt)
+            for a in result.report.attempts
+            if a.outcome == telemetry.CRASH
+        ]
+        assert crashes == [("chunk[0:8]", 0)]
+        assert result.report.n_retries == 1
+        assert result.chunk_records[0].attempts == 2
+        assert result.status == clean.status == COMPLETE
+        assert result.matched_pairs == clean.matched_pairs
+        assert result.embeddings == clean.embeddings
+        assert result.join_stats == clean.join_stats
+        assert result.n_chunks == clean.n_chunks
 
 
 class TestJoinWatchdog:
@@ -354,7 +384,7 @@ class TestCheckpointResume:
             chunk_size=8,
             checkpoint=tmp_path / "f",
             fault_plan=plan,
-            max_attempts=6,
+            retry=RetryPolicy(max_attempts=6),
         )
         assert faulted.status == COMPLETE
         assert_equals_serial(faulted, serial)
@@ -370,7 +400,7 @@ class TestTelemetry:
         queries, data = workload
         plan = FaultPlan(seed=3, oom_rate=0.7, fault_attempts=2)
         result = run_resilient(
-            queries, data, chunk_size=8, fault_plan=plan, max_attempts=6
+            queries, data, chunk_size=8, fault_plan=plan, retry=RetryPolicy(max_attempts=6)
         )
         assert result.report.n_faults > 0
         assert result.report.outcomes()["ok"] >= result.n_chunks
@@ -378,3 +408,21 @@ class TestTelemetry:
         assert "retrie" in summary and "oom" in summary
         payload = result.report.to_dict()
         assert len(payload["attempts"]) == result.report.n_attempts
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_every_attempt_has_a_runtime_span(self, workload, n_workers):
+        # One chunk span per recorded attempt, in the calling process,
+        # faulted ones included; in process the engine's spans nest in it.
+        queries, data = workload
+        plan = FaultPlan(oom_at=((0, 0),), crash_at=((8, 0),))
+        with tracing() as tracer:
+            result = run_resilient(
+                queries, data, chunk_size=8, fault_plan=plan, n_workers=n_workers
+            )
+        spans = [s for s in tracer.spans if s.category == "runtime"]
+        assert [(s.name, s.attrs["attempt"], s.attrs["outcome"]) for s in spans] == [
+            (a.unit, a.attempt, a.outcome) for a in result.report.attempts
+        ]
+        assert {"oom", "crash", "ok"} <= {s.attrs["outcome"] for s in spans}
+        nested = {bool(tracer.children(s)) for s in spans if s.attrs["outcome"] == "ok"}
+        assert nested == {n_workers == 1}
