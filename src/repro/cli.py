@@ -55,7 +55,7 @@ def _add_match(sub: argparse._SubParsersAction) -> None:
         "--mode", choices=("find-all", "find-first"), default="find-all"
     )
     p.add_argument("--iterations", type=int, default=6,
-                   help="refinement iterations (paper default: 6)")
+                   help="refinement iterations; a cap for the default filter (paper: 6)")
     p.add_argument("--chunk-size", type=int, default=0,
                    help="process molecules in chunks of this size (0 = off)")
     p.add_argument("--embeddings", action="store_true",
@@ -131,7 +131,7 @@ def _add_resilient_run(sub: argparse._SubParsersAction) -> None:
         "--mode", choices=("find-all", "find-first"), default="find-all"
     )
     p.add_argument("--iterations", type=int, default=6,
-                   help="refinement iterations (paper default: 6)")
+                   help="refinement iterations; a cap for the default filter (paper: 6)")
     p.add_argument("--chunk-size", type=int, default=0,
                    help="chunk size (0 = derive from the memory budget)")
     p.add_argument("--memory-budget-mb", type=float, default=0.0,
@@ -172,7 +172,7 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
         "--mode", choices=("find-all", "find-first"), default="find-all"
     )
     p.add_argument("--iterations", type=int, default=6,
-                   help="refinement iterations (paper default: 6)")
+                   help="refinement iterations; a cap for the default filter (paper: 6)")
     p.add_argument("--device", default="nvidia-v100s",
                    help="device spec for the analytic model/roofline")
     p.add_argument("--top-k", type=int, default=5,

@@ -184,7 +184,14 @@ def build_profile(
         kernels.append(row)
     m.gauge("model.total_seconds", times.total_seconds)
 
-    ctx = {"device": device.name, "mode": result.mode}
+    fr = result.filter_result
+    ctx = {
+        "device": device.name,
+        "mode": result.mode,
+        "filter_cap": fr.cap,
+        "filter_depth": fr.depth,
+        "filter_stop": fr.stop_reason,
+    }
     ctx.update(context or {})
     return Profile(metrics=m, context=ctx, stages=stages, kernels=kernels)
 
@@ -251,6 +258,11 @@ def format_profile(profile: Profile, top_k: int = 5) -> str:
             f"{s['seconds'] / total:>6.1%}"
         )
     lines.append(f"  {'total':<22} {total:>10.4f}")
+    if "filter_depth" in ctx:
+        lines.append(
+            f"filter: depth {ctx['filter_depth']} of cap {ctx['filter_cap']} "
+            f"({ctx['filter_stop']})"
+        )
 
     counters = profile.metrics.counters
     backends = sorted(

@@ -128,14 +128,16 @@ def execute(request: PipelineRequest) -> MatchResult:
             filter_result = _recall(request, STAGE_REFINE, fingerprint)
             if filter_result is None:
                 with tracer.span(
-                    "stage:filter",
-                    category="stage",
-                    iterations=config.refinement_iterations,
+                    "stage:filter", category="stage", cap=config.refinement_iterations
                 ) as stage_sp:
                     filter_result = _run_filter(
                         query, data, config, n_labels, timings, counts
                     )
-                    stage_sp.set(candidates=filter_result.total_candidates)
+                    stage_sp.set(
+                        candidates=filter_result.total_candidates,
+                        depth=filter_result.depth,
+                        stop=filter_result.stop_reason,
+                    )
                 _store(request, STAGE_REFINE, fingerprint, filter_result)
             if checking:
                 contracts.check_filter_result(filter_result)
@@ -147,7 +149,9 @@ def execute(request: PipelineRequest) -> MatchResult:
                     with tracer.span(
                         "kernel:gmcr", category="kernel", work_items=data.n_graphs
                     ):
-                        gmcr = build_gmcr(filter_result.bitmap, query, data)
+                        gmcr = build_gmcr(
+                            filter_result.bitmap, query, data, filter_result.viable
+                        )
                     _clock(timings, counts, "mapping", start)
                     stage_sp.set(pairs=gmcr.n_pairs)
                 _store(request, STAGE_MAP, fingerprint, gmcr)
@@ -201,8 +205,8 @@ def _run_filter(
     _clock(timings, counts, "initialize_candidates", start)
     start = time.perf_counter()
     filt.refine(result)
-    # One count per refine iteration; the edge-aware pass runs inside
-    # the last one, so it adds no count.
+    # One count per refine iteration that ran (the depth, at most the
+    # cap); the edge-aware pass runs inside iteration 1, so it adds none.
     _clock(timings, counts, "filter", start, len(result.iterations))
     return result
 

@@ -125,10 +125,11 @@ class TestPlanMemoKeying:
 
     def test_refinement_iterations_key_via_counts(self, bench):
         # More refinement shrinks candidate sets -> different counts hash
-        # -> different plan key (the counts feed the matching order).
-        self._run(bench, refinement_iterations=1)
+        # -> different plan key (the counts feed the matching order).  The
+        # node-only filter runs every iteration it is given.
+        self._run(bench, refinement_iterations=1, edge_signatures=False)
         misses = plan_memo().stats.misses
-        self._run(bench, refinement_iterations=6)
+        self._run(bench, refinement_iterations=6, edge_signatures=False)
         assert plan_memo().stats.misses > misses
 
 
@@ -146,28 +147,29 @@ class TestPlanMemoBudget:
         assert all(isinstance(arr, np.ndarray) for arr in arrays)
 
     def test_eviction_under_budget(self, bench, monkeypatch):
-        # Fresh candidate counts each run (different refinement depths)
+        # Fresh candidate counts each run (different refinement depths of
+        # the node-only filter, which runs every iteration it is given)
         # miss the memo; a two-table budget keeps the two newest only.
-        # Depths 1 and 2 are skipped: the edge-aware pass already applies
-        # at depth 1 what the radius-1 node refine adds at depth 2, so
-        # their counts (and plan keys) coincide on this batch.
-        self._run(bench, refinement_iterations=1)
+        node_only = {"edge_signatures": False}
+        self._run(bench, refinement_iterations=1, **node_only)
         memo = plan_memo()
         per_table = memo.weight
         monkeypatch.setattr(memo, "capacity", 2 * per_table)
         for iterations in (3, 4, 5):
-            self._run(bench, refinement_iterations=iterations)
+            self._run(bench, refinement_iterations=iterations, **node_only)
             assert memo.weight <= memo.capacity
         assert len(memo) == 2
         assert memo.stats.evictions == 2
         hits = memo.stats.hits
-        self._run(bench, refinement_iterations=5)
+        self._run(bench, refinement_iterations=5, **node_only)
         assert memo.stats.hits == hits + 1
 
 
 class TestSignatureMemoKeying:
     def _run(self, bench, **config_fields):
-        config = SigmoConfig(**config_fields)
+        # The node-only filter computes signatures at every radius up to
+        # its depth; the default filter may stop before any.
+        config = SigmoConfig(edge_signatures=False, **config_fields)
         SigmoEngine(bench.queries, bench.data, config).run()
 
     def test_identical_run_hits(self, bench):
@@ -214,9 +216,8 @@ class TestSignatureMemoKeying:
         self._run(bench, refinement_iterations=3)
         memo = signature_memo()
         assert 0 < memo.weight <= SIGNATURE_MEMO_BYTES
-        # query + data sides at radii 1..2, plus the query side's
-        # edge-aware pair groups
-        assert len(memo) == 5
+        # query + data sides at radii 1..2
+        assert len(memo) == 4
 
     def test_budget_evicts_data_side_keeps_hot_query_side(self, bench, monkeypatch):
         # A session-like stream: one query batch, never-repeated data
@@ -227,7 +228,7 @@ class TestSignatureMemoKeying:
 
         query = CSRGO.from_graphs(bench.queries)
         batches = [CSRGO.from_graphs(bench.data[i::4]) for i in range(4)]
-        config = SigmoConfig(refinement_iterations=2)
+        config = SigmoConfig(refinement_iterations=2, edge_signatures=False)
         IterativeFilter(query, batches[0], config).run()
         memo = signature_memo()
         per_run = memo.weight
@@ -238,5 +239,5 @@ class TestSignatureMemoKeying:
         assert memo.stats.evictions >= 1
         hits = memo.stats.hits
         IterativeFilter(query, batches[-1], config).run()
-        # query and data side at radius 1, and the query's pair groups
-        assert memo.stats.hits == hits + 3
+        # query and data side at radius 1
+        assert memo.stats.hits == hits + 2

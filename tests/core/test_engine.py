@@ -36,7 +36,13 @@ class TestEngineBasics:
         res1 = engine.run()
         res2 = engine.run(config=SigmoConfig(refinement_iterations=3))
         assert len(res1.filter_result.iterations) == 1
-        assert len(res2.filter_result.iterations) == 3
+        # The default filter treats the iteration count as a cap.
+        assert res2.filter_result.cap == 3
+        assert 1 <= res2.filter_result.depth <= 3
+        res3 = engine.run(
+            config=SigmoConfig(refinement_iterations=3, edge_signatures=False)
+        )
+        assert len(res3.filter_result.iterations) == 3
 
     def test_iteration_sweep(self):
         engine = SigmoEngine([path_graph([1, 2])], [ring_graph(6, [1, 1, 2, 1, 1, 2])])

@@ -239,7 +239,8 @@ class TestIterativeFilter:
     def test_stats_structure(self):
         q = CSRGO.from_graphs([path_graph([1, 2])])
         d = CSRGO.from_graphs([path_graph([1, 2])])
-        result = IterativeFilter(q, d, SigmoConfig(refinement_iterations=3)).run()
+        config = SigmoConfig(refinement_iterations=3, edge_signatures=False)
+        result = IterativeFilter(q, d, config).run()
         assert [s.iteration for s in result.iterations] == [1, 2, 3]
         assert [s.radius for s in result.iterations] == [0, 1, 2]
         assert all(s.candidates_per_node.shape == (2,) for s in result.iterations)

@@ -78,11 +78,23 @@ def _reference_stats(queries, data, config, cuts):
     return total
 
 
-def _budget(ref, seed):
-    """A visit budget that truncates somewhere inside the run."""
-    visits = ref.join_result.stats.candidate_visits
+def _budget(visits, seed):
+    """A visit budget that truncates somewhere inside a run of ``visits``."""
     rng = np.random.default_rng(seed)
     return JoinBudget(max_visits=int(rng.integers(1, max(2, visits // 3))))
+
+
+def _chunk_visits(queries, data, config):
+    """Most reference visits of one 3-graph chunk.
+
+    The filter picks its depth per batch, so the whole batch's visits do
+    not bound a chunk's; a budget that must stop a chunked run is sized
+    from the chunks.
+    """
+    return max(
+        _reference(queries, data[lo:hi], config, FIND_ALL).join_result.stats.candidate_visits
+        for lo, hi in _cuts(0, len(data), 3)
+    )
 
 
 def _token_parts(queries, data, config, budget, n_workers=1):
@@ -137,7 +149,7 @@ def test_find_all_drivers_equal_whole_batch(seed, edge_signatures, tmp_path):
     )
     ref = _reference(queries, data, config, FIND_ALL)
     assert ref.join_result.stats.pairs_joined > 0
-    budget = _budget(ref, seed)
+    budget = _budget(_chunk_visits(queries, data, config), seed)
     pairs = sorted(ref.matched_pairs())
     embeddings = sorted(_embeddings(ref.join_result.embeddings))
     for name, got, cuts in _drivers(
@@ -159,7 +171,7 @@ def test_find_first_drivers_equal_whole_batch(seed, tmp_path):
     ref = _reference(queries, data, config, FIND_FIRST)
     assert ref.join_result.stats.pairs_joined > 0
     pairs = sorted(ref.matched_pairs())
-    budget = _budget(ref, seed)
+    budget = _budget(ref.join_result.stats.candidate_visits, seed)
     for name, got, _ in _drivers(
         queries, data, config, FIND_FIRST, budget, tmp_path, seed
     ):
@@ -238,7 +250,9 @@ def _configurations(queries, data, config, budget, seed, n_workers, tmp_path):
 def test_pooled_equals_serial(seed, n_workers, tmp_path):
     queries, data, fields = _workload(seed)
     config = SigmoConfig(record_embeddings=True, **fields)
-    budget = _budget(_reference(queries, data, config, FIND_ALL), seed)
+    budget = _budget(
+        _reference(queries, data, config, FIND_ALL).join_result.stats.candidate_visits, seed
+    )
     serial = dict(_configurations(queries, data, config, budget, seed, 1, tmp_path))
     outcomes = {a.outcome for a in serial["faults"]["attempts"]}
     assert {"crash", "oom"} <= outcomes  # the plan fired both faults

@@ -156,12 +156,19 @@ class TestStageCounts:
         assert list(result.stage_counts) == [
             "initialize_candidates", "filter", "mapping", "join",
         ]
-        # The pass runs inside the last refine iteration: no extra count.
-        assert result.stage_counts["filter"] == ITERATIONS
+        # The pass runs inside refine iteration 1: no extra count.  The
+        # filter counts the iterations that ran, at most the cap.
+        depth = result.filter_result.depth
+        assert 1 <= depth <= ITERATIONS
+        assert result.stage_counts["filter"] == depth
         assert result.stage_counts["initialize_candidates"] == 1
         by_id = {s.span_id: s for s in t.spans}
         (edge_aware,) = t.find("kernel:refine_edge_aware")
-        assert by_id[edge_aware.parent_id].name == "stage:filter"
+        stage = by_id[edge_aware.parent_id]
+        assert stage.name == "stage:filter"
+        assert stage.attrs["cap"] == ITERATIONS
+        assert stage.attrs["depth"] == depth
+        assert stage.attrs["stop"] == result.filter_result.stop_reason
 
     def test_warm_session_match_clocks_only_the_join(self, dataset):
         session = MatcherSession(

@@ -37,9 +37,10 @@ class TestProfile:
         for required in ("filter", "mapping", "join"):
             assert required in names
         assert all(s["count"] >= 1 for s in profile.stages)
-        # The filter stage runs once per refinement iteration.
+        # The filter stage counts the refinement iterations that ran.
         filter_row = next(s for s in profile.stages if s["stage"] == "filter")
-        assert filter_row["count"] >= 2
+        assert filter_row["count"] == profile.context["filter_depth"]
+        assert 1 <= filter_row["count"] <= profile.context["filter_cap"] == 4
 
     def test_top_kernels_sorted_by_simulated_bytes(self, profile):
         assert profile.kernels

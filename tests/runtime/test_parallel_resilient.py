@@ -200,8 +200,10 @@ class TestRecovery:
         assert cap < words[target] and target + 6 < len(data)
         monkeypatch.setattr(signatures, "SIGNATURE_WORD_CAP", cap)
         clear_accel_caches()  # memoized signatures would skip the BFS
-        serial_run = run_resilient(queries, data, 6)
-        pooled = run_resilient(queries, data, 6, n_workers=3)
+        # The node-only filter runs the signature BFS at every depth.
+        config = SigmoConfig(edge_signatures=False)
+        serial_run = run_resilient(queries, data, 6, config=config)
+        pooled = run_resilient(queries, data, 6, n_workers=3, config=config)
         assert [a.outcome for a in serial_run.report.attempts].count("oom") == 1
         assert _attempts(pooled) == _attempts(serial_run)
         assert pooled.chunk_records == serial_run.chunk_records

@@ -173,7 +173,9 @@ class TestOOMDegradation:
         assert cap < words_needed(whole)
         monkeypatch.setattr(signatures, "SIGNATURE_WORD_CAP", cap)
         clear_accel_caches()  # memoized signatures would skip the BFS
-        result = run_resilient(queries, data, chunk_size=len(data))
+        # The node-only filter runs the signature BFS at every depth.
+        config = SigmoConfig(edge_signatures=False)
+        result = run_resilient(queries, data, chunk_size=len(data), config=config)
         assert result.status == COMPLETE
         assert result.n_chunks == 2
         assert result.report.count(telemetry.OOM) == 1
