@@ -140,10 +140,6 @@ def _add_resilient_run(sub: argparse._SubParsersAction) -> None:
                    help="per-chunk retry bound before the run goes partial")
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="persist completed chunks here and resume from them")
-    p.add_argument("--max-join-matches", type=int, default=0,
-                   help="join watchdog: truncate a chunk past this many matches")
-    p.add_argument("--max-join-visits", type=int, default=0,
-                   help="join watchdog: truncate past this many node visits")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for injected faults (demo/testing)")
     p.add_argument("--fault-oom-rate", type=float, default=0.0,
@@ -154,8 +150,9 @@ def _add_resilient_run(sub: argparse._SubParsersAction) -> None:
                    help="write results as JSON")
     p.add_argument("--smoke", action="store_true",
                    help="self-contained fault-injection check: a seeded "
-                        "faulted run must equal the fault-free run (exit 1 "
-                        "on mismatch); ignores --data/--queries")
+                        "faulted run, its pooled twin and a checkpoint "
+                        "restart of a partial run must equal the fault-free "
+                        "run (exit 1 on mismatch); ignores --data/--queries")
 
 
 def _add_profile(sub: argparse._SubParsersAction) -> None:
@@ -591,7 +588,6 @@ def cmd_analyze(args) -> int:
 def cmd_resilient_run(args) -> int:
     """Handle ``repro resilient-run``: fault-tolerant matching."""
     from repro.core.config import SigmoConfig
-    from repro.core.join import JoinBudget
     from repro.io import read_smi
     from repro.runtime import COMPLETE, FaultPlan, RetryPolicy, run_resilient
 
@@ -620,12 +616,6 @@ def cmd_resilient_run(args) -> int:
         query_graphs = [m.graph() for m in query_mols]
         config = SigmoConfig(refinement_iterations=args.iterations)
 
-    join_budget = None
-    if args.max_join_matches or args.max_join_visits:
-        join_budget = JoinBudget(
-            max_matches=args.max_join_matches or None,
-            max_visits=args.max_join_visits or None,
-        )
     fault_plan = None
     if args.fault_oom_rate or args.fault_crash_rate:
         fault_plan = FaultPlan(
@@ -645,7 +635,6 @@ def cmd_resilient_run(args) -> int:
             int(args.memory_budget_mb * 2**20) if args.memory_budget_mb else None
         ),
         retry=RetryPolicy(max_attempts=args.max_attempts),
-        join_budget=join_budget,
         checkpoint=args.checkpoint_dir,
         fault_plan=fault_plan,
     )
@@ -686,7 +675,12 @@ def cmd_resilient_run(args) -> int:
 
 def _resilient_smoke(args) -> int:
     """Seeded fault-injection check: faulted runs must equal fault-free,
-    and the pooled faulted run must equal the serial one."""
+    the pooled faulted run must equal the serial one, and a faulted run
+    that ends partial, restarted from its checkpoint, must equal the
+    fault-free run."""
+    import tempfile
+    from dataclasses import replace
+
     from repro.chem.datasets import build_benchmark
     from repro.runtime import COMPLETE, FaultPlan, RetryPolicy, run_resilient
 
@@ -732,6 +726,33 @@ def _resilient_smoke(args) -> int:
     print(
         f"pooled (2 workers): {pooled.status}, {pooled.total_matches} matches, "
         f"{pooled.report.summary()}"
+    )
+
+    # Every attempt of chunk [12:18] crashes, so the faulted run ends
+    # partial; a fault-free restart runs only what its checkpoint lacks.
+    doomed = replace(plan, crash_at=tuple((12, a) for a in range(retry.max_attempts)))
+    with tempfile.TemporaryDirectory() as directory:
+        stopped = run_resilient(
+            ds.queries, ds.data, chunk_size=6, fault_plan=doomed, retry=retry,
+            checkpoint=directory,
+        )
+        restarted = run_resilient(ds.queries, ds.data, chunk_size=6, checkpoint=directory)
+    if (
+        stopped.status == COMPLETE
+        or restarted.status != COMPLETE
+        or restarted.matched_pairs != baseline.matched_pairs
+        or restarted.total_matches != baseline.total_matches
+    ):
+        failures.append(
+            f"checkpoint restart diverged: {stopped.status} then "
+            f"{restarted.status}, {restarted.total_matches} vs "
+            f"{baseline.total_matches} matches, {len(restarted.matched_pairs)} "
+            f"vs {len(baseline.matched_pairs)} pairs"
+        )
+    print(
+        f"checkpoint restart: {stopped.status} then {restarted.status}, "
+        f"{restarted.total_matches} matches, "
+        f"{restarted.chunks_from_checkpoint} chunk(s) from checkpoint"
     )
 
     for line in failures:

@@ -6,8 +6,7 @@ Both the per-chunk checkpoint payload
 (:class:`~repro.runtime.checkpoint.ChunkPayload`) and a run's
 :class:`~repro.runtime.resilient.ResilientResult` derive from it, so the
 chunk loop (:func:`repro.runtime.resilient.run_resilient`, serial or
-pooled) folds engine segments, checkpointed progress, chunks and
-token-resumed runs through the same code.
+pooled) folds checkpointed and freshly run chunks through the same code.
 """
 
 from __future__ import annotations

@@ -137,10 +137,7 @@ class MatcherSession:
         the artifact cache, and only the join runs.
 
         ``reuse=False`` disables artifact *recall* for this call (storing
-        still happens).  The chunk loop
-        (:func:`~repro.runtime.resilient.run_resilient`) recalls only on
-        resumed segments, so its per-chunk stage counts equal a fresh
-        engine's.
+        still happens).
 
         Thread/task safe: concurrent calls are serialized on the
         session's internal lock (see the class docstring).

@@ -8,8 +8,9 @@ run.  This package wraps it in a resilient runtime:
 
 * :mod:`~repro.runtime.resilient` — the one chunk loop, serial or over
   a worker pool, with graceful memory degradation (OOM → smaller
-  chunks), crash retry with backoff, the join watchdog (truncate +
-  resume token), and checkpoint/resume;
+  chunks), crash retry with backoff, and checkpoint/resume (each chunk
+  attempt runs whole: join truncation and resume belong to the engine
+  and the serving layer);
 * :mod:`~repro.runtime.workers` — where an attempt runs: in process, or
   in a pool worker that maps the batches from shared memory once and
   keeps one session;
@@ -21,12 +22,11 @@ run.  This package wraps it in a resilient runtime:
 
 A pooled run (``run_resilient(..., n_workers=k)``) is the serial run:
 the parent keeps up to ``k`` attempts in flight, commits outcomes in
-queue order, and rebuilds a broken pool.  Rank-failure re-execution for the simulated MPI cluster lives with the
-cluster itself (:meth:`repro.cluster.mpi_sim.SimulatedCluster.run`
+queue order, and rebuilds a broken pool.  Rank-failure re-execution for
+the simulated MPI cluster lives with the cluster itself (:meth:`repro.cluster.mpi_sim.SimulatedCluster.run`
 accepts a :class:`~repro.runtime.faults.FaultPlan`).
 """
 
-from repro.core.join import JoinBudget
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory
 from repro.pipeline.aggregate import COMPLETE, PARTIAL
 from repro.pipeline.policies import RetryPolicy
@@ -41,8 +41,6 @@ from repro.runtime.faults import (
 from repro.runtime.resilient import (
     ChunkRecord,
     ResilientResult,
-    ResumeToken,
-    combine_results,
     run_resilient,
     workload_fingerprint,
 )
@@ -58,17 +56,14 @@ __all__ = [
     "DeviceMemoryPool",
     "DeviceOutOfMemory",
     "FaultPlan",
-    "JoinBudget",
     "NO_FAULTS",
     "PARTIAL",
     "PoisonQuery",
     "RankFailure",
     "ResilientResult",
-    "ResumeToken",
     "RetryPolicy",
     "RunReport",
     "WorkerCrash",
-    "combine_results",
     "run_resilient",
     "workload_fingerprint",
 ]

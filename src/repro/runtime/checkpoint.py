@@ -16,6 +16,10 @@ Durability rules:
   is missing or fails its checksum are *dropped* on load (that chunk is
   simply re-executed — corruption degrades to recomputation, never to
   wrong results);
+* every entry is written with status ``"ok"``; an entry with any other
+  status (such as a ``"truncated"`` chunk an older release persisted
+  with its join resume pair) is dropped the same way, so its range runs
+  again from scratch;
 * the manifest records a workload fingerprint
   (:func:`repro.io.serialization.graphs_fingerprint` over queries, data,
   mode, and config); resuming against different inputs raises
@@ -45,9 +49,9 @@ from repro.pipeline.aggregate import ResultFields, join_stats_dict
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 
-#: Chunk statuses persisted in the manifest.
+#: The status every persisted chunk carries; entries with another one
+#: are dropped on load.
 STATUS_OK = "ok"
-STATUS_TRUNCATED = "truncated"
 
 
 class CheckpointMismatch(RuntimeError):
@@ -56,19 +60,15 @@ class CheckpointMismatch(RuntimeError):
 
 @dataclass
 class ChunkPayload(ResultFields):
-    """Everything persisted for one completed (or truncated) chunk.
+    """Everything persisted for one completed chunk.
 
     The summed result fields come from
     :class:`~repro.pipeline.aggregate.ResultFields` (``matched_pairs`` and
-    ``embeddings`` use *global* data-graph indices); ``next_pair`` is only
-    meaningful for ``STATUS_TRUNCATED`` payloads and names the first
-    unprocessed GMCR pair of the chunk's engine run.
+    ``embeddings`` use *global* data-graph indices).
     """
 
     start: int
     stop: int
-    status: str = STATUS_OK
-    next_pair: int = 0
 
 
 class CheckpointStore:
@@ -109,8 +109,9 @@ class CheckpointStore:
         """Read every verifiable chunk payload from the store.
 
         Returns an empty mapping when no manifest exists.  Entries whose
-        chunk file is missing or corrupt (checksum mismatch, unreadable
-        npz) are dropped — the driver re-executes those ranges.
+        status is not ``"ok"`` or whose chunk file is missing or corrupt
+        (checksum mismatch, unreadable npz) are dropped — the driver
+        re-executes those ranges.
         """
         self._entries = {}
         self._loaded = True
@@ -131,6 +132,9 @@ class CheckpointStore:
         for entry in manifest.get("chunks", []):
             key = (int(entry["start"]), int(entry["stop"]))
             path = self.directory / entry["file"]
+            if entry.get("status") != STATUS_OK:
+                self.dropped[key] = f"status {entry.get('status')!r} is not {STATUS_OK!r}"
+                continue
             if not path.is_file():
                 self.dropped[key] = "chunk file missing"
                 continue  # re-execute this range
@@ -157,8 +161,6 @@ class CheckpointStore:
         return ChunkPayload(
             start=int(entry["start"]),
             stop=int(entry["stop"]),
-            status=entry["status"],
-            next_pair=int(entry.get("next_pair", 0)),
             total_matches=int(entry["total_matches"]),
             matched_pairs=pairs,
             embeddings=embeddings,
@@ -197,8 +199,7 @@ class CheckpointStore:
             "stop": payload.stop,
             "file": path.name,
             "sha256": file_sha256(path),
-            "status": payload.status,
-            "next_pair": payload.next_pair,
+            "status": STATUS_OK,
             "total_matches": payload.total_matches,
             "timings": {k: float(v) for k, v in payload.timings.items()},
             "stage_counts": {k: int(v) for k, v in payload.stage_counts.items()},

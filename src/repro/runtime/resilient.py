@@ -6,17 +6,18 @@ section 5.4 on host processes — both are independent data-graph ranges
 folded in range order.  Queries and data arrive as graph lists or CSR-GO
 batches; both are converted once, and every chunk is cut from the one
 data batch with :meth:`~repro.core.csrgo.CSRGO.slice_graphs`.  Chunk
-ranges come from :func:`~repro.pipeline.policies.chunk_ranges`, and
-engine segments, checkpointed progress and chunks all fold through
+ranges come from :func:`~repro.pipeline.policies.chunk_ranges`; each
+attempt is one pipeline run over the whole chunk, and checkpointed and
+fresh chunks fold through
 :meth:`~repro.pipeline.aggregate.ResultFields.add`.
 
 The parent process does all planning and bookkeeping; only the attempt
 itself runs where :mod:`repro.runtime.workers` puts it (in process, or
 in a pool worker).  The parent keeps up to ``n_workers`` attempts in
 flight and commits their outcomes in queue order; after the first
-commit that is retried, split or stops the run, every later attempt in
-flight is discarded and its task requeued, so a pooled run is the
-serial run.  Four recovery mechanisms compose:
+commit that is retried or split, every later attempt in flight is
+discarded and its task requeued, so a pooled run is the serial run.
+Three recovery mechanisms compose:
 
 1. **Graceful memory degradation** — every chunk's predicted footprint
    (:func:`repro.device.memory.sigmo_footprint_bytes`) is leased from a
@@ -30,18 +31,17 @@ serial run.  Four recovery mechanisms compose:
    Attempts per range are bounded by ``retry.max_attempts``.  Chunking
    never changes results (data graphs are independent), so a degraded
    run is bitwise-identical to a clean one.
-2. **Join watchdog** — an optional
-   :class:`~repro.core.join.JoinBudget` stops an exploding Find All at a
-   pair boundary; the chunk is tagged ``truncated`` and carries a
-   :class:`ResumeToken`.  ``on_truncate="resume"`` continues in place
-   (segmented execution); ``on_truncate="token"`` returns the verified
-   partial results and the token.
-3. **Checkpoint/resume** — completed chunks are persisted through a
+2. **Checkpoint/resume** — completed chunks are persisted through a
    :class:`~repro.runtime.checkpoint.CheckpointStore`; a restarted run
    re-executes only uncovered ranges.
-4. **Fault injection** — a seeded
+3. **Fault injection** — a seeded
    :class:`~repro.runtime.faults.FaultPlan` keyed by ``(chunk start,
    attempt)`` exercises all of the above deterministically.
+
+Join truncation and resume belong to the engine
+(:meth:`~repro.core.engine.SigmoEngine.run`,
+:meth:`~repro.pipeline.session.MatcherSession.match`) and the serving
+layer, not to the chunk loop: a chunk attempt always runs whole.
 
 Every attempt is logged in a :class:`~repro.runtime.telemetry.RunReport`.
 """
@@ -57,7 +57,7 @@ from typing import Callable
 
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.join import FIND_ALL, JoinBudget
+from repro.core.join import FIND_ALL
 from repro.core.signatures import SignatureCapacityError
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory, sigmo_footprint_bytes
 from repro.graph.labeled_graph import LabeledGraph
@@ -72,12 +72,7 @@ from repro.pipeline.policies import (
 )
 from repro.pipeline.stages import as_csrgo
 from repro.runtime import telemetry
-from repro.runtime.checkpoint import (
-    STATUS_OK,
-    STATUS_TRUNCATED,
-    CheckpointStore,
-    ChunkPayload,
-)
+from repro.runtime.checkpoint import STATUS_OK, CheckpointStore, ChunkPayload
 from repro.runtime.faults import FaultPlan, WorkerCrash
 from repro.runtime.telemetry import Attempt, RunReport
 from repro.runtime.workers import Job, Outcome, attempt_runner
@@ -85,41 +80,10 @@ from repro.runtime.workers import Job, Outcome, attempt_runner
 #: Graph lists or an already-converted batch: either side of a run.
 Graphs = list[LabeledGraph] | CSRGO
 
-#: Chunk-record statuses (superset of the checkpoint statuses).
+#: Chunk-record statuses (a superset of the checkpoint's ``ok``).
 CHUNK_OK = STATUS_OK
-CHUNK_TRUNCATED = STATUS_TRUNCATED
 CHUNK_FAILED = "failed"
 CHUNK_INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class ResumeToken:
-    """Continuation point of a truncated run.
-
-    ``start``/``stop`` are the data-graph range of the truncated chunk and
-    ``next_pair`` the first unprocessed GMCR pair inside it.  The token is
-    *usable*: pass it back to :func:`run_resilient` (same workload, same
-    arguments) and merge the returned remainder with the earlier partial
-    result via :func:`combine_results` — or run with a checkpoint
-    directory, where the merge happens automatically.
-    """
-
-    start: int
-    stop: int
-    next_pair: int
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (the CLI prints this)."""
-        return {"start": self.start, "stop": self.stop, "next_pair": self.next_pair}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResumeToken":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            start=int(payload["start"]),
-            stop=int(payload["stop"]),
-            next_pair=int(payload["next_pair"]),
-        )
 
 
 @dataclass
@@ -130,17 +94,15 @@ class ChunkRecord:
     stop: int
     status: str
     attempts: int = 1
-    segments: int = 1
     total_matches: int = 0
     from_checkpoint: bool = False
-    resume_pair: int | None = None
     detail: str = ""
 
 
 @dataclass(kw_only=True)
 class ResilientResult(ResultFields):
     """Aggregated outcome of a resilient run: the summed fields plus
-    status, chunk count, chunk records, the attempt log and a resume token.
+    status, chunk count, chunk records and the attempt log.
 
     ``matched_pairs`` / ``embeddings`` use global data-graph indices and
     are ordered by data graph exactly like an uninterrupted chunk-by-chunk
@@ -154,7 +116,6 @@ class ResilientResult(ResultFields):
     chunks_from_checkpoint: int = 0
     chunk_records: list[ChunkRecord] = field(default_factory=list)
     report: RunReport = field(default_factory=RunReport)
-    resume_token: ResumeToken | None = None
 
     def add(self, part: ResultFields) -> ResilientResult:
         """Fold ``part`` in (returns ``self``): a folded run adds its
@@ -167,42 +128,6 @@ class ResilientResult(ResultFields):
     def total_seconds(self) -> float:
         """Summed per-stage engine seconds across every executed chunk."""
         return sum(self.timings.values())
-
-
-def combine_results(*results: ResilientResult) -> ResilientResult:
-    """Merge a partial run with its token-resumed remainder(s).
-
-    Matched pairs are re-sorted globally, so the combination equals a
-    single uninterrupted run regardless of how many times the work was
-    split.  The combined status is ``complete`` once every resume token
-    has been discharged by a later result completing its range and no
-    chunk is left failed/infeasible.
-    """
-    out = ResilientResult()
-    completed_ranges: set[tuple[int, int]] = set()
-    for result in results:
-        out.chunk_records.extend(result.chunk_records)
-        out.report.attempts.extend(result.report.attempts)
-        out.chunks_from_checkpoint += result.chunks_from_checkpoint
-        out.add(result)
-        completed_ranges.update(
-            (rec.start, rec.stop)
-            for rec in result.chunk_records
-            if rec.status == CHUNK_OK
-        )
-    out.chunk_records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
-    out.matched_pairs.sort()
-    out.embeddings.sort(key=lambda rec: (rec.data_graph, rec.query_graph))
-    for result in results:
-        token = result.resume_token
-        if token is not None and (token.start, token.stop) not in completed_ranges:
-            out.status = PARTIAL
-            out.resume_token = token
-    if any(
-        rec.status in (CHUNK_FAILED, CHUNK_INFEASIBLE) for rec in out.chunk_records
-    ):
-        out.status = PARTIAL
-    return out
 
 
 def _content_fingerprint(side: Graphs) -> str:
@@ -252,15 +177,11 @@ def predict_chunk_footprint(
 
 @dataclass
 class _Task:
-    """One pending range: ``[start, stop)`` from GMCR pair ``next_pair``."""
+    """One pending range: data graphs ``[start, stop)``."""
 
     start: int
     stop: int
-    next_pair: int = 0
     attempt: int = 0
-    # Accumulated partial payload from a previously truncated execution
-    # of the same range (checkpoint resume); merged into the final chunk.
-    prior: ChunkPayload | None = None
 
     @property
     def unit(self) -> str:
@@ -276,17 +197,15 @@ def run_resilient(
     memory: DeviceMemoryPool | None = None,
     memory_budget_bytes: int | None = None,
     retry: RetryPolicy | None = None,
-    join_budget: JoinBudget | None = None,
-    on_truncate: str = "resume",
     checkpoint: CheckpointStore | str | Path | None = None,
     fault_plan: FaultPlan | None = None,
-    resume_token: ResumeToken | dict | None = None,
     n_workers: int = 1,
 ) -> ResilientResult:
     """Run the pipeline over ``data`` with fault-tolerant chunking.
 
     Results are exactly those of one whole-batch run; only peak memory
-    differs.  Data-graph indices in ``matched_pairs`` and ``embeddings``
+    differs.  Each chunk attempt is one unbudgeted pipeline run over the
+    whole chunk.  Data-graph indices in ``matched_pairs`` and ``embeddings``
     are global (indices into ``data``).  Everything but the attempt
     timings (and a crash's detail text) is independent of
     ``n_workers``, unless a pool worker really dies: that takes down
@@ -311,25 +230,14 @@ def run_resilient(
         failing after ``retry.max_attempts`` is recorded
         (``failed``/``infeasible``) and the run continues, returning
         ``status="partial"``.
-    join_budget / on_truncate:
-        Join watchdog policy: ``"resume"`` transparently continues a
-        truncated chunk in budgeted segments; ``"token"`` stops the run
-        at the truncation and returns partial results plus a
-        :class:`ResumeToken`.
     checkpoint:
         Checkpoint directory or store; completed chunks are persisted and
-        a restarted run skips them (workload fingerprint enforced).
+        a restarted run skips them (workload fingerprint enforced), so a
+        ``partial`` run restarted with the same checkpoint runs only the
+        ranges it did not finish.
     fault_plan:
         Deterministic fault injection keyed by ``(chunk start,
         attempt)`` (tests/benchmarks).
-    resume_token:
-        Continue a token-truncated run: executes the token's remainder
-        plus everything after it and returns only that new work — merge
-        with the earlier partial via :func:`combine_results`.  When the
-        earlier run used a checkpoint, prefer restarting with just
-        ``checkpoint=`` (no token): completed chunks are loaded and the
-        truncated chunk resumes from its persisted pair token, so the
-        returned result is the complete run.
     n_workers:
         Attempts run at once: 1 runs them in this process, more in a
         pool of that many worker processes (at most one per data graph).
@@ -341,14 +249,10 @@ def run_resilient(
         raise ValueError("at least one data graph is required")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be >= 1 (or None to auto-size)")
-    if on_truncate not in ("resume", "token"):
-        raise ValueError("on_truncate must be 'resume' or 'token'")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     retry = retry or RetryPolicy()
     config = config or SigmoConfig()
-    if isinstance(resume_token, dict):
-        resume_token = ResumeToken.from_dict(resume_token)
 
     pool = memory
     if pool is None and memory_budget_bytes is not None:
@@ -370,16 +274,12 @@ def run_resilient(
     result = ResilientResult()
     if chunk_size is None:
         chunk_size = _auto_chunk_size(query, data, pool, result.report)
-    tasks = _plan_tasks(n_data, chunk_size, cached, resume_token)
-    payloads: dict[tuple[int, int, int], ChunkPayload] = {}
+    tasks = _plan_tasks(n_data, chunk_size, cached)
+    payloads: dict[tuple[int, int], ChunkPayload] = dict(cached)
 
-    # Cached complete chunks contribute directly.
-    for (start, stop), payload in sorted(cached.items()):
-        if payload.status != STATUS_OK:
-            continue
-        if resume_token is not None and stop <= resume_token.start:
-            continue  # the earlier partial result already holds this range
-        payloads[(start, stop, 0)] = payload
+    # Cached chunks contribute directly.
+    for start, stop in sorted(cached):
+        payload = cached[(start, stop)]
         result.chunk_records.append(
             ChunkRecord(
                 start=start,
@@ -404,14 +304,11 @@ def run_resilient(
     loop = _Loop(
         query, data, config, pool, retry, fault_plan, store, result, payloads, width
     )
-    with attempt_runner(
-        query, data, width,
-        config=config, mode=mode, join_budget=join_budget, on_truncate=on_truncate,
-    ) as submit:
+    with attempt_runner(query, data, width, config=config, mode=mode) as submit:
         loop.run(tasks, submit)
 
-    # Assemble in range order (ties broken by pair progress) — identical
-    # to an uninterrupted serial chunked run.
+    # Assemble in range order — identical to an uninterrupted serial
+    # chunked run.
     for key in sorted(payloads):
         result.add(payloads[key])
     if pool is not None:
@@ -421,9 +318,9 @@ def run_resilient(
         for rec in result.chunk_records
         if rec.status in (CHUNK_FAILED, CHUNK_INFEASIBLE)
     ]
-    if loop.stopped or bad:
+    if bad:
         result.status = PARTIAL
-    result.chunk_records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
+    result.chunk_records.sort(key=lambda r: (r.start, r.stop))
     return result
 
 
@@ -459,60 +356,18 @@ def _auto_chunk_size(
 
 
 def _plan_tasks(
-    n_data: int,
-    chunk_size: int,
-    cached: dict[tuple[int, int], ChunkPayload],
-    resume_token: ResumeToken | None,
+    n_data: int, chunk_size: int, cached: dict[tuple[int, int], ChunkPayload]
 ) -> list[_Task]:
-    """Pending ranges: the full span minus completed checkpointed ranges."""
-    span_start = 0
+    """Pending ranges: the full span minus checkpointed ranges."""
     tasks: list[_Task] = []
-    if resume_token is not None:
-        if not 0 <= resume_token.start < resume_token.stop <= n_data:
-            raise ValueError(
-                f"resume token range [{resume_token.start}, {resume_token.stop}) "
-                f"is outside the workload of {n_data} graphs"
-            )
-        key = (resume_token.start, resume_token.stop)
-        covered = key in cached and cached[key].status == STATUS_OK
-        if not covered:
-            prior = cached.get(key)
-            tasks.append(
-                _Task(
-                    start=resume_token.start,
-                    stop=resume_token.stop,
-                    next_pair=resume_token.next_pair,
-                    prior=prior if prior and prior.status == STATUS_TRUNCATED else None,
-                )
-            )
-        span_start = resume_token.stop
-    done = sorted(
-        key for key, payload in cached.items() if payload.status == STATUS_OK
-    )
-    truncated = {
-        key: payload
-        for key, payload in cached.items()
-        if payload.status == STATUS_TRUNCATED
-    }
-    position = span_start
-    boundaries = [key for key in done if key[1] > span_start] + [(n_data, n_data)]
-    for start, stop in boundaries:
+    position = 0
+    for start, stop in sorted(cached) + [(n_data, n_data)]:
         # Chunk the gap before this completed range (empty when covered).
-        for lo, hi in chunk_ranges(position, max(start, span_start), chunk_size):
-            prior = truncated.get((lo, hi))
-            tasks.append(
-                _Task(
-                    start=lo,
-                    stop=hi,
-                    next_pair=prior.next_pair if prior else 0,
-                    prior=prior,
-                )
-            )
+        tasks.extend(
+            _Task(lo, hi) for lo, hi in chunk_ranges(position, start, chunk_size)
+        )
         position = max(position, stop)
-    tasks.sort(key=lambda t: t.start)
     return tasks
-
-
 
 
 @dataclass(frozen=True)
@@ -543,25 +398,23 @@ class _Loop:
     fault_plan: FaultPlan | None
     store: CheckpointStore | None
     result: ResilientResult
-    payloads: dict[tuple[int, int, int], ChunkPayload]
+    payloads: dict[tuple[int, int], ChunkPayload]
     width: int = 1
-    stopped: bool = False
 
     def run(self, tasks: list[_Task], submit: Callable[[Job], Callable[[], Outcome]]) -> None:
         """Run ``tasks`` with up to ``width`` attempts in flight, committing
         them in queue order; a worker is refilled as soon as the oldest
         attempt commits.
 
-        After the first commit that retries, splits or stops the run,
-        every later attempt in flight is discarded and its task requeued
-        unchanged — except attempts a broken pool took down, which are
-        charged.  Nothing is dispatched behind an attempt that met a fault
+        After the first commit that retries or splits, every later
+        attempt in flight is discarded and its task requeued unchanged —
+        except attempts a broken pool took down, which are charged.  Nothing is dispatched behind an attempt that met a fault
         before any work, and an injected hard crash runs alone, so no
         attempt runs only to be discarded or taken down for it.
         """
         queue = deque(tasks)
         window: deque[tuple[_Task, _Prepared]] = deque()
-        while (queue or window) and not self.stopped:
+        while queue or window:
             while queue and len(window) < self.width:
                 if window and (window[-1][1].blocks or self._dies(queue[0])):
                     break
@@ -572,17 +425,17 @@ class _Loop:
                 window.append((task, self._prepare(task, submit)))
             task, prepared = window.popleft()
             follow = self._commit(task, prepared, prepared.wait)
-            if follow or self.stopped:
+            if follow:
                 queue.extendleft(reversed(follow + self._discard(window)))
 
     def _discard(self, window: deque[tuple[_Task, _Prepared]]) -> list[_Task]:
         """Wait out every attempt in flight; returns their tasks, charged
-        when a broken pool took them down (unless the run has stopped)."""
+        when a broken pool took them down."""
         requeue: list[_Task] = []
         while window:
             task, prepared = window.popleft()
             outcome = prepared.wait() if prepared.wait is not None else None
-            if isinstance(outcome, BrokenExecutor) and not self.stopped:
+            if isinstance(outcome, BrokenExecutor):
                 requeue.extend(self._commit(task, prepared, lambda: outcome))
             else:
                 requeue.append(task)
@@ -601,7 +454,7 @@ class _Loop:
     def _prepare(self, task: _Task, submit) -> _Prepared:
         """Check the attempt's faults and lease in serial order, then
         dispatch it."""
-        job = Job(task.start, task.stop, task.next_pair, task.attempt)
+        job = Job(task.start, task.stop, task.attempt)
         footprint = None
         if self.pool is not None:
             chunk = self.data.slice_graphs(task.start, task.stop)
@@ -642,14 +495,12 @@ class _Loop:
             category="runtime",
             attempt=task.attempt,
             chunk_size=task.stop - task.start,
-            start_pair=task.next_pair,
         ) as span:
             follow = self._record(task, prepared, wait() if wait is not None else None)
             outcome = self.result.report.attempts[-1].outcome
             span.set(outcome=outcome)
-            if outcome in (telemetry.OK, telemetry.TRUNCATED):
-                record = self.result.chunk_records[-1]
-                span.set(matches=record.total_matches, segments=record.segments)
+            if outcome == telemetry.OK:
+                span.set(matches=self.result.chunk_records[-1].total_matches)
         return follow
 
     def _record(
@@ -689,43 +540,28 @@ class _Loop:
             raise failure
 
         payload = outcome.payload
-        if task.prior is not None:
-            # Checkpointed progress first, then its resumed remainder.
-            merged = ChunkPayload(task.start, task.stop, payload.status, payload.next_pair)
-            payload = merged.add(task.prior).add(payload)
-        truncated = payload.status == STATUS_TRUNCATED
         report.record(
             Attempt(
                 unit=task.unit,
                 attempt=task.attempt,
-                outcome=telemetry.TRUNCATED if truncated else telemetry.OK,
+                outcome=telemetry.OK,
                 chunk_size=span,
                 seconds=outcome.seconds,
                 backoff_seconds=backoff,
-                detail=f"resume at pair {payload.next_pair}" if truncated else "",
             )
         )
         self.result.chunk_records.append(
             ChunkRecord(
                 start=task.start,
                 stop=task.stop,
-                status=CHUNK_TRUNCATED if truncated else CHUNK_OK,
+                status=CHUNK_OK,
                 attempts=task.attempt + 1,
-                segments=outcome.n_segments,
                 total_matches=payload.total_matches,
-                resume_pair=payload.next_pair if truncated else None,
-                detail="join budget exhausted" if truncated else "",
             )
         )
-        key_pair = task.next_pair if truncated or task.prior is None else 0
-        self.payloads[(task.start, task.stop, key_pair)] = payload
+        self.payloads[(task.start, task.stop)] = payload
         if self.store is not None:
             self.store.save_chunk(payload)
-        if truncated:
-            self.result.resume_token = ResumeToken(
-                start=task.start, stop=task.stop, next_pair=payload.next_pair
-            )
-            self.stopped = True
         return []
 
     def _retry(self, task: _Task, outcome: str, detail: str, backoff: float) -> list[_Task]:
@@ -754,10 +590,8 @@ class _Loop:
                 )
             )
             return []
-        if outcome == telemetry.OOM and span > 1 and task.next_pair == 0 and task.prior is None:
-            # Exponential degradation: split the range in half.  Pair
-            # tokens are range-relative, so ranges with partial progress
-            # retry at the same size instead.
+        if outcome == telemetry.OOM and span > 1:
+            # Exponential degradation: split the range in half.
             half = span // 2
             return [
                 _Task(task.start, task.start + half, attempt=next_attempt),

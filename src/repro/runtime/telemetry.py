@@ -1,7 +1,7 @@
 """Per-attempt telemetry of resilient runs.
 
 Every execution attempt — success, injected or real OOM, crash,
-truncation, infeasible chunk — is recorded as an :class:`Attempt`, and a
+infeasible chunk — is recorded as an :class:`Attempt`, and a
 :class:`RunReport` aggregates them.  The report is the observable half of
 the robustness story: a run that silently retried ten times is a latency
 bug waiting to be found, so the CLI and benchmarks print these counters.
@@ -18,7 +18,6 @@ from repro.obs.recorder import get_recorder
 OK = "ok"
 OOM = "oom"
 CRASH = "crash"
-TRUNCATED = "truncated"
 INFEASIBLE = "infeasible"
 CACHED = "cached"
 FAILED = "failed"
@@ -43,7 +42,7 @@ class Attempt:
     backoff_seconds:
         Backoff delay scheduled *before* this attempt (0 for first tries).
     detail:
-        Free-form context (error message, truncation reason, ...).
+        Free-form context (error message, infeasibility reason, ...).
     """
 
     unit: str

@@ -2,7 +2,7 @@
 
 :func:`~repro.runtime.resilient.run_resilient` plans, leases, injects
 faults, retries, splits, checkpoints and records every chunk itself;
-only the attempt — the engine segments of one chunk, a
+only the attempt — one pipeline run over one whole chunk, a
 :class:`ChunkRunner` call — runs here.  ``n_workers=1`` runs each attempt
 in process; ``n_workers=k`` keeps up to ``k`` attempts running in a
 process pool, the paper's static per-GPU blocks (section 5.4) on host
@@ -10,9 +10,9 @@ processes.
 
 Transport: the parent exports both CSR-GO batches through
 :mod:`repro.cluster.shm` once per run; every worker maps them once, in
-its pool initializer, and keeps one
-:class:`~repro.pipeline.session.MatcherSession` for its lifetime, so a
-job is five integers whatever the batch size.  When the platform cannot
+its pool initializer and keeps them for its lifetime, so a job is four
+integers whatever the batch size.  An attempt keeps no artifacts: its
+candidate bitmap and GMCR die when it returns.  When the platform cannot
 allocate shared memory (``OSError``) the batches are pickled into the
 initializer instead.
 
@@ -36,33 +36,29 @@ from typing import Callable, Iterator
 
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.join import JoinBudget
 from repro.core.results import MatchRecord
-from repro.pipeline.aggregate import ResultFields
-from repro.pipeline.session import MatcherSession
-from repro.runtime.checkpoint import STATUS_OK, STATUS_TRUNCATED, ChunkPayload
+from repro.pipeline.stages import PipelineRequest, execute
+from repro.runtime.checkpoint import ChunkPayload
 
 
 @dataclass(frozen=True)
 class Job:
-    """One chunk attempt: data graphs ``[start, stop)`` from GMCR pair
-    ``next_pair``.  ``die`` makes a pool worker exit outright instead of
-    running it (an injected hard crash)."""
+    """One chunk attempt: data graphs ``[start, stop)``.  ``die`` makes a
+    pool worker exit outright instead of running it (an injected hard
+    crash)."""
 
     start: int
     stop: int
-    next_pair: int = 0
     attempt: int = 0
     die: bool = False
 
 
 @dataclass(frozen=True)
 class Attempted:
-    """A finished attempt: the chunk's payload, its budgeted segment
-    count and the attempt's wall-clock seconds."""
+    """A finished attempt: the chunk's payload and the attempt's
+    wall-clock seconds."""
 
     payload: ChunkPayload
-    n_segments: int
     seconds: float
 
 
@@ -74,75 +70,39 @@ Outcome = Attempted | Exception
 class ChunkRunner:
     """Runs chunk attempts against one query batch and one data batch."""
 
-    def __init__(
-        self,
-        query: CSRGO,
-        data: CSRGO,
-        config: SigmoConfig,
-        mode: str,
-        join_budget: JoinBudget | None,
-        on_truncate: str,
-    ) -> None:
-        # Two artifacts (refine + map) are exactly one chunk's worth: a
-        # resumed segment recalls its own chunk's, and nothing older
-        # stays alive.
-        self.session = MatcherSession(query, config=config, max_cached_artifacts=2)
+    def __init__(self, query: CSRGO, data: CSRGO, config: SigmoConfig, mode: str) -> None:
+        self.query = query
         self.data = data
+        self.config = config
         self.mode = mode
-        self.join_budget = join_budget
-        self.on_truncate = on_truncate
 
     def __call__(self, job: Job) -> Attempted:
-        """Run one attempt."""
+        """Run one attempt: one pipeline run over the whole chunk, with no
+        artifact cache, so nothing of it outlives the call."""
         started = time.perf_counter()
-        payload, n_segments = self._segments(job, self.data.slice_graphs(job.start, job.stop))
-        return Attempted(payload, n_segments, time.perf_counter() - started)
-
-    def _segments(self, job: Job, chunk: CSRGO) -> tuple[ChunkPayload, int]:
-        """Run one range, re-entering after truncations under ``"resume"``.
-
-        Returns the accumulated payload for the pairs processed in *this*
-        attempt (the parent merges any prior checkpointed progress) plus
-        the number of budgeted segments it took.  Only a chunk's own
-        resumed segments recall its filter/GMCR artifacts, so stage
-        counts match a fresh engine per chunk whichever process ran what
-        before.
-        """
-        payload = ChunkPayload(start=job.start, stop=job.stop)
-        next_pair = job.next_pair
-        n_segments = 0
-        while True:
-            n_segments += 1
-            run = self.session.match(
-                chunk,
+        run = execute(
+            PipelineRequest(
+                query=self.query,
+                data=self.data.slice_graphs(job.start, job.stop),
+                config=self.config,
                 mode=self.mode,
-                join_budget=self.join_budget,
-                join_start_pair=next_pair,
-                reuse=n_segments > 1,
             )
-            payload.add(
-                ResultFields(
-                    total_matches=run.total_matches,
-                    peak_memory_bytes=run.memory.total,
-                    matched_pairs=[(d + job.start, q) for d, q in run.matched_pairs()],
-                    embeddings=[
-                        MatchRecord(rec.data_graph + job.start, rec.query_graph, rec.mapping)
-                        for rec in run.embeddings
-                    ],
-                    timings=run.timings,
-                    stage_counts=run.stage_counts,
-                    join_stats=run.join_result.stats,
-                )
-            )
-            if not run.truncated:
-                payload.status = STATUS_OK
-                payload.next_pair = 0
-                return payload, n_segments
-            next_pair = run.resume_pair
-            if self.on_truncate == "token":
-                payload.status = STATUS_TRUNCATED
-                payload.next_pair = next_pair
-                return payload, n_segments
+        )
+        payload = ChunkPayload(
+            start=job.start,
+            stop=job.stop,
+            total_matches=run.total_matches,
+            peak_memory_bytes=run.memory.total,
+            matched_pairs=[(d + job.start, q) for d, q in run.matched_pairs()],
+            embeddings=[
+                MatchRecord(rec.data_graph + job.start, rec.query_graph, rec.mapping)
+                for rec in run.embeddings
+            ],
+            timings=run.timings,
+            stage_counts=run.stage_counts,
+            join_stats=run.join_result.stats,
+        )
+        return Attempted(payload, time.perf_counter() - started)
 
 
 def _outcome(call: Callable[[], Attempted]) -> Outcome:
@@ -207,8 +167,7 @@ def attempt_runner(
     """Yield ``submit(job) -> wait`` for one run; ``wait()`` returns the
     attempt's outcome.
 
-    ``options`` are :class:`ChunkRunner`'s ``config``, ``mode``,
-    ``join_budget`` and ``on_truncate``.  With one worker an attempt runs
+    ``options`` are :class:`ChunkRunner`'s ``config`` and ``mode``.  With one worker an attempt runs
     in this process when it is waited for; otherwise it starts at once
     in a pool of ``n_workers`` processes, shut down (and the shared
     batches unlinked) on exit.  The pool's modules load only for pooled

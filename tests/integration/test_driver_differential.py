@@ -7,16 +7,14 @@ each way the drivers cut and fold the same work:
 
 * :func:`~repro.runtime.resilient.run_resilient` with chunk sizes 1, 3
   and the whole batch;
-* ``run_resilient`` under a seeded :class:`~repro.core.join.JoinBudget`
-  resumed in place (``on_truncate="resume"``);
-* a ``"token"`` chain of budgeted runs merged by
-  :func:`~repro.runtime.resilient.combine_results`;
-* a checkpoint restart after a token stop;
+* a fault-free checkpoint restart of a run that ended ``partial``
+  because every attempt of one chunk crashed;
 * ``run_resilient`` over a 2-process worker pool (``n_workers=2``).
 
 In Find All every driver must equal the reference in total matches,
 global matched pairs and embeddings, with the edge-aware filter pass on
-(the default) and off; in Find First in matched pairs.
+(the default) and off; in Find First in matched pairs.  Every embedding
+a driver records must pass :func:`repro.core.verify.verify_result`.
 The ``fewest-candidates`` matching order is built from the candidate
 counts of the batch being joined, so a chunk's work counters depend on
 where the range was cut (its matches do not): each driver's summed
@@ -27,8 +25,8 @@ A pooled run is the serial run: :func:`test_pooled_equals_serial` runs
 each configuration above, plus a fault plan, injected hard crashes and a
 memory budget that splits chunks, with ``n_workers`` 1 and 2 or 3, and requires equal
 status, matches, pairs, embeddings, ``JoinStats``, stage counts, chunk
-counts and records, attempt logs (without their seconds), resume tokens
-and checkpoint manifests (without their timing values).
+counts and records, attempt logs (without their seconds) and checkpoint
+manifests (without their timing values).
 """
 
 import json
@@ -41,8 +39,9 @@ import pytest
 
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
-from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget, JoinStats
-from repro.runtime import COMPLETE, FaultPlan, RetryPolicy, combine_results, run_resilient
+from repro.core.join import FIND_ALL, FIND_FIRST, JoinStats
+from repro.core.verify import verify_result
+from repro.runtime import COMPLETE, PARTIAL, FaultPlan, RetryPolicy, run_resilient
 from repro.runtime.checkpoint import MANIFEST_NAME
 from repro.runtime.resilient import predict_chunk_footprint
 from tests.integration.test_join_differential import _workload, seed_flags
@@ -78,63 +77,33 @@ def _reference_stats(queries, data, config, cuts):
     return total
 
 
-def _budget(visits, seed):
-    """A visit budget that truncates somewhere inside a run of ``visits``."""
-    rng = np.random.default_rng(seed)
-    return JoinBudget(max_visits=int(rng.integers(1, max(2, visits // 3))))
+def _restart(queries, data, config, mode, directory, n_workers=1):
+    """A checkpointed run in which every attempt of chunk [3:6] crashes,
+    so it ends partial, then a fault-free restart from its checkpoint.
 
-
-def _chunk_visits(queries, data, config):
-    """Most reference visits of one 3-graph chunk.
-
-    The filter picks its depth per batch, so the whole batch's visits do
-    not bound a chunk's; a budget that must stop a chunked run is sized
-    from the chunks.
+    Returns the stopped run, the manifest it left and the restarted run.
     """
-    return max(
-        _reference(queries, data[lo:hi], config, FIND_ALL).join_result.stats.candidate_visits
-        for lo, hi in _cuts(0, len(data), 3)
-    )
-
-
-def _token_parts(queries, data, config, budget, n_workers=1):
-    """A ``"token"`` chain of budgeted runs until no token is left."""
     run = partial(
-        run_resilient, queries, data, 3, config=config, join_budget=budget,
-        on_truncate="token", n_workers=n_workers,
+        run_resilient, queries, data, 3, mode=mode, config=config,
+        checkpoint=directory, n_workers=n_workers,
     )
-    parts = [run()]
-    while parts[-1].resume_token is not None:
-        assert len(parts) < 500, "token chain does not progress"
-        parts.append(run(resume_token=parts[-1].resume_token))
-    return parts
+    doomed = FaultPlan(crash_at=((3, 0), (3, 1)))
+    stopped = run(fault_plan=doomed, retry=RetryPolicy(max_attempts=2))
+    assert stopped.status == PARTIAL
+    assert [r.status for r in stopped.chunk_records] == ["ok", "failed", "ok", "ok"]
+    manifest = _manifest(directory)
+    return stopped, manifest, run()
 
 
-def _token_chain(queries, data, config, budget):
-    return combine_results(*_token_parts(queries, data, config, budget))
-
-
-def _drivers(queries, data, config, mode, budget, tmp_path, seed):
+def _drivers(queries, data, config, mode, tmp_path, seed):
     """(name, result, chunk cuts) of every driver configuration."""
     n = len(data)
     for size in (1, 3, n + 1):
         yield f"resilient[{size}]", run_resilient(
             queries, data, size, mode=mode, config=config
         ), _cuts(0, n, size)
-    yield "resumed", run_resilient(
-        queries, data, 3, mode=mode, config=config, join_budget=budget
-    ), _cuts(0, n, 3)
-    if mode == FIND_ALL:
-        yield "token-chain", _token_chain(queries, data, config, budget), _cuts(0, n, 3)
-        directory = tmp_path / f"ckpt-{seed}"
-        stopped = run_resilient(
-            queries, data, 3, config=config, join_budget=budget,
-            on_truncate="token", checkpoint=directory,
-        )
-        assert stopped.resume_token is not None
-        yield "restart", run_resilient(
-            queries, data, 3, config=config, checkpoint=directory
-        ), _cuts(0, n, 3)
+    _, _, restarted = _restart(queries, data, config, mode, tmp_path / f"ckpt-{seed}")
+    yield "restart", restarted, _cuts(0, n, 3)
     if seed in POOL_SEEDS:
         yield "pooled[2]", run_resilient(
             queries, data, 3, mode=mode, config=config, n_workers=2
@@ -149,18 +118,16 @@ def test_find_all_drivers_equal_whole_batch(seed, edge_signatures, tmp_path):
     )
     ref = _reference(queries, data, config, FIND_ALL)
     assert ref.join_result.stats.pairs_joined > 0
-    budget = _budget(_chunk_visits(queries, data, config), seed)
     pairs = sorted(ref.matched_pairs())
     embeddings = sorted(_embeddings(ref.join_result.embeddings))
-    for name, got, cuts in _drivers(
-        queries, data, config, FIND_ALL, budget, tmp_path, seed
-    ):
+    for name, got, cuts in _drivers(queries, data, config, FIND_ALL, tmp_path, seed):
         assert got.status == COMPLETE, name
         assert got.total_matches == ref.total_matches, name
         assert sorted(got.matched_pairs) == pairs, name
         assert sorted(
             _embeddings((r.data_graph, r.query_graph, r.mapping) for r in got.embeddings)
         ) == embeddings, name
+        assert verify_result(got, queries, data, config) == [], name
         assert got.join_stats == _reference_stats(queries, data, config, cuts), name
 
 
@@ -171,12 +138,11 @@ def test_find_first_drivers_equal_whole_batch(seed, tmp_path):
     ref = _reference(queries, data, config, FIND_FIRST)
     assert ref.join_result.stats.pairs_joined > 0
     pairs = sorted(ref.matched_pairs())
-    budget = _budget(ref.join_result.stats.candidate_visits, seed)
-    for name, got, _ in _drivers(
-        queries, data, config, FIND_FIRST, budget, tmp_path, seed
-    ):
+    for name, got, _ in _drivers(queries, data, config, FIND_FIRST, tmp_path, seed):
         assert got.status == COMPLETE, name
         assert sorted(got.matched_pairs) == pairs, name
+        assert len(got.embeddings) == got.total_matches, name
+        assert verify_result(got, queries, data, config) == [], name
 
 
 def _snapshot(result):
@@ -195,7 +161,6 @@ def _snapshot(result):
         "peak_memory_bytes": result.peak_memory_bytes,
         "chunk_records": result.chunk_records,
         "attempts": [replace(a, seconds=0.0) for a in result.report.attempts],
-        "resume_token": result.resume_token,
     }
 
 
@@ -207,21 +172,17 @@ def _manifest(directory):
     return manifest
 
 
-def _configurations(queries, data, config, budget, seed, n_workers, tmp_path):
+def _configurations(queries, data, config, seed, n_workers, tmp_path):
     """(name, everything reported) of every configuration at ``n_workers``."""
     n = len(data)
     run = partial(run_resilient, queries, data, config=config, n_workers=n_workers)
     yield "plain", _snapshot(run())
     for size in (1, 3, n + 1):
         yield f"chunk[{size}]", _snapshot(run(size))
-    yield "resumed", _snapshot(run(3, join_budget=budget))
-    parts = _token_parts(queries, data, config, budget, n_workers)
-    yield "token-chain", [_snapshot(p) for p in parts + [combine_results(*parts)]]
     directory = tmp_path / f"ckpt-{n_workers}"
-    stopped = run(3, join_budget=budget, on_truncate="token", checkpoint=directory)
-    assert stopped.resume_token is not None
-    stopped_manifest = _manifest(directory)
-    restarted = run(3, checkpoint=directory)
+    stopped, stopped_manifest, restarted = _restart(
+        queries, data, config, FIND_ALL, directory, n_workers
+    )
     yield "restart", [
         _snapshot(stopped), stopped_manifest, _snapshot(restarted), _manifest(directory)
     ]
@@ -250,15 +211,12 @@ def _configurations(queries, data, config, budget, seed, n_workers, tmp_path):
 def test_pooled_equals_serial(seed, n_workers, tmp_path):
     queries, data, fields = _workload(seed)
     config = SigmoConfig(record_embeddings=True, **fields)
-    budget = _budget(
-        _reference(queries, data, config, FIND_ALL).join_result.stats.candidate_visits, seed
-    )
-    serial = dict(_configurations(queries, data, config, budget, seed, 1, tmp_path))
+    serial = dict(_configurations(queries, data, config, seed, 1, tmp_path))
     outcomes = {a.outcome for a in serial["faults"]["attempts"]}
     assert {"crash", "oom"} <= outcomes  # the plan fired both faults
     assert serial["memory"]["n_chunks"] > 1  # the budget split the batch
     assert serial["memory"]["attempts"][0].outcome == "oom"
     assert [a.outcome for a in serial["hard-crash"]["attempts"]].count("crash") == 3
-    pooled = _configurations(queries, data, config, budget, seed, n_workers, tmp_path)
+    pooled = _configurations(queries, data, config, seed, n_workers, tmp_path)
     for name, got in pooled:
         assert got == serial[name], name

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (chunking, canonical
-forms, fingerprints, the fused level-table join, wildcards)."""
+"""Property-based tests for the extension modules (chunking,
+fingerprints, the fused level-table join, wildcards)."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +11,6 @@ from repro.core.engine import SigmoEngine
 from repro.core.filtering import IterativeFilter
 from repro.core.join import run_join
 from repro.core.mapping import build_gmcr
-from repro.graph.canonical import canonical_form, relabel
 from repro.graph.generators import random_connected_graph, random_subgraph_pattern
 from repro.runtime import run_resilient
 
@@ -44,16 +43,6 @@ class TestChunkingProperties:
         full = SigmoEngine(queries, data).run()
         chunked = run_resilient(queries, data, chunk_size)
         assert chunked.total_matches == full.total_matches
-
-
-class TestCanonicalProperties:
-    @given(st.integers(0, 2**31 - 1), st.integers(3, 10))
-    @settings(**SETTINGS)
-    def test_canonical_form_permutation_invariant(self, seed, n):
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(n, 3, 3, rng, 2)
-        perm = rng.permutation(n)
-        assert canonical_form(g) == canonical_form(relabel(g, perm))
 
 
 class TestBfsJoinProperties:

@@ -208,36 +208,6 @@ class TestStageCounts:
         for stage, n in chunked.stage_counts.items():
             assert n == sum(r.stage_counts.get(stage, 0) for r in per_chunk)
 
-    def test_resilient_run_matches_chunked_counts(self, dataset):
-        # Resumed segments recall their chunk's filter/GMCR artifacts, as
-        # SigmoEngine.run does for join_start_pair > 0: the counts equal a
-        # fresh engine per chunk driven through the same resume chain.
-        config = SigmoConfig(refinement_iterations=ITERATIONS)
-        budget = JoinBudget(max_matches=20)
-        expected: dict[str, int] = {}
-        segments = 0
-        for lo in range(0, N_DATA, 10):
-            engine = SigmoEngine(dataset.queries, dataset.data[lo : lo + 10], config)
-            start = 0
-            while True:
-                run = engine.run(join_budget=budget, join_start_pair=start)
-                segments += 1
-                for stage, n in run.stage_counts.items():
-                    expected[stage] = expected.get(stage, 0) + n
-                if not run.truncated:
-                    break
-                start = run.resume_pair
-        resilient = run_resilient(
-            dataset.queries,
-            dataset.data,
-            chunk_size=10,
-            config=config,
-            join_budget=budget,
-        )
-        assert segments > resilient.n_chunks  # the budget really truncated
-        assert sum(r.segments for r in resilient.chunk_records) == segments
-        assert resilient.stage_counts == expected
-
     def test_checkpoint_roundtrip_preserves_counts(self, dataset, tmp_path):
         config = SigmoConfig(refinement_iterations=ITERATIONS)
         first = run_resilient(

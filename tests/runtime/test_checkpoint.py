@@ -9,24 +9,16 @@ from repro.core.join import JoinStats
 from repro.core.results import MatchRecord
 from repro.io.serialization import file_sha256
 from repro.runtime import ResilientResult, run_resilient
-from repro.runtime.checkpoint import (
-    STATUS_OK,
-    STATUS_TRUNCATED,
-    CheckpointMismatch,
-    CheckpointStore,
-    ChunkPayload,
-)
+from repro.runtime.checkpoint import CheckpointMismatch, CheckpointStore, ChunkPayload
 
 pytestmark = pytest.mark.robustness
 
 
-def make_payload(start=0, stop=4, status=STATUS_OK, next_pair=0):
+def make_payload(start=0, stop=4, total_matches=3):
     return ChunkPayload(
         start=start,
         stop=stop,
-        status=status,
-        next_pair=next_pair,
-        total_matches=3,
+        total_matches=total_matches,
         matched_pairs=[(start, 0), (start + 1, 1), (start + 2, 0)],
         embeddings=[
             MatchRecord(start, 0, np.array([0, 1], dtype=np.int32)),
@@ -54,19 +46,14 @@ class TestRoundTrip:
             (1, 1, [2, 0, 1]),
         ]
 
-    def test_truncated_status_and_pair_persist(self, tmp_path):
-        store = CheckpointStore(tmp_path, fingerprint="fp")
-        store.save_chunk(make_payload(status=STATUS_TRUNCATED, next_pair=17))
-        loaded = CheckpointStore(tmp_path, fingerprint="fp").load()
-        assert loaded[(0, 4)].status == STATUS_TRUNCATED
-        assert loaded[(0, 4)].next_pair == 17
-
     def test_resave_overwrites(self, tmp_path):
         store = CheckpointStore(tmp_path, fingerprint="fp")
-        store.save_chunk(make_payload(status=STATUS_TRUNCATED, next_pair=5))
-        store.save_chunk(make_payload(status=STATUS_OK))
+        store.save_chunk(make_payload(total_matches=5))
+        store.save_chunk(make_payload())
         loaded = CheckpointStore(tmp_path, fingerprint="fp").load()
-        assert loaded[(0, 4)].status == STATUS_OK
+        assert loaded[(0, 4)].total_matches == 3
+        manifest = json.loads(store.manifest_path.read_text())
+        assert [entry["total_matches"] for entry in manifest["chunks"]] == [3]
 
     def test_empty_directory_loads_empty(self, tmp_path):
         assert CheckpointStore(tmp_path / "none", fingerprint="fp").load() == {}
@@ -110,6 +97,21 @@ class TestCorruption:
         assert reader.load() == {}
         assert reader.dropped == {(0, 4): "chunk file missing"}
 
+    def test_truncated_entry_dropped(self, tmp_path):
+        # Older releases wrote a resume pair into every entry and
+        # persisted join-truncated chunks: a truncated entry is dropped
+        # like a corrupt one (its range runs again), an ok one loads.
+        store = CheckpointStore(tmp_path, fingerprint="fp")
+        store.save_chunk(make_payload(0, 4))
+        store.save_chunk(make_payload(4, 8))
+        manifest = json.loads(store.manifest_path.read_text())
+        manifest["chunks"][0].update(status="truncated", next_pair=17)
+        manifest["chunks"][1].update(next_pair=0)
+        store.manifest_path.write_text(json.dumps(manifest))
+        reader = CheckpointStore(tmp_path, fingerprint="fp")
+        assert set(reader.load()) == {(4, 8)}
+        assert reader.dropped == {(0, 4): "status 'truncated' is not 'ok'"}
+
     def test_orphan_chunk_file_ignored(self, tmp_path):
         store = CheckpointStore(tmp_path, fingerprint="fp")
         store.save_chunk(make_payload(0, 4))
@@ -123,7 +125,7 @@ class TestFormat:
     """The on-disk manifest format is pinned: old checkpoints stay loadable."""
 
     def test_manifest_entry_is_pinned(self, tmp_path):
-        payload = make_payload(4, 8, status=STATUS_TRUNCATED, next_pair=5)
+        payload = make_payload(4, 8)
         payload.stage_counts = {"filter": 2, "join": 1}
         payload.join_stats = JoinStats(
             pairs_joined=2, stack_pushes=9, candidate_visits=31, edge_checks=14
@@ -142,12 +144,11 @@ class TestFormat:
                 "pairs_joined": 2,
                 "stack_pushes": 9,
             },
-            "next_pair": 5,
             "peak_memory_bytes": 4096,
             "sha256": file_sha256(store.chunk_path(4, 8)),
             "stage_counts": {"filter": 2, "join": 1},
             "start": 4,
-            "status": "truncated",
+            "status": "ok",
             "stop": 8,
             "timings": {"filter": 0.5, "join": 0.25},
             "total_matches": 3,
@@ -176,7 +177,7 @@ class TestFormat:
         store.manifest_path.write_text(json.dumps(manifest))
         loaded = CheckpointStore(tmp_path, fingerprint="fp").load()[(0, 4)]
         assert loaded.join_stats == JoinStats()
-        assert (loaded.peak_memory_bytes, loaded.next_pair) == (0, 0)
+        assert loaded.peak_memory_bytes == 0
         fresh = make_payload(4, 8)
         fresh.join_stats = JoinStats(pairs_joined=3)
         merged = ResilientResult().add(loaded).add(fresh)
@@ -191,7 +192,7 @@ class TestFormat:
         full = run_resilient(queries, data, chunk_size=4, checkpoint=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         for entry in manifest["chunks"]:
-            for key in ("join_stats", "peak_memory_bytes", "next_pair"):
+            for key in ("join_stats", "peak_memory_bytes"):
                 del entry[key]
         del manifest["chunks"][1]  # this range re-executes
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))

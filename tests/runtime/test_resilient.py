@@ -4,6 +4,9 @@ The invariant under every fault scenario: total matches and sorted
 matched pairs are bitwise-equal to a fault-free serial run.
 """
 
+import gc
+import json
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +17,6 @@ from repro.core import signatures
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
-from repro.core.join import JoinBudget
 from repro.device.memory import DeviceMemoryPool
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
 from repro.obs.trace import tracing
@@ -23,13 +25,11 @@ from repro.runtime import (
     COMPLETE,
     PARTIAL,
     FaultPlan,
-    ResumeToken,
     RetryPolicy,
-    combine_results,
     run_resilient,
     workload_fingerprint,
 )
-from repro.runtime import telemetry
+from repro.runtime import telemetry, workers
 from repro.runtime.resilient import predict_chunk_footprint
 
 pytestmark = pytest.mark.robustness
@@ -51,18 +51,6 @@ def whole_batch(queries, data):
 @pytest.fixture(scope="module")
 def serial(workload):
     return whole_batch(*workload)
-
-
-@pytest.fixture(scope="module")
-def rich_workload(small_dataset):
-    # the full query set: enough matches/GMCR pairs per chunk that a join
-    # budget actually truncates
-    return small_dataset.queries, small_dataset.data[:30]
-
-
-@pytest.fixture(scope="module")
-def rich_serial(rich_workload):
-    return whole_batch(*rich_workload)
 
 
 def assert_equals_serial(result, serial):
@@ -91,11 +79,31 @@ class TestPlainExecution:
         with pytest.raises(ValueError):
             run_resilient(queries, data, chunk_size=0)
         with pytest.raises(ValueError):
-            run_resilient(queries, data, on_truncate="explode")
-        with pytest.raises(ValueError):
             run_resilient(queries, data, retry=RetryPolicy(max_attempts=0))
         with pytest.raises(ValueError):
             run_resilient(queries, data, n_workers=0)
+
+    def test_no_artifact_outlives_its_attempt(self, workload, monkeypatch):
+        # Each attempt's candidate bitmap and GMCR die when it returns,
+        # while its runner (a pool worker's lifetime) lives on.
+        queries, data = workload
+        alive = []
+        real = workers.execute
+
+        def execute(request):
+            run = real(request)
+            alive.append((weakref.ref(run.filter_result), weakref.ref(run.gmcr)))
+            return run
+
+        monkeypatch.setattr(workers, "execute", execute)
+        runner = workers.ChunkRunner(
+            CSRGO.from_graphs(queries), CSRGO.from_graphs(data), SigmoConfig(), "find-all"
+        )
+        for start in (0, 8):
+            attempted = runner(workers.Job(start, start + 8))
+            gc.collect()
+            assert attempted.payload.total_matches > 0
+            assert [ref() for ref in alive[-1]] == [None, None]
 
 
 class TestOOMDegradation:
@@ -232,74 +240,6 @@ class TestCrashRecovery:
         assert result.n_chunks == clean.n_chunks
 
 
-class TestJoinWatchdog:
-    def test_token_chain_recombines_to_serial(self, rich_workload, rich_serial):
-        queries, data = rich_workload
-        serial = rich_serial
-        budget = JoinBudget(max_matches=20)
-        parts = [
-            run_resilient(
-                queries, data, chunk_size=8, join_budget=budget, on_truncate="token"
-            )
-        ]
-        while parts[-1].resume_token is not None:
-            assert parts[-1].status == PARTIAL
-            parts.append(
-                run_resilient(
-                    queries,
-                    data,
-                    chunk_size=8,
-                    join_budget=budget,
-                    on_truncate="token",
-                    resume_token=parts[-1].resume_token,
-                )
-            )
-            assert len(parts) < 50  # must converge
-        combined = combine_results(*parts)
-        assert combined.status == COMPLETE
-        assert_equals_serial(combined, serial)
-        assert combined.matched_pairs == sorted(serial.matched_pairs)
-
-    def test_truncated_partial_is_verified_prefix(self, rich_workload, rich_serial):
-        queries, data = rich_workload
-        serial = rich_serial
-        result = run_resilient(
-            queries,
-            data,
-            chunk_size=8,
-            join_budget=JoinBudget(max_matches=20),
-            on_truncate="token",
-        )
-        assert result.status == PARTIAL
-        assert result.resume_token is not None
-        assert any(rec.status == "truncated" for rec in result.chunk_records)
-        # everything returned so far is a subset of the serial result
-        assert set(result.matched_pairs) <= set(serial.matched_pairs)
-
-    def test_auto_resume_matches_serial(self, rich_workload, rich_serial):
-        queries, data = rich_workload
-        serial = rich_serial
-        result = run_resilient(
-            queries,
-            data,
-            chunk_size=30,
-            join_budget=JoinBudget(max_matches=20),
-            on_truncate="resume",
-        )
-        assert result.status == COMPLETE
-        assert_equals_serial(result, serial)
-        assert result.chunk_records[0].segments > 1
-
-    def test_token_roundtrips_via_dict(self, workload):
-        token = ResumeToken(start=8, stop=16, next_pair=3)
-        assert ResumeToken.from_dict(token.to_dict()) == token
-        queries, data = workload
-        with pytest.raises(ValueError):
-            run_resilient(
-                queries, data, resume_token=ResumeToken(0, len(data) + 5, 0)
-            )
-
-
 class TestCheckpointResume:
     def test_kill_and_resume_identical(self, workload, serial, tmp_path):
         queries, data = workload
@@ -323,24 +263,25 @@ class TestCheckpointResume:
         assert result.chunks_from_checkpoint == 0
         assert result.status == COMPLETE
 
-    def test_truncated_chunk_resumes_from_pair(self, rich_workload, rich_serial, tmp_path):
-        queries, data = rich_workload
-        serial = rich_serial
-        ckpt = tmp_path / "trunc"
-        partial = run_resilient(
-            queries,
-            data,
-            chunk_size=8,
-            join_budget=JoinBudget(max_matches=20),
-            on_truncate="token",
-            checkpoint=ckpt,
-        )
-        assert partial.status == PARTIAL
-        # restart without the budget: cached OK chunks skip, the
-        # truncated chunk continues from its persisted pair token
+    def test_old_truncated_chunk_runs_again(self, workload, serial, tmp_path):
+        # Older releases persisted a join-truncated chunk with its resume
+        # pair; that entry is dropped on load and its range runs whole.
+        queries, data = workload
+        ckpt = tmp_path / "old"
+        first = run_resilient(queries, data, chunk_size=8, checkpoint=ckpt)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["chunks"][1].update(status="truncated", next_pair=3)
+        manifest_path.write_text(json.dumps(manifest))
         resumed = run_resilient(queries, data, chunk_size=8, checkpoint=ckpt)
         assert resumed.status == COMPLETE
-        assert_equals_serial(resumed, serial)
+        assert resumed.chunks_from_checkpoint == first.n_chunks - 1
+        rerun = [(r.start, r.stop) for r in resumed.chunk_records if not r.from_checkpoint]
+        assert rerun == [(8, 16)]
+        assert resumed.matched_pairs == first.matched_pairs == serial.matched_pairs
+        assert resumed.join_stats == first.join_stats
+        restored = json.loads(manifest_path.read_text())["chunks"][1]
+        assert (restored["status"], "next_pair" in restored) == ("ok", False)
 
     def test_fingerprint_binds_workload(self, workload):
         queries, data = workload

@@ -123,16 +123,11 @@ class TestResilientRun:
         out = capsys.readouterr().out
         assert "4 from checkpoint" in out
 
-    def test_join_budget_flags(self, library, capsys):
-        assert main(
-            ["resilient-run", "--data", str(library), "--smarts", "C",
-             "--chunk-size", "25", "--max-join-matches", "10"]
-        ) == 0
-        assert "complete:" in capsys.readouterr().out
-
     def test_smoke_mode(self, capsys):
         assert main(["resilient-run", "--smoke", "--fault-seed", "3"]) == 0
-        assert "resilient smoke ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "checkpoint restart: partial then complete" in out
+        assert "resilient smoke ok" in out
 
 
 @pytest.mark.slo
