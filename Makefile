@@ -88,11 +88,12 @@ bench-e2e:
 	$(PY) -m pytest benchmarks/e2e -q
 
 # Differential fuzzing (long local mode, not part of `make check`): the
-# join, driver and filter-depth differential suites over seeds
-# 0..FUZZ_SEEDS-1 instead of their fixed tier-1/CI seeds.  `make fuzz FUZZ_SEEDS=400` widens it.
+# join, driver, filter-depth and refine-kernel differential suites over
+# seeds 0..FUZZ_SEEDS-1 instead of their fixed tier-1/CI seeds.  `make fuzz FUZZ_SEEDS=400` widens it.
 FUZZ_SEEDS ?= 100
 fuzz:
 	REPRO_FUZZ_SEEDS=$(FUZZ_SEEDS) $(PY) -m pytest -q \
 		tests/integration/test_join_differential.py \
 		tests/integration/test_driver_differential.py \
-		tests/integration/test_depth_differential.py
+		tests/integration/test_depth_differential.py \
+		tests/core/test_filtering.py::TestRefineDifferential

@@ -18,8 +18,9 @@ Kernel-equivalent layout notes:
   union row and compares signatures only on the (group, data node) pairs
   whose bit is still set there — like the paper's kernel, which loads only
   each query node's current candidates — instead of against every data
-  node.  Failing pairs are scattered into a per-group fail mask and
-  cleared from every row of the group.  Four saturated counts share one
+  node.  Each pair's pass/fail result overwrites its bit in the unpacked
+  union words, which are packed back in one pass and ANDed into every row
+  of the group — no bit is scattered.  Four saturated counts share one
   ``uint64`` word in guarded 16-bit lanes, so one subtraction tests four
   labels.  Pairs are materialized in chunks of
   :data:`REFINE_CHUNK_PAIRS`.
@@ -301,35 +302,39 @@ def refine_dominated(
     group_of, word_of = xp.nonzero(union)
     values = union[group_of, word_of]
     # Pair offset of each nonzero union word; chunk cuts every
-    # REFINE_CHUNK_PAIRS pairs (a cut never splits a word).
+    # REFINE_CHUNK_PAIRS pairs.  A cut never splits a word, so a word with
+    # more set bits than that repeats a cut; unique drops the repeats
+    # (an empty chunk has nothing to pack).
     counts = xp.popcount(values).astype(xp.int64)
     ends = xp.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1]) if ends.shape[0] else 0
     cuts = xp.searchsorted(
         starts, xp.arange(0, total, REFINE_CHUNK_PAIRS, dtype=xp.int64)
-    ).tolist() + [int(values.shape[0])]
-    fail = xp.zeros(n_groups * n_words, dtype=dtype)
+    )
+    cuts = xp.unique(
+        xp.concatenate([cuts, xp.asarray([values.shape[0]], dtype=xp.int64)])
+    ).tolist()
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         # The chunk's set bits as (group, data node) pairs.
         bits = xp.unpack_bits(values[lo:hi], (hi - lo) * word_bits, word_bits)
-        pair_word, bit = xp.divmod_(xp.nonzero(bits)[0], word_bits)
+        set_at = xp.flatnonzero(bits)
+        pair_word, bit = xp.divmod_(set_at, word_bits)
         pair_word += lo
-        groups = group_of[pair_word]
-        words = word_of[pair_word]
-        nodes = words * word_bits + bit
-        # Lane-wise domination test; failing pairs go to the fail mask.
+        nodes = word_of[pair_word] * word_bits + bit
+        # Lane-wise domination test; each pair's result replaces its bit.
         diff = xp.take(data_lanes, xp.minimum(nodes, last_node), axis=1)
-        diff -= xp.take(sig_lanes, groups, axis=1)
-        bad = xp.any((diff & guards) != guards, axis=0)
-        bad |= nodes > last_node
-        xp.scatter_or(
-            fail,
-            groups[bad] * n_words + words[bad],
-            (xp.uint64(1) << bit[bad].astype(xp.uint64)).astype(dtype),
-        )
-    # Clear each group's failed bits from every row of the group.
-    bitmap.words &= (~fail).reshape(n_groups, n_words)[inverse]
+        diff -= xp.take(sig_lanes, group_of[pair_word], axis=1)
+        diff &= guards
+        keep = xp.all(diff == guards, axis=0)
+        keep &= nodes <= last_node
+        bits[set_at] = keep
+        # Each (group, word) cell occurs once: one pack, plain stores.
+        union[group_of[lo:hi], word_of[lo:hi]] = xp.pack_bits(
+            bits.reshape(1, -1), word_bits
+        )[0]
+    # Keep each group's surviving bits in every row of the group.
+    bitmap.words &= union[inverse]
     return total
 
 

@@ -127,7 +127,6 @@ class MatcherSession:
         config: SigmoConfig | None = None,
         join_budget: JoinBudget | None = None,
         join_start_pair: int = 0,
-        reuse: bool = True,
     ) -> MatchResult:
         """Run one data batch through the pipeline.
 
@@ -135,9 +134,6 @@ class MatcherSession:
         mode=..., ...)`` — but query-side work is amortized: a batch seen
         before (same contents, same filter config) skips stages 2-5 via
         the artifact cache, and only the join runs.
-
-        ``reuse=False`` disables artifact *recall* for this call (storing
-        still happens).
 
         Thread/task safe: concurrent calls are serialized on the
         session's internal lock (see the class docstring).
@@ -152,7 +148,7 @@ class MatcherSession:
                 join_budget=join_budget,
                 join_start_pair=join_start_pair,
                 cache=self._artifacts,
-                reuse_artifacts=reuse,
+                reuse_artifacts=True,
             )
             result = execute(request)
             self.batches_matched += 1

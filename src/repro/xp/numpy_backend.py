@@ -31,13 +31,9 @@ class NumpyBackend:
     def pack_bits(self, padded, word_bits: int):
         """LSB-first word packing of ``bool[n_rows, n_words * word_bits]``."""
         word_np = np.dtype(f"uint{word_bits}")
-        n_rows = padded.shape[0]
-        packed = np.packbits(
-            padded.reshape(n_rows, -1, 8), axis=-1, bitorder="little"
-        )
-        return np.ascontiguousarray(
-            packed.reshape(n_rows, -1).view(word_np)
-        )
+        # One pass along the bit axis: a fresh C-contiguous byte array,
+        # so the word view needs no copy.
+        return np.packbits(padded, axis=-1, bitorder="little").view(word_np)
 
     def unpack_bits(self, words, n_bits: int, word_bits: int):
         """Inverse of :meth:`pack_bits` (trailing padding dropped)."""
@@ -59,6 +55,17 @@ class NumpyBackend:
 
     def divmod_(self, a, b):
         """Simultaneous floor quotient and remainder."""
+        if (
+            isinstance(b, int)
+            and b > 0
+            and not b & (b - 1)
+            and isinstance(a, np.ndarray)
+            and a.dtype.kind in "iu"
+        ):
+            # Every caller divides by a word width: for a power of two an
+            # arithmetic shift and a mask give the same floor quotient and
+            # remainder (negative values included), about 4x faster.
+            return a >> (b.bit_length() - 1), a & (b - 1)
         return np.divmod(a, b)
 
     def popcount(self, arr):

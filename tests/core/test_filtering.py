@@ -1,5 +1,7 @@
 """Unit tests for the iterative filter (paper Alg. 1)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.core.filtering import (
 from repro.core.signatures import SignaturePacking
 from repro.graph.generators import path_graph, ring_graph
 from repro.utils.bitops import pack_bool_rows
-from repro.xp import use_backend
+from repro.xp import get_backend, use_backend
 from tests.conftest import random_case
 
 
@@ -38,6 +40,30 @@ def dense_refine(words, sat_q, sat_d, word_bits):
         packed = pack_bool_rows(ok[None, :], word_bits)[0]
         words[np.nonzero(inverse == sig_idx)[0]] &= packed
     return words
+
+
+def group_unions(words, sat_q):
+    """Each signature group's rows OR-ed into one row of words."""
+    groups, inverse = np.unique(sat_q, axis=0, return_inverse=True)
+    unions = np.zeros((groups.shape[0], words.shape[1]), dtype=words.dtype)
+    np.bitwise_or.at(unions, inverse.reshape(-1), words)
+    return unions
+
+
+def union_pairs(words, sat_q):
+    """Pairs the candidate-sparse kernel compares: the set bits of each
+    signature group's union, padding bits included."""
+    return int(np.bitwise_count(group_unions(words, sat_q)).sum())
+
+
+def set_padding_bits(bitmap):
+    """Set every bit past ``n_data_nodes`` in the last word of each row."""
+    pad = bitmap.words.shape[1] * bitmap.word_bits - bitmap.n_data_nodes
+    if pad and bitmap.words.size:
+        dtype = bitmap.words.dtype.type
+        high = ~dtype(0) << dtype(bitmap.word_bits - pad)
+        bitmap.words[:, -1] |= high
+    return pad
 
 
 class TestInitializeCandidates:
@@ -88,6 +114,14 @@ class TestRefineCandidates:
             refine_candidates(bitmap, np.zeros((2, 2)), np.zeros((4, 2)), packing)
 
 
+#: Every word width ``SigmoConfig`` accepts.
+WORD_BITS = (8, 16, 32, 64)
+
+#: Seeds per differential case; ``make fuzz`` widens them through
+#: ``REPRO_FUZZ_SEEDS``.
+FUZZ_SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "3")))
+
+
 class TestRefineDifferential:
     """The candidate-sparse kernel against the dense oracle, bit for bit."""
 
@@ -116,38 +150,65 @@ class TestRefineDifferential:
         return bitmap, q_counts, d_counts, packing
 
     def _check(self, bitmap, q_counts, d_counts, packing):
+        sat_q = packing.saturate(q_counts)
         expected = dense_refine(
-            bitmap.words,
-            packing.saturate(q_counts),
-            packing.saturate(d_counts),
-            bitmap.word_bits,
+            bitmap.words, sat_q, packing.saturate(d_counts), bitmap.word_bits
         )
-        refine_candidates(bitmap, q_counts, d_counts, packing)
+        expected_pairs = union_pairs(bitmap.words, sat_q)
+        pairs = refine_candidates(bitmap, q_counts, d_counts, packing)
         assert bitmap.words.dtype == expected.dtype
         np.testing.assert_array_equal(bitmap.words, expected)
+        # few_live reads the count, so it must match too.
+        assert pairs == expected_pairs
 
     @pytest.mark.parametrize("backend", ["numpy", "instrumented"])
-    @pytest.mark.parametrize("word_bits", [32, 64])
+    @pytest.mark.parametrize("word_bits", [8, 16, 32, 64])
     @pytest.mark.parametrize("n_d", [64, 150, 1])
     @pytest.mark.parametrize("density", [0.02, 0.5])
     def test_bitwise_equal_to_dense_loop(self, backend, word_bits, n_d, density):
-        for seed in range(3):
+        for seed in FUZZ_SEEDS:
             case = self._case(seed, 40, n_d, word_bits, density)
             with use_backend(backend):
                 self._check(*case)
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_chunk_bound_smaller_than_a_group(self, monkeypatch, chunk):
+        # A chunk bound below one word's set bits repeats chunk cuts.
         monkeypatch.setattr(filtering, "REFINE_CHUNK_PAIRS", chunk)
-        for word_bits in (32, 64):
-            self._check(*self._case(11, 30, 333, word_bits, 0.4))
+        for backend in ("numpy", "instrumented"):
+            for word_bits in WORD_BITS:
+                case = self._case(11, 30, 333, word_bits, 0.4)
+                with use_backend(backend):
+                    self._check(*case)
+
+    @pytest.mark.parametrize("word_bits", WORD_BITS)
+    def test_one_pack_per_chunk(self, monkeypatch, word_bits):
+        # A one-pair bound makes every nonzero union word its own chunk;
+        # words holding more set bits than that add no empty chunks.
+        monkeypatch.setattr(filtering, "REFINE_CHUNK_PAIRS", 1)
+        bitmap, q_counts, d_counts, packing = self._case(11, 30, 333, word_bits, 0.4)
+        unions = group_unions(bitmap.words, packing.saturate(q_counts))
+        assert np.bitwise_count(unions).max() > 1
+        backend = get_backend("instrumented")
+        backend.reset()
+        with use_backend("instrumented"):
+            refine_candidates(bitmap, q_counts, d_counts, packing)
+        assert backend.op_counts()["pack_bits"][0] == np.count_nonzero(unions)
 
     def test_padding_bits_cleared(self):
         # Set bits past n_data_nodes never survive (the dense loop's
         # packed masks are zero there).
-        bitmap, q_counts, d_counts, packing = self._case(5, 12, 70, 64, 0.3)
-        bitmap.words[:, -1] |= np.uint64(1) << np.uint64(63)
-        self._check(bitmap, q_counts, d_counts, packing)
+        for backend in ("numpy", "instrumented"):
+            for word_bits in WORD_BITS:
+                bitmap, q_counts, d_counts, packing = self._case(
+                    5, 12, 70, word_bits, 0.3
+                )
+                # The last node dominates every group: a padding bit the
+                # kernel tests against it would pass.
+                d_counts[-1] = 300
+                assert set_padding_bits(bitmap)
+                with use_backend(backend):
+                    self._check(bitmap, q_counts, d_counts, packing)
 
     def test_empty_inputs(self):
         packing = SignaturePacking.uniform(self.N_LABELS)
@@ -161,13 +222,16 @@ class TestRefineDifferential:
             )
 
     @pytest.mark.parametrize("backend", ["numpy", "instrumented"])
-    def test_edge_aware_pass_matches_dense_loop(self, rng, backend):
-        for _ in range(10):
+    def test_edge_aware_pass_matches_dense_loop(self, backend):
+        for i in range(4 * len(FUZZ_SEEDS)):
+            rng = np.random.default_rng(i)
             qg, dg, _ = random_case(rng, max_data_nodes=40, n_edge_labels=3)
             q = CSRGO.from_graphs([qg])
             d = CSRGO.from_graphs([dg])
             n_labels = int(max(q.labels.max(), d.labels.max())) + 1
-            bitmap = initialize_candidates(q, d)
+            bitmap = initialize_candidates(q, d, WORD_BITS[i % len(WORD_BITS)])
+            if i % 2:
+                set_padding_bits(bitmap)
 
             def sat(g):
                 return np.minimum(
@@ -177,9 +241,11 @@ class TestRefineDifferential:
             expected = dense_refine(
                 bitmap.words, sat(q), sat(d), bitmap.word_bits
             )
+            expected_pairs = union_pairs(bitmap.words, sat(q))
             with use_backend(backend):
-                refine_candidates_edge_aware(bitmap, q, d, n_labels)
+                pairs = refine_candidates_edge_aware(bitmap, q, d, n_labels)
             np.testing.assert_array_equal(bitmap.words, expected)
+            assert pairs == expected_pairs
 
 
 def summed_lanes(sat):

@@ -77,15 +77,6 @@ class TestSessionReuse:
         assert [s for s in warm.spans if s.name.startswith("kernel:refine")] == []
         assert len(warm.find("stage:join")) == 1
 
-    def test_reuse_false_reruns_the_filter(self, dataset, config):
-        session = MatcherSession(dataset.queries, config=config)
-        session.match(dataset.data)
-        with tracing() as t:
-            result = session.match(dataset.data, reuse=False)
-        assert len(t.find("stage:filter")) == 1
-        fresh = SigmoEngine(dataset.queries, dataset.data, config).run()
-        assert_same_result(result, fresh)
-
     def test_config_change_invalidates_the_artifacts(self, dataset, config):
         session = MatcherSession(dataset.queries, config=config)
         session.match(dataset.data)

@@ -116,6 +116,19 @@ class TestScalarShims:
         np.testing.assert_array_equal(q1, q2)
         np.testing.assert_array_equal(r1, r2)
 
+    @pytest.mark.parametrize("divisor", [1, 2, 8, 64, 6])
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint32, np.uint64]
+    )
+    def test_divmod_word_widths_match_generic(self, rng, dtype, divisor):
+        info = np.iinfo(dtype)
+        a = rng.integers(info.min, info.max, size=200, dtype=dtype, endpoint=True)
+        q1, r1 = BE.divmod_(a, divisor)
+        q2, r2 = divmod_generic(BE, a, divisor)
+        assert q1.dtype == q2.dtype and r1.dtype == r2.dtype
+        np.testing.assert_array_equal(q1, q2)
+        np.testing.assert_array_equal(r1, r2)
+
     def test_scatter_or_accumulates_duplicates(self):
         # np.bitwise_or.at semantics: repeated indices OR together.
         idx = np.array([0, 1, 1, 2, 1], dtype=np.int64)
