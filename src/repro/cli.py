@@ -185,6 +185,10 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
                    help="relative growth allowed for work counters")
     p.add_argument("--time-tolerance", type=float, default=1.0,
                    help="relative growth allowed for wall-clock gauges")
+    p.add_argument("--repeats", type=int, default=1,
+                   help="runs of the workload: wall-clock gauges are the "
+                        "median over them, and the work counters must agree "
+                        "in every run (exit 2 otherwise)")
 
 
 def _add_serve_sim(sub: argparse._SubParsersAction) -> None:
@@ -769,21 +773,37 @@ def cmd_profile(args) -> int:
         ProfileBaseline,
         format_profile,
         format_regressions,
+        median_profile,
         smoke_profile,
     )
     from repro.obs.trace import tracing
 
-    registry = MetricsRegistry()
-    with tracing() as tracer, collecting(registry):
-        profile = smoke_profile(
-            n_queries=args.n_queries,
-            n_data_graphs=args.n_molecules,
-            seed=args.seed,
-            mode=args.mode,
-            device=args.device,
-            iterations=args.iterations,
-            metrics=registry,
-        )
+    if args.repeats < 1:
+        print("profile: --repeats must be >= 1", file=sys.stderr)
+        return 2
+    profiles = []
+    tracer = None
+    for _ in range(args.repeats):
+        registry = MetricsRegistry()
+        with tracing() as run_tracer, collecting(registry):
+            profiles.append(
+                smoke_profile(
+                    n_queries=args.n_queries,
+                    n_data_graphs=args.n_molecules,
+                    seed=args.seed,
+                    mode=args.mode,
+                    device=args.device,
+                    iterations=args.iterations,
+                    metrics=registry,
+                )
+            )
+        if tracer is None:  # the trace is the first run's
+            tracer = run_tracer
+    try:
+        profile = median_profile(profiles)
+    except ValueError as exc:
+        print(f"profile: {exc}", file=sys.stderr)
+        return 2
     print(format_profile(profile, top_k=args.top_k))
 
     payload = profile.payload()

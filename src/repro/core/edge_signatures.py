@@ -245,11 +245,12 @@ def refine_candidates_edge_aware(
 ) -> int:
     """One edge-aware refinement pass (radius 1), in place on the bitmap.
 
-    Runs the candidate-sparse domination kernel of ``refine_candidates``
-    on the used columns of the pair histograms, under a
-    ``kernel:refine_edge_aware`` span.  A batch whose query rows count no
-    pair at all leaves the bitmap untouched.  Returns the number of
-    (signature group, data node) pairs compared.
+    Runs :func:`~repro.core.filtering.refine_dominated`, the
+    threshold-bitset kernel of ``refine_candidates``, on the used columns
+    of the pair histograms, under a ``kernel:refine_edge_aware`` span.  A
+    batch whose query rows count no pair at all leaves the bitmap
+    untouched.  Returns the kernel's candidate-union bits (0 when it did
+    not run).
     """
     if bitmap.n_query_nodes == 0 or bitmap.n_data_nodes == 0:
         return 0
@@ -272,6 +273,6 @@ def refine_candidates_edge_aware(
         if columns.shape[0] == 0:
             return 0
         sat_d = data_pair_counts(data, n_labels, n_edge_labels, columns)
-        pairs = refine_dominated(bitmap, group_sigs, inverse, sat_d)
-        sp.set(pairs=pairs)
-    return pairs
+        union_bits = refine_dominated(bitmap, group_sigs, inverse, sat_d)
+        sp.set(union_bits=union_bits)
+    return union_bits

@@ -14,16 +14,15 @@ Kernel-equivalent layout notes:
   ``n_q x n_d`` product — same output as Alg. 1's kernel.
 * ``RefineCandidates`` groups query nodes by *saturated signature*, with
   one 1-D ``unique`` over the packed 64-bit keys (injective on saturated
-  rows), and is *candidate-sparse*: it ORs each group's rows into one
-  union row and compares signatures only on the (group, data node) pairs
-  whose bit is still set there — like the paper's kernel, which loads only
-  each query node's current candidates — instead of against every data
-  node.  Each pair's pass/fail result overwrites its bit in the unpacked
-  union words, which are packed back in one pass and ANDed into every row
-  of the group — no bit is scattered.  Four saturated counts share one
-  ``uint64`` word in guarded 16-bit lanes, so one subtraction tests four
-  labels.  Pairs are materialized in chunks of
-  :data:`REFINE_CHUNK_PAIRS`.
+  rows), and tests domination on *threshold bitsets*
+  (:func:`refine_dominated`): a signature is sparse, so each distinct
+  (label, required count) among the groups' nonzero counts becomes one
+  packed bitset of the data nodes that fail it, a group's fail mask is
+  the OR of its tests' bitsets, and every row of the group ANDs in the
+  mask's complement — word operations on word-packed bitmaps, as in
+  the paper's sections 4.2 and 4.4.  No (query, data node) pair is
+  enumerated: the cost follows groups x words plus tests x data nodes,
+  not the number of candidate bits.
 
 Depth with the edge-aware pass (:mod:`repro.core.edge_signatures`, on by
 default): the pass runs the same kernel on its pair histograms at the end
@@ -59,10 +58,6 @@ from repro.utils.bitops import pack_bool_rows
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Most (signature group, data node) pairs one chunk of the refine kernel
-#: compares (plus at most one bitmap word); bounds its scratch memory.
-REFINE_CHUNK_PAIRS = 32_768
 
 #: Share of the live bits one more node refine is expected to clear at
 #: most: after the edge-aware pass, radius 2 clears 14-38% of them on the
@@ -201,7 +196,7 @@ def refine_candidates(
         Saturation layout; domination is evaluated on saturated counts,
         which is exactly the packed-bitset comparison of section 4.2.
 
-    Returns the number of (signature group, data node) pairs compared.
+    Returns the candidate-union bits of :func:`refine_dominated`.
     """
     sat_q = packing.saturate(query_counts)
     sat_d = packing.saturate(data_counts)
@@ -221,13 +216,9 @@ def refine_candidates(
         work_items=bitmap.n_data_nodes,
         signature_groups=int(first.shape[0]),
     ) as sp:
-        pairs = refine_dominated(bitmap, sat_q[first], inverse, sat_d)
-        sp.set(pairs=pairs)
-    return pairs
-
-
-#: The guard bit of every 16-bit lane of a :func:`signature_lanes` word.
-LANE_GUARDS = 0x0100_0100_0100_0100
+        union_bits = refine_dominated(bitmap, sat_q[first], inverse, sat_d)
+        sp.set(union_bits=union_bits)
+    return union_bits
 
 
 @kernel(writes=())
@@ -250,21 +241,6 @@ def pack_columns(small: np.ndarray, per_word: int, lane_bits: int) -> np.ndarray
     return words
 
 
-@kernel(writes=())
-def signature_lanes(sat: np.ndarray) -> np.ndarray:
-    """Saturated ``uint8`` count rows packed four per ``uint64`` word.
-
-    Returns ``uint64[ceil(n_cols / 4), n_rows]``, word-major so that
-    gathering many rows is one contiguous take per word: count ``c`` of
-    row ``i`` sits in bits ``16*(c%4)`` up of word ``c//4``.  With
-    :data:`LANE_GUARDS` OR-ed into the data words, ``data - query`` keeps
-    a lane's guard bit iff that lane's data count is at least the query
-    count — eight bits of headroom stop borrows from crossing lanes — so
-    one subtraction tests four labels.
-    """
-    return pack_columns(sat, 4, 16)
-
-
 @kernel(writes=("bitmap",))
 def refine_dominated(
     bitmap: CandidateBitmap,
@@ -274,17 +250,29 @@ def refine_dominated(
 ) -> int:
     """Clear every candidate bit whose data node does not dominate.
 
-    The candidate-sparse domination kernel shared by both refine flavours.
-    Query row ``i`` belongs to signature group ``inverse[i]``; data node
-    ``d`` stays a candidate of row ``i`` iff ``sat_data[d] >=
-    group_sigs[inverse[i]]`` in every column.  Only (group, data node)
-    pairs whose bit is still set in some row of the group are compared —
-    after the first refinement that is well under 1% of the dense
-    ``groups x data nodes`` product — and at most about
-    :data:`REFINE_CHUNK_PAIRS` pairs are materialized at a time.  Bits
-    past ``n_data_nodes`` (word padding) always fail.
+    The threshold-bitset domination kernel shared by both refine
+    flavours.  Query row ``i`` belongs to signature group ``inverse[i]``;
+    data node ``d`` stays a candidate of row ``i`` iff ``sat_data[d] >=
+    group_sigs[inverse[i]]`` in every column.  Signatures are sparse, so
+    the kernel works on the distinct (column, required count) tests of
+    the groups' nonzero ``uint8`` counts: one packed data-node bitset per
+    test marks the nodes that fail it, each group's fail mask is the OR
+    of its tests' bitsets, and every row ANDs in the complement of its
+    group's mask.  Bits past ``n_data_nodes`` (word padding) always
+    fail; a group with no nonzero count fails only them.
 
-    Returns the number of pairs compared.
+    The OR folds the tests rank by rank: groups sorted by test count,
+    fold ``r`` ORs the ``r``-th test of every group that has one into a
+    prefix of the fail masks.  That Python loop runs at most ``n_cols``
+    times (a group has at most one test per column), and each fold's
+    temporary holds at most groups x words.  Cost and scratch memory are
+    O(groups x words + tests x data nodes), plus the bitmap-sized
+    temporaries of the group-union scatter and the final AND; neither
+    grows with the candidate bits.
+
+    Returns the candidate-union bits: the sum over groups of the popcount
+    of the OR of the group's rows (padding bits included), the count
+    :func:`few_live` reads.
     """
     n_groups = group_sigs.shape[0]
     n_words = bitmap.words.shape[1]
@@ -292,63 +280,54 @@ def refine_dominated(
         return 0
     word_bits = bitmap.word_bits
     dtype = bitmap.words.dtype
-    last_node = bitmap.n_data_nodes - 1
-    guards = xp.uint64(LANE_GUARDS)
-    data_lanes = signature_lanes(sat_data) | guards
-    sig_lanes = signature_lanes(group_sigs)
-    # Per-group candidate union: the pairs worth comparing.
+    n_data = bitmap.n_data_nodes
     union = xp.zeros((n_groups, n_words), dtype=dtype)
     xp.scatter_or(union, inverse, bitmap.words)
-    group_of, word_of = xp.nonzero(union)
-    values = union[group_of, word_of]
-    # Pair offset of each nonzero union word; chunk cuts every
-    # REFINE_CHUNK_PAIRS pairs.  A cut never splits a word, so a word with
-    # more set bits than that repeats a cut; unique drops the repeats
-    # (an empty chunk has nothing to pack).
-    counts = xp.popcount(values).astype(xp.int64)
-    ends = xp.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1]) if ends.shape[0] else 0
-    cuts = xp.searchsorted(
-        starts, xp.arange(0, total, REFINE_CHUNK_PAIRS, dtype=xp.int64)
-    )
-    cuts = xp.unique(
-        xp.concatenate([cuts, xp.asarray([values.shape[0]], dtype=xp.int64)])
-    ).tolist()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        # The chunk's set bits as (group, data node) pairs.
-        bits = xp.unpack_bits(values[lo:hi], (hi - lo) * word_bits, word_bits)
-        set_at = xp.flatnonzero(bits)
-        pair_word, bit = xp.divmod_(set_at, word_bits)
-        pair_word += lo
-        nodes = word_of[pair_word] * word_bits + bit
-        # Lane-wise domination test; each pair's result replaces its bit.
-        diff = xp.take(data_lanes, xp.minimum(nodes, last_node), axis=1)
-        diff -= xp.take(sig_lanes, group_of[pair_word], axis=1)
-        diff &= guards
-        keep = xp.all(diff == guards, axis=0)
-        keep &= nodes <= last_node
-        bits[set_at] = keep
-        # Each (group, word) cell occurs once: one pack, plain stores.
-        union[group_of[lo:hi], word_of[lo:hi]] = xp.pack_bits(
-            bits.reshape(1, -1), word_bits
-        )[0]
-    # Keep each group's surviving bits in every row of the group.
-    bitmap.words &= union[inverse]
-    return total
+    union_bits = int(xp.sum(xp.popcount(union), dtype=xp.int64))
+    # The distinct (column, required count) tests, one key per test.
+    group_of, column_of = xp.nonzero(group_sigs)
+    keys = column_of * 256 + group_sigs[group_of, column_of]
+    tests, test_of = xp.unique(keys, return_inverse=True)
+    columns, needs = xp.divmod_(tests, 256)
+    n_tests = tests.shape[0]
+    # Row t: the data nodes failing test t, plus the padding; the last
+    # row fails the padding only.
+    failing = xp.ones((n_tests + 1, n_words * word_bits), dtype=xp.bool_)
+    failing[:n_tests, :n_data] = (sat_data[:, columns] < needs.astype(xp.uint8)).T
+    failing[n_tests, :n_data] = False
+    fails = xp.pack_bits(failing, word_bits)
+    # Groups with the most tests first, so rank r folds into a prefix.
+    per_group = xp.bincount(group_of, minlength=n_groups)
+    by_size = xp.argsort(-per_group)
+    sizes = per_group[by_size]
+    heads = (xp.cumsum(per_group) - per_group)[by_size]
+    fail = xp.zeros((n_groups, n_words), dtype=dtype)
+    fail |= fails[n_tests]
+    for rank in range(int(sizes[0])):  # sigmo: allow=SGL003
+        n_ranked = int(xp.count_nonzero(sizes > rank))
+        fail[:n_ranked] |= fails[test_of[heads[:n_ranked] + rank]]
+    keep = xp.empty_like(fail)
+    keep[by_size] = ~fail
+    bitmap.words &= keep[inverse]
+    return union_bits
 
 
-def few_live(live: int, n_data_nodes: int, pairs_compared: int) -> bool:
+def few_live(live: int, n_data_nodes: int, union_bits: int) -> bool:
     """Whether one more refine iteration cannot pay.
 
-    ``live`` is the live-bit count after an iteration that compared
-    ``pairs_compared`` pairs.  The next iteration's work is one signature
-    step per data node plus about as many pairs (it tests a subset of the
-    same candidates); the bits it can clear are at most
-    :data:`CLEARED_SHARE` of the live bits.  It cannot pay when those do
-    not outnumber the work.
+    ``live`` is the live-bit count after an iteration whose refine
+    kernels read ``union_bits`` candidate-union bits (per signature
+    group, the bits set in the OR of the group's rows; see
+    :func:`refine_dominated`).  The next iteration's work is taken as one
+    signature step per data node plus as many units as those bits (it
+    refines a subset of the same candidates); the bits it can clear are
+    at most :data:`CLEARED_SHARE` of the live bits.  It cannot pay when
+    those do not outnumber the work.  The threshold-bitset kernel no
+    longer compares a pair per union bit, so the second term overstates
+    its cost; the count is kept so that every input stops at the same
+    depth as before.
     """
-    return CLEARED_SHARE * live <= n_data_nodes + pairs_compared
+    return CLEARED_SHARE * live <= n_data_nodes + union_bits
 
 
 class IterativeFilter:
@@ -437,7 +416,7 @@ class IterativeFilter:
         end of iteration 1: the pass commutes with the node iterations
         (each test depends only on the two nodes' signatures), so the
         final bitmap is the same wherever it runs, and running it first
-        lets every later iteration compare fewer pairs.  The live bits are
+        lets the live count see its pruning at depth 1.  The live bits are
         counted once, below the cap: after iteration 1 when the pass
         subsumes the radius-1 node refine
         (:func:`~repro.core.edge_signatures.subsumes_radius_one`), else
@@ -471,12 +450,14 @@ class IterativeFilter:
         for iteration in range(1, cap + 1):
             radius = iteration - 1
             prev_words = bitmap.words.copy() if checking else None
-            pairs = 0
+            union_bits = 0
             if radius > 0:
                 q_counts, d_counts = self._signatures_at(radius)
-                pairs = refine_candidates(bitmap, q_counts, d_counts, self.packing)
+                union_bits = refine_candidates(
+                    bitmap, q_counts, d_counts, self.packing
+                )
             if iteration == 1 and edge:
-                pairs += refine_candidates_edge_aware(
+                union_bits += refine_candidates_edge_aware(
                     bitmap,
                     self.query,
                     self.data,
@@ -504,7 +485,7 @@ class IterativeFilter:
             if not edge or iteration != count_at or iteration == cap:
                 continue
             stats.live_candidates, viable = live_count(bitmap, self.query, self.data)
-            if few_live(stats.live_candidates, self.data.n_nodes, pairs):
+            if few_live(stats.live_candidates, self.data.n_nodes, union_bits):
                 if checking and iteration == 1:
                     self._check_subsumed(bitmap)
                 result.stop_reason = STOP_FEW_LIVE

@@ -234,6 +234,45 @@ def smoke_profile(
     )
 
 
+def median_profile(profiles: list[Profile]) -> Profile:
+    """One profile from repeated runs of the same deterministic workload.
+
+    Every deterministic counter must read the same in every run; a
+    difference raises :class:`ValueError` naming the counters.  Each
+    wall-clock ``*seconds*`` gauge, and each stage's seconds in the
+    report table, becomes the median over the runs, so one slow moment
+    on a shared machine does not decide a time comparison.  Everything
+    else (histograms, model gauges, kernels, context) is the first
+    run's; the context records the number of runs as ``repeats``.
+    """
+    if not profiles:
+        raise ValueError("median_profile needs at least one profile")
+    first = profiles[0]
+    base = first.metrics.counters
+    differing = {
+        name
+        for p in profiles[1:]
+        for name in set(base) | set(p.metrics.counters)
+        if base.get(name) != p.metrics.counters.get(name)
+    }
+    if differing:
+        raise ValueError(
+            "deterministic counters differ between repeated runs: "
+            + ", ".join(sorted(differing))
+        )
+    for name in first.metrics.gauges:
+        if "seconds" in name and _is_wall_clock(name):
+            first.metrics.gauge(
+                name, float(np.median([p.metrics.gauges[name] for p in profiles]))
+            )
+    for i, stage in enumerate(first.stages):
+        stage["seconds"] = float(
+            np.median([p.stages[i]["seconds"] for p in profiles])
+        )
+    first.context["repeats"] = len(profiles)
+    return first
+
+
 # -- human report ---------------------------------------------------------------
 
 
@@ -250,7 +289,11 @@ def format_profile(profile: Profile, top_k: int = 5) -> str:
 
     total = sum(s["seconds"] for s in profile.stages) or 1.0
     lines.append("")
-    lines.append("stage breakdown (wall clock):")
+    repeats = ctx.get("repeats", 1)
+    lines.append(
+        "stage breakdown (wall clock"
+        + (f", median of {repeats} runs):" if repeats > 1 else "):")
+    )
     lines.append(f"  {'stage':<22} {'seconds':>10} {'count':>6} {'share':>7}")
     for s in profile.stages:
         lines.append(

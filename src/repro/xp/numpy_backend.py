@@ -50,8 +50,37 @@ class NumpyBackend:
         return np.ascontiguousarray(arr).view(np.uint8)
 
     def scatter_or(self, target, idx, values) -> None:
-        """Grouped in-place OR (duplicate indices accumulate)."""
-        np.bitwise_or.at(target, idx, values)
+        """Grouped in-place OR (duplicate indices accumulate).
+
+        Rows of values (``values.ndim >= 2``, one row per index) are
+        OR-ed per index with one ``np.bitwise_or.reduceat`` over the rows
+        in stable index order, then stored once per distinct index: about
+        2x faster than ``np.bitwise_or.at`` on the refine kernel's group
+        unions.  Scalar values (the signature BFS, ``set_bits``) keep
+        ``np.bitwise_or.at``, whose 1-D loop is faster there, and so do
+        empty, negative and broadcast indices.
+        """
+        idx = np.asarray(idx)
+        values = np.asarray(values)
+        if (
+            values.ndim < 2
+            or idx.ndim != 1
+            or idx.shape[0] == 0
+            or values.shape[0] != idx.shape[0]
+        ):
+            np.bitwise_or.at(target, idx, values)
+            return
+        order = np.argsort(idx, kind="stable")
+        ordered = idx[order]
+        if ordered[0] < 0:
+            np.bitwise_or.at(target, idx, values)
+            return
+        starts = np.flatnonzero(
+            np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        )
+        target[ordered[starts]] |= np.bitwise_or.reduceat(
+            values[order], starts, axis=0
+        )
 
     def divmod_(self, a, b):
         """Simultaneous floor quotient and remainder."""

@@ -50,9 +50,9 @@ def group_unions(words, sat_q):
     return unions
 
 
-def union_pairs(words, sat_q):
-    """Pairs the candidate-sparse kernel compares: the set bits of each
-    signature group's union, padding bits included."""
+def union_bits(words, sat_q):
+    """The count the kernel returns: the set bits of each signature
+    group's union, padding bits included."""
     return int(np.bitwise_count(group_unions(words, sat_q)).sum())
 
 
@@ -123,7 +123,7 @@ FUZZ_SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "3")))
 
 
 class TestRefineDifferential:
-    """The candidate-sparse kernel against the dense oracle, bit for bit."""
+    """The threshold-bitset kernel against the dense oracle, bit for bit."""
 
     N_LABELS = 6
 
@@ -154,12 +154,12 @@ class TestRefineDifferential:
         expected = dense_refine(
             bitmap.words, sat_q, packing.saturate(d_counts), bitmap.word_bits
         )
-        expected_pairs = union_pairs(bitmap.words, sat_q)
-        pairs = refine_candidates(bitmap, q_counts, d_counts, packing)
+        expected_bits = union_bits(bitmap.words, sat_q)
+        got_bits = refine_candidates(bitmap, q_counts, d_counts, packing)
         assert bitmap.words.dtype == expected.dtype
         np.testing.assert_array_equal(bitmap.words, expected)
         # few_live reads the count, so it must match too.
-        assert pairs == expected_pairs
+        assert got_bits == expected_bits
 
     @pytest.mark.parametrize("backend", ["numpy", "instrumented"])
     @pytest.mark.parametrize("word_bits", [8, 16, 32, 64])
@@ -171,29 +171,55 @@ class TestRefineDifferential:
             with use_backend(backend):
                 self._check(*case)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 100])
-    def test_chunk_bound_smaller_than_a_group(self, monkeypatch, chunk):
-        # A chunk bound below one word's set bits repeats chunk cuts.
-        monkeypatch.setattr(filtering, "REFINE_CHUNK_PAIRS", chunk)
+    @pytest.mark.parametrize("density", [0.9, 0.99, 1.0])
+    def test_dense_bitmaps_match_dense_loop(self, density):
+        # Nearly every bit set: every union word is full, and each group's
+        # fail mask clears most of them.
         for backend in ("numpy", "instrumented"):
             for word_bits in WORD_BITS:
-                case = self._case(11, 30, 333, word_bits, 0.4)
+                case = self._case(11, 30, 333, word_bits, density)
                 with use_backend(backend):
                     self._check(*case)
 
     @pytest.mark.parametrize("word_bits", WORD_BITS)
-    def test_one_pack_per_chunk(self, monkeypatch, word_bits):
-        # A one-pair bound makes every nonzero union word its own chunk;
-        # words holding more set bits than that add no empty chunks.
-        monkeypatch.setattr(filtering, "REFINE_CHUNK_PAIRS", 1)
-        bitmap, q_counts, d_counts, packing = self._case(11, 30, 333, word_bits, 0.4)
-        unions = group_unions(bitmap.words, packing.saturate(q_counts))
-        assert np.bitwise_count(unions).max() > 1
+    def test_call_counts_independent_of_density(self, word_bits):
+        # The kernel enumerates no candidate pair: a 2%- and a 90%-dense
+        # bitmap of the same shape and signatures cost the same op calls.
         backend = get_backend("instrumented")
-        backend.reset()
-        with use_backend("instrumented"):
-            refine_candidates(bitmap, q_counts, d_counts, packing)
-        assert backend.op_counts()["pack_bits"][0] == np.count_nonzero(unions)
+        counts = []
+        for density in (0.02, 0.9):
+            bitmap, q_counts, d_counts, packing = self._case(
+                11, 30, 333, word_bits, density
+            )
+            backend.reset()
+            with use_backend("instrumented"):
+                refine_candidates(bitmap, q_counts, d_counts, packing)
+            counts.append(
+                {op: calls for op, (calls, _) in backend.op_counts().items()}
+            )
+        sparse, dense = counts
+        assert sparse == dense
+        assert sparse["pack_bits"] == 1 and sparse["scatter_or"] == 1
+
+    @pytest.mark.parametrize("word_bits", WORD_BITS)
+    def test_zero_signature_group_keeps_valid_bits(self, word_bits):
+        # A group with no nonzero count has no test: its rows keep every
+        # valid bit and lose every padding bit.
+        for backend in ("numpy", "instrumented"):
+            bitmap, q_counts, d_counts, packing = self._case(
+                5, 12, 70, word_bits, 0.6
+            )
+            q_counts[:4] = 0
+            set_padding_bits(bitmap)
+            before = bitmap.to_bool()
+            pad = bitmap.words.shape[1] * word_bits - bitmap.n_data_nodes
+            with use_backend(backend):
+                self._check(bitmap, q_counts, d_counts, packing)
+            np.testing.assert_array_equal(bitmap.to_bool()[:4], before[:4])
+            if pad:
+                dtype = bitmap.words.dtype.type
+                high = ~dtype(0) << dtype(word_bits - pad)
+                assert not (bitmap.words[:, -1] & high).any()
 
     def test_padding_bits_cleared(self):
         # Set bits past n_data_nodes never survive (the dense loop's
@@ -241,11 +267,11 @@ class TestRefineDifferential:
             expected = dense_refine(
                 bitmap.words, sat(q), sat(d), bitmap.word_bits
             )
-            expected_pairs = union_pairs(bitmap.words, sat(q))
+            expected_bits = union_bits(bitmap.words, sat(q))
             with use_backend(backend):
-                pairs = refine_candidates_edge_aware(bitmap, q, d, n_labels)
+                got_bits = refine_candidates_edge_aware(bitmap, q, d, n_labels)
             np.testing.assert_array_equal(bitmap.words, expected)
-            assert pairs == expected_pairs
+            assert got_bits == expected_bits
 
 
 def summed_lanes(sat):
@@ -261,6 +287,9 @@ def summed_lanes(sat):
 
 
 class TestSignatureLanes:
+    """``pack_columns`` at four 16-bit lanes per word, the layout the
+    historical lane packer produced."""
+
     @pytest.mark.parametrize("n_cols", [0, 1, 2, 3, 5, 7, 12, 13, 50])
     @pytest.mark.parametrize("n_rows", [0, 1, 37])
     @pytest.mark.parametrize("backend", ["numpy", "instrumented"])
@@ -268,7 +297,7 @@ class TestSignatureLanes:
         rng = np.random.default_rng(n_cols * 100 + n_rows)
         sat = rng.integers(0, 256, size=(n_rows, n_cols)).astype(np.uint8)
         with use_backend(backend):
-            got = filtering.signature_lanes(sat)
+            got = filtering.pack_columns(sat, 4, 16)
         expected = summed_lanes(sat)
         assert got.dtype == np.uint64 and got.shape == expected.shape
         assert got.flags.c_contiguous

@@ -287,6 +287,14 @@ class TestProfileCli:
         assert rc == 1
         assert "engine.matches" in capsys.readouterr().err
 
+    def test_repeats_take_the_median_of_agreeing_runs(self, tmp_path, capsys):
+        metrics_path = tmp_path / "profile.json"
+        rc = cli_main(self.ARGS + ["--repeats", "2", "--json", str(metrics_path)])
+        assert rc == 0
+        assert "median of 2 runs" in capsys.readouterr().out
+        assert load_metrics(metrics_path)["context"]["repeats"] == 2
+        assert cli_main(self.ARGS + ["--repeats", "0"]) == 2
+
 
 def test_write_chrome_trace_from_find_all(dataset, tmp_path):
     """The headline artifact: a Perfetto-loadable trace of one run."""

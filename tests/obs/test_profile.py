@@ -11,6 +11,7 @@ from repro.obs.profile import (
     ProfileBaseline,
     format_profile,
     format_regressions,
+    median_profile,
     smoke_profile,
 )
 
@@ -74,6 +75,44 @@ class TestProfile:
             f"fused join: {tables} table(s), {pairs} pairs "
             f"({pairs / tables:.1f} pairs/table)"
         ) in text
+
+
+class TestMedianProfile:
+    def repeated(self, profile, join_seconds):
+        runs = []
+        for seconds in join_seconds:
+            run = copy.deepcopy(profile)
+            run.metrics.gauge("engine.stage_seconds.join", seconds)
+            next(s for s in run.stages if s["stage"] == "join")["seconds"] = seconds
+            runs.append(run)
+        return runs
+
+    def test_wall_clock_gauges_are_the_median(self, profile):
+        model = profile.metrics.gauges["model.total_seconds"]
+        runs = self.repeated(profile, [0.03, 0.09, 0.02])
+        # The last run's model gauge differs: only the first run's is kept.
+        runs[2].metrics.gauge("model.total_seconds", 2 * model)
+        merged = median_profile(runs)
+        assert merged.metrics.gauges["engine.stage_seconds.join"] == 0.03
+        assert next(s for s in merged.stages if s["stage"] == "join")["seconds"] == 0.03
+        assert merged.metrics.gauges["model.total_seconds"] == model
+        assert merged.context["repeats"] == 3
+        assert "median of 3 runs" in format_profile(merged)
+
+    def test_one_run_is_unchanged(self, profile):
+        (run,) = self.repeated(profile, [0.5])
+        merged = median_profile([run])
+        assert merged.metrics.gauges["engine.stage_seconds.join"] == 0.5
+        assert "median of" not in format_profile(merged)
+
+    def test_differing_counters_are_an_error(self, profile):
+        runs = self.repeated(profile, [0.01, 0.01])
+        runs[1].metrics.count("join.edge_checks", 1)
+        runs[1].metrics.count("join.extra", 1)
+        with pytest.raises(ValueError, match="join.edge_checks, join.extra"):
+            median_profile(runs)
+        with pytest.raises(ValueError):
+            median_profile([])
 
 
 class TestProfileBaseline:

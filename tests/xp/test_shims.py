@@ -51,9 +51,9 @@ def view_u8_generic(be, arr):
 
 
 def scatter_or_generic(be, target, idx, values) -> None:
-    """In-place grouped OR, one scalar update at a time."""
+    """In-place grouped OR, one update (a scalar or a row) at a time."""
     del be  # uniform shim signature
-    for i, v in zip(idx.tolist(), values.tolist()):
+    for i, v in zip(idx.tolist(), values):
         target[i] |= v
 
 
@@ -139,6 +139,43 @@ class TestScalarShims:
         scatter_or_generic(BE, generic, idx, values)
         np.testing.assert_array_equal(native, [1, 22, 8])
         np.testing.assert_array_equal(native, generic)
+
+    @pytest.mark.parametrize(
+        "n_targets, n_rows",
+        [(1, 1), (5, 1), (3, 200), (40, 60), (200, 30)],
+        ids=["one-row-one-target", "one-row", "duplicate-heavy", "unsorted", "sparse"],
+    )
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_scatter_or_rows_match_generic(self, rng, n_targets, n_rows, dtype):
+        # Rows of values (the refine kernel's group unions): unsorted
+        # indices with repeats, OR-ed into a target that already has bits.
+        info = np.iinfo(dtype)
+        idx = rng.integers(0, n_targets, size=n_rows).astype(np.int64)
+        values = rng.integers(0, info.max, size=(n_rows, 7), dtype=dtype, endpoint=True)
+        start = rng.integers(0, info.max, size=(n_targets, 7), dtype=dtype)
+        native, generic = start.copy(), start.copy()
+        BE.scatter_or(native, idx, values)
+        scatter_or_generic(BE, generic, idx, values)
+        assert native.dtype == generic.dtype
+        np.testing.assert_array_equal(native, generic)
+
+    def test_scatter_or_rows_into_strided_target(self, rng):
+        # A view target (a column slice) is updated in place.
+        base = np.zeros((6, 10), dtype=np.uint64)
+        idx = np.array([4, 0, 4, 2, 0], dtype=np.int64)
+        values = rng.integers(0, 2**63, size=(5, 3), dtype=np.uint64)
+        expected = base.copy()
+        scatter_or_generic(BE, expected[:, 2:5], idx, values)
+        BE.scatter_or(base[:, 2:5], idx, values)
+        np.testing.assert_array_equal(base, expected)
+
+    def test_scatter_or_empty_and_scalar_fallbacks(self):
+        target = np.arange(4, dtype=np.uint32).reshape(2, 2)
+        BE.scatter_or(target, np.zeros(0, dtype=np.int64), np.zeros((0, 2), np.uint32))
+        np.testing.assert_array_equal(target, [[0, 1], [2, 3]])
+        # A negative index counts from the end, as np.bitwise_or.at does.
+        BE.scatter_or(target, np.array([-1, 1]), np.array([[4, 4], [8, 8]], np.uint32))
+        np.testing.assert_array_equal(target, [[0, 1], [14, 15]])
 
 
 class TestFlatStrideOverflowGuard:
