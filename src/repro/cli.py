@@ -186,9 +186,10 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--time-tolerance", type=float, default=1.0,
                    help="relative growth allowed for wall-clock gauges")
     p.add_argument("--repeats", type=int, default=1,
-                   help="runs of the workload: wall-clock gauges are the "
-                        "median over them, and the work counters must agree "
-                        "in every run (exit 2 otherwise)")
+                   help="runs of the workload, each with cold accel caches: "
+                        "wall-clock gauges are the median over them, and the "
+                        "work counters must agree in every run (exit 2 "
+                        "otherwise)")
 
 
 def _add_serve_sim(sub: argparse._SubParsersAction) -> None:
@@ -767,6 +768,7 @@ def _resilient_smoke(args) -> int:
 
 def cmd_profile(args) -> int:
     """Handle ``repro profile``: trace + profile the smoke workload."""
+    from repro.accel import clear_accel_caches
     from repro.obs.export import validate_metrics, write_chrome_trace, write_metrics
     from repro.obs.metrics import MetricsRegistry, collecting
     from repro.obs.profile import (
@@ -784,6 +786,9 @@ def cmd_profile(args) -> int:
     profiles = []
     tracer = None
     for _ in range(args.repeats):
+        # Every run starts cold, like the recorded baseline: a memoised
+        # signature or plan would skip the work the gauges time.
+        clear_accel_caches()
         registry = MetricsRegistry()
         with tracing() as run_tracer, collecting(registry):
             profiles.append(

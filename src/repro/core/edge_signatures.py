@@ -44,7 +44,7 @@ from repro.accel.memo import frozen_array, signature_memo
 from repro.analysis.markers import kernel
 from repro.core.candidates import CandidateBitmap
 from repro.core.csrgo import CSRGO
-from repro.core.filtering import pack_columns, refine_dominated
+from repro.core.filtering import refine_dominated
 from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:
@@ -117,6 +117,26 @@ def edge_pair_histograms(
         graph, n_labels, n_edge_labels, ignore_label, ignore_edge_label
     )
     return pair_counts(rows, features, graph.n_nodes, n_edge_labels * n_labels)
+
+
+@kernel(writes=())
+def pack_columns(small: np.ndarray, per_word: int, lane_bits: int) -> np.ndarray:
+    """Small non-negative count columns packed ``per_word`` per ``uint64``.
+
+    Returns ``uint64[ceil(n_cols / per_word), n_rows]``: column ``c`` of
+    row ``i`` sits in bits ``lane_bits * (c % per_word)`` up of word
+    ``c // per_word``.  Values must fit ``lane_bits``.  One shifted OR per
+    lane over a strided column slice of ``small.T`` — no per-column
+    temporaries and no transposed copy of the result.
+    """
+    n_rows, n_cols = small.shape
+    words = xp.zeros((-(-n_cols // per_word), n_rows), dtype=xp.uint64)
+    columns = small.T
+    for lane in range(min(per_word, n_cols)):
+        part = columns[lane::per_word].astype(xp.uint64)
+        part <<= xp.uint64(lane_bits * lane)
+        words[: part.shape[0]] |= part
+    return words
 
 
 @kernel(writes=())

@@ -221,26 +221,6 @@ def refine_candidates(
     return union_bits
 
 
-@kernel(writes=())
-def pack_columns(small: np.ndarray, per_word: int, lane_bits: int) -> np.ndarray:
-    """Small non-negative count columns packed ``per_word`` per ``uint64``.
-
-    Returns ``uint64[ceil(n_cols / per_word), n_rows]``: column ``c`` of
-    row ``i`` sits in bits ``lane_bits * (c % per_word)`` up of word
-    ``c // per_word``.  Values must fit ``lane_bits``.  One shifted OR per
-    lane over a strided column slice of ``small.T`` — no per-column
-    temporaries and no transposed copy of the result.
-    """
-    n_rows, n_cols = small.shape
-    words = xp.zeros((-(-n_cols // per_word), n_rows), dtype=xp.uint64)
-    columns = small.T
-    for lane in range(min(per_word, n_cols)):
-        part = columns[lane::per_word].astype(xp.uint64)
-        part <<= xp.uint64(lane_bits * lane)
-        words[: part.shape[0]] |= part
-    return words
-
-
 @kernel(writes=("bitmap",))
 def refine_dominated(
     bitmap: CandidateBitmap,

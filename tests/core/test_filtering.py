@@ -5,13 +5,13 @@ import os
 import numpy as np
 import pytest
 
-import repro.core.filtering as filtering
 from repro.core.candidates import CandidateBitmap
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.edge_signatures import (
     PAIR_COUNT_CAP,
     edge_pair_histograms,
+    pack_columns,
     refine_candidates_edge_aware,
 )
 from repro.core.filtering import (
@@ -287,8 +287,8 @@ def summed_lanes(sat):
 
 
 class TestSignatureLanes:
-    """``pack_columns`` at four 16-bit lanes per word, the layout the
-    historical lane packer produced."""
+    """``edge_signatures.pack_columns`` at four 16-bit lanes per word, the
+    layout the historical lane packer produced."""
 
     @pytest.mark.parametrize("n_cols", [0, 1, 2, 3, 5, 7, 12, 13, 50])
     @pytest.mark.parametrize("n_rows", [0, 1, 37])
@@ -297,7 +297,7 @@ class TestSignatureLanes:
         rng = np.random.default_rng(n_cols * 100 + n_rows)
         sat = rng.integers(0, 256, size=(n_rows, n_cols)).astype(np.uint8)
         with use_backend(backend):
-            got = filtering.pack_columns(sat, 4, 16)
+            got = pack_columns(sat, 4, 16)
         expected = summed_lanes(sat)
         assert got.dtype == np.uint64 and got.shape == expected.shape
         assert got.flags.c_contiguous

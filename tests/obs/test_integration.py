@@ -295,6 +295,37 @@ class TestProfileCli:
         assert load_metrics(metrics_path)["context"]["repeats"] == 2
         assert cli_main(self.ARGS + ["--repeats", "0"]) == 2
 
+    def test_every_repeat_runs_cold(self, monkeypatch, capsys):
+        """No repeat reuses a signature or plan memoised by an earlier one."""
+        import repro.obs.profile as profile_mod
+        from repro.accel import plan_memo, signature_memo
+
+        real = profile_mod.smoke_profile
+        runs = []
+
+        def lookups():
+            return tuple(
+                (memo.stats.hits, memo.stats.misses)
+                for memo in (signature_memo(), plan_memo())
+            )
+
+        def counted(**kwargs):
+            before = lookups()
+            result = real(**kwargs)
+            after = lookups()
+            runs.append(
+                tuple((h1 - h0, m1 - m0) for (h0, m0), (h1, m1) in zip(before, after))
+            )
+            return result
+
+        monkeypatch.setattr(profile_mod, "smoke_profile", counted)
+        assert cli_main(self.ARGS + ["--repeats", "3"]) == 0
+        capsys.readouterr()
+        assert len(runs) == 3
+        assert runs[0][0][1] > 0  # the signatures were computed, not looked up
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 
 def test_write_chrome_trace_from_find_all(dataset, tmp_path):
     """The headline artifact: a Perfetto-loadable trace of one run."""
